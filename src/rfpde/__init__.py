@@ -16,10 +16,10 @@ from .geometry import (BallSubdomain, BaseRegion, Box, BoxMinusBox,
                        CollocationSets, DegeneratePointError, GeometryError,
                        PartitionState, RefinementConflictError,
                        generate_boundary_points, generate_interior_grid,
-                       outward_normal, reclassify_collocation,
-                       sample_sphere_uniform, split_subdomain)
+                       reclassify_collocation, sample_sphere_uniform,
+                       split_subdomain)
 from .lsq import (NonConvergenceError, SolveReport, SystemBlocks, assemble,
-                  assemble_linear, gauss_newton, solve_min_norm)
+                  gauss_newton, solve_min_norm)
 from .pde import (BENCHMARKS, SemilinearProblem, apply_operator, benchmark,
                   linearized_row)
 

@@ -63,16 +63,12 @@ class AdaptiveConfig:
     max_refinements: int = 16
     strategy: str = "transferable"
     uniform_range: float = 1.0
-    weights: tuple = lsq.DEFAULT_WEIGHTS
-    svd_cutoff: float = lsq.DEFAULT_SVD_CUTOFF
-    warm_start: bool = False
     interior_resolution: Optional[int] = None
     boundary_count: Optional[int] = None
     ball_resolution: Optional[int] = None
     interface_count: Optional[int] = None
     test_resolution: Optional[int] = None
     sweep: Optional[tuple] = None
-    dump_fields_per_refinement: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.radius <= 0:
@@ -81,7 +77,6 @@ class AdaptiveConfig:
             raise ValueError("basis counts and scale bound must be >= 1")
         if self.strategy not in ("transferable", "uniform"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        object.__setattr__(self, "weights", tuple(self.weights))
         if self.sweep is not None:
             object.__setattr__(self, "sweep", tuple(int(m) for m in self.sweep))
 
@@ -98,7 +93,6 @@ class AdaptiveConfig:
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        out["weights"] = list(self.weights)
         out["sweep"] = list(self.sweep) if self.sweep is not None else None
         return out
 
@@ -106,8 +100,6 @@ class AdaptiveConfig:
     def from_dict(data: dict) -> "AdaptiveConfig":
         known = {f for f in AdaptiveConfig.__dataclass_fields__}
         kwargs = {k: v for k, v in data.items() if k in known}
-        if kwargs.get("weights") is not None:
-            kwargs["weights"] = tuple(kwargs["weights"])
         if kwargs.get("sweep") is not None:
             kwargs["sweep"] = tuple(kwargs["sweep"])
         return AdaptiveConfig(**kwargs)
@@ -173,9 +165,8 @@ def scale_search(problem: SemilinearProblem, partition: geo.PartitionState,
                  basis0: basis_mod.BasisSet, alpha0: np.ndarray,
                  ball: geo.BallSubdomain, colloc: geo.CollocationSets,
                  m_star: int, seed: int, scale_max: int = 10,
-                 gamma: float = 2.0, n_max: int = 50, tol: float = 1e-5,
-                 cutoff: float = lsq.DEFAULT_SVD_CUTOFF,
-                 weights=lsq.DEFAULT_WEIGHTS) -> ScaleSearchResult:
+                 gamma: float = 2.0, n_max: int = 50,
+                 tol: float = 1e-5) -> ScaleSearchResult:
     """Pick the integer frequency multiplier for a new ball's basis.
 
     One neuron draw (substream = ball index) is rescaled for every candidate
@@ -197,11 +188,11 @@ def scale_search(problem: SemilinearProblem, partition: geo.PartitionState,
         def assembler(alpha_k, candidate=candidate):
             return lsq.assemble_local(problem, ball, candidate, basis0, alpha0,
                                       interior, boundary, interface,
-                                      alpha_k=alpha_k, weights=weights)
+                                      alpha_k=alpha_k)
 
         try:
             report = lsq.gauss_newton_core(assembler, problem.is_linear,
-                                           n_max=n_max, tol=tol, cutoff=cutoff)
+                                           n_max=n_max, tol=tol)
         except (lsq.NonConvergenceError, lsq.AssemblyError) as exc:
             raise ScaleSearchError(f"scale candidate s={s} failed: {exc}", scale=s) \
                 from exc
@@ -243,7 +234,8 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
 
     ``diagnostic``, when given, is evaluated on the state after every coupled
     re-solve and stored in the trace (the benchmark harness passes the
-    relative l2 error against the exact solution).
+    relative l2 error against the exact solution); its time is not part of a
+    record's ``seconds``.
     """
     cfg = config.resolved(problem.dim)
     partition = geo.PartitionState(problem.region)
@@ -251,8 +243,7 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
     bases = [_base_basis(problem, cfg)]
 
     report = lsq.gauss_newton(partition, bases, colloc, problem,
-                              n_max=cfg.n_max, tol=cfg.tol, cutoff=cfg.svd_cutoff,
-                              weights=cfg.weights)
+                              n_max=cfg.n_max, tol=cfg.tol)
     state = SolveState(partition, list(bases), colloc, report.alphas, report)
     trace: list[RefinementRecord] = []
 
@@ -282,28 +273,23 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
         search = scale_search(problem, partition, bases[0], report.alphas[0],
                               partition.ball(k), colloc, cfg.m_star, cfg.seed,
                               scale_max=cfg.scale_max, gamma=cfg.gamma,
-                              n_max=cfg.n_max, tol=cfg.tol, cutoff=cfg.svd_cutoff,
-                              weights=cfg.weights)
+                              n_max=cfg.n_max, tol=cfg.tol)
         bases.append(search.basis)
 
-        alpha0 = None
-        if cfg.warm_start:
-            alpha0 = np.concatenate(report.alphas + [search.report.alpha])
         report = lsq.gauss_newton(partition, bases, colloc, problem,
-                                  n_max=cfg.n_max, tol=cfg.tol,
-                                  cutoff=cfg.svd_cutoff, weights=cfg.weights,
-                                  alpha0=alpha0)
+                                  n_max=cfg.n_max, tol=cfg.tol)
         state = SolveState(partition, list(bases), colloc, report.alphas, report)
 
         new_gate = mean_residual(problem, bases[0], report.alphas[0],
                                  colloc.interior[0])
+        seconds = time.perf_counter() - t0
         trace.append(RefinementRecord(
             index=k, center=center.tolist(), radius=radius, scale=search.scale,
             mean_residual_before=gate, mean_residual_after=new_gate,
             loss=report.loss,
             err_l2=None if diagnostic is None else float(diagnostic(state)),
             scale_losses=[float(v) for v in search.losses],
-            seconds=time.perf_counter() - t0))
+            seconds=seconds))
         gate = new_gate
 
     return state, trace

@@ -23,7 +23,6 @@ pointwise and batched calls agree bit-for-bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -166,10 +165,6 @@ class BasisSet:
             "weights": self.weights.tolist(),
             "biases": self.biases.tolist(),
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_manifest(), fh)
 
     @staticmethod
     def from_manifest(data: dict) -> "BasisSet":

@@ -3,8 +3,8 @@
 A run executes the adaptive solver on a named benchmark, evaluates the
 piecewise expansion on a uniform test grid (each point evaluated with the
 basis of the subdomain that owns it), and writes a manifest plus CSV/JSON
-artifacts sufficient to reproduce the run bit-identically and to re-check
-every reported number offline.
+artifacts sufficient to reproduce the run bit-identically (on the same BLAS
+build and thread count) and to re-check every reported number offline.
 """
 
 from __future__ import annotations
@@ -192,10 +192,7 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
     manifest = {"benchmark": name, "config": cfg.to_dict(), "status": "ok"}
 
     def diagnostic(state: SolveState) -> float:
-        g = evaluate_on_grid(state, problem, cfg.test_resolution)
-        if cfg.dump_fields_per_refinement:
-            _write_solution_csv(outdir / f"solution_k{state.partition.n_balls}.csv", g)
-        return g.err_l2()
+        return evaluate_on_grid(state, problem, cfg.test_resolution).err_l2()
 
     try:
         state, trace = adaptive_solve(
@@ -236,7 +233,8 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
 
 
 def run_from_manifest(manifest_path, outdir) -> dict:
-    """Re-execute a run from its manifest; reproduces artifacts byte-for-byte."""
+    """Re-execute a run from its manifest; on the same BLAS build and thread
+    count this reproduces the artifacts byte-for-byte."""
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     config = AdaptiveConfig.from_dict(manifest["config"])

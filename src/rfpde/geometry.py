@@ -5,15 +5,6 @@ sub-box removed (L-shaped domains). Low-regularity regions are carved out as
 balls B_r(c) intersected with the domain; the remainder is subdomain 0.
 Collocation sets hold interior points per subdomain, boundary points on the
 outer boundary, and interface points on each ball's sphere.
-
-Two membership notions coexist on purpose:
-
-* ``PartitionState.contains_interior`` is strict: open domain, open balls,
-  subdomain 0 excluding the closed balls.
-* ``PartitionState.classify`` assigns every point of the closed domain to
-  exactly one subdomain (closed balls take precedence); this is the rule used
-  for masking lattices and for piecewise evaluation of solutions, where
-  lattice points may sit exactly on the outer boundary or on a sphere.
 """
 
 from __future__ import annotations
@@ -236,26 +227,6 @@ class PartitionState:
             raise IndexError(f"no ball subdomain with index {k}")
         return self.balls[k - 1]
 
-    def contains_interior(self, k: int, x) -> bool:
-        """True iff x is strictly inside subdomain k.
-
-        Subdomain 0 excludes the closed balls; subdomain k >= 1 is the open
-        ball intersected with the open domain.
-        """
-        if not 0 <= k <= len(self.balls):
-            raise IndexError(f"subdomain index {k} out of range")
-        pts = _as_points(x)
-        if pts.shape[1] != self.dim:
-            raise GeometryError("point dimension does not match the region")
-        if k == 0:
-            inside = self.base.contains(pts)
-            for ball in self.balls:
-                inside &= ~ball.contains_closed(pts)
-        else:
-            ball = self.ball(k)
-            inside = ball.contains_open(pts) & self.base.contains(pts)
-        return bool(inside[0]) if np.ndim(x) == 1 else inside
-
     def classify(self, x) -> np.ndarray:
         """Assign each point of the closed domain to exactly one subdomain.
 
@@ -466,15 +437,11 @@ def generate_boundary_points(region: BaseRegion, count: int) -> np.ndarray:
     return np.vstack(chunks)
 
 
-def sample_sphere_uniform(center, radius: float, count: int,
-                          seed: int | None = None) -> np.ndarray:
+def sample_sphere_uniform(center, radius: float, count: int) -> np.ndarray:
     """Deterministic near-uniform point set on the sphere of given radius.
 
     2D: equispaced angles starting at angle 0. 3D: a Fibonacci lattice.
-    ``seed`` is accepted for interface stability but unused; both
-    constructions are deterministic.
     """
-    del seed
     center = np.asarray(center, dtype=float)
     if count < 1:
         raise GeometryError("count must be >= 1")
@@ -508,10 +475,6 @@ def outward_normals(ball: BallSubdomain, x) -> np.ndarray:
     return diff / norms[:, None]
 
 
-def outward_normal(ball: BallSubdomain, x) -> np.ndarray:
-    return outward_normals(ball, np.asarray(x, dtype=float)[None, :])[0]
-
-
 def split_subdomain(partition: PartitionState, center, radius: float) -> PartitionState:
     """Carve a new ball out of subdomain 0, returning the grown partition.
 
@@ -539,8 +502,7 @@ def split_subdomain(partition: PartitionState, center, radius: float) -> Partiti
 
 def reclassify_collocation(sets: CollocationSets, partition: PartitionState, k: int,
                            interior_resolution: int | None = None,
-                           interface_count: int | None = None,
-                           seed: int | None = None) -> CollocationSets:
+                           interface_count: int | None = None) -> CollocationSets:
     """Collocation bookkeeping after ball k is carved out.
 
     Boundary points of subdomain 0 inside the closed ball migrate to the
@@ -583,7 +545,7 @@ def reclassify_collocation(sets: CollocationSets, partition: PartitionState, k: 
     if len(x_fk) == 0:
         raise GeometryError(f"ball {k} has an empty interior lattice (outside the domain?)")
 
-    sphere = sample_sphere_uniform(ball.center, ball.radius, interface_count, seed=seed)
+    sphere = sample_sphere_uniform(ball.center, ball.radius, interface_count)
     x_gamma = sphere[partition.base.contains(sphere)]
 
     interior = list(sets.interior)
@@ -597,11 +559,3 @@ def reclassify_collocation(sets: CollocationSets, partition: PartitionState, k: 
     else:
         interior[k], boundary[k], interface[k] = x_fk, x_gk, x_gamma
     return CollocationSets(tuple(interior), tuple(boundary), tuple(interface))
-
-
-def export_points_csv(points: np.ndarray, path) -> None:
-    """One point per row, d comma-separated columns, 17 significant digits."""
-    pts = _as_points(points)
-    with open(path, "w") as fh:
-        for row in pts:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

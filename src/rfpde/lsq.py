@@ -8,15 +8,19 @@ ones by plain (undamped) Gauss-Newton on the linearized system, starting from
 zero coefficients, with the relative change of the squared residual as the
 stopping measure.
 
-The same machinery also solves the local single-ball problems used by the
-scale search: there the subdomain-0 trace is frozen and enters the right-hand
-side instead of contributing columns.
+Rows are built in one place, ``_row_groups``, in one order: the interior rows
+of every subdomain, then the boundary rows, then a value and a
+normal-derivative group per ball. ``assemble`` writes every group into the
+coupled system. ``assemble_local``, the single-ball problem of the scale
+search, writes one ball's groups only: its matrix is that ball's column block
+of the ball's coupled rows, and the subdomain-0 trace, frozen, stays in the
+right-hand side instead of contributing columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -29,10 +33,6 @@ ROW_BOUNDARY = 1
 ROW_IFACE_VALUE = 2
 ROW_IFACE_NORMAL = 3
 ROW_KIND_NAMES = ("interior", "boundary", "interface-value", "interface-normal")
-
-#: Loss weights per row kind (interior, boundary, value, normal). The method
-#: uses unit weights; a non-default vector scales rows by sqrt(weight).
-DEFAULT_WEIGHTS = (1.0, 1.0, 1.0, 1.0)
 
 DEFAULT_SVD_CUTOFF = 1e-12
 
@@ -58,25 +58,10 @@ class SystemBlocks:
     col_slices: list[slice]            # one slice of columns per subdomain
     row_kind: np.ndarray               # int8, ROW_* constants
     row_subdomain: np.ndarray          # int32
-    row_point: np.ndarray              # int32, index into the point set
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
-
-    @property
-    def col_subdomain(self) -> np.ndarray:
-        out = np.empty(self.matrix.shape[1], dtype=np.int32)
-        for k, sl in enumerate(self.col_slices):
-            out[sl] = k
-        return out
-
-    @property
-    def col_basis_index(self) -> np.ndarray:
-        out = np.empty(self.matrix.shape[1], dtype=np.int32)
-        for sl in self.col_slices:
-            out[sl] = np.arange(sl.stop - sl.start)
-        return out
 
     def split(self, alpha: np.ndarray) -> list[np.ndarray]:
         return [alpha[sl] for sl in self.col_slices]
@@ -93,41 +78,6 @@ class SolveReport:
     residual_by_kind: dict
     iterations: list = field(default_factory=list)  # (n, loss, re_mse)
     converged: bool = True
-
-
-class _Rows:
-    def __init__(self, n_cols: int):
-        self.n_cols = n_cols
-        self.blocks: list[np.ndarray] = []
-        self.rhs: list[np.ndarray] = []
-        self.kind: list[np.ndarray] = []
-        self.sub: list[np.ndarray] = []
-        self.point: list[np.ndarray] = []
-
-    def add(self, rows: np.ndarray, rhs: np.ndarray, kind: int, sub: int,
-            weight: float) -> None:
-        if rows.shape[0] == 0:
-            return
-        if weight != 1.0:
-            w = np.sqrt(weight)
-            rows = rows * w
-            rhs = rhs * w
-        self.blocks.append(rows)
-        self.rhs.append(rhs)
-        n = rows.shape[0]
-        self.kind.append(np.full(n, kind, dtype=np.int8))
-        self.sub.append(np.full(n, sub, dtype=np.int32))
-        self.point.append(np.arange(n, dtype=np.int32))
-
-    def build(self, col_slices: list[slice]) -> SystemBlocks:
-        if not self.blocks:
-            raise AssemblyError("no rows to assemble")
-        return SystemBlocks(matrix=np.vstack(self.blocks),
-                            rhs=np.concatenate(self.rhs),
-                            col_slices=col_slices,
-                            row_kind=np.concatenate(self.kind),
-                            row_subdomain=np.concatenate(self.sub),
-                            row_point=np.concatenate(self.point))
 
 
 def _column_layout(bases: Sequence[BasisSet]) -> tuple[list[slice], int]:
@@ -151,10 +101,93 @@ def _interior_block(problem, basis, alpha_k, points):
     return rows, rhs
 
 
+class _Subdomain(NamedTuple):
+    """One subdomain's share of the rows: basis, current coefficients,
+    collocation points, and its ball (None for subdomain 0)."""
+
+    k: int
+    basis: BasisSet
+    alpha: np.ndarray
+    interior: np.ndarray
+    boundary: np.ndarray
+    interface: np.ndarray
+    ball: Optional[BallSubdomain]
+
+    @property
+    def n_rows(self) -> int:
+        n_iface = 2 * len(self.interface) if self.k else 0
+        return len(self.interior) + len(self.boundary) + n_iface
+
+
+def _row_groups(problem: SemilinearProblem, subdomains: Sequence[_Subdomain],
+                basis_0: BasisSet, alpha_0: np.ndarray):
+    """Yield the row groups ``(kind, k, block_k, block_0, rhs)`` of ``subdomains``.
+
+    The order is the system's row order: interior groups, then boundary
+    groups, then a value and a normal-derivative group per ball; empty groups
+    are skipped. ``block_k`` multiplies subdomain k's coefficients and
+    ``block_0`` subdomain 0's (None off the interfaces). Right-hand sides are
+    the residuals at the current coefficients, so on an interface they carry
+    subdomain 0's trace at ``alpha_0``.
+    """
+    for s in subdomains:
+        if len(s.interior):
+            rows, rhs = _interior_block(problem, s.basis, s.alpha, s.interior)
+            yield ROW_INTERIOR, s.k, rows, None, rhs
+    for s in subdomains:
+        if len(s.boundary):
+            vals = s.basis.values(s.boundary)
+            yield (ROW_BOUNDARY, s.k, vals, None,
+                   problem.boundary(s.boundary) - vals @ s.alpha)
+    for s in subdomains:
+        if s.k == 0 or len(s.interface) == 0:
+            continue
+        pts = s.interface
+        normals = outward_normals(s.ball, pts)
+        vals_k = s.basis.values(pts)
+        vals_0 = basis_0.values(pts)
+        yield (ROW_IFACE_VALUE, s.k, vals_k, -vals_0,
+               vals_0 @ alpha_0 - vals_k @ s.alpha)
+        nd_k = s.basis.normal_derivatives(pts, normals)
+        nd_0 = basis_0.normal_derivatives(pts, normals)
+        yield (ROW_IFACE_NORMAL, s.k, nd_k, -nd_0,
+               nd_0 @ alpha_0 - nd_k @ s.alpha)
+
+
+def _system(problem: SemilinearProblem, subdomains: Sequence[_Subdomain],
+            basis_0: BasisSet, alpha_0: np.ndarray,
+            columns: dict[int, slice]) -> SystemBlocks:
+    """Write the row groups of ``subdomains`` into one zero-filled system.
+
+    ``columns`` maps a subdomain index to its column slice. A subdomain-0
+    block is written only when subdomain 0 has columns; otherwise its frozen
+    trace is in the right-hand side alone.
+    """
+    n_rows = sum(s.n_rows for s in subdomains)
+    if n_rows == 0:
+        raise AssemblyError("no rows to assemble")
+    F = np.zeros((n_rows, max(sl.stop for sl in columns.values())))
+    T = np.empty(n_rows)
+    row_kind = np.empty(n_rows, dtype=np.int8)
+    row_subdomain = np.empty(n_rows, dtype=np.int32)
+    start = 0
+    for kind, k, block_k, block_0, rhs in _row_groups(problem, subdomains,
+                                                      basis_0, alpha_0):
+        rows = slice(start, start + len(rhs))
+        F[rows, columns[k]] = block_k
+        if block_0 is not None and 0 in columns:
+            F[rows, columns[0]] = block_0
+        T[rows] = rhs
+        row_kind[rows] = kind
+        row_subdomain[rows] = k
+        start = rows.stop
+    return SystemBlocks(matrix=F, rhs=T, col_slices=list(columns.values()),
+                        row_kind=row_kind, row_subdomain=row_subdomain)
+
+
 def assemble(partition: PartitionState, bases: Sequence[BasisSet],
              colloc: CollocationSets, problem: SemilinearProblem,
              alphas: Optional[np.ndarray] = None,
-             weights: Sequence[float] = DEFAULT_WEIGHTS,
              require_nonempty: bool = True) -> SystemBlocks:
     """Assemble the coupled system, linearized at ``alphas`` (zeros if None).
 
@@ -183,67 +216,18 @@ def assemble(partition: PartitionState, bases: Sequence[BasisSet],
         if sum(len(b) for b in colloc.boundary) == 0:
             raise AssemblyError("no boundary collocation points at all")
 
-    w_int, w_bnd, w_val, w_nrm = weights
-    out = _Rows(n_cols)
-
-    for k in range(n_sub):
-        pts = colloc.interior[k]
-        if len(pts) == 0:
-            continue
-        rows_k, rhs = _interior_block(problem, bases[k], parts[k], pts)
-        rows = np.zeros((len(pts), n_cols))
-        rows[:, col_slices[k]] = rows_k
-        out.add(rows, rhs, ROW_INTERIOR, k, w_int)
-
-    for k in range(n_sub):
-        pts = colloc.boundary[k]
-        if len(pts) == 0:
-            continue
-        vals = bases[k].values(pts)
-        rows = np.zeros((len(pts), n_cols))
-        rows[:, col_slices[k]] = vals
-        rhs = problem.boundary(pts) - vals @ parts[k]
-        out.add(rows, rhs, ROW_BOUNDARY, k, w_bnd)
-
-    for k in range(1, n_sub):
-        pts = colloc.interface[k]
-        if len(pts) == 0:
-            continue
-        ball = partition.ball(k)
-        normals = outward_normals(ball, pts)
-        vals_k = bases[k].values(pts)
-        vals_0 = bases[0].values(pts)
-        rows = np.zeros((len(pts), n_cols))
-        rows[:, col_slices[k]] = vals_k
-        rows[:, col_slices[0]] = -vals_0
-        rhs = vals_0 @ parts[0] - vals_k @ parts[k]
-        out.add(rows, rhs, ROW_IFACE_VALUE, k, w_val)
-
-        nd_k = bases[k].normal_derivatives(pts, normals)
-        nd_0 = bases[0].normal_derivatives(pts, normals)
-        rows = np.zeros((len(pts), n_cols))
-        rows[:, col_slices[k]] = nd_k
-        rows[:, col_slices[0]] = -nd_0
-        rhs = nd_0 @ parts[0] - nd_k @ parts[k]
-        out.add(rows, rhs, ROW_IFACE_NORMAL, k, w_nrm)
-
-    return out.build(col_slices)
-
-
-def assemble_linear(partition: PartitionState, bases: Sequence[BasisSet],
-                    colloc: CollocationSets, problem: SemilinearProblem,
-                    weights: Sequence[float] = DEFAULT_WEIGHTS) -> SystemBlocks:
-    """Direct transcription of the collocated problem; linear operators only."""
-    if not problem.is_linear:
-        raise AssemblyError("assemble_linear requires a linear operator")
-    return assemble(partition, bases, colloc, problem, alphas=None, weights=weights)
+    subdomains = [_Subdomain(k, bases[k], parts[k], colloc.interior[k],
+                             colloc.boundary[k], colloc.interface[k],
+                             partition.ball(k) if k else None)
+                  for k in range(n_sub)]
+    return _system(problem, subdomains, bases[0], parts[0],
+                   dict(enumerate(col_slices)))
 
 
 def assemble_local(problem: SemilinearProblem, ball: BallSubdomain,
                    basis_k: BasisSet, basis_0: BasisSet, alpha_0: np.ndarray,
                    interior: np.ndarray, boundary: np.ndarray, interface: np.ndarray,
-                   alpha_k: Optional[np.ndarray] = None,
-                   weights: Sequence[float] = DEFAULT_WEIGHTS) -> SystemBlocks:
+                   alpha_k: Optional[np.ndarray] = None) -> SystemBlocks:
     """Single-ball system with the subdomain-0 expansion frozen at ``alpha_0``.
 
     The frozen trace and normal trace enter the interface right-hand sides;
@@ -256,44 +240,25 @@ def assemble_local(problem: SemilinearProblem, ball: BallSubdomain,
     if alpha_k is None:
         alpha_k = np.zeros(basis_k.size)
     alpha_k = np.asarray(alpha_k, dtype=float)
-    w_int, w_bnd, w_val, w_nrm = weights
-    col_slices = [slice(0, basis_k.size)]
-    out = _Rows(basis_k.size)
-
-    rows, rhs = _interior_block(problem, basis_k, alpha_k, interior)
-    out.add(rows, rhs, ROW_INTERIOR, ball.index, w_int)
-
-    if len(boundary):
-        vals = basis_k.values(boundary)
-        out.add(vals, problem.boundary(boundary) - vals @ alpha_k,
-                ROW_BOUNDARY, ball.index, w_bnd)
-
-    normals = outward_normals(ball, interface)
-    vals_k = basis_k.values(interface)
-    u0 = basis_0.values(interface) @ alpha_0
-    out.add(vals_k, u0 - vals_k @ alpha_k, ROW_IFACE_VALUE, ball.index, w_val)
-
-    nd_k = basis_k.normal_derivatives(interface, normals)
-    dn_u0 = basis_0.normal_derivatives(interface, normals) @ alpha_0
-    out.add(nd_k, dn_u0 - nd_k @ alpha_k, ROW_IFACE_NORMAL, ball.index, w_nrm)
-
-    return out.build(col_slices)
+    ball_rows = _Subdomain(ball.index, basis_k, alpha_k, interior, boundary,
+                           interface, ball)
+    return _system(problem, [ball_rows], basis_0, alpha_0,
+                   {ball.index: slice(0, basis_k.size)})
 
 
-def solve_min_norm(blocks: SystemBlocks,
-                   cutoff: float = DEFAULT_SVD_CUTOFF) -> SolveReport:
+def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
     """Minimum-norm least-squares solution via SVD with relative cutoff.
 
-    Singular directions below ``cutoff`` times the largest singular value are
-    discarded; the report carries the effective rank and a per-row-kind
-    breakdown of the squared residual.
+    Singular directions below DEFAULT_SVD_CUTOFF times the largest singular
+    value are discarded; the report carries the effective rank and a
+    per-row-kind breakdown of the squared residual.
     """
     F, T = blocks.matrix, blocks.rhs
     if F.size == 0:
         raise AssemblyError("empty system")
     if not (np.all(np.isfinite(F)) and np.all(np.isfinite(T))):
         raise AssemblyError("non-finite entries in the assembled system")
-    alpha, _, rank, _ = np.linalg.lstsq(F, T, rcond=cutoff)
+    alpha, _, rank, _ = np.linalg.lstsq(F, T, rcond=DEFAULT_SVD_CUTOFF)
     res = F @ alpha - T
     by_kind = {}
     for kind, name in enumerate(ROW_KIND_NAMES):
@@ -310,9 +275,8 @@ DIVERGENCE_FACTOR = 1e6
 
 
 def gauss_newton_core(assembler: Callable[[Optional[np.ndarray]], SystemBlocks],
-                      is_linear: bool, n_max: int = 50, tol: float = 1e-5,
-                      cutoff: float = DEFAULT_SVD_CUTOFF,
-                      alpha0: Optional[np.ndarray] = None) -> SolveReport:
+                      is_linear: bool, n_max: int = 50,
+                      tol: float = 1e-5) -> SolveReport:
     """Gauss-Newton driver over an assembler callback.
 
     ``assembler(alphas)`` must return the system linearized at ``alphas``
@@ -323,21 +287,20 @@ def gauss_newton_core(assembler: Callable[[Optional[np.ndarray]], SystemBlocks],
     the initial loss raises NonConvergenceError.
     """
     if is_linear:
-        report = solve_min_norm(assembler(None), cutoff)
+        report = solve_min_norm(assembler(None))
         report.iterations = [(0, report.loss, None)]
         report.converged = True
         return report
 
-    blocks = assembler(None if alpha0 is None else np.asarray(alpha0, dtype=float))
-    alpha = np.zeros(blocks.matrix.shape[1]) if alpha0 is None \
-        else np.asarray(alpha0, dtype=float).copy()
+    blocks = assembler(None)
+    alpha = np.zeros(blocks.matrix.shape[1])
     trace = []
     prev_loss = None
     first_loss = None
     report = None
     converged = False
     for n in range(n_max):
-        sol = solve_min_norm(blocks, cutoff)
+        sol = solve_min_norm(blocks)
         alpha = alpha + sol.alpha
         loss = sol.loss
         re_mse = None if prev_loss is None else (
@@ -363,38 +326,10 @@ def gauss_newton_core(assembler: Callable[[Optional[np.ndarray]], SystemBlocks],
 
 def gauss_newton(partition: PartitionState, bases: Sequence[BasisSet],
                  colloc: CollocationSets, problem: SemilinearProblem,
-                 n_max: int = 50, tol: float = 1e-5,
-                 cutoff: float = DEFAULT_SVD_CUTOFF,
-                 weights: Sequence[float] = DEFAULT_WEIGHTS,
-                 alpha0: Optional[np.ndarray] = None) -> SolveReport:
+                 n_max: int = 50, tol: float = 1e-5) -> SolveReport:
     """Solve the coupled problem over all subdomains (direct when linear)."""
 
     def assembler(alphas):
-        return assemble(partition, bases, colloc, problem, alphas=alphas,
-                        weights=weights)
+        return assemble(partition, bases, colloc, problem, alphas=alphas)
 
-    return gauss_newton_core(assembler, problem.is_linear, n_max=n_max, tol=tol,
-                             cutoff=cutoff, alpha0=alpha0)
-
-
-def dump_matrix(array: np.ndarray, path) -> None:
-    """Binary dump: 8-byte header (uint32 rows, cols, little-endian) then
-    row-major little-endian float64 data."""
-    arr = np.atleast_2d(np.asarray(array, dtype=float))
-    header = np.array(arr.shape, dtype="<u4")
-    with open(path, "wb") as fh:
-        fh.write(header.tobytes())
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        rows, cols = np.frombuffer(fh.read(8), dtype="<u4")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    return data.reshape(int(rows), int(cols))
-
-
-def dump_system(blocks: SystemBlocks, matrix_path, rhs_path) -> None:
-    """Dump F and T for offline inspection (see dump_matrix for the format)."""
-    dump_matrix(blocks.matrix, matrix_path)
-    dump_matrix(blocks.rhs[:, None], rhs_path)
+    return gauss_newton_core(assembler, problem.is_linear, n_max=n_max, tol=tol)

@@ -1,7 +1,10 @@
 """Reproducible random streams.
 
 All randomness in the package flows through Philox, a counter-based 64-bit
-generator, so runs are bit-reproducible across platforms. Each subdomain k
+generator, so the neuron draws are bit-identical on every platform. The
+solutions computed from them repeat bit for bit only at a fixed BLAS build and
+thread count, because the least-squares solves round differently with
+another blocking. Each subdomain k
 draws from its own substream, derived by spawn key so that discovering a new
 subdomain never perturbs the draws of existing ones.
 """

@@ -121,8 +121,7 @@ def test_criterion_2_least_squares_oracles(rng):
         T = rng.standard_normal(rows)
         blocks = lsq.SystemBlocks(matrix=F, rhs=T, col_slices=[slice(0, cols)],
                                   row_kind=np.zeros(rows, dtype=np.int8),
-                                  row_subdomain=np.zeros(rows, dtype=np.int32),
-                                  row_point=np.arange(rows, dtype=np.int32))
+                                  row_subdomain=np.zeros(rows, dtype=np.int32))
         sol = lsq.solve_min_norm(blocks)
         brute = np.linalg.solve(F.T @ F, F.T @ T)
         worst = max(worst, float(np.max(np.abs(sol.alpha - brute))))
@@ -133,8 +132,7 @@ def test_criterion_2_least_squares_oracles(rng):
         T = rng.standard_normal(15)
         blocks = lsq.SystemBlocks(matrix=F, rhs=T, col_slices=[slice(0, 7)],
                                   row_kind=np.zeros(15, dtype=np.int8),
-                                  row_subdomain=np.zeros(15, dtype=np.int32),
-                                  row_point=np.arange(15, dtype=np.int32))
+                                  row_subdomain=np.zeros(15, dtype=np.int32))
         sol = lsq.solve_min_norm(blocks)
         pin = np.linalg.pinv(F) @ T
         min_norm_ok &= bool(np.allclose(sol.alpha, pin, atol=1e-10))
@@ -161,7 +159,7 @@ def test_criterion_3_in_span_recovery(rng):
     colloc = geo.CollocationSets.initial(
         geo.generate_interior_grid(region, resolution=50),
         geo.generate_boundary_points(region, 400))
-    sol = lsq.solve_min_norm(lsq.assemble_linear(part, [b], colloc, problem))
+    sol = lsq.solve_min_norm(lsq.assemble(part, [b], colloc, problem))
     rel = float(np.linalg.norm(sol.alpha - coeffs) / np.linalg.norm(coeffs))
     state = ada.SolveState(part, [b], colloc, sol.alphas, sol)
     err = bench.evaluate_on_grid(state, problem, 64).err_l2()

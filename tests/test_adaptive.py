@@ -5,7 +5,6 @@ from rfpde import adaptive as ada
 from rfpde import basis as bas
 from rfpde import geometry as geo
 from rfpde import pde
-from rfpde.lsq import DEFAULT_WEIGHTS
 
 
 SMALL = dict(interior_resolution=30, boundary_count=200, ball_resolution=24,
@@ -180,7 +179,7 @@ class TestConfig:
         assert cfg.interior_resolution == 12
 
     def test_dict_roundtrip(self):
-        cfg = ada.AdaptiveConfig(**SMALL, weights=(1, 2, 3, 4), sweep=(100, 200))
+        cfg = ada.AdaptiveConfig(**SMALL, sweep=(100, 200))
         back = ada.AdaptiveConfig.from_dict(cfg.to_dict())
         assert back == cfg
 
@@ -303,14 +302,19 @@ class TestAdaptiveSolve:
         state, trace = ada.adaptive_solve(problem, cfg)
         assert state.partition.n_balls >= 1
 
-    def test_warm_start_matches_for_linear(self):
-        # warm start only changes the nonlinear iteration path; for linear
-        # problems the direct solve ignores it
-        problem = pde.benchmark("peak2d-case1")
-        cold, _ = ada.adaptive_solve(problem, ada.AdaptiveConfig(**SMALL))
-        warm, _ = ada.adaptive_solve(problem,
-                                     ada.AdaptiveConfig(**{**SMALL, "warm_start": True}))
-        assert cold.report.alpha.tobytes() == warm.report.alpha.tobytes()
+    def test_seconds_exclude_diagnostic(self, monkeypatch):
+        # a fake clock that only the diagnostic advances: a record's seconds
+        # must not include the diagnostic's time
+        clock = {"t": 0.0}
+        monkeypatch.setattr(ada.time, "perf_counter", lambda: clock["t"])
+
+        def diagnostic(state):
+            clock["t"] += 1000.0
+            return 0.0
+
+        _, trace = ada.adaptive_solve(pde.benchmark("peak2d-case1"),
+                                      ada.AdaptiveConfig(**SMALL), diagnostic=diagnostic)
+        assert trace[0].seconds < 1000.0
 
 
 class TestRadiusHalvingOnConflict:

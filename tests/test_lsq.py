@@ -103,17 +103,12 @@ class TestAssemble:
         interior = np.array([[0.1, 0.2], [-0.4, 0.5]])
         bpts = geo.generate_boundary_points(box2(), 4)[:1]
         colloc = geo.CollocationSets((interior,), (bpts,), (np.empty((0, 2)),))
-        blocks = lsq.assemble_linear(part, [b], colloc, problem)
+        blocks = lsq.assemble(part, [b], colloc, problem)
         assert blocks.matrix.shape == (3, 2)
         sol = lsq.solve_min_norm(blocks)
         F, T = blocks.matrix, blocks.rhs
         brute = np.linalg.solve(F.T @ F, F.T @ T)
         np.testing.assert_allclose(sol.alpha, brute, atol=1e-10)
-
-    def test_assemble_linear_rejects_nonlinear(self):
-        part, bases, colloc = one_ball_setup()
-        with pytest.raises(lsq.AssemblyError):
-            lsq.assemble_linear(part, bases, colloc, zero_problem(nonlinear=True))
 
     def test_empty_interior_set_rejected(self):
         part, bases, colloc = one_ball_setup()
@@ -150,23 +145,96 @@ class TestAssemble:
         assert blocks.matrix.shape[1] == bases[0].size + bases[1].size
         assert np.sum(blocks.row_kind == lsq.ROW_IFACE_VALUE) == n_if
         assert np.sum(blocks.row_kind == lsq.ROW_IFACE_NORMAL) == n_if
-        col_sub = blocks.col_subdomain
-        assert np.sum(col_sub == 0) == bases[0].size
-        assert np.sum(col_sub == 1) == bases[1].size
-        assert blocks.col_basis_index[blocks.col_slices[1].start] == 0
+        assert blocks.col_slices == [slice(0, bases[0].size),
+                                     slice(bases[0].size, bases[0].size + bases[1].size)]
 
-    def test_weights_scale_rows(self):
-        part, bases, colloc = one_ball_setup()
-        problem = zero_problem()
-        plain = lsq.assemble(part, bases, colloc, problem)
-        weighted = lsq.assemble(part, bases, colloc, problem,
-                                weights=(1.0, 4.0, 1.0, 1.0))
-        bmask = plain.row_kind == lsq.ROW_BOUNDARY
-        np.testing.assert_allclose(weighted.matrix[bmask],
-                                   2.0 * plain.matrix[bmask], atol=1e-15)
-        imask = plain.row_kind == lsq.ROW_INTERIOR
-        np.testing.assert_allclose(weighted.matrix[imask], plain.matrix[imask],
-                                   atol=0)
+
+def two_ball_setup(seed=3):
+    """Two balls; the second crosses the outer boundary, so it owns boundary rows."""
+    region = box2()
+    part = geo.PartitionState(region)
+    colloc = standard_colloc(region)
+    bases = [bas.generate_transferable(40, 2.0, 2, seed=seed, stream=0)]
+    for k, center in enumerate([np.array([0.4, 0.4]), np.array([0.9, -0.3])], 1):
+        part = geo.split_subdomain(part, center, 0.2)
+        colloc = geo.reclassify_collocation(colloc, part, k, interior_resolution=12,
+                                            interface_count=40)
+        bases.append(bas.rescale(
+            bas.generate_transferable(50, 2.0, 2, seed=seed, stream=k), center, 2))
+    return part, bases, colloc
+
+
+def nonzero_nonlinear_problem():
+    return pde.SemilinearProblem(
+        region=box2(),
+        forcing=lambda p: 1.0 + np.atleast_2d(p)[:, 0],
+        boundary=lambda p: np.cos(np.atleast_2d(p)[:, 1]),
+        nonlinearity=lambda u: u * u, nonlinearity_prime=lambda u: 2.0 * u)
+
+
+class TestOneAssemblyPath:
+    """The coupled and the local systems come from the same row groups."""
+
+    def setup_method(self):
+        self.part, self.bases, self.colloc = two_ball_setup()
+        self.problem = nonzero_nonlinear_problem()
+        n_cols = sum(b.size for b in self.bases)
+        self.alphas = 0.1 * np.random.default_rng(7).standard_normal(n_cols)
+
+    def test_local_system_is_the_balls_block_of_the_coupled_one(self):
+        full = lsq.assemble(self.part, self.bases, self.colloc, self.problem,
+                            alphas=self.alphas)
+        parts = full.split(self.alphas)
+        assert len(self.colloc.boundary[2]) > 0
+        for k in (1, 2):
+            local = lsq.assemble_local(self.problem, self.part.ball(k), self.bases[k],
+                                       self.bases[0], parts[0], self.colloc.interior[k],
+                                       self.colloc.boundary[k], self.colloc.interface[k],
+                                       alpha_k=parts[k])
+            mask = full.row_subdomain == k
+            expected = full.matrix[mask][:, full.col_slices[k]]
+            assert local.matrix.shape == expected.shape
+            assert local.matrix.tobytes() == expected.tobytes()
+            assert local.rhs.tobytes() == full.rhs[mask].tobytes()
+            assert local.row_kind.tobytes() == full.row_kind[mask].tobytes()
+
+    def test_coupled_matrix_matches_zero_padded_reference(self):
+        part, bases, colloc, problem = self.part, self.bases, self.colloc, self.problem
+        full = lsq.assemble(part, bases, colloc, problem, alphas=self.alphas)
+        sl = full.col_slices
+        parts = full.split(self.alphas)
+
+        def padded(n, blocks):
+            rows = np.zeros((n, len(self.alphas)))
+            for k, block in blocks:
+                rows[:, sl[k]] = block
+            return rows
+
+        groups = []   # (kind, k, padded rows) in the documented row order
+        for k, pts in enumerate(colloc.interior):
+            vals = bases[k].values(pts)
+            rows = -bases[k].laplacians(pts) \
+                + problem.nonlinearity_prime(vals @ parts[k])[:, None] * vals
+            groups.append((lsq.ROW_INTERIOR, k, padded(len(pts), [(k, rows)])))
+        for k, pts in enumerate(colloc.boundary):
+            if len(pts):
+                groups.append((lsq.ROW_BOUNDARY, k,
+                               padded(len(pts), [(k, bases[k].values(pts))])))
+        for k in range(1, part.n_subdomains):
+            pts = colloc.interface[k]
+            normals = geo.outward_normals(part.ball(k), pts)
+            groups.append((lsq.ROW_IFACE_VALUE, k, padded(len(pts), [
+                (k, bases[k].values(pts)), (0, -bases[0].values(pts))])))
+            groups.append((lsq.ROW_IFACE_NORMAL, k, padded(len(pts), [
+                (k, bases[k].normal_derivatives(pts, normals)),
+                (0, -bases[0].normal_derivatives(pts, normals))])))
+        reference = np.vstack([rows for _, _, rows in groups])
+        assert full.matrix.shape == reference.shape
+        assert full.matrix.tobytes() == reference.tobytes()
+        assert full.row_kind.tolist() == [kind for kind, _, rows in groups
+                                          for _ in range(len(rows))]
+        assert full.row_subdomain.tolist() == [k for _, k, rows in groups
+                                               for _ in range(len(rows))]
 
 
 def blocks_from(F, T):
@@ -174,8 +242,7 @@ def blocks_from(F, T):
     T = np.asarray(T, dtype=float)
     return lsq.SystemBlocks(matrix=F, rhs=T, col_slices=[slice(0, F.shape[1])],
                             row_kind=np.zeros(F.shape[0], dtype=np.int8),
-                            row_subdomain=np.zeros(F.shape[0], dtype=np.int32),
-                            row_point=np.arange(F.shape[0], dtype=np.int32))
+                            row_subdomain=np.zeros(F.shape[0], dtype=np.int32))
 
 
 class TestSolveMinNorm:
@@ -254,7 +321,7 @@ class TestInSpanRecovery:
         problem = manufactured_linear(b, coeffs)
         colloc = standard_colloc(region, resolution=30, boundary=120)
         part = geo.PartitionState(region)
-        blocks = lsq.assemble_linear(part, [b], colloc, problem)
+        blocks = lsq.assemble(part, [b], colloc, problem)
         sol = lsq.solve_min_norm(blocks)
         rel = np.linalg.norm(sol.alpha - coeffs) / np.linalg.norm(coeffs)
         assert rel <= 1e-6
@@ -267,7 +334,7 @@ class TestGaussNewton:
         problem = manufactured_linear(b, np.ones(26))
         colloc = standard_colloc(region)
         part = geo.PartitionState(region)
-        direct = lsq.solve_min_norm(lsq.assemble_linear(part, [b], colloc, problem))
+        direct = lsq.solve_min_norm(lsq.assemble(part, [b], colloc, problem))
         report = lsq.gauss_newton(part, [b], colloc, problem)
         assert len(report.iterations) == 1
         assert report.converged
@@ -349,15 +416,3 @@ class TestGaussNewton:
         assert rel <= 1e-6
         assert report.loss <= 1e-20
 
-
-def test_dump_and_load_matrix(tmp_path):
-    part, bases, colloc = one_ball_setup()
-    blocks = lsq.assemble(part, bases, colloc, zero_problem())
-    fpath, tpath = tmp_path / "F.bin", tmp_path / "T.bin"
-    lsq.dump_system(blocks, fpath, tpath)
-    F = lsq.load_matrix(fpath)
-    T = lsq.load_matrix(tpath)
-    assert F.tobytes() == blocks.matrix.tobytes()
-    assert T[:, 0].tobytes() == blocks.rhs.tobytes()
-    header = np.frombuffer(fpath.read_bytes()[:8], dtype="<u4")
-    assert tuple(header) == blocks.matrix.shape
