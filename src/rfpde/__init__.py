@@ -9,8 +9,7 @@ frequency-scaled bases, coupled through C1 interface conditions.
 from .adaptive import (AdaptiveConfig, MaxRefinementsError, RefinementRecord,
                        ScaleSearchResult, SolveState, adaptive_solve,
                        locate_peak, mean_residual, scale_search)
-from .basis import (BasisSet, EvalBundle, generate_transferable,
-                    generate_uniform, rescale)
+from .basis import BasisSet, generate_transferable, generate_uniform, rescale
 from .bench import TestGrid, UndefinedMetricError, err_l2, evaluate_on_grid, run
 from .geometry import (BallSubdomain, BaseRegion, Box, BoxMinusBox,
                        CollocationSets, DegeneratePointError, GeometryError,
@@ -20,7 +19,6 @@ from .geometry import (BallSubdomain, BaseRegion, Box, BoxMinusBox,
                        split_subdomain)
 from .lsq import (NonConvergenceError, SolveReport, SystemBlocks, assemble,
                   gauss_newton, solve_min_norm)
-from .pde import (BENCHMARKS, SemilinearProblem, apply_operator, benchmark,
-                  linearized_row)
+from .pde import BENCHMARKS, SemilinearProblem, benchmark
 
 __version__ = "0.1.0"

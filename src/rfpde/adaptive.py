@@ -267,7 +267,7 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
                 radius *= 0.5
 
         k = partition.n_balls
-        colloc = geo.reclassify_collocation(colloc, partition, k,
+        colloc = geo.reclassify_collocation(colloc, partition,
                                             interior_resolution=cfg.ball_resolution,
                                             interface_count=cfg.interface_count)
         search = scale_search(problem, partition, bases[0], report.alphas[0],

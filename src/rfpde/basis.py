@@ -7,8 +7,8 @@ A basis set is M fixed hidden neurons plus the constant function at index 0:
 
 where c is an (integer) frequency multiplier for recentred ball bases and
 s_in an optional input normalization used by the hyperplane-resampled
-construction on the base domain. Values, gradients and Laplacians come from
-the closed forms tanh' = 1 - tanh^2 and tanh'' = -2 tanh (1 - tanh^2).
+construction on the base domain. Values, normal derivatives and Laplacians
+come from the closed forms tanh' = 1 - tanh^2 and tanh'' = -2 tanh (1 - tanh^2).
 
 Two hidden-parameter constructions are provided:
 
@@ -17,8 +17,12 @@ Two hidden-parameter constructions are provided:
   offsets U[0, 1], scaled by a shared shape parameter gamma, which places the
   neuron hyperplanes uniformly in the unit ball.
 
-Evaluation is elementwise per point (no matmul reductions across points), so
-pointwise and batched calls agree bit-for-bit.
+Dot products over the axes are accumulated by an explicit per-axis loop, not
+a matmul: evaluation stays free of BLAS, and a point's row does not depend on
+the batch it is evaluated in, so the rows of any subset of points equal the
+corresponding rows of the full batch bit for bit. The byte-for-byte tests
+rely on this: the row-subset check of the basis and ``TestOneAssemblyPath``,
+which compares the coupled and the single-ball systems.
 """
 
 from __future__ import annotations
@@ -31,15 +35,6 @@ from .rng import substream
 
 
 @dataclass(frozen=True)
-class EvalBundle:
-    """Basis values, gradients and Laplacians at a single point."""
-
-    values: np.ndarray      # (M+1,)
-    gradients: np.ndarray   # (M+1, d)
-    laplacians: np.ndarray  # (M+1,)
-
-
-@dataclass(frozen=True)
 class BasisSet:
     """Immutable set of M tanh neurons plus the constant basis function."""
 
@@ -48,10 +43,6 @@ class BasisSet:
     center: np.ndarray            # (d,)
     scale: float = 1.0
     input_scale: float = 1.0
-    gamma: float | None = None
-    seed: int | None = None
-    stream: int | None = None
-    strategy: str | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -93,8 +84,8 @@ class BasisSet:
         return pts
 
     def _preactivation(self, pts: np.ndarray) -> np.ndarray:
-        # fixed left-to-right accumulation over axes keeps pointwise and
-        # batched results bit-identical
+        # fixed left-to-right accumulation over axes, no BLAS: a point's row
+        # is the same bits whatever batch it is evaluated in
         xc = pts - self.center
         dot = xc[:, 0, None] * self.weights[None, :, 0]
         for j in range(1, self.dim):
@@ -107,15 +98,6 @@ class BasisSet:
         out = np.empty((pts.shape[0], self.size))
         out[:, 0] = 1.0
         out[:, 1:] = np.tanh(self._preactivation(pts))
-        return out
-
-    def gradients(self, x) -> np.ndarray:
-        """Basis gradients, shape (n, M+1, d)."""
-        pts = self._check(x)
-        psi = np.tanh(self._preactivation(pts))
-        chain = (self.scale * self.input_scale) * self.weights
-        out = np.zeros((pts.shape[0], self.size, self.dim))
-        out[:, 1:, :] = (1.0 - psi * psi)[:, :, None] * chain[None, :, :]
         return out
 
     def laplacians(self, x) -> np.ndarray:
@@ -144,37 +126,6 @@ class BasisSet:
         out[:, 1:] = (self.scale * self.input_scale) * (1.0 - psi * psi) * dot
         return out
 
-    def evaluate(self, x) -> EvalBundle:
-        """Values, gradients and Laplacians at one point."""
-        pt = np.asarray(x, dtype=float)[None, :]
-        return EvalBundle(values=self.values(pt)[0],
-                          gradients=self.gradients(pt)[0],
-                          laplacians=self.laplacians(pt)[0])
-
-    # -- serialization ------------------------------------------------------
-
-    def to_manifest(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "gamma": self.gamma,
-            "seed": self.seed,
-            "stream": self.stream,
-            "center": self.center.tolist(),
-            "scale": self.scale,
-            "input_scale": self.input_scale,
-            "weights": self.weights.tolist(),
-            "biases": self.biases.tolist(),
-        }
-
-    @staticmethod
-    def from_manifest(data: dict) -> "BasisSet":
-        return BasisSet(weights=np.asarray(data["weights"], dtype=float),
-                        biases=np.asarray(data["biases"], dtype=float),
-                        center=np.asarray(data["center"], dtype=float),
-                        scale=data["scale"], input_scale=data["input_scale"],
-                        gamma=data.get("gamma"), seed=data.get("seed"),
-                        stream=data.get("stream"), strategy=data.get("strategy"))
-
 
 def generate_uniform(m: int, r_bound: float, dim: int, seed: int,
                      stream: int = 0) -> BasisSet:
@@ -184,8 +135,7 @@ def generate_uniform(m: int, r_bound: float, dim: int, seed: int,
     rng = substream(seed, stream)
     weights = rng.uniform(-r_bound, r_bound, size=(m, dim))
     biases = rng.uniform(-r_bound, r_bound, size=m)
-    return BasisSet(weights=weights, biases=biases, center=np.zeros(dim),
-                    seed=seed, stream=stream, strategy="uniform")
+    return BasisSet(weights=weights, biases=biases, center=np.zeros(dim))
 
 
 def generate_transferable(m: int, gamma: float, dim: int, seed: int,
@@ -207,8 +157,7 @@ def generate_transferable(m: int, gamma: float, dim: int, seed: int,
         norms = np.linalg.norm(directions, axis=1)
     offsets = rng.uniform(0.0, 1.0, size=m)
     return BasisSet(weights=gamma * directions / norms[:, None],
-                    biases=gamma * offsets, center=np.zeros(dim),
-                    gamma=gamma, seed=seed, stream=stream, strategy="transferable")
+                    biases=gamma * offsets, center=np.zeros(dim))
 
 
 def rescale(base: BasisSet, center, scale) -> BasisSet:

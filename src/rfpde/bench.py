@@ -26,7 +26,11 @@ from .pde import SemilinearProblem, benchmark
 SOLVER_ERRORS = (NonConvergenceError, MaxRefinementsError, ScaleSearchError,
                  geo.GeometryError)
 
-_EVAL_CHUNK = 16384
+#: Test points per evaluation chunk. A chunk's temporaries (points x basis
+#: size doubles, 16 MB at 1001 functions) stay below glibc's largest dynamic
+#: mmap threshold (32 MB), so later chunks and calls reuse heap memory instead
+#: of mapping and page-faulting fresh memory each time.
+_EVAL_CHUNK = 2048
 
 
 class UndefinedMetricError(ValueError):

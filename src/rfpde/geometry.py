@@ -266,13 +266,6 @@ class CollocationSets:
     def n_subdomains(self) -> int:
         return len(self.interior)
 
-    def counts(self) -> dict:
-        return {
-            "interior": [len(p) for p in self.interior],
-            "boundary": [len(p) for p in self.boundary],
-            "interface": [len(p) for p in self.interface],
-        }
-
     @staticmethod
     def initial(interior: np.ndarray, boundary: np.ndarray) -> "CollocationSets":
         d = interior.shape[1]
@@ -500,38 +493,33 @@ def split_subdomain(partition: PartitionState, center, radius: float) -> Partiti
     return replace(partition, balls=partition.balls + (new,))
 
 
-def reclassify_collocation(sets: CollocationSets, partition: PartitionState, k: int,
-                           interior_resolution: int | None = None,
-                           interface_count: int | None = None) -> CollocationSets:
-    """Collocation bookkeeping after ball k is carved out.
+def reclassify_collocation(sets: CollocationSets, partition: PartitionState,
+                           interior_resolution: int,
+                           interface_count: int) -> CollocationSets:
+    """Collocation bookkeeping after the partition's newest ball is carved out.
 
     Boundary points of subdomain 0 inside the closed ball migrate to the
     ball's boundary set; interior points of subdomain 0 inside the closed
     ball are dropped; a fresh lattice masked to the open ball-domain becomes
     the ball's interior set, and a sphere sample masked to the open domain
-    becomes its interface set. Re-applying with the same ball is a no-op.
+    becomes its interface set. ``sets`` must hold every subdomain but the
+    newest ball.
 
-    ``interior_resolution`` is points per axis in 2D (default 40) and a total
-    lattice budget in 3D (default 8500).
+    ``interior_resolution`` is points per axis in 2D and a total lattice
+    budget in 3D.
     """
+    k = partition.n_balls
+    if sets.n_subdomains != k:
+        raise GeometryError(f"expected the collocation sets of subdomains 0..{k - 1}, "
+                            f"got {sets.n_subdomains} subdomains; ball {k} is the newest")
     ball = partition.ball(k)
     d = partition.dim
-    if interior_resolution is None:
-        interior_resolution = 40 if d == 2 else 8500
-    if interface_count is None:
-        interface_count = 200 if d == 2 else 600
-
-    if not 1 <= k <= sets.n_subdomains:
-        raise IndexError(f"ball {k} is neither existing nor the next subdomain")
-    is_new = k == sets.n_subdomains
 
     x_f0, x_g0 = sets.interior[0], sets.boundary[0]
-    migrate = ball.contains_closed(x_g0) if len(x_g0) else np.zeros(0, dtype=bool)
-    existing_gk = np.empty((0, d)) if is_new else sets.boundary[k]
-    x_gk = np.vstack([existing_gk, x_g0[migrate]]) if migrate.any() else existing_gk
+    migrate = ball.contains_closed(x_g0)
+    x_gk = x_g0[migrate]
     x_g0_new = x_g0[~migrate]
-    drop = ball.contains_closed(x_f0) if len(x_f0) else np.zeros(0, dtype=bool)
-    x_f0_new = x_f0[~drop]
+    x_f0_new = x_f0[~ball.contains_closed(x_f0)]
 
     bbox = ball.bounding_box()
     if d == 2:
@@ -548,14 +536,6 @@ def reclassify_collocation(sets: CollocationSets, partition: PartitionState, k: 
     sphere = sample_sphere_uniform(ball.center, ball.radius, interface_count)
     x_gamma = sphere[partition.base.contains(sphere)]
 
-    interior = list(sets.interior)
-    boundary = list(sets.boundary)
-    interface = list(sets.interface)
-    interior[0], boundary[0] = x_f0_new, x_g0_new
-    if is_new:
-        interior.append(x_fk)
-        boundary.append(x_gk)
-        interface.append(x_gamma)
-    else:
-        interior[k], boundary[k], interface[k] = x_fk, x_gk, x_gamma
-    return CollocationSets(tuple(interior), tuple(boundary), tuple(interface))
+    return CollocationSets((x_f0_new,) + sets.interior[1:] + (x_fk,),
+                           (x_g0_new,) + sets.boundary[1:] + (x_gk,),
+                           sets.interface + (x_gamma,))

@@ -5,8 +5,10 @@ form, boundary rows the Dirichlet data, and each interface point contributes
 a value row and a normal-derivative row tying a ball block to the subdomain-0
 block with opposite signs. Linear problems are solved in one shot; nonlinear
 ones by plain (undamped) Gauss-Newton on the linearized system, starting from
-zero coefficients, with the relative change of the squared residual as the
-stopping measure.
+zero coefficients. The loss a nonlinear solve reports, and whose relative
+change stops it, is the linearized model residual |F delta - T|^2 of the last
+step, where F and T are linearized at the coefficients before that step; it is
+not the nonlinear residual at the returned coefficients.
 
 Rows are built in one place, ``_row_groups``, in one order: the interior rows
 of every subdomain, then the boundary rows, then a value and a
@@ -73,7 +75,9 @@ class SolveReport:
 
     alpha: np.ndarray                  # stacked coefficients
     alphas: list[np.ndarray]           # per subdomain
-    loss: float                        # squared residual |F alpha - T|^2
+    # |F x - T|^2 at the solution x of the last solved system: for Gauss-Newton
+    # the last step's linearized model residual, not the residual at ``alpha``
+    loss: float
     rank: int
     residual_by_kind: dict
     iterations: list = field(default_factory=list)  # (n, loss, re_mse)
@@ -187,8 +191,7 @@ def _system(problem: SemilinearProblem, subdomains: Sequence[_Subdomain],
 
 def assemble(partition: PartitionState, bases: Sequence[BasisSet],
              colloc: CollocationSets, problem: SemilinearProblem,
-             alphas: Optional[np.ndarray] = None,
-             require_nonempty: bool = True) -> SystemBlocks:
+             alphas: Optional[np.ndarray] = None) -> SystemBlocks:
     """Assemble the coupled system, linearized at ``alphas`` (zeros if None).
 
     At zero coefficients and for a linear operator this is exactly the direct
@@ -207,14 +210,13 @@ def assemble(partition: PartitionState, bases: Sequence[BasisSet],
         raise AssemblyError(f"expected {n_cols} stacked coefficients")
     parts = [alphas[sl] for sl in col_slices]
 
-    if require_nonempty:
-        for k in range(n_sub):
-            if len(colloc.interior[k]) == 0:
-                raise AssemblyError(f"empty interior collocation set for subdomain {k}")
-            if k >= 1 and len(colloc.interface[k]) == 0:
-                raise AssemblyError(f"empty interface collocation set for ball {k}")
-        if sum(len(b) for b in colloc.boundary) == 0:
-            raise AssemblyError("no boundary collocation points at all")
+    for k in range(n_sub):
+        if len(colloc.interior[k]) == 0:
+            raise AssemblyError(f"empty interior collocation set for subdomain {k}")
+        if k >= 1 and len(colloc.interface[k]) == 0:
+            raise AssemblyError(f"empty interface collocation set for ball {k}")
+    if sum(len(b) for b in colloc.boundary) == 0:
+        raise AssemblyError("no boundary collocation points at all")
 
     subdomains = [_Subdomain(k, bases[k], parts[k], colloc.interior[k],
                              colloc.boundary[k], colloc.interface[k],
@@ -281,10 +283,13 @@ def gauss_newton_core(assembler: Callable[[Optional[np.ndarray]], SystemBlocks],
 
     ``assembler(alphas)`` must return the system linearized at ``alphas``
     (zeros when None). Linear operators take the direct one-shot branch. Each
-    step solves for increments, applies them, and stops once the relative
-    change of the squared residual drops below ``tol``; exhausting ``n_max``
-    returns converged=False, and a loss blow-up beyond DIVERGENCE_FACTOR x
-    the initial loss raises NonConvergenceError.
+    step solves F delta = T for the increment and applies it. A step's loss is
+    its linearized model residual |F delta - T|^2, with F and T taken at the
+    coefficients before the step, not the residual at the updated ones; the
+    loop stops once the relative change of that loss drops below ``tol``, and
+    the report's ``loss`` is the last step's. Exhausting ``n_max`` returns
+    converged=False, and a loss blow-up beyond DIVERGENCE_FACTOR x the initial
+    loss raises NonConvergenceError.
     """
     if is_linear:
         report = solve_min_norm(assembler(None))

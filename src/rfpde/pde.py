@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import BasisSet, EvalBundle
+from .basis import BasisSet
 from .geometry import BaseRegion, Box, BoxMinusBox
 
 #: Sharpness of the Gaussian bump benchmarks, exp(-PEAK_SHARPNESS * r^2).
@@ -68,31 +68,6 @@ def operator_residuals(problem: SemilinearProblem, basis: BasisSet,
         u = basis.values(points) @ alpha
         res = res + problem.nonlinearity(u)
     return res
-
-
-def apply_operator(problem: SemilinearProblem, bundle: EvalBundle,
-                   alpha: np.ndarray) -> float:
-    """Operator value -sum alpha_m lap(psi_m) + N(sum alpha_m psi_m) at one point."""
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != bundle.values.shape:
-        raise ValueError("coefficient vector does not match the basis size")
-    out = -float(bundle.laplacians @ alpha)
-    if problem.nonlinearity is not None:
-        out += float(problem.nonlinearity(bundle.values @ alpha))
-    return out
-
-
-def linearized_row(problem: SemilinearProblem, bundle: EvalBundle,
-                   u_n: float) -> np.ndarray:
-    """Coefficient row of the operator's directional derivative at value u_n.
-
-    row_m = -lap(psi_m) + N'(u_n) psi_m; reduces to the plain operator row
-    for linear problems.
-    """
-    row = -bundle.laplacians.copy()
-    if problem.nonlinearity_prime is not None:
-        row = row + float(problem.nonlinearity_prime(u_n)) * bundle.values
-    return row
 
 
 # -- benchmark problems -----------------------------------------------------

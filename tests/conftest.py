@@ -2,8 +2,12 @@
 
 The finite-difference oracles are deliberately independent of the analytic
 derivative formulas they check: they only ever call the scalar evaluation
-path of whatever function they are given.
+path of whatever function they are given. The pointwise oracles evaluate a
+basis neuron by neuron with ``math.tanh`` and plain Python sums, sharing no
+code with the batched methods of ``BasisSet``.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -44,6 +48,39 @@ def fd_laplacian(f, x, h=1e-4):
         xm[j] -= h
         total += (np.asarray(f(xp)) - 2.0 * center + np.asarray(f(xm))) / (h * h)
     return total
+
+
+def pointwise_basis(basis, x):
+    """Values, gradients and Laplacians of every basis function at one point.
+
+    With a = scale * input_scale and z_m = a w_m . (x - center) + b_m:
+    psi_m = tanh(z_m), grad psi_m = a (1 - psi_m^2) w_m and
+    lap psi_m = -2 a^2 |w_m|^2 psi_m (1 - psi_m^2). Returns arrays of shape
+    (M+1,), (M+1, d) and (M+1,); index 0 is the constant function.
+    """
+    x = [float(v) for v in x]
+    center = basis.center.tolist()
+    a = basis.scale * basis.input_scale
+    values, gradients, laplacians = [1.0], [[0.0] * len(x)], [0.0]
+    for w, b in zip(basis.weights.tolist(), basis.biases.tolist()):
+        z = a * sum(wj * (xj - cj) for wj, xj, cj in zip(w, x, center)) + b
+        t = math.tanh(z)
+        slope = 1.0 - t * t
+        values.append(t)
+        gradients.append([a * slope * wj for wj in w])
+        laplacians.append(-2.0 * a * a * sum(wj * wj for wj in w) * t * slope)
+    return np.array(values), np.array(gradients), np.array(laplacians)
+
+
+def pointwise_operator(problem, basis, alpha, x):
+    """Operator value -lap(u) + N(u) at one point, u = sum_m alpha_m psi_m."""
+    values, _, laplacians = pointwise_basis(basis, x)
+    alpha = [float(a) for a in alpha]
+    out = -sum(a * lap for a, lap in zip(alpha, laplacians))
+    if problem.nonlinearity is not None:
+        u = sum(a * v for a, v in zip(alpha, values))
+        out += float(problem.nonlinearity(u))
+    return out
 
 
 def rel_err(approx, exact, floor=1.0):

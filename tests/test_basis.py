@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import fd_gradient, fd_laplacian, rel_err
+from conftest import fd_gradient, fd_laplacian, pointwise_basis, rel_err
 
 from rfpde import basis as bas
 
@@ -60,20 +60,28 @@ class TestGenerators:
             bas.generate_transferable(3, -1.0, 2, seed=1)
 
 
+def axis_derivatives(b, pts):
+    """Gradients (n, M+1, d) from the normal derivatives along each axis."""
+    n, d = pts.shape
+    return np.stack([b.normal_derivatives(pts, np.tile(np.eye(d)[j], (n, 1)))
+                     for j in range(d)], axis=2)
+
+
 class TestEvaluate:
     def test_tanh_at_origin(self):
         b = tanh_set([[1.0, 0.0]], [0.0])
-        bundle = b.evaluate(np.zeros(2))
-        np.testing.assert_allclose(bundle.values, [1.0, 0.0], atol=0)
-        np.testing.assert_allclose(bundle.gradients[1], [1.0, 0.0], atol=0)
-        np.testing.assert_allclose(bundle.laplacians, [0.0, 0.0], atol=0)
+        origin = np.zeros((1, 2))
+        np.testing.assert_allclose(b.values(origin)[0], [1.0, 0.0], atol=0)
+        np.testing.assert_allclose(axis_derivatives(b, origin)[0, 1], [1.0, 0.0],
+                                   atol=0)
+        np.testing.assert_allclose(b.laplacians(origin)[0], [0.0, 0.0], atol=0)
 
     def test_constant_entry(self):
         b = bas.generate_transferable(7, 2.0, 3, seed=2)
-        bundle = b.evaluate(np.array([0.1, -0.2, 0.3]))
-        assert bundle.values[0] == 1.0
-        assert np.all(bundle.gradients[0] == 0.0)
-        assert bundle.laplacians[0] == 0.0
+        x = np.array([[0.1, -0.2, 0.3]])
+        assert b.values(x)[0, 0] == 1.0
+        assert np.all(axis_derivatives(b, x)[0, 0] == 0.0)
+        assert b.laplacians(x)[0, 0] == 0.0
 
     def test_values_bounded_by_one(self, rng):
         b = bas.generate_uniform(40, 3.0, 2, seed=8)
@@ -84,20 +92,42 @@ class TestEvaluate:
     def test_non_finite_input_rejected(self):
         b = bas.generate_uniform(3, 1.0, 2, seed=1)
         with pytest.raises(ValueError):
-            b.evaluate(np.array([np.nan, 0.0]))
+            b.values(np.array([[np.nan, 0.0]]))
 
     def test_batch_matches_pointwise_bitwise(self, rng):
+        # a point's row does not depend on the batch it is evaluated in
         b = bas.rescale(bas.generate_transferable(30, 2.0, 2, seed=5),
                         np.array([0.3, -0.1]), 4)
         pts = rng.uniform(-1, 1, size=(64, 2))
+        normals = rng.standard_normal((64, 2))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         vals = b.values(pts)
-        grads = b.gradients(pts)
         laps = b.laplacians(pts)
+        nds = b.normal_derivatives(pts, normals)
         for i in (0, 17, 63):
-            bundle = b.evaluate(pts[i])
-            assert bundle.values.tobytes() == vals[i].tobytes()
-            assert bundle.gradients.tobytes() == grads[i].tobytes()
-            assert bundle.laplacians.tobytes() == laps[i].tobytes()
+            one = slice(i, i + 1)
+            assert b.values(pts[one]).tobytes() == vals[i].tobytes()
+            assert b.laplacians(pts[one]).tobytes() == laps[i].tobytes()
+            assert b.normal_derivatives(pts[one], normals[one]).tobytes() \
+                == nds[i].tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batch_matches_pointwise_oracle(self, dim, rng):
+        b = bas.rescale(bas.generate_transferable(20, 2.0, dim, seed=40 + dim),
+                        rng.uniform(-0.3, 0.3, size=dim), 3)
+        pts = rng.uniform(-1, 1, size=(30, dim))
+        normals = rng.standard_normal((30, dim))
+        vals = b.values(pts)
+        laps = b.laplacians(pts)
+        nds = b.normal_derivatives(pts, normals)
+        # the two paths round the preactivation z (|z| < 16 here, one ulp is
+        # 3.6e-15) differently; the Laplacian's factor a^2 |w|^2 = 36 times
+        # |d/dz tanh''| < 1.6 bounds the difference by about 2e-13
+        for i, x in enumerate(pts):
+            values, gradients, laplacians = pointwise_basis(b, x)
+            assert rel_err(vals[i], values) <= 1e-12
+            assert rel_err(laps[i], laplacians) <= 1e-12
+            assert rel_err(nds[i], gradients @ normals[i]) <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_derivatives_match_finite_differences(self, dim, rng):
@@ -109,12 +139,13 @@ class TestEvaluate:
             if trial == 4:
                 b = bas.rescale(b, rng.uniform(-0.3, 0.3, size=dim), 3)
             pts = rng.uniform(-1, 1, size=(100, dim))
-            for x in pts[:20]:
-                bundle = b.evaluate(x)
+            grads = axis_derivatives(b, pts[:20])
+            laps = b.laplacians(pts[:20])
+            for i, x in enumerate(pts[:20]):
                 grad_fd = fd_gradient(lambda y: b.values(y[None, :])[0], x)
-                assert rel_err(grad_fd, bundle.gradients) <= 1e-8
+                assert rel_err(grad_fd, grads[i]) <= 1e-8
                 lap_fd = fd_laplacian(lambda y: b.values(y[None, :])[0], x)
-                assert rel_err(lap_fd, bundle.laplacians) <= 1e-6
+                assert rel_err(lap_fd, laps[i]) <= 1e-6
 
     def test_normal_derivatives_match_gradients(self, rng):
         b = bas.generate_transferable(25, 2.0, 2, seed=6)
@@ -122,8 +153,8 @@ class TestEvaluate:
         normals = rng.standard_normal((40, 2))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         nd = b.normal_derivatives(pts, normals)
-        grads = b.gradients(pts)
-        expected = np.einsum("nmd,nd->nm", grads, normals)
+        expected = np.array([pointwise_basis(b, x)[1] @ n
+                             for x, n in zip(pts, normals)])
         np.testing.assert_allclose(nd, expected, atol=1e-14)
 
 
@@ -155,16 +186,3 @@ class TestRescale:
         b = bas.generate_uniform(3, 1.0, 2, seed=1)
         with pytest.raises(ValueError):
             bas.rescale(b, np.zeros(2), 0.5)
-
-
-def test_manifest_roundtrip():
-    import json
-    b = bas.rescale(bas.generate_transferable(12, 1.5, 3, seed=42, stream=2),
-                    np.array([0.1, 0.2, 0.3]), 6)
-    back = bas.BasisSet.from_manifest(json.loads(json.dumps(b.to_manifest())))
-    assert back.weights.tobytes() == b.weights.tobytes()
-    assert back.biases.tobytes() == b.biases.tobytes()
-    assert back.center.tobytes() == b.center.tobytes()
-    assert back.scale == b.scale and back.input_scale == b.input_scale
-    assert back.gamma == b.gamma and back.seed == b.seed
-    assert back.strategy == b.strategy and back.stream == b.stream

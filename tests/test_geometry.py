@@ -183,7 +183,8 @@ def make_case(center, radius, region=None, resolution=50, boundary=400):
     bpts = geo.generate_boundary_points(region, boundary)
     sets = geo.CollocationSets.initial(interior, bpts)
     part = geo.split_subdomain(geo.PartitionState(region), np.asarray(center), radius)
-    return part, sets, geo.reclassify_collocation(sets, part, 1)
+    return part, sets, geo.reclassify_collocation(sets, part, interior_resolution=40,
+                                                  interface_count=200)
 
 
 class TestReclassify:
@@ -200,12 +201,17 @@ class TestReclassify:
         ball = part.ball(1)
         assert np.all(ball.contains_closed(after.boundary[1]))
 
-    def test_idempotent(self):
+    def test_ball_that_is_not_newest_raises(self):
         part, before, after = make_case([0.95, 0.2], 0.1)
-        again = geo.reclassify_collocation(after, part, 1)
-        for kind in ("interior", "boundary", "interface"):
-            for a, b in zip(getattr(after, kind), getattr(again, kind)):
-                assert a.tobytes() == b.tobytes()
+        # ball 1 is already reclassified
+        with pytest.raises(geo.GeometryError):
+            geo.reclassify_collocation(after, part, interior_resolution=40,
+                                       interface_count=200)
+        # ball 1 was never reclassified, and ball 2 is the newest
+        two = geo.split_subdomain(part, np.array([-0.5, -0.5]), 0.1)
+        with pytest.raises(geo.GeometryError):
+            geo.reclassify_collocation(before, two, interior_resolution=40,
+                                       interface_count=200)
 
     def test_boundary_conservation(self):
         part, before, after = make_case([0.95, 0.2], 0.1)
@@ -242,7 +248,8 @@ class TestReclassify:
         ball = geo.BallSubdomain(center=np.array([1.5, 0.0]), radius=0.1, index=1)
         part = geo.PartitionState(region, (ball,))
         with pytest.raises(geo.GeometryError):
-            geo.reclassify_collocation(sets, part, 1)
+            geo.reclassify_collocation(sets, part, interior_resolution=40,
+                                       interface_count=200)
 
     def test_partition_completeness(self):
         part, before, after = make_case([0.5102, 0.5102], 0.15)
@@ -258,7 +265,8 @@ class TestReclassify:
         sets = geo.CollocationSets.initial(interior, bpts)
         part = geo.split_subdomain(geo.PartitionState(box3),
                                    np.array([0.5, 0.5, 0.5]), 0.11)
-        after = geo.reclassify_collocation(sets, part, 1)
+        after = geo.reclassify_collocation(sets, part, interior_resolution=8500,
+                                           interface_count=600)
         # 20^3 lattice masked to the open ball: inscribed-ball fraction
         assert 0 < len(after.interior[1]) < 8000
         assert len(after.interface[1]) == 600

@@ -44,7 +44,7 @@ def standard_colloc(region, resolution=20, boundary=80):
 def one_ball_setup(m0=40, mstar=50, seed=3, center=(0.4, 0.4), radius=0.2):
     region = box2()
     part = geo.split_subdomain(geo.PartitionState(region), np.asarray(center), radius)
-    colloc = geo.reclassify_collocation(standard_colloc(region), part, 1,
+    colloc = geo.reclassify_collocation(standard_colloc(region), part,
                                         interior_resolution=12, interface_count=40)
     b0 = bas.generate_transferable(m0, 2.0, 2, seed=seed, stream=0)
     b1 = bas.rescale(bas.generate_transferable(mstar, 2.0, 2, seed=seed, stream=1),
@@ -61,26 +61,28 @@ class TestAssemble:
                                         forcing=lambda p: np.full(len(np.atleast_2d(p)), 1.75),
                                         boundary=lambda p: np.zeros(len(np.atleast_2d(p))))
         part = geo.PartitionState(box2())
-        colloc = geo.CollocationSets((x,), (np.empty((0, 2)),), (np.empty((0, 2)),))
-        blocks = lsq.assemble(part, [b], colloc, problem, require_nonempty=False)
+        bpt = np.array([[1.0, 0.0]])
+        colloc = geo.CollocationSets.initial(x, bpt)
+        blocks = lsq.assemble(part, [b], colloc, problem)
         q = b.laplacians(x)[0, 1]
-        np.testing.assert_allclose(blocks.matrix, [[0.0, -q]], atol=1e-15)
-        np.testing.assert_allclose(blocks.rhs, [1.75])
-        assert blocks.row_kind.tolist() == [lsq.ROW_INTERIOR]
+        assert blocks.row_kind.tolist() == [lsq.ROW_INTERIOR, lsq.ROW_BOUNDARY]
+        np.testing.assert_allclose(blocks.matrix[:1], [[0.0, -q]], atol=1e-15)
+        np.testing.assert_allclose(blocks.rhs[:1], [1.75])
 
     def test_interface_rows_sign_pattern(self):
         part, bases, _ = one_ball_setup()
         gamma_pt = geo.sample_sphere_uniform(part.ball(1).center,
                                              part.ball(1).radius, 1)
+        # one interior point per subdomain and one boundary point come first
         empty = np.empty((0, 2))
-        colloc = geo.CollocationSets((empty, empty), (empty, empty),
-                                     (empty, gamma_pt))
-        blocks = lsq.assemble(part, bases, colloc, zero_problem(),
-                              require_nonempty=False)
-        assert blocks.matrix.shape[0] == 2
-        assert blocks.row_kind.tolist() == [lsq.ROW_IFACE_VALUE, lsq.ROW_IFACE_NORMAL]
+        colloc = geo.CollocationSets((np.array([[-0.5, -0.5]]), part.ball(1).center[None]),
+                                     (np.array([[-1.0, 0.0]]), empty), (empty, gamma_pt))
+        blocks = lsq.assemble(part, bases, colloc, zero_problem())
+        assert blocks.row_kind.tolist() == [lsq.ROW_INTERIOR, lsq.ROW_INTERIOR,
+                                            lsq.ROW_BOUNDARY,
+                                            lsq.ROW_IFACE_VALUE, lsq.ROW_IFACE_NORMAL]
         sl0, sl1 = blocks.col_slices
-        value_row = blocks.matrix[0]
+        value_row = blocks.matrix[3]
         vals0 = bases[0].values(gamma_pt)[0]
         vals1 = bases[1].values(gamma_pt)[0]
         np.testing.assert_allclose(value_row[sl1], vals1, atol=1e-15)
@@ -88,7 +90,7 @@ class TestAssemble:
         # normal row: +ball block, -subdomain-0 block, nothing else
         ball = part.ball(1)
         normals = geo.outward_normals(ball, gamma_pt)
-        normal_row = blocks.matrix[1]
+        normal_row = blocks.matrix[4]
         np.testing.assert_allclose(normal_row[sl1],
                                    bases[1].normal_derivatives(gamma_pt, normals)[0],
                                    atol=1e-15)
@@ -119,20 +121,22 @@ class TestAssemble:
             lsq.assemble(part, bases, broken, zero_problem())
 
     def test_block_locality(self):
+        # subdomain 0's rows are those of the system without the ball, padded
+        # with zeros in the ball's columns
         part, bases, colloc = one_ball_setup()
         problem = zero_problem()
         full = lsq.assemble(part, bases, colloc, problem)
-        empty = np.empty((0, 2))
-        stripped_sets = geo.CollocationSets(
-            (colloc.interior[0], empty), (colloc.boundary[0], empty),
-            (colloc.interface[0], empty))
-        stripped = lsq.assemble(part, bases, stripped_sets, problem,
-                                require_nonempty=False)
+        stripped_sets = geo.CollocationSets.initial(colloc.interior[0],
+                                                    colloc.boundary[0])
+        stripped = lsq.assemble(geo.PartitionState(part.base), bases[:1],
+                                stripped_sets, problem)
         removed = np.sum(full.row_subdomain == 1)
         assert removed > 0
         assert stripped.matrix.shape[0] == full.matrix.shape[0] - removed
         keep = full.row_subdomain == 0
-        assert np.array_equal(stripped.matrix, full.matrix[keep])
+        sl0, sl1 = full.col_slices
+        assert np.array_equal(stripped.matrix, full.matrix[keep][:, sl0])
+        assert not np.any(full.matrix[keep][:, sl1])
 
     def test_row_and_column_maps(self):
         part, bases, colloc = one_ball_setup()
@@ -157,7 +161,7 @@ def two_ball_setup(seed=3):
     bases = [bas.generate_transferable(40, 2.0, 2, seed=seed, stream=0)]
     for k, center in enumerate([np.array([0.4, 0.4]), np.array([0.9, -0.3])], 1):
         part = geo.split_subdomain(part, center, 0.2)
-        colloc = geo.reclassify_collocation(colloc, part, k, interior_resolution=12,
+        colloc = geo.reclassify_collocation(colloc, part, interior_resolution=12,
                                             interface_count=40)
         bases.append(bas.rescale(
             bas.generate_transferable(50, 2.0, 2, seed=seed, stream=k), center, 2))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from conftest import fd_laplacian
+from conftest import fd_laplacian, pointwise_operator
 
 from rfpde import basis as bas
-from rfpde import pde
+from rfpde import geometry as geo
+from rfpde import lsq, pde
 from rfpde.geometry import generate_boundary_points
 
 
@@ -30,66 +31,84 @@ def quadratic_toy(forcing=None):
         nonlinearity_prime=lambda u: 2.0 * u)
 
 
+def interior_rows(problem, basis, alpha, points):
+    """Interior rows of the one-subdomain system assembled at ``alpha``."""
+    region = problem.region
+    colloc = geo.CollocationSets.initial(points, generate_boundary_points(region, 8))
+    blocks = lsq.assemble(geo.PartitionState(region), [basis], colloc, problem,
+                          alphas=alpha)
+    return blocks.matrix[blocks.row_kind == lsq.ROW_INTERIOR]
+
+
 class TestOperator:
     def test_constant_annihilated_by_laplacian(self, small_basis):
         problem = linear_toy()
-        bundle = small_basis.evaluate(np.array([0.2, 0.3]))
         alpha = np.zeros(small_basis.size)
         alpha[0] = 1.0
-        assert pde.apply_operator(problem, bundle, alpha) == 0.0
+        res = pde.operator_residuals(problem, small_basis, alpha, np.array([[0.2, 0.3]]))
+        assert res.tolist() == [0.0]
 
     def test_quadratic_nonlinearity_on_constant(self, small_basis):
         problem = quadratic_toy()
-        bundle = small_basis.evaluate(np.array([0.2, 0.3]))
         alpha = np.zeros(small_basis.size)
         alpha[0] = 1.0
-        assert pde.apply_operator(problem, bundle, alpha) == pytest.approx(1.0)
+        res = pde.operator_residuals(problem, small_basis, alpha, np.array([[0.2, 0.3]]))
+        assert res[0] == pytest.approx(1.0)
 
     def test_size_mismatch(self, small_basis):
         problem = linear_toy()
-        bundle = small_basis.evaluate(np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
-            pde.apply_operator(problem, bundle, np.zeros(3))
+            pde.operator_residuals(problem, small_basis, np.zeros(3),
+                                   np.array([[0.0, 0.0]]))
 
     def test_matches_finite_difference_laplacian(self, small_basis, rng):
+        # zero forcing: the residual is the operator value -lap(u)
         problem = linear_toy()
         alpha = rng.standard_normal(small_basis.size)
-        for x in rng.uniform(-0.8, 0.8, size=(10, 2)):
-            bundle = small_basis.evaluate(x)
-            got = pde.apply_operator(problem, bundle, alpha)
+        pts = rng.uniform(-0.8, 0.8, size=(10, 2))
+        res = pde.operator_residuals(problem, small_basis, alpha, pts)
+        for x, got in zip(pts, res):
             lap_fd = fd_laplacian(
                 lambda y: float(small_basis.values(y[None, :])[0] @ alpha), x)
             assert got == pytest.approx(-lap_fd, rel=1e-5, abs=1e-8)
 
 
 class TestLinearizedRow:
-    def test_linear_row_is_negative_laplacians(self, small_basis):
-        problem = linear_toy()
-        bundle = small_basis.evaluate(np.array([0.1, -0.4]))
-        row = pde.linearized_row(problem, bundle, u_n=1.7)
-        np.testing.assert_array_equal(row, -bundle.laplacians)
+    """The interior rows of ``lsq.assemble``: the operator's directional
+    derivative -lap(psi_m) + N'(u) psi_m at the current coefficients."""
 
-    def test_quadratic_row(self, small_basis):
+    def test_linear_row_is_negative_laplacians(self, small_basis, rng):
+        problem = linear_toy()
+        pts = np.array([[0.1, -0.4], [0.5, 0.2]])
+        alpha = rng.standard_normal(small_basis.size)
+        rows = interior_rows(problem, small_basis, alpha, pts)
+        np.testing.assert_array_equal(rows, -small_basis.laplacians(pts))
+
+    def test_quadratic_row(self, small_basis, rng):
         problem = quadratic_toy()
-        bundle = small_basis.evaluate(np.array([0.1, -0.4]))
-        row = pde.linearized_row(problem, bundle, u_n=3.0)
-        np.testing.assert_allclose(row, -bundle.laplacians + 6.0 * bundle.values,
-                                   atol=1e-15)
+        pts = np.array([[0.1, -0.4], [0.5, 0.2]])
+        alpha = 0.5 * rng.standard_normal(small_basis.size)
+        rows = interior_rows(problem, small_basis, alpha, pts)
+        vals = small_basis.values(pts)
+        u = vals @ alpha
+        assert np.all(u != 0.0)
+        np.testing.assert_allclose(rows, -small_basis.laplacians(pts)
+                                   + 2.0 * u[:, None] * vals, atol=1e-15)
 
     def test_directional_derivative_oracle(self, small_basis, rng):
-        # (L(u + eps psi_m) - L(u))/eps -> row_m as eps -> 0
+        # (L(u + eps psi_m) - L(u))/eps -> row_m as eps -> 0, with L evaluated
+        # by the pointwise oracle
         problem = quadratic_toy()
         alpha = 0.5 * rng.standard_normal(small_basis.size)
         eps = 1e-6
-        for x in rng.uniform(-0.8, 0.8, size=(5, 2)):
-            bundle = small_basis.evaluate(x)
-            row = pde.linearized_row(problem, bundle,
-                                     u_n=float(bundle.values @ alpha))
-            base = pde.apply_operator(problem, bundle, alpha)
+        pts = rng.uniform(-0.8, 0.8, size=(5, 2))
+        rows = interior_rows(problem, small_basis, alpha, pts)
+        for x, row in zip(pts, rows):
+            base = pointwise_operator(problem, small_basis, alpha, x)
             for m in range(small_basis.size):
                 bumped = alpha.copy()
                 bumped[m] += eps
-                fd = (pde.apply_operator(problem, bundle, bumped) - base) / eps
+                fd = (pointwise_operator(problem, small_basis, bumped, x) - base) / eps
                 # forward-difference error of the quadratic term is exactly
                 # eps * psi_m^2 <= eps, plus float cancellation noise
                 assert abs(fd - row[m]) <= eps + 1e-9 * max(1.0, abs(base))
