@@ -68,17 +68,14 @@ class AdaptiveConfig:
     ball_resolution: Optional[int] = None
     interface_count: Optional[int] = None
     test_resolution: Optional[int] = None
-    sweep: Optional[tuple] = None
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.radius <= 0:
             raise ValueError("epsilon and radius must be positive")
-        if self.m0 < 1 or self.m_star < 1 or self.scale_max < 1:
-            raise ValueError("basis counts and scale bound must be >= 1")
+        if min(self.m0, self.m_star, self.scale_max, self.n_max) < 1:
+            raise ValueError("basis counts, scale bound and n_max must be >= 1")
         if self.strategy not in ("transferable", "uniform"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.sweep is not None:
-            object.__setattr__(self, "sweep", tuple(int(m) for m in self.sweep))
 
     def resolved(self, dim: int) -> "AdaptiveConfig":
         """Fill in dimension-dependent resolution defaults."""
@@ -92,17 +89,15 @@ class AdaptiveConfig:
         return replace(self, **updates) if updates else self
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["sweep"] = list(self.sweep) if self.sweep is not None else None
-        return out
+        return asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "AdaptiveConfig":
-        known = {f for f in AdaptiveConfig.__dataclass_fields__}
-        kwargs = {k: v for k, v in data.items() if k in known}
-        if kwargs.get("sweep") is not None:
-            kwargs["sweep"] = tuple(kwargs["sweep"])
-        return AdaptiveConfig(**kwargs)
+        """Config from field names; a key that names no field is rejected."""
+        unknown = sorted(set(data) - set(AdaptiveConfig.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown config fields: {', '.join(unknown)}")
+        return AdaptiveConfig(**data)
 
 
 @dataclass
@@ -131,15 +126,13 @@ class SolveState:
     partition: geo.PartitionState
     bases: list
     colloc: geo.CollocationSets
-    alphas: list
-    report: lsq.SolveReport
+    report: lsq.SolveReport            # report.alphas: coefficients per subdomain
 
 
 @dataclass
 class ScaleSearchResult:
     scale: int
     basis: basis_mod.BasisSet
-    report: lsq.SolveReport
     losses: list
 
 
@@ -197,10 +190,9 @@ def scale_search(problem: SemilinearProblem, partition: geo.PartitionState,
             raise ScaleSearchError(f"scale candidate s={s} failed: {exc}", scale=s) \
                 from exc
         losses.append(report.loss)
-        if best is None or report.loss < best[2].loss:
-            best = (s, candidate, report)
-    return ScaleSearchResult(scale=best[0], basis=best[1], report=best[2],
-                             losses=losses)
+        if best is None or report.loss < best[2]:
+            best = (s, candidate, report.loss)
+    return ScaleSearchResult(scale=best[0], basis=best[1], losses=losses)
 
 
 def _base_basis(problem: SemilinearProblem, config: AdaptiveConfig) -> basis_mod.BasisSet:
@@ -244,7 +236,7 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
 
     report = lsq.gauss_newton(partition, bases, colloc, problem,
                               n_max=cfg.n_max, tol=cfg.tol)
-    state = SolveState(partition, list(bases), colloc, report.alphas, report)
+    state = SolveState(partition, list(bases), colloc, report)
     trace: list[RefinementRecord] = []
 
     gate = mean_residual(problem, bases[0], report.alphas[0], colloc.interior[0])
@@ -278,7 +270,7 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
 
         report = lsq.gauss_newton(partition, bases, colloc, problem,
                                   n_max=cfg.n_max, tol=cfg.tol)
-        state = SolveState(partition, list(bases), colloc, report.alphas, report)
+        state = SolveState(partition, list(bases), colloc, report)
 
         new_gate = mean_residual(problem, bases[0], report.alphas[0],
                                  colloc.interior[0])

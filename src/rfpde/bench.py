@@ -3,8 +3,9 @@
 A run executes the adaptive solver on a named benchmark, evaluates the
 piecewise expansion on a uniform test grid (each point evaluated with the
 basis of the subdomain that owns it), and writes a manifest plus CSV/JSON
-artifacts sufficient to reproduce the run bit-identically (on the same BLAS
-build and thread count) and to re-check every reported number offline.
+artifacts sufficient to re-check every reported number offline. ``run`` with
+the manifest's ``benchmark`` and ``config`` reproduces the artifacts
+bit-identically on the same BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -89,21 +90,16 @@ def predict(state: SolveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
         for start in range(0, len(pts), _EVAL_CHUNK):
             chunk = pts[start:start + _EVAL_CHUNK]
             out[start:start + len(chunk)] = \
-                state.bases[k].values(chunk) @ state.alphas[k]
+                state.bases[k].values(chunk) @ state.report.alphas[k]
         values[mask] = out
     return values, labels
-
-
-def build_test_points(problem: SemilinearProblem, resolution: int) -> np.ndarray:
-    """Endpoint-inclusive uniform lattice masked to the closed domain."""
-    return geo.generate_interior_grid(problem.region, resolution=resolution)
 
 
 def evaluate_on_grid(state: SolveState, problem: SemilinearProblem,
                      resolution: int) -> TestGrid:
     if problem.exact is None:
         raise ValueError("benchmark has no exact solution to compare against")
-    points = build_test_points(problem, resolution)
+    points = geo.generate_interior_grid(problem.region, resolution=resolution)
     predicted, labels = predict(state, points)
     return TestGrid(points=points, exact=problem.exact(points),
                     predicted=predicted, subdomain=labels)
@@ -144,52 +140,19 @@ def _write_subdomains_json(path, state: SolveState) -> None:
 
 
 def run(name: str, config: AdaptiveConfig, outdir) -> dict:
-    """Execute a benchmark run (or an m_star sweep) and write its artifacts.
+    """Execute one benchmark run and write its artifacts to ``outdir``.
 
-    Writes manifest.json, trace.jsonl, solution.csv, subdomains.json in
-    ``outdir``; sweep mode additionally writes errors.csv with one
-    (m_star, err_l2) row per sweep point, each point running in its own
-    subdirectory. Solver failures are recorded in the manifest with
-    status="failed" and the exception re-raised by the CLI layer only.
+    Writes manifest.json, trace.jsonl, solution.csv and subdomains.json. A
+    solver failure writes manifest.json alone, with status="failed", the
+    error and the history the exception carries, and is re-raised: "trace"
+    holds the refinement records of a MaxRefinementsError (empty for other
+    failures), "iterations" the Gauss-Newton steps ``[n, loss, re_mse]`` of a
+    NonConvergenceError.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     problem = benchmark(name)
     cfg = config.resolved(problem.dim)
-
-    if cfg.sweep:
-        rows = []
-        sub_manifests = []
-        failures = []
-        for m in cfg.sweep:
-            sub_cfg = AdaptiveConfig.from_dict({**cfg.to_dict(), "m_star": m,
-                                                "sweep": None})
-            sub_dir = outdir / f"mstar{m}"
-            try:
-                manifest = run(name, sub_cfg, sub_dir)
-                rows.append((m, manifest.get("err_l2")))
-            except SOLVER_ERRORS as exc:
-                failures.append(f"m_star={m}: {type(exc).__name__}: {exc}")
-                rows.append((m, None))
-            sub_manifests.append(str(sub_dir / "manifest.json"))
-        with open(outdir / "errors.csv", "w") as fh:
-            fh.write("m_star,err_l2\n")
-            for m, err in rows:
-                fh.write(f"{m},{'' if err is None else format(err, '.17g')}\n")
-        manifest = {
-            "benchmark": name,
-            "config": cfg.to_dict(),
-            "status": "ok" if not failures else "failed",
-            "failures": failures,
-            "sweep_manifests": sub_manifests,
-            "artifacts": {"errors": str(outdir / "errors.csv")},
-        }
-        with open(outdir / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2)
-        if failures:
-            raise NonConvergenceError(
-                "sweep had failing points: " + "; ".join(failures))
-        return manifest
 
     t_start = time.perf_counter()
     timings = {}
@@ -205,7 +168,10 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
     except SOLVER_ERRORS as exc:
         manifest["status"] = "failed"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
-        manifest["trace"] = [r.to_dict() for r in getattr(exc, "trace", []) or []]
+        records = exc.trace if isinstance(exc, MaxRefinementsError) else None
+        manifest["trace"] = [r.to_dict() for r in records or []]
+        if isinstance(exc, NonConvergenceError):
+            manifest["iterations"] = [list(step) for step in exc.trace]
         with open(outdir / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2)
         raise
@@ -234,12 +200,3 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
     with open(outdir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
     return manifest
-
-
-def run_from_manifest(manifest_path, outdir) -> dict:
-    """Re-execute a run from its manifest; on the same BLAS build and thread
-    count this reproduces the artifacts byte-for-byte."""
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    config = AdaptiveConfig.from_dict(manifest["config"])
-    return run(manifest["benchmark"], config, outdir)

@@ -1,8 +1,10 @@
 """Command-line driver for benchmark runs.
 
 Configuration comes from an optional flat JSON file plus flag overrides; each
-run owns its output directory. Exit codes: 0 converged, 2 solver
-non-convergence, 3 configuration error.
+run owns its output directory. A sweep over m_star runs one benchmark run per
+value in ``mstar<m>`` under the output directory and collects errors.csv.
+Exit codes: 0 converged, 2 solver failure (of any sweep point), 3
+configuration error.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 from .adaptive import AdaptiveConfig
 from .bench import SOLVER_ERRORS, run
@@ -44,12 +48,15 @@ _FLAG_FIELDS = {
 }
 
 
-def _load_config(args) -> tuple[str, AdaptiveConfig]:
+def _load_config(args) -> tuple[str, AdaptiveConfig, list]:
+    """(benchmark, config, sweep): the sweep's (m_star, config) points, empty
+    for a single run."""
     data = {}
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
-    problem = args.problem or data.get("benchmark") or data.get("problem")
+    own = {key: data.pop(key, None) for key in ("benchmark", "problem", "sweep")}
+    problem = args.problem or own["benchmark"] or own["problem"]
     if not problem:
         raise ValueError("no benchmark given (--problem or config 'benchmark')")
     if problem not in BENCHMARKS:
@@ -58,32 +65,50 @@ def _load_config(args) -> tuple[str, AdaptiveConfig]:
         value = getattr(args, flag)
         if value is not None:
             data[field_name] = value
+    sweep = [int(m) for m in own["sweep"] or []]
     if args.sweep:
-        data["sweep"] = [int(tok) for tok in args.sweep.split(",") if tok.strip()]
-    return problem, AdaptiveConfig.from_dict(data)
+        sweep = [int(tok) for tok in args.sweep.split(",") if tok.strip()]
+    config = AdaptiveConfig.from_dict(data)
+    return problem, config, [(m, replace(config, m_star=m)) for m in sweep]
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(label: str, problem: str, config: AdaptiveConfig, out) -> dict | None:
+    """One benchmark run; prints its summary, or its failure to stderr and
+    returns None."""
     try:
-        problem, config = _load_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        manifest = run(problem, config, args.out)
+        manifest = run(problem, config, out)
     except SOLVER_ERRORS as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return 2
+        print(f"{label}: solver failed: {exc}", file=sys.stderr)
+        return None
     err = manifest.get("err_l2")
     n_balls = manifest.get("n_balls")
-    summary = f"{problem}: status={manifest['status']}"
+    summary = f"{label}: status={manifest['status']}"
     if n_balls is not None:
         summary += f" subdomains={n_balls + 1}"
     if err is not None:
         summary += f" err_l2={err:.3e}"
     print(summary)
-    return 0
+    return manifest
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        problem, config, sweep = _load_config(args)
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 3
+    out = Path(args.out)
+    if not sweep:
+        return 0 if _run(problem, problem, config, out) else 2
+    rows = [(m, _run(f"{problem} m_star={m}", problem, point, out / f"mstar{m}"))
+            for m, point in sweep]
+    with open(out / "errors.csv", "w") as fh:
+        fh.write("m_star,err_l2\n")
+        for m, manifest in rows:
+            err = None if manifest is None else manifest.get("err_l2")
+            fh.write(f"{m},{'' if err is None else format(err, '.17g')}\n")
+    return 0 if all(manifest for _, manifest in rows) else 2
 
 
 if __name__ == "__main__":

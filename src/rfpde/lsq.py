@@ -3,12 +3,13 @@
 One dense system couples all subdomains: interior rows enforce the strong
 form, boundary rows the Dirichlet data, and each interface point contributes
 a value row and a normal-derivative row tying a ball block to the subdomain-0
-block with opposite signs. Linear problems are solved in one shot; nonlinear
-ones by plain (undamped) Gauss-Newton on the linearized system, starting from
-zero coefficients. The loss a nonlinear solve reports, and whose relative
-change stops it, is the linearized model residual |F delta - T|^2 of the last
-step, where F and T are linearized at the coefficients before that step; it is
-not the nonlinear residual at the returned coefficients.
+block with opposite signs. Every problem is solved by one plain (undamped)
+Gauss-Newton loop on the linearized system, starting from zero coefficients; a
+linear problem stops after the first step, which is the direct solve. The loss
+a nonlinear solve reports, and whose relative change stops it, is the
+linearized model residual |F delta - T|^2 of the last step, where F and T are
+linearized at the coefficients before that step; it is not the nonlinear
+residual at the returned coefficients.
 
 Rows are built in one place, ``_row_groups``, in one order: the interior rows
 of every subdomain, then the boundary rows, then a value and a
@@ -282,21 +283,17 @@ def gauss_newton_core(assembler: Callable[[Optional[np.ndarray]], SystemBlocks],
     """Gauss-Newton driver over an assembler callback.
 
     ``assembler(alphas)`` must return the system linearized at ``alphas``
-    (zeros when None). Linear operators take the direct one-shot branch. Each
-    step solves F delta = T for the increment and applies it. A step's loss is
-    its linearized model residual |F delta - T|^2, with F and T taken at the
-    coefficients before the step, not the residual at the updated ones; the
-    loop stops once the relative change of that loss drops below ``tol``, and
-    the report's ``loss`` is the last step's. Exhausting ``n_max`` returns
-    converged=False, and a loss blow-up beyond DIVERGENCE_FACTOR x the initial
-    loss raises NonConvergenceError.
+    (zeros when None). Each step solves F delta = T for the increment and
+    applies it. A linear problem stops after the first step, the direct solve
+    of the system at zero coefficients: one assembly, one solve, iterations
+    ``[(0, loss, None)]``. A step's loss is its linearized model residual
+    |F delta - T|^2, with F and T taken at the coefficients before the step,
+    not the residual at the updated ones; a nonlinear loop stops once the
+    relative change of that loss drops below ``tol``, and the report's ``loss``
+    is the last step's. Exhausting ``n_max`` returns converged=False, and a
+    loss blow-up beyond DIVERGENCE_FACTOR x the initial loss raises
+    NonConvergenceError.
     """
-    if is_linear:
-        report = solve_min_norm(assembler(None))
-        report.iterations = [(0, report.loss, None)]
-        report.converged = True
-        return report
-
     blocks = assembler(None)
     alpha = np.zeros(blocks.matrix.shape[1])
     trace = []
@@ -318,7 +315,7 @@ def gauss_newton_core(assembler: Callable[[Optional[np.ndarray]], SystemBlocks],
             raise NonConvergenceError(
                 f"Gauss-Newton diverged at step {n}: loss {loss:.3e} vs "
                 f"initial {first_loss:.3e}", trace=trace)
-        if prev_loss == 0.0 or (re_mse is not None and re_mse < tol):
+        if is_linear or prev_loss == 0.0 or (re_mse is not None and re_mse < tol):
             converged = True
             break
         prev_loss = loss

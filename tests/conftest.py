@@ -7,10 +7,13 @@ basis neuron by neuron with ``math.tanh`` and plain Python sums, sharing no
 code with the batched methods of ``BasisSet``.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
+
+from rfpde import AdaptiveConfig, bench
 
 #: One line per acceptance criterion, echoed after the run regardless of
 #: output capture.
@@ -81,6 +84,14 @@ def pointwise_operator(problem, basis, alpha, x):
         u = sum(a * v for a, v in zip(alpha, values))
         out += float(problem.nonlinearity(u))
     return out
+
+
+def run_from_manifest(manifest_path, outdir) -> dict:
+    """Re-execute a run with its manifest's ``benchmark`` and ``config``."""
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    return bench.run(manifest["benchmark"],
+                     AdaptiveConfig.from_dict(manifest["config"]), outdir)
 
 
 def rel_err(approx, exact, floor=1.0):

@@ -9,7 +9,7 @@ progress; unit-only runs can skip it with `-m "not acceptance"`.
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, run_from_manifest
 
 from rfpde import adaptive as ada
 from rfpde import basis as bas
@@ -162,7 +162,7 @@ def test_criterion_3_in_span_recovery(rng):
         geo.generate_boundary_points(region, 400))
     sol = lsq.solve_min_norm(lsq.assemble(part, [b], colloc, problem))
     rel = float(np.linalg.norm(sol.alpha - coeffs) / np.linalg.norm(coeffs))
-    state = ada.SolveState(part, [b], colloc, sol.alphas, sol)
+    state = ada.SolveState(part, [b], colloc, sol)
     err = bench.evaluate_on_grid(state, problem, 64).err_l2()
     ok = rel <= 1e-6 and err <= 1e-8
     report("criterion-3 in-span-recovery", ok,
@@ -276,7 +276,7 @@ def test_criterion_12_determinism(tmp_path):
     cfg = ada.AdaptiveConfig(epsilon=1e-4, radius=0.15, m0=200, m_star=700,
                              gamma=2.0, seed=3)
     first = bench.run("peak2d-case1", cfg, tmp_path / "a")
-    bench.run_from_manifest(tmp_path / "a" / "manifest.json", tmp_path / "b")
+    run_from_manifest(tmp_path / "a" / "manifest.json", tmp_path / "b")
     bytes_a = (tmp_path / "a" / "solution.csv").read_bytes()
     bytes_b = (tmp_path / "b" / "solution.csv").read_bytes()
     ok = bytes_a == bytes_b and len(bytes_a) > 0

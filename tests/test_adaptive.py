@@ -162,6 +162,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             ada.AdaptiveConfig(scale_max=0)
         with pytest.raises(ValueError):
+            ada.AdaptiveConfig(n_max=0)
+        with pytest.raises(ValueError):
             ada.AdaptiveConfig(strategy="magic")
 
     def test_resolved_defaults(self):
@@ -180,9 +182,16 @@ class TestConfig:
         assert cfg.interior_resolution == 12
 
     def test_dict_roundtrip(self):
-        cfg = ada.AdaptiveConfig(**SMALL, sweep=(100, 200))
+        cfg = ada.AdaptiveConfig(**SMALL)
         back = ada.AdaptiveConfig.from_dict(cfg.to_dict())
         assert back == cfg
+
+    def test_unknown_keys_rejected(self):
+        # a misspelt field must not silently run with the default value, and
+        # a manifest naming a removed field must not re-run with other settings
+        with pytest.raises(ValueError, match="mstar, weights"):
+            ada.AdaptiveConfig.from_dict({"m0": 100, "mstar": 300,
+                                          "weights": [1.0]})
 
 
 class TestAdaptiveSolve:
@@ -260,7 +269,8 @@ class TestAdaptiveSolve:
         state, trace = ada.adaptive_solve(problem, ada.AdaptiveConfig(**SMALL))
         # recompute each entry's "after" residual from the final state of that
         # refinement; the last one is the terminal gate value
-        final_gate = ada.mean_residual(problem, state.bases[0], state.alphas[0],
+        final_gate = ada.mean_residual(problem, state.bases[0],
+                                       state.report.alphas[0],
                                        state.colloc.interior[0])
         assert trace[-1].mean_residual_after == pytest.approx(final_gate, rel=1e-12)
         assert trace[0].mean_residual_after == pytest.approx(

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from conftest import run_from_manifest
+
 from rfpde import adaptive as ada
 from rfpde import basis as bas
 from rfpde import bench
@@ -56,7 +58,7 @@ def in_span_state(m=40, seed=11):
         geo.generate_interior_grid(region, resolution=25),
         geo.generate_boundary_points(region, 80))
     report = lsq.gauss_newton(part, [b], colloc, problem)
-    state = ada.SolveState(part, [b], colloc, report.alphas, report)
+    state = ada.SolveState(part, [b], colloc, report)
     return state, problem
 
 
@@ -75,7 +77,7 @@ class TestEvaluateOnGrid:
             geo.generate_interior_grid(problem.region, resolution=20),
             geo.generate_boundary_points(problem.region, 80))
         report = lsq.gauss_newton(part, [b], colloc, problem)
-        state = ada.SolveState(part, [b], colloc, report.alphas, report)
+        state = ada.SolveState(part, [b], colloc, report)
         grid = bench.evaluate_on_grid(state, problem, 256)
         assert grid.n_points < 256 * 256
         assert np.all(problem.region.in_closure(grid.points))
@@ -94,7 +96,7 @@ class TestEvaluateOnGrid:
                 geo.generate_boundary_points(problem.region, 80)),
             part, interior_resolution=12, interface_count=40)
         report = lsq.gauss_newton(part, [b0, b1], colloc, problem)
-        state = ada.SolveState(part, [b0, b1], colloc, report.alphas, report)
+        state = ada.SolveState(part, [b0, b1], colloc, report)
         grid = bench.evaluate_on_grid(state, problem, 64)
         counts = np.bincount(grid.subdomain, minlength=2)
         assert counts.sum() == grid.n_points
@@ -107,7 +109,7 @@ class TestEvaluateOnGrid:
         state, problem = in_span_state()
         pts = rng.uniform(-1, 1, size=(bench._EVAL_CHUNK + 7, 2))
         vals, _ = bench.predict(state, pts)
-        direct = state.bases[0].values(pts) @ state.alphas[0]
+        direct = state.bases[0].values(pts) @ state.report.alphas[0]
         assert vals.tobytes() == direct.tobytes()
 
 
@@ -157,40 +159,9 @@ class TestRun:
     def test_manifest_rerun_is_byte_identical(self, case1_run, tmp_path):
         outdir, _ = case1_run
         rerun_dir = tmp_path / "rerun"
-        bench.run_from_manifest(outdir / "manifest.json", rerun_dir)
+        run_from_manifest(outdir / "manifest.json", rerun_dir)
         assert (rerun_dir / "solution.csv").read_bytes() \
             == (outdir / "solution.csv").read_bytes()
-
-    def test_sweep_writes_errors_csv(self, tmp_path):
-        config = ada.AdaptiveConfig(**{**SMALL, "sweep": (300, 400)})
-        manifest = bench.run("peak2d-case1", config, tmp_path)
-        errors = (tmp_path / "errors.csv").read_text().splitlines()
-        assert errors[0] == "m_star,err_l2"
-        assert len(errors) == 3
-        for line, m in zip(errors[1:], (300, 400)):
-            m_star, err = line.split(",")
-            assert int(m_star) == m
-            sub = json.loads((tmp_path / f"mstar{m}" / "manifest.json").read_text())
-            assert float(err) == pytest.approx(sub["err_l2"], abs=1e-14)
-            # errors.csv entries re-derive from the dumped fields exactly
-            rows = (tmp_path / f"mstar{m}" / "solution.csv").read_text().splitlines()
-            data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
-            assert bench.err_l2(data[:, 2], data[:, 3]) \
-                == pytest.approx(float(err), abs=1e-14)
-
-    def test_sweep_with_failing_point_keeps_going(self, tmp_path):
-        # m_star=60 cannot pass the residual gate within the refinement cap;
-        # the sweep records the failure and still completes the other point
-        config = ada.AdaptiveConfig(**{**SMALL, "sweep": (60, 300),
-                                       "max_refinements": 2})
-        with pytest.raises(lsq.NonConvergenceError):
-            bench.run("peak2d-case1", config, tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["status"] == "failed"
-        assert len(manifest["failures"]) == 1
-        errors = (tmp_path / "errors.csv").read_text().splitlines()
-        assert errors[1].startswith("60,") and errors[1].endswith(",")
-        assert float(errors[2].split(",")[1]) > 0
 
     def test_failed_run_recorded(self, tmp_path):
         config = ada.AdaptiveConfig(**{**SMALL, "max_refinements": 0})
@@ -199,6 +170,28 @@ class TestRun:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert "MaxRefinementsError" in manifest["error"]
+
+    def test_failed_gauss_newton_recorded(self, tmp_path, monkeypatch):
+        diverge_after_first_ball(monkeypatch)
+        config = ada.AdaptiveConfig(**{**SMALL, "scale_max": 3})
+        with pytest.raises(lsq.NonConvergenceError):
+            bench.run("peak2d-case1", config, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["iterations"] == [[0, 1.0, None], [1, 1e7, 1e7]]
+
+
+def diverge_after_first_ball(monkeypatch):
+    """Make every coupled solve with a ball raise NonConvergenceError."""
+    real = lsq.gauss_newton
+
+    def gauss_newton(partition, *args, **kwargs):
+        if partition.n_balls:
+            raise lsq.NonConvergenceError(
+                "diverged", trace=[(0, 1.0, None), (1, 1e7, 1e7)])
+        return real(partition, *args, **kwargs)
+
+    monkeypatch.setattr(lsq, "gauss_newton", gauss_newton)
 
 
 class TestCli:
@@ -234,3 +227,69 @@ class TestCli:
         code = cli_main(["--config", str(config_path),
                          "--out", str(tmp_path / "out")])
         assert code == 2
+
+    def test_gauss_newton_failure_exit_code(self, tmp_path, monkeypatch):
+        diverge_after_first_ball(monkeypatch)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"benchmark": "peak2d-case1", **SMALL,
+                                           "scale_max": 3}))
+        code = cli_main(["--config", str(config_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"benchmark": "peak2d-case1",
+                                           **SMALL, "mstar": 300}))
+        code = cli_main(["--config", str(config_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "mstar" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_sweep_writes_errors_csv(self, tmp_path, source):
+        config = {"benchmark": "peak2d-case1", **SMALL}
+        argv = ["--out", str(tmp_path / "out")]
+        if source == "flag":
+            argv += ["--sweep", "300,400"]
+        else:
+            config["sweep"] = [300, 400]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert cli_main(["--config", str(config_path)] + argv) == 0
+        out = tmp_path / "out"
+        errors = (out / "errors.csv").read_text().splitlines()
+        assert errors[0] == "m_star,err_l2"
+        assert len(errors) == 3
+        for line, m in zip(errors[1:], (300, 400)):
+            m_star, err = line.split(",")
+            assert int(m_star) == m
+            sub = json.loads((out / f"mstar{m}" / "manifest.json").read_text())
+            assert sub["config"]["m_star"] == m
+            assert float(err) == pytest.approx(sub["err_l2"], abs=1e-14)
+            # errors.csv entries re-derive from the dumped fields exactly
+            rows = (out / f"mstar{m}" / "solution.csv").read_text().splitlines()
+            data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+            assert bench.err_l2(data[:, 2], data[:, 3]) \
+                == pytest.approx(float(err), abs=1e-14)
+
+    def test_sweep_with_failing_point_keeps_going(self, tmp_path, capsys):
+        # m_star=60 cannot pass the residual gate within the refinement cap;
+        # the sweep reports the failure and still completes the other point
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"benchmark": "peak2d-case1", **SMALL,
+                                           "max_refinements": 2}))
+        out = tmp_path / "out"
+        code = cli_main(["--config", str(config_path), "--sweep", "60,300",
+                         "--out", str(out)])
+        assert code == 2
+        assert "m_star=60" in capsys.readouterr().err
+        failed = json.loads((out / "mstar60" / "manifest.json").read_text())
+        assert failed["status"] == "failed"
+        assert (out / "mstar300" / "solution.csv").exists()
+        errors = (out / "errors.csv").read_text().splitlines()
+        assert errors[1].startswith("60,") and errors[1].endswith(",")
+        assert float(errors[2].split(",")[1]) > 0
