@@ -11,8 +11,9 @@ balls keep their bases and collocation; only coefficients change.
 
 from __future__ import annotations
 
+import numbers
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,6 +38,11 @@ class ScaleSearchError(RuntimeError):
     def __init__(self, message: str, scale: int):
         super().__init__(message)
         self.scale = scale
+
+
+#: Accepted values of each annotation of an ``AdaptiveConfig`` field.
+_FIELD_TYPES = {"float": numbers.Real, "int": numbers.Integral, "str": str,
+                "Optional[int]": (numbers.Integral, type(None))}
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,11 @@ class AdaptiveConfig:
     test_resolution: Optional[int] = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValueError(f"config field {f.name!r} must be {f.type}, "
+                                 f"not {value!r}")
         if self.epsilon <= 0 or self.radius <= 0:
             raise ValueError("epsilon and radius must be positive")
         if min(self.m0, self.m_star, self.scale_max, self.n_max) < 1:
@@ -114,6 +125,8 @@ class RefinementRecord:
     err_l2: Optional[float] = None
     scale_losses: Optional[list] = None
     seconds: Optional[float] = None
+    # squared residual of each subdomain's rows in the coupled re-solve
+    residual_by_subdomain: Optional[list] = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -177,13 +190,13 @@ def scale_search(problem: SemilinearProblem, partition: geo.PartitionState,
     best = None
     for s in range(1, scale_max + 1):
         candidate = basis_mod.rescale(raw, ball.center, s)
-
-        def assembler(alpha_k, candidate=candidate):
-            return lsq.assemble_local(problem, ball, candidate, basis0, alpha0,
-                                      interior, boundary, interface,
-                                      alpha_k=alpha_k)
-
         try:
+            rows = lsq.ball_rows(problem, ball, candidate, basis0, interior,
+                                 boundary, interface)
+
+            def assembler(alpha_k, rows=rows):
+                return lsq.assemble_local(problem, rows, alpha0, alpha_k=alpha_k)
+
             report = lsq.gauss_newton_core(assembler, problem.is_linear,
                                            n_max=n_max, tol=tol)
         except (lsq.NonConvergenceError, lsq.AssemblyError) as exc:
@@ -281,7 +294,7 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
             loss=report.loss,
             err_l2=None if diagnostic is None else float(diagnostic(state)),
             scale_losses=[float(v) for v in search.losses],
-            seconds=seconds))
+            seconds=seconds, residual_by_subdomain=report.residual_by_subdomain))
         gate = new_gate
 
     return state, trace

@@ -55,6 +55,8 @@ def _load_config(args) -> tuple[str, AdaptiveConfig, list]:
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("the config file must hold a JSON object")
     own = {key: data.pop(key, None) for key in ("benchmark", "problem", "sweep")}
     problem = args.problem or own["benchmark"] or own["problem"]
     if not problem:
@@ -65,7 +67,10 @@ def _load_config(args) -> tuple[str, AdaptiveConfig, list]:
         value = getattr(args, flag)
         if value is not None:
             data[field_name] = value
-    sweep = [int(m) for m in own["sweep"] or []]
+    sweep = [] if own["sweep"] is None else own["sweep"]
+    if not (isinstance(sweep, list)
+            and all(isinstance(m, int) and not isinstance(m, bool) for m in sweep)):
+        raise ValueError(f"config 'sweep' must be a list of integers, not {sweep!r}")
     if args.sweep:
         sweep = [int(tok) for tok in args.sweep.split(",") if tok.strip()]
     config = AdaptiveConfig.from_dict(data)

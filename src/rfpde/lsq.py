@@ -1,28 +1,51 @@
-"""Block least-squares assembly and the Gauss-Newton outer loop.
+"""Block least-squares assembly, the block elimination solve and the
+Gauss-Newton outer loop.
 
-One dense system couples all subdomains: interior rows enforce the strong
-form, boundary rows the Dirichlet data, and each interface point contributes
-a value row and a normal-derivative row tying a ball block to the subdomain-0
-block with opposite signs. Every problem is solved by one plain (undamped)
-Gauss-Newton loop on the linearized system, starting from zero coefficients; a
-linear problem stops after the first step, which is the direct solve. The loss
-a nonlinear solve reports, and whose relative change stops it, is the
-linearized model residual |F delta - T|^2 of the last step, where F and T are
-linearized at the coefficients before that step; it is not the nonlinear
-residual at the returned coefficients.
+Interior rows enforce the strong form, boundary rows the Dirichlet data, and
+each interface point contributes a value row and a normal-derivative row
+tying a ball to subdomain 0 with opposite signs. The decomposition does not
+overlap, so the coupled system is block-angular: ball k's coefficients touch
+only ball k's rows, and subdomain 0's touch its own rows and every interface
+row. It is stored that way, with no zero-padded global matrix: subdomain 0's
+rows on its own columns, and one block per ball holding the ball's rows on
+its own columns (exactly the single-ball system of the scale search) and its
+interface rows on subdomain 0's columns.
 
-Rows are built in one place, ``_row_groups``, in one order: the interior rows
-of every subdomain, then the boundary rows, then a value and a
-normal-derivative group per ball. ``assemble`` writes every group into the
-coupled system. ``assemble_local``, the single-ball problem of the scale
-search, writes one ball's groups only: its matrix is that ball's column block
-of the ball's coupled rows, and the subdomain-0 trace, frozen, stays in the
-right-hand side instead of contributing columns.
+``solve_min_norm`` eliminates each ball with the truncated SVD U S V^T of its
+block, dropping singular values below DEFAULT_SVD_CUTOFF times the block's
+largest; projects the ball's coupling and right-hand side onto the orthogonal
+complement of the retained U; solves the stacked projected subdomain-0
+problem with gelsd at the same relative cutoff; and back-substitutes each
+ball's coefficients (Bjorck, Numerical Methods for Least Squares Problems,
+1996, section 6.3). A system without balls is one gelsd call. When a ball
+block is rank-deficient (at K=1 on peak2d-case1 the ball's block has rank
+610 of 1001 columns, the coupled system 811 of 1202), the result is a
+least-squares solution but not the minimum-norm one that gelsd on the whole
+zero-padded matrix would give: each ball's coefficients have minimum norm
+given subdomain 0's, not jointly with them.
+
+Every problem is solved by one plain (undamped) Gauss-Newton loop on the
+linearized system, starting from zero coefficients; a linear problem stops
+after the first step, which is the direct solve. The loss a nonlinear solve
+reports, and whose relative change stops it, is the linearized model residual
+|F delta - T|^2 of the last step, where F and T are linearized at the
+coefficients before that step; it is not the nonlinear residual at the
+returned coefficients.
+
+Rows are built in one place, ``_row_groups``, one subdomain at a time in one
+order: interior rows, boundary rows, then a ball's interface value and
+normal-derivative rows. The bases are evaluated at the collocation points
+once per solve (``coupled_rows``, ``ball_rows``), into the rows of the
+operator's linear part; a Gauss-Newton step only re-linearizes them
+(``assemble``, ``assemble_local``), and a linear problem's block is that
+array itself. ``assemble_local``, the single-ball problem of the scale
+search, builds the same block as the ball's block of ``assemble``; its solve
+leaves the subdomain-0 trace, frozen, in the right-hand side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -54,17 +77,27 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass
 class SystemBlocks:
-    """Dense system F alpha = T plus row/column provenance maps."""
+    """System F alpha = T in block-angular storage.
 
-    matrix: np.ndarray                 # (rows, cols)
+    ``matrix``, ``rhs`` and ``row_kind`` are the first subdomain's rows on its
+    own columns: subdomain 0 of a coupled system, the ball of a single-ball
+    one. ``balls`` holds the blocks of a coupled system's balls, each one the
+    single-ball system of that ball. A ball's block also holds ``coupling``,
+    its interface rows (its last ``len(coupling)`` rows) on subdomain 0's
+    columns; a solve uses it only in a coupled system. ``col_slices`` places
+    each subdomain's coefficients in the stacked vector.
+    """
+
+    matrix: np.ndarray                 # (rows, cols of the first subdomain)
     rhs: np.ndarray                    # (rows,)
     col_slices: list[slice]            # one slice of columns per subdomain
     row_kind: np.ndarray               # int8, ROW_* constants
-    row_subdomain: np.ndarray          # int32
+    coupling: Optional[np.ndarray] = None
+    balls: list["SystemBlocks"] = field(default_factory=list)
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+    def n_cols(self) -> int:
+        return self.col_slices[-1].stop
 
     def split(self, alpha: np.ndarray) -> list[np.ndarray]:
         return [alpha[sl] for sl in self.col_slices]
@@ -81,136 +114,76 @@ class SolveReport:
     loss: float
     rank: int
     residual_by_kind: dict
+    residual_by_subdomain: list        # loss of each block's rows, as ``alphas``
     iterations: list = field(default_factory=list)  # (n, loss, re_mse)
     converged: bool = True
 
 
-def _column_layout(bases: Sequence[BasisSet]) -> tuple[list[slice], int]:
-    slices = []
-    start = 0
-    for b in bases:
-        slices.append(slice(start, start + b.size))
-        start += b.size
-    return slices, start
+class SubdomainRows(NamedTuple):
+    """What a subdomain's block needs that no Gauss-Newton step changes: its
+    basis evaluated at its collocation points, and the problem data there."""
 
-
-def _interior_block(problem, basis, alpha_k, points):
-    lap = basis.laplacians(points)
-    rows = -lap
-    rhs = problem.forcing(points) + lap @ alpha_k
-    if problem.nonlinearity is not None:
-        vals = basis.values(points)
-        u = vals @ alpha_k
-        rows = rows + problem.nonlinearity_prime(u)[:, None] * vals
-        rhs = rhs - problem.nonlinearity(u)
-    return rows, rhs
-
-
-class _Subdomain(NamedTuple):
-    """One subdomain's share of the rows: basis, current coefficients,
-    collocation points, and its ball (None for subdomain 0)."""
-
-    k: int
-    basis: BasisSet
-    alpha: np.ndarray
-    interior: np.ndarray
-    boundary: np.ndarray
-    interface: np.ndarray
-    ball: Optional[BallSubdomain]
+    # the rows of the operator's linear part on the subdomain's columns, in
+    # block order; a linear problem's block is this array itself
+    matrix: np.ndarray
+    row_kind: np.ndarray               # int8, ROW_* constants
+    forcing: np.ndarray                # f at the interior points
+    data: np.ndarray                   # g at the boundary points
+    values: Optional[np.ndarray]       # basis values at the interior points (nonlinear)
+    # a ball's interface points: values and normal derivatives of subdomain
+    # 0's basis there; None for subdomain 0
+    trace: Optional[tuple[np.ndarray, np.ndarray]]
 
     @property
-    def n_rows(self) -> int:
-        n_iface = 2 * len(self.interface) if self.k else 0
-        return len(self.interior) + len(self.boundary) + n_iface
+    def size(self) -> int:
+        return self.matrix.shape[1]
 
 
-def _row_groups(problem: SemilinearProblem, subdomains: Sequence[_Subdomain],
-                basis_0: BasisSet, alpha_0: np.ndarray):
-    """Yield the row groups ``(kind, k, block_k, block_0, rhs)`` of ``subdomains``.
-
-    The order is the system's row order: interior groups, then boundary
-    groups, then a value and a normal-derivative group per ball; empty groups
-    are skipped. ``block_k`` multiplies subdomain k's coefficients and
-    ``block_0`` subdomain 0's (None off the interfaces). Right-hand sides are
-    the residuals at the current coefficients, so on an interface they carry
-    subdomain 0's trace at ``alpha_0``.
-    """
-    for s in subdomains:
-        if len(s.interior):
-            rows, rhs = _interior_block(problem, s.basis, s.alpha, s.interior)
-            yield ROW_INTERIOR, s.k, rows, None, rhs
-    for s in subdomains:
-        if len(s.boundary):
-            vals = s.basis.values(s.boundary)
-            yield (ROW_BOUNDARY, s.k, vals, None,
-                   problem.boundary(s.boundary) - vals @ s.alpha)
-    for s in subdomains:
-        if s.k == 0 or len(s.interface) == 0:
-            continue
-        pts = s.interface
-        normals = outward_normals(s.ball, pts)
-        vals_k = s.basis.values(pts)
-        vals_0 = basis_0.values(pts)
-        yield (ROW_IFACE_VALUE, s.k, vals_k, -vals_0,
-               vals_0 @ alpha_0 - vals_k @ s.alpha)
-        nd_k = s.basis.normal_derivatives(pts, normals)
-        nd_0 = basis_0.normal_derivatives(pts, normals)
-        yield (ROW_IFACE_NORMAL, s.k, nd_k, -nd_0,
-               nd_0 @ alpha_0 - nd_k @ s.alpha)
+def _row_groups(basis: BasisSet, interior: np.ndarray, boundary: np.ndarray,
+                interface: Optional[np.ndarray], normals: Optional[np.ndarray]):
+    """Yield the row groups ``(kind, rows)`` of one subdomain in block order:
+    interior, boundary, then a ball's interface value and normal-derivative
+    rows. ``rows`` are the linear part of the operator, on the subdomain's
+    columns: -Laplacians, values, values, normal derivatives."""
+    yield ROW_INTERIOR, -basis.laplacians(interior)
+    yield ROW_BOUNDARY, basis.values(boundary)
+    if normals is not None:
+        yield ROW_IFACE_VALUE, basis.values(interface)
+        yield ROW_IFACE_NORMAL, basis.normal_derivatives(interface, normals)
 
 
-def _system(problem: SemilinearProblem, subdomains: Sequence[_Subdomain],
-            basis_0: BasisSet, alpha_0: np.ndarray,
-            columns: dict[int, slice]) -> SystemBlocks:
-    """Write the row groups of ``subdomains`` into one zero-filled system.
-
-    ``columns`` maps a subdomain index to its column slice. A subdomain-0
-    block is written only when subdomain 0 has columns; otherwise its frozen
-    trace is in the right-hand side alone.
-    """
-    n_rows = sum(s.n_rows for s in subdomains)
-    if n_rows == 0:
-        raise AssemblyError("no rows to assemble")
-    F = np.zeros((n_rows, max(sl.stop for sl in columns.values())))
-    T = np.empty(n_rows)
+def _subdomain_rows(problem: SemilinearProblem, basis: BasisSet,
+                    interior: np.ndarray, boundary: np.ndarray,
+                    ball: Optional[BallSubdomain] = None,
+                    interface: Optional[np.ndarray] = None,
+                    basis_0: Optional[BasisSet] = None) -> SubdomainRows:
+    normals = None if ball is None else outward_normals(ball, interface)
+    n_rows = len(interior) + len(boundary) + (0 if ball is None else 2 * len(interface))
+    matrix = np.empty((n_rows, basis.size))
     row_kind = np.empty(n_rows, dtype=np.int8)
-    row_subdomain = np.empty(n_rows, dtype=np.int32)
     start = 0
-    for kind, k, block_k, block_0, rhs in _row_groups(problem, subdomains,
-                                                      basis_0, alpha_0):
-        rows = slice(start, start + len(rhs))
-        F[rows, columns[k]] = block_k
-        if block_0 is not None and 0 in columns:
-            F[rows, columns[0]] = block_0
-        T[rows] = rhs
-        row_kind[rows] = kind
-        row_subdomain[rows] = k
-        start = rows.stop
-    return SystemBlocks(matrix=F, rhs=T, col_slices=list(columns.values()),
-                        row_kind=row_kind, row_subdomain=row_subdomain)
+    for kind, rows in _row_groups(basis, interior, boundary, interface, normals):
+        sl = slice(start, start + len(rows))
+        matrix[sl] = rows
+        row_kind[sl] = kind
+        start = sl.stop
+    trace = None
+    if ball is not None:
+        trace = (basis_0.values(interface), basis_0.normal_derivatives(interface, normals))
+    return SubdomainRows(
+        matrix=matrix, row_kind=row_kind, forcing=problem.forcing(interior),
+        data=problem.boundary(boundary),
+        values=None if problem.nonlinearity is None else basis.values(interior),
+        trace=trace)
 
 
-def assemble(partition: PartitionState, bases: Sequence[BasisSet],
-             colloc: CollocationSets, problem: SemilinearProblem,
-             alphas: Optional[np.ndarray] = None) -> SystemBlocks:
-    """Assemble the coupled system, linearized at ``alphas`` (zeros if None).
-
-    At zero coefficients and for a linear operator this is exactly the direct
-    transcription of the collocated problem; otherwise rows carry the
-    operator's directional derivative and the right-hand side the current
-    residuals (including the cancel-the-jump interface terms).
-    """
+def coupled_rows(partition: PartitionState, bases: Sequence[BasisSet],
+                 colloc: CollocationSets,
+                 problem: SemilinearProblem) -> list[SubdomainRows]:
+    """The rows of every subdomain of the coupled problem, subdomain 0 first."""
     n_sub = partition.n_subdomains
     if len(bases) != n_sub or colloc.n_subdomains != n_sub:
         raise AssemblyError("bases/collocation do not align with the partition")
-    col_slices, n_cols = _column_layout(bases)
-    if alphas is None:
-        alphas = np.zeros(n_cols)
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.shape != (n_cols,):
-        raise AssemblyError(f"expected {n_cols} stacked coefficients")
-    parts = [alphas[sl] for sl in col_slices]
-
     for k in range(n_sub):
         if len(colloc.interior[k]) == 0:
             raise AssemblyError(f"empty interior collocation set for subdomain {k}")
@@ -218,59 +191,167 @@ def assemble(partition: PartitionState, bases: Sequence[BasisSet],
             raise AssemblyError(f"empty interface collocation set for ball {k}")
     if sum(len(b) for b in colloc.boundary) == 0:
         raise AssemblyError("no boundary collocation points at all")
-
-    subdomains = [_Subdomain(k, bases[k], parts[k], colloc.interior[k],
-                             colloc.boundary[k], colloc.interface[k],
-                             partition.ball(k) if k else None)
-                  for k in range(n_sub)]
-    return _system(problem, subdomains, bases[0], parts[0],
-                   dict(enumerate(col_slices)))
+    return [_subdomain_rows(problem, bases[0], colloc.interior[0], colloc.boundary[0])] + [
+        _subdomain_rows(problem, bases[k], colloc.interior[k], colloc.boundary[k],
+                        partition.ball(k), colloc.interface[k], bases[0])
+        for k in range(1, n_sub)]
 
 
-def assemble_local(problem: SemilinearProblem, ball: BallSubdomain,
-                   basis_k: BasisSet, basis_0: BasisSet, alpha_0: np.ndarray,
-                   interior: np.ndarray, boundary: np.ndarray, interface: np.ndarray,
-                   alpha_k: Optional[np.ndarray] = None) -> SystemBlocks:
-    """Single-ball system with the subdomain-0 expansion frozen at ``alpha_0``.
-
-    The frozen trace and normal trace enter the interface right-hand sides;
-    only the ball's coefficients are unknowns.
-    """
+def ball_rows(problem: SemilinearProblem, ball: BallSubdomain, basis_k: BasisSet,
+              basis_0: BasisSet, interior: np.ndarray, boundary: np.ndarray,
+              interface: np.ndarray) -> SubdomainRows:
+    """The rows of one ball, for its single-ball system."""
     if len(interior) == 0:
         raise AssemblyError(f"empty interior collocation set for ball {ball.index}")
     if len(interface) == 0:
         raise AssemblyError(f"empty interface collocation set for ball {ball.index}")
+    return _subdomain_rows(problem, basis_k, interior, boundary, ball, interface,
+                           basis_0)
+
+
+def _block(problem: SemilinearProblem, rows: SubdomainRows,
+           alpha_k: np.ndarray, alpha_0: np.ndarray) -> SystemBlocks:
+    """One subdomain's block linearized at ``alpha_k``, with subdomain 0 at
+    ``alpha_0``: its rows on its own columns and, for a ball, its interface
+    rows on subdomain 0's columns as ``coupling``.
+
+    Right-hand sides are the residuals at the current coefficients, so on an
+    interface they carry subdomain 0's trace at ``alpha_0``.
+    """
+    F = rows.matrix
+    interior = slice(0, len(rows.forcing))
+    boundary = slice(interior.stop, interior.stop + len(rows.data))
+    T = np.empty(len(F))
+    T[interior] = rows.forcing - F[interior] @ alpha_k
+    if problem.nonlinearity is not None:
+        u = rows.values @ alpha_k
+        F = F.copy()
+        F[interior] += problem.nonlinearity_prime(u)[:, None] * rows.values
+        T[interior] -= problem.nonlinearity(u)
+    T[boundary] = rows.data - F[boundary] @ alpha_k
+    coupling = None
+    if rows.trace is not None:
+        start = boundary.stop
+        for trace_0 in rows.trace:
+            sl = slice(start, start + len(trace_0))
+            T[sl] = trace_0 @ alpha_0 - F[sl] @ alpha_k
+            start = sl.stop
+        coupling = np.concatenate([-trace_0 for trace_0 in rows.trace])
+    return SystemBlocks(matrix=F, rhs=T, col_slices=[slice(0, rows.size)],
+                        row_kind=rows.row_kind, coupling=coupling)
+
+
+def assemble(problem: SemilinearProblem, rows: Sequence[SubdomainRows],
+             alphas: Optional[np.ndarray] = None) -> SystemBlocks:
+    """The coupled system of ``coupled_rows``, linearized at ``alphas`` (zeros
+    if None).
+
+    At zero coefficients and for a linear operator this is exactly the direct
+    transcription of the collocated problem; otherwise rows carry the
+    operator's directional derivative and the right-hand side the current
+    residuals (including the cancel-the-jump interface terms).
+    """
+    col_slices, start = [], 0
+    for r in rows:
+        col_slices.append(slice(start, start + r.size))
+        start += r.size
+    if alphas is None:
+        alphas = np.zeros(start)
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.shape != (start,):
+        raise AssemblyError(f"expected {start} stacked coefficients")
+    parts = [alphas[sl] for sl in col_slices]
+    balls = [_block(problem, r, a, parts[0]) for r, a in zip(rows[1:], parts[1:])]
+    return replace(_block(problem, rows[0], parts[0], parts[0]),
+                   col_slices=col_slices, balls=balls)
+
+
+def assemble_local(problem: SemilinearProblem, rows: SubdomainRows,
+                   alpha_0: np.ndarray,
+                   alpha_k: Optional[np.ndarray] = None) -> SystemBlocks:
+    """Single-ball system of ``ball_rows``, with subdomain 0 frozen at
+    ``alpha_0``.
+
+    The frozen trace and normal trace enter the interface right-hand sides;
+    only the ball's coefficients are unknowns.
+    """
     if alpha_k is None:
-        alpha_k = np.zeros(basis_k.size)
-    alpha_k = np.asarray(alpha_k, dtype=float)
-    ball_rows = _Subdomain(ball.index, basis_k, alpha_k, interior, boundary,
-                           interface, ball)
-    return _system(problem, [ball_rows], basis_0, alpha_0,
-                   {ball.index: slice(0, basis_k.size)})
+        alpha_k = np.zeros(rows.size)
+    return _block(problem, rows, np.asarray(alpha_k, dtype=float), alpha_0)
+
+
+class _Eliminated(NamedTuple):
+    """A ball block after elimination: its rows projected onto the orthogonal
+    complement of the retained left singular vectors U, and what the
+    back-substitution x_k = V S^-1 U^T (T - C x_0) needs."""
+
+    coupling: np.ndarray               # (I - U U^T) C, on all the block's rows
+    rhs: np.ndarray                    # (I - U U^T) T
+    vt: np.ndarray                     # retained rows of V^T
+    s: np.ndarray                      # retained singular values
+    ut_rhs: np.ndarray                 # U^T T
+    ut_coupling: np.ndarray            # U^T C
+
+    def back_substitute(self, alpha_0: np.ndarray) -> np.ndarray:
+        return self.vt.T @ ((self.ut_rhs - self.ut_coupling @ alpha_0) / self.s)
+
+
+def _eliminate(ball: SystemBlocks) -> _Eliminated:
+    u, s, vt = np.linalg.svd(ball.matrix, full_matrices=False)
+    r = int(np.count_nonzero(s > DEFAULT_SVD_CUTOFF * s[0]))
+    u, s, vt = u[:, :r], s[:r], vt[:r]
+    iface = slice(len(ball.rhs) - len(ball.coupling), None)
+    ut_coupling = u[iface].T @ ball.coupling      # C is zero off the interface
+    coupling = -(u @ ut_coupling)
+    coupling[iface] += ball.coupling
+    ut_rhs = u.T @ ball.rhs
+    return _Eliminated(coupling=coupling, rhs=ball.rhs - u @ ut_rhs, vt=vt, s=s,
+                       ut_rhs=ut_rhs, ut_coupling=ut_coupling)
 
 
 def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
-    """Minimum-norm least-squares solution via SVD with relative cutoff.
+    """Least-squares solution by block elimination, truncated SVD per block.
 
-    Singular directions below DEFAULT_SVD_CUTOFF times the largest singular
-    value are discarded; the report carries the effective rank and a
-    per-row-kind breakdown of the squared residual.
+    Each ball is eliminated with its block's truncated SVD, the stacked
+    projected subdomain-0 problem is solved by gelsd (``np.linalg.lstsq``),
+    and the balls' coefficients are back-substituted; singular values below
+    DEFAULT_SVD_CUTOFF times the largest of their block (of the projected
+    problem for subdomain 0) are discarded. Without balls this is gelsd on
+    ``matrix``, the minimum-norm solution. The report carries the effective
+    rank (the sum over the blocks) and the squared residual per row kind and
+    per block.
     """
-    F, T = blocks.matrix, blocks.rhs
-    if F.size == 0:
+    all_blocks = [blocks] + blocks.balls
+    if any(b.matrix.size == 0 for b in all_blocks):
         raise AssemblyError("empty system")
-    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(T))):
+    arrays = [a for b in all_blocks for a in (b.matrix, b.rhs, b.coupling)
+              if a is not None]
+    if not all(np.all(np.isfinite(a)) for a in arrays):
         raise AssemblyError("non-finite entries in the assembled system")
-    alpha, _, rank, _ = np.linalg.lstsq(F, T, rcond=DEFAULT_SVD_CUTOFF)
-    res = F @ alpha - T
+    eliminated = [_eliminate(ball) for ball in blocks.balls]
+    F0, T0 = blocks.matrix, blocks.rhs
+    if eliminated:
+        F0 = np.concatenate([F0] + [e.coupling for e in eliminated])
+        T0 = np.concatenate([T0] + [e.rhs for e in eliminated])
+    alpha_0, _, rank, _ = np.linalg.lstsq(F0, T0, rcond=DEFAULT_SVD_CUTOFF)
+    alpha = np.concatenate([alpha_0] + [e.back_substitute(alpha_0) for e in eliminated])
+
+    residuals = [blocks.matrix @ alpha_0 - blocks.rhs]
+    for ball, x in zip(blocks.balls, blocks.split(alpha)[1:]):
+        res = ball.matrix @ x - ball.rhs
+        res[len(res) - len(ball.coupling):] += ball.coupling @ alpha_0
+        residuals.append(res)
     by_kind = {}
     for kind, name in enumerate(ROW_KIND_NAMES):
-        mask = blocks.row_kind == kind
-        if np.any(mask):
-            by_kind[name] = float(np.sum(res[mask] ** 2))
+        parts = [res[b.row_kind == kind] for b, res in zip(all_blocks, residuals)]
+        if any(len(p) for p in parts):
+            by_kind[name] = float(sum(np.sum(p ** 2) for p in parts))
+    by_subdomain = [float(res @ res) for res in residuals]
     return SolveReport(alpha=alpha, alphas=blocks.split(alpha),
-                       loss=float(res @ res), rank=int(rank),
-                       residual_by_kind=by_kind)
+                       loss=float(sum(by_subdomain)),
+                       rank=int(rank) + sum(len(e.s) for e in eliminated),
+                       residual_by_kind=by_kind,
+                       residual_by_subdomain=by_subdomain)
 
 
 #: Divergence guard: abort when the loss exceeds this multiple of the initial loss.
@@ -295,7 +376,7 @@ def gauss_newton_core(assembler: Callable[[Optional[np.ndarray]], SystemBlocks],
     NonConvergenceError.
     """
     blocks = assembler(None)
-    alpha = np.zeros(blocks.matrix.shape[1])
+    alpha = np.zeros(blocks.n_cols)
     trace = []
     prev_loss = None
     first_loss = None
@@ -323,6 +404,7 @@ def gauss_newton_core(assembler: Callable[[Optional[np.ndarray]], SystemBlocks],
             blocks = assembler(alpha)
     return SolveReport(alpha=alpha, alphas=blocks.split(alpha), loss=trace[-1][1],
                        rank=report.rank, residual_by_kind=report.residual_by_kind,
+                       residual_by_subdomain=report.residual_by_subdomain,
                        iterations=trace, converged=converged)
 
 
@@ -330,8 +412,9 @@ def gauss_newton(partition: PartitionState, bases: Sequence[BasisSet],
                  colloc: CollocationSets, problem: SemilinearProblem,
                  n_max: int = 50, tol: float = 1e-5) -> SolveReport:
     """Solve the coupled problem over all subdomains (direct when linear)."""
+    rows = coupled_rows(partition, bases, colloc, problem)
 
     def assembler(alphas):
-        return assemble(partition, bases, colloc, problem, alphas=alphas)
+        return assemble(problem, rows, alphas=alphas)
 
     return gauss_newton_core(assembler, problem.is_linear, n_max=n_max, tol=tol)

@@ -128,13 +128,13 @@ class TestScaleSearch:
             region=box2(),
             forcing=lambda p: np.zeros(len(np.atleast_2d(p))),
             boundary=lambda p: np.zeros(len(np.atleast_2d(p))))
-        from rfpde.lsq import assemble_local
+        from rfpde.lsq import assemble_local, ball_rows
         ball = part.ball(1)
         raw = bas.generate_transferable(30, 2.0, 2, seed=7, stream=1)
         cand = bas.rescale(raw, ball.center, 2)
-        blocks = assemble_local(problem, ball, cand, b0, alpha0,
-                                colloc.interior[1], colloc.boundary[1],
-                                colloc.interface[1])
+        rows = ball_rows(problem, ball, cand, b0, colloc.interior[1],
+                         colloc.boundary[1], colloc.interface[1])
+        blocks = assemble_local(problem, rows, alpha0)
         gamma_pts = colloc.interface[1]
         value_rows = blocks.row_kind == 2
         np.testing.assert_allclose(blocks.rhs[value_rows],
@@ -165,6 +165,14 @@ class TestConfig:
             ada.AdaptiveConfig(n_max=0)
         with pytest.raises(ValueError):
             ada.AdaptiveConfig(strategy="magic")
+
+    def test_field_types_checked(self):
+        for bad in (dict(m0="100"), dict(epsilon="1e-4"), dict(seed=1.0),
+                    dict(strategy=1), dict(interior_resolution=2.5), dict(n_max=True)):
+            with pytest.raises(ValueError, match=repr(next(iter(bad)))):
+                ada.AdaptiveConfig(**bad)
+        cfg = ada.AdaptiveConfig(epsilon=1, m0=np.int64(100), interior_resolution=None)
+        assert cfg.m0 == 100
 
     def test_resolved_defaults(self):
         cfg = ada.AdaptiveConfig()

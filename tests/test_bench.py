@@ -138,6 +138,11 @@ class TestRun:
         assert len(records) == manifest["n_balls"]
         assert records[0]["index"] == 1
         assert records[0]["err_l2"] is not None
+        # one squared residual per subdomain, summing to the coupled loss
+        by_subdomain = records[0]["residual_by_subdomain"]
+        assert len(by_subdomain) == 2
+        assert sum(by_subdomain) == pytest.approx(records[0]["loss"], rel=1e-12)
+        assert manifest["trace"][0]["residual_by_subdomain"] == by_subdomain
 
     def test_subdomains_json(self, case1_run):
         outdir, _ = case1_run
@@ -247,6 +252,26 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 3
         assert "mstar" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def config_exit_code(self, tmp_path, config):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        return cli_main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+
+    def test_json_array_config_is_config_error(self, tmp_path, capsys):
+        assert self.config_exit_code(tmp_path, ["peak2d-case1"]) == 3
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_non_list_sweep_is_config_error(self, tmp_path, capsys):
+        config = {"benchmark": "peak2d-case1", **SMALL, "sweep": 5}
+        assert self.config_exit_code(tmp_path, config) == 3
+        assert "'sweep'" in capsys.readouterr().err
+
+    def test_mistyped_field_is_config_error(self, tmp_path, capsys):
+        config = {"benchmark": "peak2d-case1", **SMALL, "m0": "100"}
+        assert self.config_exit_code(tmp_path, config) == 3
+        assert "'m0'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])

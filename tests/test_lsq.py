@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,26 @@ def standard_colloc(region, resolution=20, boundary=80):
     return geo.CollocationSets.initial(interior, bpts)
 
 
+def assemble(partition, bases, colloc, problem, alphas=None):
+    """The coupled system, its bases evaluated at the collocation points."""
+    return lsq.assemble(problem, lsq.coupled_rows(partition, bases, colloc, problem),
+                        alphas=alphas)
+
+
+def dense(blocks):
+    """Zero-padded dense (F, T) of a block-angular system, in block row order."""
+    parts = [blocks] + blocks.balls
+    F = np.zeros((sum(len(b.rhs) for b in parts), blocks.n_cols))
+    start = 0
+    for b, cols in zip(parts, blocks.col_slices):
+        rows = slice(start, start + len(b.rhs))
+        F[rows, cols] = b.matrix
+        if b is not blocks:
+            F[rows.stop - len(b.coupling):rows.stop, blocks.col_slices[0]] = b.coupling
+        start = rows.stop
+    return F, np.concatenate([b.rhs for b in parts])
+
+
 def one_ball_setup(m0=40, mstar=50, seed=3, center=(0.4, 0.4), radius=0.2):
     region = box2()
     part = geo.split_subdomain(geo.PartitionState(region), np.asarray(center), radius)
@@ -63,7 +85,7 @@ class TestAssemble:
         part = geo.PartitionState(box2())
         bpt = np.array([[1.0, 0.0]])
         colloc = geo.CollocationSets.initial(x, bpt)
-        blocks = lsq.assemble(part, [b], colloc, problem)
+        blocks = assemble(part, [b], colloc, problem)
         q = b.laplacians(x)[0, 1]
         assert blocks.row_kind.tolist() == [lsq.ROW_INTERIOR, lsq.ROW_BOUNDARY]
         np.testing.assert_allclose(blocks.matrix[:1], [[0.0, -q]], atol=1e-15)
@@ -73,30 +95,29 @@ class TestAssemble:
         part, bases, _ = one_ball_setup()
         gamma_pt = geo.sample_sphere_uniform(part.ball(1).center,
                                              part.ball(1).radius, 1)
-        # one interior point per subdomain and one boundary point come first
+        # one interior point per subdomain and one boundary point of subdomain 0
         empty = np.empty((0, 2))
         colloc = geo.CollocationSets((np.array([[-0.5, -0.5]]), part.ball(1).center[None]),
                                      (np.array([[-1.0, 0.0]]), empty), (empty, gamma_pt))
-        blocks = lsq.assemble(part, bases, colloc, zero_problem())
-        assert blocks.row_kind.tolist() == [lsq.ROW_INTERIOR, lsq.ROW_INTERIOR,
-                                            lsq.ROW_BOUNDARY,
-                                            lsq.ROW_IFACE_VALUE, lsq.ROW_IFACE_NORMAL]
-        sl0, sl1 = blocks.col_slices
-        value_row = blocks.matrix[3]
+        blocks = assemble(part, bases, colloc, zero_problem())
+        assert blocks.row_kind.tolist() == [lsq.ROW_INTERIOR, lsq.ROW_BOUNDARY]
+        (ball_block,) = blocks.balls
+        assert ball_block.row_kind.tolist() == [lsq.ROW_INTERIOR, lsq.ROW_IFACE_VALUE,
+                                                lsq.ROW_IFACE_NORMAL]
+        # value row: +ball block, -subdomain-0 block in the coupling
         vals0 = bases[0].values(gamma_pt)[0]
         vals1 = bases[1].values(gamma_pt)[0]
-        np.testing.assert_allclose(value_row[sl1], vals1, atol=1e-15)
-        np.testing.assert_allclose(value_row[sl0], -vals0, atol=1e-15)
-        # normal row: +ball block, -subdomain-0 block, nothing else
-        ball = part.ball(1)
-        normals = geo.outward_normals(ball, gamma_pt)
-        normal_row = blocks.matrix[4]
-        np.testing.assert_allclose(normal_row[sl1],
+        np.testing.assert_allclose(ball_block.matrix[1], vals1, atol=1e-15)
+        np.testing.assert_allclose(ball_block.coupling[0], -vals0, atol=1e-15)
+        # normal row: likewise with the normal derivatives
+        normals = geo.outward_normals(part.ball(1), gamma_pt)
+        np.testing.assert_allclose(ball_block.matrix[2],
                                    bases[1].normal_derivatives(gamma_pt, normals)[0],
                                    atol=1e-15)
-        np.testing.assert_allclose(normal_row[sl0],
+        np.testing.assert_allclose(ball_block.coupling[1],
                                    -bases[0].normal_derivatives(gamma_pt, normals)[0],
                                    atol=1e-15)
+        assert ball_block.coupling.shape == (2, bases[0].size)
 
     def test_toy_system_matches_normal_equations(self):
         b = bas.generate_uniform(1, 1.0, 2, seed=2)
@@ -105,7 +126,7 @@ class TestAssemble:
         interior = np.array([[0.1, 0.2], [-0.4, 0.5]])
         bpts = geo.generate_boundary_points(box2(), 4)[:1]
         colloc = geo.CollocationSets((interior,), (bpts,), (np.empty((0, 2)),))
-        blocks = lsq.assemble(part, [b], colloc, problem)
+        blocks = assemble(part, [b], colloc, problem)
         assert blocks.matrix.shape == (3, 2)
         sol = lsq.solve_min_norm(blocks)
         F, T = blocks.matrix, blocks.rhs
@@ -118,53 +139,76 @@ class TestAssemble:
         broken = geo.CollocationSets((empty, colloc.interior[1]),
                                      colloc.boundary, colloc.interface)
         with pytest.raises(lsq.AssemblyError):
-            lsq.assemble(part, bases, broken, zero_problem())
+            lsq.coupled_rows(part, bases, broken, zero_problem())
 
     def test_block_locality(self):
-        # subdomain 0's rows are those of the system without the ball, padded
-        # with zeros in the ball's columns
+        # subdomain 0's block is the system without the ball, and the ball's
+        # block touches subdomain 0 only through its interface rows
         part, bases, colloc = one_ball_setup()
         problem = zero_problem()
-        full = lsq.assemble(part, bases, colloc, problem)
+        full = assemble(part, bases, colloc, problem)
         stripped_sets = geo.CollocationSets.initial(colloc.interior[0],
                                                     colloc.boundary[0])
-        stripped = lsq.assemble(geo.PartitionState(part.base), bases[:1],
-                                stripped_sets, problem)
-        removed = np.sum(full.row_subdomain == 1)
-        assert removed > 0
-        assert stripped.matrix.shape[0] == full.matrix.shape[0] - removed
-        keep = full.row_subdomain == 0
-        sl0, sl1 = full.col_slices
-        assert np.array_equal(stripped.matrix, full.matrix[keep][:, sl0])
-        assert not np.any(full.matrix[keep][:, sl1])
+        stripped = assemble(geo.PartitionState(part.base), bases[:1], stripped_sets,
+                            problem)
+        assert stripped.balls == []
+        assert full.matrix.shape == stripped.matrix.shape
+        assert full.matrix.tobytes() == stripped.matrix.tobytes()
+        assert full.rhs.tobytes() == stripped.rhs.tobytes()
+        (ball_block,) = full.balls
+        n_if = len(colloc.interface[1])
+        assert ball_block.matrix.shape[1] == bases[1].size
+        assert ball_block.coupling.shape == (2 * n_if, bases[0].size)
+        assert ball_block.row_kind[-2 * n_if:].tolist() == \
+            [lsq.ROW_IFACE_VALUE] * n_if + [lsq.ROW_IFACE_NORMAL] * n_if
 
     def test_row_and_column_maps(self):
         part, bases, colloc = one_ball_setup()
-        blocks = lsq.assemble(part, bases, colloc, zero_problem())
+        blocks = assemble(part, bases, colloc, zero_problem())
         n_if = len(colloc.interface[1])
-        expected_rows = (len(colloc.interior[0]) + len(colloc.interior[1])
-                         + len(colloc.boundary[0]) + len(colloc.boundary[1])
-                         + 2 * n_if)
-        assert blocks.matrix.shape[0] == expected_rows
-        assert blocks.matrix.shape[1] == bases[0].size + bases[1].size
-        assert np.sum(blocks.row_kind == lsq.ROW_IFACE_VALUE) == n_if
-        assert np.sum(blocks.row_kind == lsq.ROW_IFACE_NORMAL) == n_if
+        assert blocks.matrix.shape == (len(colloc.interior[0]) + len(colloc.boundary[0]),
+                                       bases[0].size)
+        (ball_block,) = blocks.balls
+        assert ball_block.matrix.shape == (len(colloc.interior[1])
+                                           + len(colloc.boundary[1]) + 2 * n_if,
+                                           bases[1].size)
+        kinds = np.concatenate([blocks.row_kind, ball_block.row_kind])
+        assert np.sum(kinds == lsq.ROW_IFACE_VALUE) == n_if
+        assert np.sum(kinds == lsq.ROW_IFACE_NORMAL) == n_if
         assert blocks.col_slices == [slice(0, bases[0].size),
                                      slice(bases[0].size, bases[0].size + bases[1].size)]
+        assert blocks.n_cols == bases[0].size + bases[1].size
+
+    def test_no_array_spans_two_subdomains(self):
+        part, bases, colloc = two_ball_setup()
+        blocks = assemble(part, bases, colloc, nonzero_nonlinear_problem())
+        sizes = [b.size for b in bases]
+        assert len(blocks.balls) == 2
+        assert blocks.matrix.shape[1] == sizes[0]
+        assert blocks.coupling is None
+        for k, ball_block in enumerate(blocks.balls, 1):
+            assert ball_block.balls == []
+            assert ball_block.matrix.shape[1] == sizes[k]
+            assert ball_block.coupling.shape[1] == sizes[0]
+        arrays = [a for b in [blocks] + blocks.balls for a in vars(b).values()
+                  if isinstance(a, np.ndarray)]
+        assert len(arrays) == 3 + 4 + 4
+        assert all(a.ndim == 1 or a.shape[1] in (sizes[0], sizes[1], sizes[2])
+                   for a in arrays)
 
 
-def two_ball_setup(seed=3):
+def two_ball_setup(seed=3, m0=40, mstar=50):
     """Two balls; the second crosses the outer boundary, so it owns boundary rows."""
     region = box2()
     part = geo.PartitionState(region)
     colloc = standard_colloc(region)
-    bases = [bas.generate_transferable(40, 2.0, 2, seed=seed, stream=0)]
+    bases = [bas.generate_transferable(m0, 2.0, 2, seed=seed, stream=0)]
     for k, center in enumerate([np.array([0.4, 0.4]), np.array([0.9, -0.3])], 1):
         part = geo.split_subdomain(part, center, 0.2)
         colloc = geo.reclassify_collocation(colloc, part, interior_resolution=12,
                                             interface_count=40)
         bases.append(bas.rescale(
-            bas.generate_transferable(50, 2.0, 2, seed=seed, stream=k), center, 2))
+            bas.generate_transferable(mstar, 2.0, 2, seed=seed, stream=k), center, 2))
     return part, bases, colloc
 
 
@@ -186,25 +230,24 @@ class TestOneAssemblyPath:
         self.alphas = 0.1 * np.random.default_rng(7).standard_normal(n_cols)
 
     def test_local_system_is_the_balls_block_of_the_coupled_one(self):
-        full = lsq.assemble(self.part, self.bases, self.colloc, self.problem,
-                            alphas=self.alphas)
+        full = assemble(self.part, self.bases, self.colloc, self.problem,
+                        alphas=self.alphas)
         parts = full.split(self.alphas)
         assert len(self.colloc.boundary[2]) > 0
         for k in (1, 2):
-            local = lsq.assemble_local(self.problem, self.part.ball(k), self.bases[k],
-                                       self.bases[0], parts[0], self.colloc.interior[k],
-                                       self.colloc.boundary[k], self.colloc.interface[k],
-                                       alpha_k=parts[k])
-            mask = full.row_subdomain == k
-            expected = full.matrix[mask][:, full.col_slices[k]]
-            assert local.matrix.shape == expected.shape
-            assert local.matrix.tobytes() == expected.tobytes()
-            assert local.rhs.tobytes() == full.rhs[mask].tobytes()
-            assert local.row_kind.tobytes() == full.row_kind[mask].tobytes()
+            rows = lsq.ball_rows(self.problem, self.part.ball(k), self.bases[k],
+                                 self.bases[0], self.colloc.interior[k],
+                                 self.colloc.boundary[k], self.colloc.interface[k])
+            local = lsq.assemble_local(self.problem, rows, parts[0], alpha_k=parts[k])
+            expected = full.balls[k - 1]
+            assert local.matrix.shape == expected.matrix.shape
+            for name in ("matrix", "rhs", "row_kind", "coupling"):
+                assert getattr(local, name).tobytes() == \
+                    getattr(expected, name).tobytes(), name
 
     def test_coupled_matrix_matches_zero_padded_reference(self):
         part, bases, colloc, problem = self.part, self.bases, self.colloc, self.problem
-        full = lsq.assemble(part, bases, colloc, problem, alphas=self.alphas)
+        full = assemble(part, bases, colloc, problem, alphas=self.alphas)
         sl = full.col_slices
         parts = full.split(self.alphas)
 
@@ -214,39 +257,122 @@ class TestOneAssemblyPath:
                 rows[:, sl[k]] = block
             return rows
 
-        groups = []   # (kind, k, padded rows) in the documented row order
-        for k, pts in enumerate(colloc.interior):
+        groups = []   # (kind, padded rows) in the documented row order
+        for k in range(part.n_subdomains):
+            pts = colloc.interior[k]
             vals = bases[k].values(pts)
             rows = -bases[k].laplacians(pts) \
                 + problem.nonlinearity_prime(vals @ parts[k])[:, None] * vals
-            groups.append((lsq.ROW_INTERIOR, k, padded(len(pts), [(k, rows)])))
-        for k, pts in enumerate(colloc.boundary):
-            if len(pts):
-                groups.append((lsq.ROW_BOUNDARY, k,
-                               padded(len(pts), [(k, bases[k].values(pts))])))
-        for k in range(1, part.n_subdomains):
+            groups.append((lsq.ROW_INTERIOR, padded(len(pts), [(k, rows)])))
+            pts = colloc.boundary[k]
+            groups.append((lsq.ROW_BOUNDARY,
+                           padded(len(pts), [(k, bases[k].values(pts))])))
+            if k == 0:
+                continue
             pts = colloc.interface[k]
             normals = geo.outward_normals(part.ball(k), pts)
-            groups.append((lsq.ROW_IFACE_VALUE, k, padded(len(pts), [
+            groups.append((lsq.ROW_IFACE_VALUE, padded(len(pts), [
                 (k, bases[k].values(pts)), (0, -bases[0].values(pts))])))
-            groups.append((lsq.ROW_IFACE_NORMAL, k, padded(len(pts), [
+            groups.append((lsq.ROW_IFACE_NORMAL, padded(len(pts), [
                 (k, bases[k].normal_derivatives(pts, normals)),
                 (0, -bases[0].normal_derivatives(pts, normals))])))
-        reference = np.vstack([rows for _, _, rows in groups])
-        assert full.matrix.shape == reference.shape
-        assert full.matrix.tobytes() == reference.tobytes()
-        assert full.row_kind.tolist() == [kind for kind, _, rows in groups
-                                          for _ in range(len(rows))]
-        assert full.row_subdomain.tolist() == [k for _, k, rows in groups
-                                               for _ in range(len(rows))]
+        reference = np.vstack([rows for _, rows in groups])
+        F, _ = dense(full)
+        assert F.shape == reference.shape
+        assert F.tobytes() == reference.tobytes()
+        kinds = np.concatenate([b.row_kind for b in [full] + full.balls])
+        assert kinds.tolist() == [kind for kind, rows in groups for _ in range(len(rows))]
+
+    def test_blocks_share_or_leave_the_evaluated_rows(self):
+        # a linear problem's blocks are the evaluated rows themselves; a
+        # nonlinear re-linearization copies them and leaves them unchanged
+        rows = lsq.coupled_rows(self.part, self.bases, self.colloc, zero_problem())
+        linear = lsq.assemble(zero_problem(), rows, alphas=self.alphas)
+        assert all(b.matrix is r.matrix for b, r in zip([linear] + linear.balls, rows))
+        rows = lsq.coupled_rows(self.part, self.bases, self.colloc, self.problem)
+        before = [r.matrix.tobytes() for r in rows]
+        full = lsq.assemble(self.problem, rows, alphas=self.alphas)
+        assert not any(b.matrix is r.matrix for b, r in zip([full] + full.balls, rows))
+        assert [r.matrix.tobytes() for r in rows] == before
+
+    def test_bases_are_evaluated_once_per_gauss_newton_solve(self, monkeypatch):
+        calls = []
+        for name in ("values", "laplacians", "normal_derivatives"):
+            real = getattr(bas.BasisSet, name)
+
+            def counted(self, *args, real=real, name=name):
+                calls.append(name)
+                return real(self, *args)
+            monkeypatch.setattr(bas.BasisSet, name, counted)
+        report = lsq.gauss_newton(self.part, self.bases, self.colloc, self.problem,
+                                  n_max=4)
+        assert len(report.iterations) > 1
+        # per subdomain: interior values and Laplacians, boundary values; per
+        # ball: values and normal derivatives of both bases on the interface
+        assert calls.count("laplacians") == 3
+        assert calls.count("values") == 3 * 2 + 2 * 2
+        assert calls.count("normal_derivatives") == 2 * 2
+
+
+class TestBlockSolve:
+    """The block elimination against gelsd on the zero-padded dense system."""
+
+    def system(self, bases=None):
+        part, default_bases, colloc = two_ball_setup(m0=10, mstar=10)
+        bases = bases or default_bases
+        problem = nonzero_nonlinear_problem()
+        n_cols = sum(b.size for b in bases)
+        alphas = 0.1 * np.random.default_rng(7).standard_normal(n_cols)
+        return assemble(part, bases, colloc, problem, alphas=alphas)
+
+    def test_full_rank_matches_dense_lstsq(self):
+        blocks = self.system()
+        F, T = dense(blocks)
+        assert np.linalg.matrix_rank(F) == F.shape[1]
+        ref, _, _, _ = np.linalg.lstsq(F, T, rcond=lsq.DEFAULT_SVD_CUTOFF)
+        sol = lsq.solve_min_norm(blocks)
+        assert np.linalg.norm(sol.alpha - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert sol.rank == F.shape[1]
+        res = F @ sol.alpha - T
+        assert sol.loss == pytest.approx(res @ res, rel=1e-12)
+        assert len(sol.residual_by_subdomain) == 3
+        assert sum(sol.residual_by_subdomain) == pytest.approx(sol.loss, rel=1e-12)
+
+    def test_no_ball_system_is_one_gelsd_call(self):
+        region = box2()
+        b = bas.generate_transferable(25, 2.0, 2, seed=5)
+        problem = manufactured_linear(b, np.linspace(-1.0, 1.0, b.size))
+        blocks = assemble(geo.PartitionState(region), [b], standard_colloc(region),
+                          problem)
+        assert blocks.balls == []
+        ref, _, rank, _ = np.linalg.lstsq(blocks.matrix, blocks.rhs,
+                                          rcond=lsq.DEFAULT_SVD_CUTOFF)
+        sol = lsq.solve_min_norm(blocks)
+        assert sol.alpha.tobytes() == ref.tobytes()
+        assert sol.rank == rank
+        assert sol.residual_by_subdomain == [sol.loss]
+
+    def test_rank_deficient_ball_block_keeps_the_residual(self):
+        _, bases, _ = two_ball_setup(m0=10, mstar=10)
+        b = bases[1]   # every neuron twice: the first ball's block loses rank
+        bases[1] = replace(b, weights=np.vstack([b.weights, b.weights]),
+                           biases=np.concatenate([b.biases, b.biases]))
+        blocks = self.system(bases)
+        assert np.linalg.matrix_rank(blocks.balls[0].matrix) < bases[1].size
+        F, T = dense(blocks)
+        ref, _, _, _ = np.linalg.lstsq(F, T, rcond=lsq.DEFAULT_SVD_CUTOFF)
+        ref_loss = float((F @ ref - T) @ (F @ ref - T))
+        sol = lsq.solve_min_norm(blocks)
+        res = F @ sol.alpha - T
+        assert sol.loss == pytest.approx(res @ res, rel=1e-12)
+        assert sol.loss <= ref_loss * (1.0 + 1e-12)
 
 
 def blocks_from(F, T):
     F = np.asarray(F, dtype=float)
     T = np.asarray(T, dtype=float)
     return lsq.SystemBlocks(matrix=F, rhs=T, col_slices=[slice(0, F.shape[1])],
-                            row_kind=np.zeros(F.shape[0], dtype=np.int8),
-                            row_subdomain=np.zeros(F.shape[0], dtype=np.int32))
+                            row_kind=np.zeros(F.shape[0], dtype=np.int8))
 
 
 class TestSolveMinNorm:
@@ -309,7 +435,7 @@ class TestSolveMinNorm:
         part, bases, colloc = one_ball_setup()
         b = bas.generate_transferable(30, 2.0, 2, seed=12)
         problem = manufactured_linear(b, np.linspace(-1, 1, 31))
-        blocks = lsq.assemble(part, bases, colloc, problem)
+        blocks = assemble(part, bases, colloc, problem)
         sol = lsq.solve_min_norm(blocks)
         total = sum(sol.residual_by_kind.values())
         assert total == pytest.approx(sol.loss, rel=1e-10, abs=1e-12)
@@ -325,7 +451,7 @@ class TestInSpanRecovery:
         problem = manufactured_linear(b, coeffs)
         colloc = standard_colloc(region, resolution=30, boundary=120)
         part = geo.PartitionState(region)
-        blocks = lsq.assemble(part, [b], colloc, problem)
+        blocks = assemble(part, [b], colloc, problem)
         sol = lsq.solve_min_norm(blocks)
         rel = np.linalg.norm(sol.alpha - coeffs) / np.linalg.norm(coeffs)
         assert rel <= 1e-6
@@ -338,7 +464,7 @@ class TestGaussNewton:
         problem = manufactured_linear(b, np.ones(26))
         colloc = standard_colloc(region)
         part = geo.PartitionState(region)
-        direct = lsq.solve_min_norm(lsq.assemble(part, [b], colloc, problem))
+        direct = lsq.solve_min_norm(assemble(part, [b], colloc, problem))
         calls = []
 
         def counted(name):
@@ -349,10 +475,10 @@ class TestGaussNewton:
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in ("assemble", "solve_min_norm"):
+        for name in ("coupled_rows", "assemble", "solve_min_norm"):
             monkeypatch.setattr(lsq, name, counted(name))
         report = lsq.gauss_newton(part, [b], colloc, problem)
-        assert calls == ["assemble", "solve_min_norm"]
+        assert calls == ["coupled_rows", "assemble", "solve_min_norm"]
         assert report.iterations == [(0, direct.loss, None)]
         assert report.converged
         assert report.alpha.tobytes() == direct.alpha.tobytes()

@@ -35,8 +35,8 @@ def interior_rows(problem, basis, alpha, points):
     """Interior rows of the one-subdomain system assembled at ``alpha``."""
     region = problem.region
     colloc = geo.CollocationSets.initial(points, generate_boundary_points(region, 8))
-    blocks = lsq.assemble(geo.PartitionState(region), [basis], colloc, problem,
-                          alphas=alpha)
+    rows = lsq.coupled_rows(geo.PartitionState(region), [basis], colloc, problem)
+    blocks = lsq.assemble(problem, rows, alphas=alpha)
     return blocks.matrix[blocks.row_kind == lsq.ROW_INTERIOR]
 
 
