@@ -6,7 +6,10 @@ threshold: places a ball at the collocation point with the largest absolute
 residual, reclassifies collocation points, picks an integer frequency
 multiplier for the new ball's basis by trying 1..L on a local problem with
 the subdomain-0 trace frozen, and re-solves the coupled system. Existing
-balls keep their bases and collocation; only coefficients change.
+balls keep their bases and collocation; only coefficients change. So a
+ball's rows are those of its winning scale candidate, kept for every later
+coupled solve, which evaluates only subdomain 0's rows again (reclassification
+changes them); for a linear problem each ball's elimination is kept as well.
 """
 
 from __future__ import annotations
@@ -122,11 +125,18 @@ class RefinementRecord:
     mean_residual_before: float
     mean_residual_after: float
     loss: float
+    # nonlinear residual at the re-solve's coefficients (``loss`` when linear)
+    true_loss: Optional[float] = None
     err_l2: Optional[float] = None
     scale_losses: Optional[list] = None
     seconds: Optional[float] = None
-    # squared residual of each subdomain's rows in the coupled re-solve
+    # per subdomain of the coupled re-solve: the squared residual of its rows,
+    # its block's rank and [largest, smallest] retained singular value, and
+    # the norm of its coefficients
     residual_by_subdomain: Optional[list] = None
+    block_ranks: Optional[list] = None
+    block_sigmas: Optional[list] = None
+    alpha_norms: Optional[list] = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -147,6 +157,7 @@ class ScaleSearchResult:
     scale: int
     basis: basis_mod.BasisSet
     losses: list
+    rows: lsq.SubdomainRows            # the winning candidate's
 
 
 def mean_residual(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
@@ -178,7 +189,8 @@ def scale_search(problem: SemilinearProblem, partition: geo.PartitionState,
     One neuron draw (substream = ball index) is rescaled for every candidate
     s = 1..scale_max; each candidate solves the local problem with the
     subdomain-0 expansion frozen at ``alpha0``, and the smallest squared
-    residual wins (ties to the smaller s).
+    residual wins (ties to the smaller s). The winner's rows are returned
+    with it.
     """
     k = ball.index
     raw = basis_mod.generate_transferable(m_star, gamma, partition.dim, seed, stream=k)
@@ -204,8 +216,8 @@ def scale_search(problem: SemilinearProblem, partition: geo.PartitionState,
                 from exc
         losses.append(report.loss)
         if best is None or report.loss < best[2]:
-            best = (s, candidate, report.loss)
-    return ScaleSearchResult(scale=best[0], basis=best[1], losses=losses)
+            best = (s, candidate, report.loss, rows)
+    return ScaleSearchResult(scale=best[0], basis=best[1], losses=losses, rows=best[3])
 
 
 def _base_basis(problem: SemilinearProblem, config: AdaptiveConfig) -> basis_mod.BasisSet:
@@ -246,9 +258,10 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
     partition = geo.PartitionState(problem.region)
     colloc = initial_collocation(problem, cfg)
     bases = [_base_basis(problem, cfg)]
+    kept: list[lsq.KeptBall] = []
 
     report = lsq.gauss_newton(partition, bases, colloc, problem,
-                              n_max=cfg.n_max, tol=cfg.tol)
+                              n_max=cfg.n_max, tol=cfg.tol, kept=kept)
     state = SolveState(partition, list(bases), colloc, report)
     trace: list[RefinementRecord] = []
 
@@ -280,9 +293,10 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
                               scale_max=cfg.scale_max, gamma=cfg.gamma,
                               n_max=cfg.n_max, tol=cfg.tol)
         bases.append(search.basis)
+        kept.append(lsq.KeptBall(search.rows))
 
         report = lsq.gauss_newton(partition, bases, colloc, problem,
-                                  n_max=cfg.n_max, tol=cfg.tol)
+                                  n_max=cfg.n_max, tol=cfg.tol, kept=kept)
         state = SolveState(partition, list(bases), colloc, report)
 
         new_gate = mean_residual(problem, bases[0], report.alphas[0],
@@ -291,10 +305,12 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
         trace.append(RefinementRecord(
             index=k, center=center.tolist(), radius=radius, scale=search.scale,
             mean_residual_before=gate, mean_residual_after=new_gate,
-            loss=report.loss,
+            loss=report.loss, true_loss=report.true_loss,
             err_l2=None if diagnostic is None else float(diagnostic(state)),
             scale_losses=[float(v) for v in search.losses],
-            seconds=seconds, residual_by_subdomain=report.residual_by_subdomain))
+            seconds=seconds, residual_by_subdomain=report.residual_by_subdomain,
+            block_ranks=report.block_ranks, block_sigmas=report.block_sigmas,
+            alpha_norms=report.alpha_norms))
         gate = new_gate
 
     return state, trace

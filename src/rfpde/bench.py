@@ -189,6 +189,7 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
         "err_l2": grid.err_l2(),
         "n_balls": state.partition.n_balls,
         "final_loss": state.report.loss,
+        "final_true_loss": state.report.true_loss,
         "trace": [r.to_dict() for r in trace],
         "timings": timings,
         "artifacts": {

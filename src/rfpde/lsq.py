@@ -17,20 +17,27 @@ largest; projects the ball's coupling and right-hand side onto the orthogonal
 complement of the retained U; solves the stacked projected subdomain-0
 problem with gelsd at the same relative cutoff; and back-substitutes each
 ball's coefficients (Bjorck, Numerical Methods for Least Squares Problems,
-1996, section 6.3). A system without balls is one gelsd call. When a ball
-block is rank-deficient (at K=1 on peak2d-case1 the ball's block has rank
-610 of 1001 columns, the coupled system 811 of 1202), the result is a
-least-squares solution but not the minimum-norm one that gelsd on the whole
-zero-padded matrix would give: each ball's coefficients have minimum norm
-given subdomain 0's, not jointly with them.
+1996, section 6.3). A system without balls is one gelsd call. A single-ball
+system (one with ``coupling`` and no ``balls``, as every scale candidate's)
+is first reduced to the triangular factor R of [F | T], and gelsd runs on
+R's first n columns with its last column as the right-hand side: the same
+least-squares problem, with F's singular values, on n + 1 rows. A 2D ball
+block has about 1.58 rows per column, just under the 1.6 at which gelsd
+takes a QR first by itself (R-bidiagonalization: T. F. Chan, ACM TOMS 8(1),
+1982). When a ball block is rank-deficient (at K=1 on peak2d-case1 the
+ball's block has rank 610 of 1001 columns, the coupled system 811 of 1202),
+the result is a least-squares solution but not the minimum-norm one that
+gelsd on the whole zero-padded matrix would give: each ball's coefficients
+have minimum norm given subdomain 0's, not jointly with them.
 
 Every problem is solved by one plain (undamped) Gauss-Newton loop on the
 linearized system, starting from zero coefficients; a linear problem stops
 after the first step, which is the direct solve. The loss a nonlinear solve
 reports, and whose relative change stops it, is the linearized model residual
 |F delta - T|^2 of the last step, where F and T are linearized at the
-coefficients before that step; it is not the nonlinear residual at the
-returned coefficients.
+coefficients before that step; the report's ``true_loss`` is the nonlinear
+residual at the returned coefficients, from one more assembly than the steps
+need.
 
 Rows are built in one place, ``_row_groups``, one subdomain at a time in one
 order: interior rows, boundary rows, then a ball's interface value and
@@ -40,7 +47,13 @@ operator's linear part; a Gauss-Newton step only re-linearizes them
 (``assemble``, ``assemble_local``), and a linear problem's block is that
 array itself. ``assemble_local``, the single-ball problem of the scale
 search, builds the same block as the ball's block of ``assemble``; its solve
-leaves the subdomain-0 trace, frozen, in the right-hand side.
+leaves the subdomain-0 trace, frozen, in the right-hand side. A ball keeps
+its basis and its collocation points once placed, so its rows are evaluated
+once, by the scale search, and every later coupled solve takes them from a
+``KeptBall``; only subdomain 0's rows are evaluated again. For a linear
+problem the ball's block at zero coefficients depends on those rows alone, so
+its elimination is made by the first coupled solve that includes the ball and
+kept for every later one.
 """
 
 from __future__ import annotations
@@ -85,7 +98,10 @@ class SystemBlocks:
     single-ball system of that ball. A ball's block also holds ``coupling``,
     its interface rows (its last ``len(coupling)`` rows) on subdomain 0's
     columns; a solve uses it only in a coupled system. ``col_slices`` places
-    each subdomain's coefficients in the stacked vector.
+    each subdomain's coefficients in the stacked vector. A ball's block may
+    carry ``eliminated``, its elimination made before the solve (a linear
+    problem's, kept from an earlier coupled solve); the solve eliminates
+    every other ball.
     """
 
     matrix: np.ndarray                 # (rows, cols of the first subdomain)
@@ -94,6 +110,7 @@ class SystemBlocks:
     row_kind: np.ndarray               # int8, ROW_* constants
     coupling: Optional[np.ndarray] = None
     balls: list["SystemBlocks"] = field(default_factory=list)
+    eliminated: Optional["_Eliminated"] = None
 
     @property
     def n_cols(self) -> int:
@@ -115,8 +132,20 @@ class SolveReport:
     rank: int
     residual_by_kind: dict
     residual_by_subdomain: list        # loss of each block's rows, as ``alphas``
+    # per block, as ``alphas``: the rank and [largest, smallest] retained
+    # singular value of its factorization (subdomain 0's of a coupled system:
+    # of its projected problem)
+    block_ranks: list
+    block_sigmas: list
+    # |T|^2 of the system at ``alpha``: the nonlinear residual there, ``loss``
+    # for a linear problem
+    true_loss: float
     iterations: list = field(default_factory=list)  # (n, loss, re_mse)
     converged: bool = True
+
+    @property
+    def alpha_norms(self) -> list[float]:
+        return [float(np.linalg.norm(a)) for a in self.alphas]
 
 
 class SubdomainRows(NamedTuple):
@@ -178,9 +207,15 @@ def _subdomain_rows(problem: SemilinearProblem, basis: BasisSet,
 
 
 def coupled_rows(partition: PartitionState, bases: Sequence[BasisSet],
-                 colloc: CollocationSets,
-                 problem: SemilinearProblem) -> list[SubdomainRows]:
-    """The rows of every subdomain of the coupled problem, subdomain 0 first."""
+                 colloc: CollocationSets, problem: SemilinearProblem,
+                 balls: Optional[Sequence[SubdomainRows]] = None
+                 ) -> list[SubdomainRows]:
+    """The rows of every subdomain of the coupled problem, subdomain 0 first.
+
+    ``balls``, when given, are the balls' rows as evaluated before (by
+    ``ball_rows``, on the same bases and points); only subdomain 0's rows are
+    evaluated then.
+    """
     n_sub = partition.n_subdomains
     if len(bases) != n_sub or colloc.n_subdomains != n_sub:
         raise AssemblyError("bases/collocation do not align with the partition")
@@ -191,10 +226,15 @@ def coupled_rows(partition: PartitionState, bases: Sequence[BasisSet],
             raise AssemblyError(f"empty interface collocation set for ball {k}")
     if sum(len(b) for b in colloc.boundary) == 0:
         raise AssemblyError("no boundary collocation points at all")
-    return [_subdomain_rows(problem, bases[0], colloc.interior[0], colloc.boundary[0])] + [
-        _subdomain_rows(problem, bases[k], colloc.interior[k], colloc.boundary[k],
-                        partition.ball(k), colloc.interface[k], bases[0])
-        for k in range(1, n_sub)]
+    if balls is not None and len(balls) != n_sub - 1:
+        raise AssemblyError("ball rows do not align with the partition")
+    rows = [_subdomain_rows(problem, bases[0], colloc.interior[0], colloc.boundary[0])]
+    if balls is None:
+        balls = [_subdomain_rows(problem, bases[k], colloc.interior[k],
+                                 colloc.boundary[k], partition.ball(k),
+                                 colloc.interface[k], bases[0])
+                 for k in range(1, n_sub)]
+    return rows + list(balls)
 
 
 def ball_rows(problem: SemilinearProblem, ball: BallSubdomain, basis_k: BasisSet,
@@ -312,14 +352,17 @@ def _eliminate(ball: SystemBlocks) -> _Eliminated:
 def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
     """Least-squares solution by block elimination, truncated SVD per block.
 
-    Each ball is eliminated with its block's truncated SVD, the stacked
-    projected subdomain-0 problem is solved by gelsd (``np.linalg.lstsq``),
-    and the balls' coefficients are back-substituted; singular values below
-    DEFAULT_SVD_CUTOFF times the largest of their block (of the projected
-    problem for subdomain 0) are discarded. Without balls this is gelsd on
-    ``matrix``, the minimum-norm solution. The report carries the effective
-    rank (the sum over the blocks) and the squared residual per row kind and
-    per block.
+    Each ball is eliminated with its block's truncated SVD (or taken from
+    its ``eliminated``), the stacked projected subdomain-0 problem is solved
+    by gelsd (``np.linalg.lstsq``), and the balls' coefficients are
+    back-substituted; singular values below DEFAULT_SVD_CUTOFF times the
+    largest of their block (of the projected problem for subdomain 0) are
+    discarded. Without balls this is gelsd on ``matrix``, the minimum-norm
+    solution; a single-ball system is solved by gelsd on the R factor of
+    [matrix | rhs] instead. The report carries the effective rank (the sum
+    over the blocks), each block's rank and retained singular-value range,
+    and the squared residual per row kind and per block, all computed on the
+    system's own rows.
     """
     all_blocks = [blocks] + blocks.balls
     if any(b.matrix.size == 0 for b in all_blocks):
@@ -328,12 +371,16 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
               if a is not None]
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise AssemblyError("non-finite entries in the assembled system")
-    eliminated = [_eliminate(ball) for ball in blocks.balls]
+    eliminated = [_eliminate(ball) if ball.eliminated is None else ball.eliminated
+                  for ball in blocks.balls]
     F0, T0 = blocks.matrix, blocks.rhs
     if eliminated:
         F0 = np.concatenate([F0] + [e.coupling for e in eliminated])
         T0 = np.concatenate([T0] + [e.rhs for e in eliminated])
-    alpha_0, _, rank, _ = np.linalg.lstsq(F0, T0, rcond=DEFAULT_SVD_CUTOFF)
+    elif blocks.coupling is not None:
+        R = np.linalg.qr(np.column_stack([F0, T0]), mode="r")
+        F0, T0 = R[:, :-1], R[:, -1]
+    alpha_0, _, rank, s0 = np.linalg.lstsq(F0, T0, rcond=DEFAULT_SVD_CUTOFF)
     alpha = np.concatenate([alpha_0] + [e.back_substitute(alpha_0) for e in eliminated])
 
     residuals = [blocks.matrix @ alpha_0 - blocks.rhs]
@@ -347,11 +394,19 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
         if any(len(p) for p in parts):
             by_kind[name] = float(sum(np.sum(p ** 2) for p in parts))
     by_subdomain = [float(res @ res) for res in residuals]
-    return SolveReport(alpha=alpha, alphas=blocks.split(alpha),
-                       loss=float(sum(by_subdomain)),
-                       rank=int(rank) + sum(len(e.s) for e in eliminated),
-                       residual_by_kind=by_kind,
-                       residual_by_subdomain=by_subdomain)
+    loss = float(sum(by_subdomain))
+    block_ranks = [int(rank)] + [len(e.s) for e in eliminated]
+    return SolveReport(alpha=alpha, alphas=blocks.split(alpha), loss=loss,
+                       rank=sum(block_ranks), residual_by_kind=by_kind,
+                       residual_by_subdomain=by_subdomain, block_ranks=block_ranks,
+                       block_sigmas=[_sigma_range(s0[:rank])]
+                       + [_sigma_range(e.s) for e in eliminated],
+                       true_loss=loss)
+
+
+def _sigma_range(s: np.ndarray) -> list[float]:
+    """[largest, smallest] of the retained singular values ``s``."""
+    return [float(s[0]), float(s[-1])] if len(s) else [0.0, 0.0]
 
 
 #: Divergence guard: abort when the loss exceeds this multiple of the initial loss.
@@ -371,9 +426,12 @@ def gauss_newton_core(assembler: Callable[[Optional[np.ndarray]], SystemBlocks],
     |F delta - T|^2, with F and T taken at the coefficients before the step,
     not the residual at the updated ones; a nonlinear loop stops once the
     relative change of that loss drops below ``tol``, and the report's ``loss``
-    is the last step's. Exhausting ``n_max`` returns converged=False, and a
-    loss blow-up beyond DIVERGENCE_FACTOR x the initial loss raises
-    NonConvergenceError.
+    is the last step's. A nonlinear loop re-linearizes after every step, the
+    last one included, and its ``true_loss`` is |T|^2 of that last system, the
+    nonlinear residual at the returned coefficients. The report's ranks and
+    singular values are the last step's. Exhausting ``n_max`` returns
+    converged=False, and a loss blow-up beyond DIVERGENCE_FACTOR x the
+    initial loss raises NonConvergenceError.
     """
     blocks = assembler(None)
     alpha = np.zeros(blocks.n_cols)
@@ -396,25 +454,50 @@ def gauss_newton_core(assembler: Callable[[Optional[np.ndarray]], SystemBlocks],
             raise NonConvergenceError(
                 f"Gauss-Newton diverged at step {n}: loss {loss:.3e} vs "
                 f"initial {first_loss:.3e}", trace=trace)
-        if is_linear or prev_loss == 0.0 or (re_mse is not None and re_mse < tol):
+        if is_linear:
+            converged = True
+            break
+        blocks = assembler(alpha)
+        if prev_loss == 0.0 or (re_mse is not None and re_mse < tol):
             converged = True
             break
         prev_loss = loss
-        if n + 1 < n_max:
-            blocks = assembler(alpha)
-    return SolveReport(alpha=alpha, alphas=blocks.split(alpha), loss=trace[-1][1],
-                       rank=report.rank, residual_by_kind=report.residual_by_kind,
-                       residual_by_subdomain=report.residual_by_subdomain,
-                       iterations=trace, converged=converged)
+    true_loss = report.true_loss if is_linear else float(
+        sum(b.rhs @ b.rhs for b in [blocks] + blocks.balls))
+    return replace(report, alpha=alpha, alphas=blocks.split(alpha), true_loss=true_loss,
+                   iterations=trace, converged=converged)
+
+
+@dataclass(eq=False)
+class KeptBall:
+    """What later coupled solves reuse of a ball: its rows, from the scale
+    search, and for a linear problem the elimination of its block at zero
+    coefficients, which depends on those rows alone; the first coupled solve
+    that includes the ball makes it."""
+
+    rows: SubdomainRows
+    eliminated: Optional[_Eliminated] = None
 
 
 def gauss_newton(partition: PartitionState, bases: Sequence[BasisSet],
                  colloc: CollocationSets, problem: SemilinearProblem,
-                 n_max: int = 50, tol: float = 1e-5) -> SolveReport:
-    """Solve the coupled problem over all subdomains (direct when linear)."""
-    rows = coupled_rows(partition, bases, colloc, problem)
+                 n_max: int = 50, tol: float = 1e-5,
+                 kept: Optional[Sequence[KeptBall]] = None) -> SolveReport:
+    """Solve the coupled problem over all subdomains (direct when linear).
+
+    ``kept``, when given, holds every ball's rows; a linear problem also
+    takes each ball's elimination from it, or makes it there.
+    """
+    rows = coupled_rows(partition, bases, colloc, problem,
+                        None if kept is None else [ball.rows for ball in kept])
 
     def assembler(alphas):
-        return assemble(problem, rows, alphas=alphas)
+        blocks = assemble(problem, rows, alphas=alphas)
+        if problem.is_linear and alphas is None and kept is not None:
+            for ball, block in zip(kept, blocks.balls):
+                if ball.eliminated is None:
+                    ball.eliminated = _eliminate(block)
+                block.eliminated = ball.eliminated
+        return blocks
 
     return gauss_newton_core(assembler, problem.is_linear, n_max=n_max, tol=tol)

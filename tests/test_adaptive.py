@@ -6,7 +6,7 @@ from conftest import pointwise_operator
 from rfpde import adaptive as ada
 from rfpde import basis as bas
 from rfpde import geometry as geo
-from rfpde import pde
+from rfpde import lsq, pde
 
 
 SMALL = dict(interior_resolution=30, boundary_count=200, ball_resolution=24,
@@ -332,6 +332,59 @@ class TestAdaptiveSolve:
         _, trace = ada.adaptive_solve(pde.benchmark("peak2d-case1"),
                                       ada.AdaptiveConfig(**SMALL), diagnostic=diagnostic)
         assert trace[0].seconds < 1000.0
+
+
+class TestWorkDoneOncePerBall:
+    """A ball's rows come from its scale search, and a linear problem
+    eliminates each ball once, in the first coupled solve that includes it."""
+
+    def test_linear_problem_does_each_balls_work_once(self, monkeypatch):
+        eliminated, evaluated = [], []
+        real_eliminate = lsq._eliminate
+        real_laplacians = bas.BasisSet.laplacians
+
+        def eliminate(ball):
+            eliminated.append(ball)
+            return real_eliminate(ball)
+
+        def laplacians(self, points):
+            evaluated.append(self)
+            return real_laplacians(self, points)
+        monkeypatch.setattr(lsq, "_eliminate", eliminate)
+        monkeypatch.setattr(bas.BasisSet, "laplacians", laplacians)
+        problem = pde.benchmark("peak2d-case2")
+        state, _ = ada.adaptive_solve(problem, ada.AdaptiveConfig(**SMALL))
+        assert state.partition.n_balls == 2
+        assert len(eliminated) == 2
+        for k in (1, 2):
+            assert sum(basis is state.bases[k] for basis in evaluated) == 1
+
+    def test_reuse_gives_the_solution_of_freshly_evaluated_rows(self):
+        problem = pde.benchmark("peak2d-case2")
+        cfg = ada.AdaptiveConfig(**SMALL)
+        state, _ = ada.adaptive_solve(problem, cfg)
+        fresh = lsq.gauss_newton(state.partition, state.bases, state.colloc, problem,
+                                 n_max=cfg.n_max, tol=cfg.tol)
+        assert state.report.alpha.tobytes() == fresh.alpha.tobytes()
+        assert state.report.loss == fresh.loss
+
+    def test_records_carry_conditioning_and_true_residual(self):
+        problem = pde.benchmark("nonlinear2d-case1")
+        state, trace = ada.adaptive_solve(problem, ada.AdaptiveConfig(**SMALL))
+        report = state.report
+        blocks = lsq.assemble(problem, lsq.coupled_rows(state.partition, state.bases,
+                                                        state.colloc, problem),
+                              alphas=report.alpha)
+        assert report.true_loss == float(sum(b.rhs @ b.rhs
+                                             for b in [blocks] + blocks.balls))
+        assert report.true_loss != report.loss
+        record = trace[-1]
+        assert record.true_loss == report.true_loss
+        assert record.block_ranks == report.block_ranks
+        assert sum(record.block_ranks) == report.rank
+        assert len(record.block_sigmas) == state.partition.n_subdomains
+        assert all(hi >= lo > 0 for hi, lo in record.block_sigmas)
+        assert record.alpha_norms == [float(np.linalg.norm(a)) for a in report.alphas]
 
 
 class TestRadiusHalvingOnConflict:

@@ -143,6 +143,12 @@ class TestRun:
         assert len(by_subdomain) == 2
         assert sum(by_subdomain) == pytest.approx(records[0]["loss"], rel=1e-12)
         assert manifest["trace"][0]["residual_by_subdomain"] == by_subdomain
+        # conditioning per subdomain, and the residual at the coefficients
+        for key in ("block_ranks", "block_sigmas", "alpha_norms"):
+            assert len(records[0][key]) == 2
+            assert manifest["trace"][0][key] == records[0][key]
+        assert records[0]["true_loss"] == records[0]["loss"]   # a linear problem
+        assert manifest["final_true_loss"] == manifest["final_loss"]
 
     def test_subdomains_json(self, case1_run):
         outdir, _ = case1_run

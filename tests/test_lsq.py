@@ -338,6 +338,20 @@ class TestBlockSolve:
         assert len(sol.residual_by_subdomain) == 3
         assert sum(sol.residual_by_subdomain) == pytest.approx(sol.loss, rel=1e-12)
 
+    def test_conditioning_per_block(self):
+        blocks = self.system()
+        sol = lsq.solve_min_norm(blocks)
+        assert len(sol.block_ranks) == len(sol.block_sigmas) == 3
+        assert sum(sol.block_ranks) == sol.rank
+        for ball, rank, sigmas in zip(blocks.balls, sol.block_ranks[1:],
+                                      sol.block_sigmas[1:]):
+            s = np.linalg.svd(ball.matrix, compute_uv=False)
+            kept = s[s > lsq.DEFAULT_SVD_CUTOFF * s[0]]
+            assert rank == len(kept)
+            np.testing.assert_allclose(sigmas, [kept[0], kept[-1]], rtol=1e-12)
+        assert sol.alpha_norms == [float(np.linalg.norm(a)) for a in sol.alphas]
+        assert sol.true_loss == sol.loss
+
     def test_no_ball_system_is_one_gelsd_call(self):
         region = box2()
         b = bas.generate_transferable(25, 2.0, 2, seed=5)
@@ -366,6 +380,52 @@ class TestBlockSolve:
         res = F @ sol.alpha - T
         assert sol.loss == pytest.approx(res @ res, rel=1e-12)
         assert sol.loss <= ref_loss * (1.0 + 1e-12)
+
+
+class TestSingleBallSolve:
+    """A single-ball system is solved by gelsd on the R factor of [F | T]."""
+
+    def system(self, bases=None):
+        part, default_bases, colloc = two_ball_setup(m0=10, mstar=10)
+        bases = bases or default_bases
+        problem = nonzero_nonlinear_problem()
+        rows = lsq.ball_rows(problem, part.ball(1), bases[1], bases[0],
+                             colloc.interior[1], colloc.boundary[1],
+                             colloc.interface[1])
+        rng = np.random.default_rng(7)
+        return lsq.assemble_local(problem, rows, 0.1 * rng.standard_normal(bases[0].size),
+                                  alpha_k=0.1 * rng.standard_normal(bases[1].size))
+
+    def test_full_rank_matches_gelsd(self):
+        blocks = self.system()
+        A, T = blocks.matrix, blocks.rhs
+        assert blocks.coupling is not None and blocks.balls == []
+        assert np.linalg.matrix_rank(A) == A.shape[1]
+        ref, _, _, s = np.linalg.lstsq(A, T, rcond=lsq.DEFAULT_SVD_CUTOFF)
+        sol = lsq.solve_min_norm(blocks)
+        assert np.linalg.norm(sol.alpha - ref) <= 1e-10 * np.linalg.norm(ref)
+        ref_loss = float((A @ ref - T) @ (A @ ref - T))
+        assert sol.loss == pytest.approx(ref_loss, rel=1e-12)
+        # loss and residuals come from the system's own rows, not from R
+        res = A @ sol.alpha - T
+        assert sol.loss == float(res @ res)
+        assert sol.residual_by_subdomain == [sol.loss]
+        assert sol.block_ranks == [A.shape[1]]
+        np.testing.assert_allclose(sol.block_sigmas[0], [s[0], s[-1]], rtol=1e-10)
+
+    def test_rank_deficient_keeps_rank_and_loss(self):
+        _, bases, _ = two_ball_setup(m0=10, mstar=10)
+        b = bases[1]   # every neuron twice: the block loses rank
+        bases[1] = replace(b, weights=np.vstack([b.weights, b.weights]),
+                           biases=np.concatenate([b.biases, b.biases]))
+        blocks = self.system(bases)
+        A, T = blocks.matrix, blocks.rhs
+        ref, _, rank, _ = np.linalg.lstsq(A, T, rcond=lsq.DEFAULT_SVD_CUTOFF)
+        assert rank < bases[1].size
+        ref_loss = float((A @ ref - T) @ (A @ ref - T))
+        sol = lsq.solve_min_norm(blocks)
+        assert sol.rank == rank
+        assert sol.loss <= ref_loss * (1.0 + 1e-10)
 
 
 def blocks_from(F, T):
@@ -482,6 +542,59 @@ class TestGaussNewton:
         assert report.iterations == [(0, direct.loss, None)]
         assert report.converged
         assert report.alpha.tobytes() == direct.alpha.tobytes()
+
+    def count_eliminations(self, monkeypatch):
+        calls = []
+        real = lsq._eliminate
+
+        def counted(ball):
+            calls.append(ball)
+            return real(ball)
+        monkeypatch.setattr(lsq, "_eliminate", counted)
+        return calls
+
+    def test_linear_kept_balls_are_eliminated_once(self, monkeypatch):
+        part, bases, colloc = two_ball_setup()
+        problem = manufactured_linear(bases[0], np.linspace(-1.0, 1.0, bases[0].size))
+        fresh = lsq.gauss_newton(part, bases, colloc, problem)
+        rows = lsq.coupled_rows(part, bases, colloc, problem)
+        kept = [lsq.KeptBall(r) for r in rows[1:]]
+        calls = self.count_eliminations(monkeypatch)
+        first = lsq.gauss_newton(part, bases, colloc, problem, kept=kept)
+        again = lsq.gauss_newton(part, bases, colloc, problem, kept=kept)
+        assert len(calls) == 2
+        assert all(ball.eliminated is not None for ball in kept)
+        assert first.alpha.tobytes() == fresh.alpha.tobytes()
+        assert again.alpha.tobytes() == fresh.alpha.tobytes()
+
+    def test_nonlinear_kept_balls_are_eliminated_every_step(self, monkeypatch):
+        part, bases, colloc = two_ball_setup()
+        problem = nonzero_nonlinear_problem()
+        fresh = lsq.gauss_newton(part, bases, colloc, problem, n_max=4)
+        rows = lsq.coupled_rows(part, bases, colloc, problem)
+        kept = [lsq.KeptBall(r) for r in rows[1:]]
+        calls = self.count_eliminations(monkeypatch)
+        report = lsq.gauss_newton(part, bases, colloc, problem, n_max=4, kept=kept)
+        assert len(report.iterations) > 1
+        assert len(calls) == 2 * len(report.iterations)
+        assert all(ball.eliminated is None for ball in kept)
+        assert report.alpha.tobytes() == fresh.alpha.tobytes()
+
+    def test_kept_rows_must_align_with_the_partition(self):
+        part, bases, colloc = two_ball_setup()
+        rows = lsq.coupled_rows(part, bases, colloc, zero_problem())
+        with pytest.raises(lsq.AssemblyError):
+            lsq.gauss_newton(part, bases, colloc, zero_problem(),
+                             kept=[lsq.KeptBall(rows[1])])
+
+    def test_true_loss_is_the_residual_at_the_returned_coefficients(self):
+        part, bases, colloc = two_ball_setup()
+        problem = nonzero_nonlinear_problem()
+        report = lsq.gauss_newton(part, bases, colloc, problem, n_max=3)
+        blocks = assemble(part, bases, colloc, problem, alphas=report.alpha)
+        assert report.true_loss == float(sum(b.rhs @ b.rhs
+                                             for b in [blocks] + blocks.balls))
+        assert report.true_loss != report.loss
 
     def test_constant_fixed_point_of_quadratic_problem(self):
         # -lap(1) + 1^2 = 1, so with f = g = 1 the constant basis solves it
