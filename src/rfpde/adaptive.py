@@ -6,10 +6,11 @@ threshold: places a ball at the collocation point with the largest absolute
 residual, reclassifies collocation points, picks an integer frequency
 multiplier for the new ball's basis by trying 1..L on a local problem with
 the subdomain-0 trace frozen, and re-solves the coupled system. Existing
-balls keep their bases and collocation; only coefficients change. So a
-ball's rows are those of its winning scale candidate, kept for every later
-coupled solve, which evaluates only subdomain 0's rows again (reclassification
-changes them); for a linear problem each ball's elimination is kept as well.
+balls keep their bases and collocation; only coefficients change. So the
+scale search returns the new ball complete, as an ``lsq.KeptBall`` of the
+winning candidate's rows (for a linear problem, with its block's elimination),
+and every later coupled solve takes the ball from it unchanged; only
+subdomain 0's rows are evaluated again (reclassification changes them).
 """
 
 from __future__ import annotations
@@ -130,10 +131,10 @@ class RefinementRecord:
     err_l2: Optional[float] = None
     scale_losses: Optional[list] = None
     seconds: Optional[float] = None
-    # per subdomain of the coupled re-solve: the squared residual of its rows,
-    # its block's rank and [largest, smallest] retained singular value, and
-    # the norm of its coefficients
-    residual_by_subdomain: Optional[list] = None
+    # per subdomain of the coupled re-solve: the squared residual of its rows
+    # of each row kind, its block's rank and [largest, smallest] retained
+    # singular value, and the norm of its coefficients
+    residuals: Optional[list] = None
     block_ranks: Optional[list] = None
     block_sigmas: Optional[list] = None
     alpha_norms: Optional[list] = None
@@ -157,7 +158,7 @@ class ScaleSearchResult:
     scale: int
     basis: basis_mod.BasisSet
     losses: list
-    rows: lsq.SubdomainRows            # the winning candidate's
+    ball: lsq.KeptBall                 # the winning candidate's
 
 
 def mean_residual(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
@@ -178,29 +179,28 @@ def locate_peak(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
     return points[int(np.argmax(np.abs(res)))].copy()
 
 
-def scale_search(problem: SemilinearProblem, partition: geo.PartitionState,
-                 basis0: basis_mod.BasisSet, alpha0: np.ndarray,
-                 ball: geo.BallSubdomain, colloc: geo.CollocationSets,
-                 m_star: int, seed: int, scale_max: int = 10,
-                 gamma: float = 2.0, n_max: int = 50,
-                 tol: float = 1e-5) -> ScaleSearchResult:
+def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
+                 alpha0: np.ndarray, ball: geo.BallSubdomain,
+                 colloc: geo.CollocationSets,
+                 config: AdaptiveConfig) -> ScaleSearchResult:
     """Pick the integer frequency multiplier for a new ball's basis.
 
-    One neuron draw (substream = ball index) is rescaled for every candidate
-    s = 1..scale_max; each candidate solves the local problem with the
-    subdomain-0 expansion frozen at ``alpha0``, and the smallest squared
-    residual wins (ties to the smaller s). The winner's rows are returned
-    with it.
+    One draw of ``config.m_star`` neurons (substream = ball index) is
+    rescaled for every candidate s = 1..``config.scale_max``; each candidate
+    solves the local problem with the subdomain-0 expansion frozen at
+    ``alpha0``, and the smallest squared residual wins (ties to the smaller
+    s). The winner is returned as the finished ``lsq.KeptBall``.
     """
     k = ball.index
-    raw = basis_mod.generate_transferable(m_star, gamma, partition.dim, seed, stream=k)
+    raw = basis_mod.generate_transferable(config.m_star, config.gamma, problem.dim,
+                                          config.seed, stream=k)
     interior = colloc.interior[k]
     boundary = colloc.boundary[k]
     interface = colloc.interface[k]
 
     losses = []
     best = None
-    for s in range(1, scale_max + 1):
+    for s in range(1, config.scale_max + 1):
         candidate = basis_mod.rescale(raw, ball.center, s)
         try:
             rows = lsq.ball_rows(problem, ball, candidate, basis0, interior,
@@ -210,14 +210,15 @@ def scale_search(problem: SemilinearProblem, partition: geo.PartitionState,
                 return lsq.assemble_local(problem, rows, alpha0, alpha_k=alpha_k)
 
             report = lsq.gauss_newton_core(assembler, problem.is_linear,
-                                           n_max=n_max, tol=tol)
+                                           config.n_max, config.tol)
         except (lsq.NonConvergenceError, lsq.AssemblyError) as exc:
             raise ScaleSearchError(f"scale candidate s={s} failed: {exc}", scale=s) \
                 from exc
         losses.append(report.loss)
         if best is None or report.loss < best[2]:
             best = (s, candidate, report.loss, rows)
-    return ScaleSearchResult(scale=best[0], basis=best[1], losses=losses, rows=best[3])
+    return ScaleSearchResult(scale=best[0], basis=best[1], losses=losses,
+                             ball=lsq.keep_ball(problem, best[3]))
 
 
 def _base_basis(problem: SemilinearProblem, config: AdaptiveConfig) -> basis_mod.BasisSet:
@@ -260,8 +261,8 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
     bases = [_base_basis(problem, cfg)]
     kept: list[lsq.KeptBall] = []
 
-    report = lsq.gauss_newton(partition, bases, colloc, problem,
-                              n_max=cfg.n_max, tol=cfg.tol, kept=kept)
+    report = lsq.gauss_newton(partition, problem, bases[0], colloc.interior[0],
+                              colloc.boundary[0], kept, cfg.n_max, cfg.tol)
     state = SolveState(partition, list(bases), colloc, report)
     trace: list[RefinementRecord] = []
 
@@ -288,15 +289,13 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
         colloc = geo.reclassify_collocation(colloc, partition,
                                             interior_resolution=cfg.ball_resolution,
                                             interface_count=cfg.interface_count)
-        search = scale_search(problem, partition, bases[0], report.alphas[0],
-                              partition.ball(k), colloc, cfg.m_star, cfg.seed,
-                              scale_max=cfg.scale_max, gamma=cfg.gamma,
-                              n_max=cfg.n_max, tol=cfg.tol)
+        search = scale_search(problem, bases[0], report.alphas[0], partition.ball(k),
+                              colloc, cfg)
         bases.append(search.basis)
-        kept.append(lsq.KeptBall(search.rows))
+        kept.append(search.ball)
 
-        report = lsq.gauss_newton(partition, bases, colloc, problem,
-                                  n_max=cfg.n_max, tol=cfg.tol, kept=kept)
+        report = lsq.gauss_newton(partition, problem, bases[0], colloc.interior[0],
+                                  colloc.boundary[0], kept, cfg.n_max, cfg.tol)
         state = SolveState(partition, list(bases), colloc, report)
 
         new_gate = mean_residual(problem, bases[0], report.alphas[0],
@@ -308,7 +307,7 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
             loss=report.loss, true_loss=report.true_loss,
             err_l2=None if diagnostic is None else float(diagnostic(state)),
             scale_losses=[float(v) for v in search.losses],
-            seconds=seconds, residual_by_subdomain=report.residual_by_subdomain,
+            seconds=seconds, residuals=report.residuals,
             block_ranks=report.block_ranks, block_sigmas=report.block_sigmas,
             alpha_norms=report.alpha_norms))
         gate = new_gate

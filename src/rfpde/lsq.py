@@ -17,14 +17,15 @@ largest; projects the ball's coupling and right-hand side onto the orthogonal
 complement of the retained U; solves the stacked projected subdomain-0
 problem with gelsd at the same relative cutoff; and back-substitutes each
 ball's coefficients (Bjorck, Numerical Methods for Least Squares Problems,
-1996, section 6.3). A system without balls is one gelsd call. A single-ball
-system (one with ``coupling`` and no ``balls``, as every scale candidate's)
-is first reduced to the triangular factor R of [F | T], and gelsd runs on
-R's first n columns with its last column as the right-hand side: the same
-least-squares problem, with F's singular values, on n + 1 rows. A 2D ball
-block has about 1.58 rows per column, just under the 1.6 at which gelsd
-takes a QR first by itself (R-bidiagonalization: T. F. Chan, ACM TOMS 8(1),
-1982). When a ball block is rank-deficient (at K=1 on peak2d-case1 the
+1996, section 6.3). A system without balls is one gelsd call. The gelsd
+call chooses its path by the shape of its m x n matrix F: when n < m <
+int(1.6 n), below gelsd's own threshold for taking a QR first (MNTHR =
+int(1.6 min(m, n)); R-bidiagonalization: T. F. Chan, ACM TOMS 8(1), 1982),
+the system is first reduced to the triangular factor R of [F | T], and gelsd
+runs on R's first n columns with its last column as the right-hand side: the
+same least-squares problem, with F's singular values, on n + 1 rows. A 2D
+scale candidate's block (1584 x 1001) takes that path, a 3D one (4744 x 1001)
+does not. When a ball block is rank-deficient (at K=1 on peak2d-case1 the
 ball's block has rank 610 of 1001 columns, the coupled system 811 of 1202),
 the result is a least-squares solution but not the minimum-norm one that
 gelsd on the whole zero-padded matrix would give: each ball's coefficients
@@ -42,18 +43,20 @@ need.
 Rows are built in one place, ``_row_groups``, one subdomain at a time in one
 order: interior rows, boundary rows, then a ball's interface value and
 normal-derivative rows. The bases are evaluated at the collocation points
-once per solve (``coupled_rows``, ``ball_rows``), into the rows of the
-operator's linear part; a Gauss-Newton step only re-linearizes them
-(``assemble``, ``assemble_local``), and a linear problem's block is that
-array itself. ``assemble_local``, the single-ball problem of the scale
-search, builds the same block as the ball's block of ``assemble``; its solve
-leaves the subdomain-0 trace, frozen, in the right-hand side. A ball keeps
-its basis and its collocation points once placed, so its rows are evaluated
-once, by the scale search, and every later coupled solve takes them from a
-``KeptBall``; only subdomain 0's rows are evaluated again. For a linear
-problem the ball's block at zero coefficients depends on those rows alone, so
-its elimination is made by the first coupled solve that includes the ball and
-kept for every later one.
+into the rows of the operator's linear part (``ball_rows``; subdomain 0's in
+``coupled_rows``); a Gauss-Newton step only re-linearizes them (``assemble``,
+``assemble_local``), and a linear problem's block is that array itself.
+``assemble_local``, the single-ball problem of the scale search, builds the
+same block as the ball's block of ``assemble``; its solve leaves the
+subdomain-0 trace, frozen, in the right-hand side.
+
+A ball keeps its basis and its collocation points once placed, so it is made
+once, by the scale search, and never changed: ``keep_ball`` turns the winning
+candidate's rows into a ``KeptBall``, which for a linear problem also holds
+the elimination of its block at zero coefficients (that block depends on the
+rows alone). Every coupled solve, ``gauss_newton``, evaluates subdomain 0's
+rows and takes each ball's rows, and a linear problem's elimination, from its
+``KeptBall``.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .basis import BasisSet
-from .geometry import BallSubdomain, CollocationSets, PartitionState, outward_normals
+from .geometry import BallSubdomain, PartitionState, outward_normals
 from .pde import SemilinearProblem
 
 ROW_INTERIOR = 0
@@ -98,10 +101,10 @@ class SystemBlocks:
     single-ball system of that ball. A ball's block also holds ``coupling``,
     its interface rows (its last ``len(coupling)`` rows) on subdomain 0's
     columns; a solve uses it only in a coupled system. ``col_slices`` places
-    each subdomain's coefficients in the stacked vector. A ball's block may
-    carry ``eliminated``, its elimination made before the solve (a linear
-    problem's, kept from an earlier coupled solve); the solve eliminates
-    every other ball.
+    each subdomain's coefficients in the stacked vector. A ball's block
+    carries ``eliminated`` when its elimination was made before the system was
+    assembled (a linear problem's, kept with the ball since its scale
+    search); the solve eliminates every other ball.
     """
 
     matrix: np.ndarray                 # (rows, cols of the first subdomain)
@@ -129,9 +132,10 @@ class SolveReport:
     # |F x - T|^2 at the solution x of the last solved system: for Gauss-Newton
     # the last step's linearized model residual, not the residual at ``alpha``
     loss: float
-    rank: int
-    residual_by_kind: dict
-    residual_by_subdomain: list        # loss of each block's rows, as ``alphas``
+    # per block, as ``alphas``: {row kind name: squared residual of the
+    # block's rows of that kind}, for the kinds the block has; the entries
+    # add up to ``loss``
+    residuals: list
     # per block, as ``alphas``: the rank and [largest, smallest] retained
     # singular value of its factorization (subdomain 0's of a coupled system:
     # of its projected problem)
@@ -142,6 +146,11 @@ class SolveReport:
     true_loss: float
     iterations: list = field(default_factory=list)  # (n, loss, re_mse)
     converged: bool = True
+
+    @property
+    def rank(self) -> int:
+        """Effective rank of the whole system: the sum over the blocks."""
+        return sum(self.block_ranks)
 
     @property
     def alpha_norms(self) -> list[float]:
@@ -206,37 +215,6 @@ def _subdomain_rows(problem: SemilinearProblem, basis: BasisSet,
         trace=trace)
 
 
-def coupled_rows(partition: PartitionState, bases: Sequence[BasisSet],
-                 colloc: CollocationSets, problem: SemilinearProblem,
-                 balls: Optional[Sequence[SubdomainRows]] = None
-                 ) -> list[SubdomainRows]:
-    """The rows of every subdomain of the coupled problem, subdomain 0 first.
-
-    ``balls``, when given, are the balls' rows as evaluated before (by
-    ``ball_rows``, on the same bases and points); only subdomain 0's rows are
-    evaluated then.
-    """
-    n_sub = partition.n_subdomains
-    if len(bases) != n_sub or colloc.n_subdomains != n_sub:
-        raise AssemblyError("bases/collocation do not align with the partition")
-    for k in range(n_sub):
-        if len(colloc.interior[k]) == 0:
-            raise AssemblyError(f"empty interior collocation set for subdomain {k}")
-        if k >= 1 and len(colloc.interface[k]) == 0:
-            raise AssemblyError(f"empty interface collocation set for ball {k}")
-    if sum(len(b) for b in colloc.boundary) == 0:
-        raise AssemblyError("no boundary collocation points at all")
-    if balls is not None and len(balls) != n_sub - 1:
-        raise AssemblyError("ball rows do not align with the partition")
-    rows = [_subdomain_rows(problem, bases[0], colloc.interior[0], colloc.boundary[0])]
-    if balls is None:
-        balls = [_subdomain_rows(problem, bases[k], colloc.interior[k],
-                                 colloc.boundary[k], partition.ball(k),
-                                 colloc.interface[k], bases[0])
-                 for k in range(1, n_sub)]
-    return rows + list(balls)
-
-
 def ball_rows(problem: SemilinearProblem, ball: BallSubdomain, basis_k: BasisSet,
               basis_0: BasisSet, interior: np.ndarray, boundary: np.ndarray,
               interface: np.ndarray) -> SubdomainRows:
@@ -247,6 +225,19 @@ def ball_rows(problem: SemilinearProblem, ball: BallSubdomain, basis_k: BasisSet
         raise AssemblyError(f"empty interface collocation set for ball {ball.index}")
     return _subdomain_rows(problem, basis_k, interior, boundary, ball, interface,
                            basis_0)
+
+
+def coupled_rows(problem: SemilinearProblem, basis_0: BasisSet,
+                 interior: np.ndarray, boundary: np.ndarray,
+                 balls: Sequence[SubdomainRows]) -> list[SubdomainRows]:
+    """The rows of every subdomain of the coupled problem: subdomain 0's,
+    evaluated at its ``interior`` and ``boundary`` points, then the balls'
+    (of ``ball_rows``, on the same basis of subdomain 0)."""
+    if len(interior) == 0:
+        raise AssemblyError("empty interior collocation set for subdomain 0")
+    if len(boundary) + sum(len(rows.data) for rows in balls) == 0:
+        raise AssemblyError("no boundary collocation points at all")
+    return [_subdomain_rows(problem, basis_0, interior, boundary)] + list(balls)
 
 
 def _block(problem: SemilinearProblem, rows: SubdomainRows,
@@ -358,11 +349,10 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
     back-substituted; singular values below DEFAULT_SVD_CUTOFF times the
     largest of their block (of the projected problem for subdomain 0) are
     discarded. Without balls this is gelsd on ``matrix``, the minimum-norm
-    solution; a single-ball system is solved by gelsd on the R factor of
-    [matrix | rhs] instead. The report carries the effective rank (the sum
-    over the blocks), each block's rank and retained singular-value range,
-    and the squared residual per row kind and per block, all computed on the
-    system's own rows.
+    solution. A gelsd problem with n < m < int(1.6 n) is reduced to the R
+    factor of [F | T] first. The report carries each block's rank, retained
+    singular-value range and squared residual per row kind, all computed on
+    the system's own rows.
     """
     all_blocks = [blocks] + blocks.balls
     if any(b.matrix.size == 0 for b in all_blocks):
@@ -377,7 +367,8 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
     if eliminated:
         F0 = np.concatenate([F0] + [e.coupling for e in eliminated])
         T0 = np.concatenate([T0] + [e.rhs for e in eliminated])
-    elif blocks.coupling is not None:
+    m, n = F0.shape
+    if n < m < int(1.6 * n):       # gelsd takes a QR first from int(1.6 n) rows on
         R = np.linalg.qr(np.column_stack([F0, T0]), mode="r")
         F0, T0 = R[:, :-1], R[:, -1]
     alpha_0, _, rank, s0 = np.linalg.lstsq(F0, T0, rcond=DEFAULT_SVD_CUTOFF)
@@ -388,20 +379,20 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
         res = ball.matrix @ x - ball.rhs
         res[len(res) - len(ball.coupling):] += ball.coupling @ alpha_0
         residuals.append(res)
-    by_kind = {}
-    for kind, name in enumerate(ROW_KIND_NAMES):
-        parts = [res[b.row_kind == kind] for b, res in zip(all_blocks, residuals)]
-        if any(len(p) for p in parts):
-            by_kind[name] = float(sum(np.sum(p ** 2) for p in parts))
-    by_subdomain = [float(res @ res) for res in residuals]
-    loss = float(sum(by_subdomain))
-    block_ranks = [int(rank)] + [len(e.s) for e in eliminated]
+    loss = float(sum(res @ res for res in residuals))
     return SolveReport(alpha=alpha, alphas=blocks.split(alpha), loss=loss,
-                       rank=sum(block_ranks), residual_by_kind=by_kind,
-                       residual_by_subdomain=by_subdomain, block_ranks=block_ranks,
+                       residuals=[_residuals_by_kind(b.row_kind, res)
+                                  for b, res in zip(all_blocks, residuals)],
+                       block_ranks=[int(rank)] + [len(e.s) for e in eliminated],
                        block_sigmas=[_sigma_range(s0[:rank])]
                        + [_sigma_range(e.s) for e in eliminated],
                        true_loss=loss)
+
+
+def _residuals_by_kind(row_kind: np.ndarray, res: np.ndarray) -> dict:
+    """{row kind name: sum of ``res``^2 over its rows}, for the kinds present."""
+    parts = ((name, res[row_kind == kind]) for kind, name in enumerate(ROW_KIND_NAMES))
+    return {name: float(part @ part) for name, part in parts if len(part)}
 
 
 def _sigma_range(s: np.ndarray) -> list[float]:
@@ -414,8 +405,7 @@ DIVERGENCE_FACTOR = 1e6
 
 
 def gauss_newton_core(assembler: Callable[[Optional[np.ndarray]], SystemBlocks],
-                      is_linear: bool, n_max: int = 50,
-                      tol: float = 1e-5) -> SolveReport:
+                      is_linear: bool, n_max: int, tol: float) -> SolveReport:
     """Gauss-Newton driver over an assembler callback.
 
     ``assembler(alphas)`` must return the system linearized at ``alphas``
@@ -468,36 +458,44 @@ def gauss_newton_core(assembler: Callable[[Optional[np.ndarray]], SystemBlocks],
                    iterations=trace, converged=converged)
 
 
-@dataclass(eq=False)
-class KeptBall:
-    """What later coupled solves reuse of a ball: its rows, from the scale
-    search, and for a linear problem the elimination of its block at zero
-    coefficients, which depends on those rows alone; the first coupled solve
-    that includes the ball makes it."""
+class KeptBall(NamedTuple):
+    """A ball as its scale search made it, complete and never changed: the
+    winning candidate's rows and, for a linear problem, the elimination of
+    its block at zero coefficients, which every coupled solve takes instead of
+    factoring the block again (None for a nonlinear problem, whose block
+    changes with every Gauss-Newton step)."""
 
     rows: SubdomainRows
-    eliminated: Optional[_Eliminated] = None
+    eliminated: Optional[_Eliminated]
 
 
-def gauss_newton(partition: PartitionState, bases: Sequence[BasisSet],
-                 colloc: CollocationSets, problem: SemilinearProblem,
-                 n_max: int = 50, tol: float = 1e-5,
-                 kept: Optional[Sequence[KeptBall]] = None) -> SolveReport:
+def keep_ball(problem: SemilinearProblem, rows: SubdomainRows) -> KeptBall:
+    """The ``KeptBall`` of a ball's rows (of ``ball_rows``)."""
+    if not problem.is_linear:
+        return KeptBall(rows, None)
+    zeros_0 = np.zeros(rows.trace[0].shape[1])
+    return KeptBall(rows, _eliminate(_block(problem, rows, np.zeros(rows.size), zeros_0)))
+
+
+def gauss_newton(partition: PartitionState, problem: SemilinearProblem,
+                 basis_0: BasisSet, interior: np.ndarray, boundary: np.ndarray,
+                 kept: Sequence[KeptBall], n_max: int, tol: float) -> SolveReport:
     """Solve the coupled problem over all subdomains (direct when linear).
 
-    ``kept``, when given, holds every ball's rows; a linear problem also
-    takes each ball's elimination from it, or makes it there.
+    Subdomain 0's rows are evaluated with ``basis_0`` at its ``interior`` and
+    ``boundary`` points; ``kept`` holds every ball of ``partition``, in order.
     """
-    rows = coupled_rows(partition, bases, colloc, problem,
-                        None if kept is None else [ball.rows for ball in kept])
+    if len(kept) != partition.n_balls:
+        raise AssemblyError("kept balls do not align with the partition")
+    rows = coupled_rows(problem, basis_0, interior, boundary,
+                        [ball.rows for ball in kept])
 
     def assembler(alphas):
+        # a linear problem is assembled once, at zero coefficients, where its
+        # kept eliminations hold
         blocks = assemble(problem, rows, alphas=alphas)
-        if problem.is_linear and alphas is None and kept is not None:
-            for ball, block in zip(kept, blocks.balls):
-                if ball.eliminated is None:
-                    ball.eliminated = _eliminate(block)
-                block.eliminated = ball.eliminated
+        for ball, block in zip(kept, blocks.balls):
+            block.eliminated = ball.eliminated
         return blocks
 
-    return gauss_newton_core(assembler, problem.is_linear, n_max=n_max, tol=tol)
+    return gauss_newton_core(assembler, problem.is_linear, n_max, tol)

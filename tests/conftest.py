@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from rfpde import AdaptiveConfig, bench
+from rfpde import AdaptiveConfig, bench, lsq
 
 #: One line per acceptance criterion, echoed after the run regardless of
 #: output capture.
@@ -92,6 +92,30 @@ def run_from_manifest(manifest_path, outdir) -> dict:
         manifest = json.load(fh)
     return bench.run(manifest["benchmark"],
                      AdaptiveConfig.from_dict(manifest["config"]), outdir)
+
+
+def fresh_ball_rows(partition, bases, colloc, problem):
+    """Every ball's rows, evaluated afresh by ``lsq.ball_rows``."""
+    return [lsq.ball_rows(problem, partition.ball(k), bases[k], bases[0],
+                          colloc.interior[k], colloc.boundary[k], colloc.interface[k])
+            for k in range(1, partition.n_subdomains)]
+
+
+def fresh_rows(partition, bases, colloc, problem):
+    """The rows of the coupled problem, every subdomain's evaluated afresh."""
+    return lsq.coupled_rows(problem, bases[0], colloc.interior[0], colloc.boundary[0],
+                            fresh_ball_rows(partition, bases, colloc, problem))
+
+
+def fresh_solve(partition, bases, colloc, problem, n_max=None, tol=None):
+    """``lsq.gauss_newton`` with every ball kept afresh from its rows; n_max
+    and tol default to ``AdaptiveConfig``'s."""
+    defaults = AdaptiveConfig()
+    kept = [lsq.keep_ball(problem, rows)
+            for rows in fresh_ball_rows(partition, bases, colloc, problem)]
+    return lsq.gauss_newton(partition, problem, bases[0], colloc.interior[0],
+                            colloc.boundary[0], kept, n_max or defaults.n_max,
+                            tol or defaults.tol)
 
 
 def rel_err(approx, exact, floor=1.0):

@@ -9,7 +9,7 @@ progress; unit-only runs can skip it with `-m "not acceptance"`.
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES, run_from_manifest
+from conftest import ACCEPTANCE_LINES, fresh_rows, run_from_manifest
 
 from rfpde import adaptive as ada
 from rfpde import basis as bas
@@ -159,7 +159,7 @@ def test_criterion_3_in_span_recovery(rng):
         geo.generate_interior_grid(region, resolution=50),
         geo.generate_boundary_points(region, 400))
     sol = lsq.solve_min_norm(
-        lsq.assemble(problem, lsq.coupled_rows(part, [b], colloc, problem)))
+        lsq.assemble(problem, fresh_rows(part, [b], colloc, problem)))
     rel = float(np.linalg.norm(sol.alpha - coeffs) / np.linalg.norm(coeffs))
     state = ada.SolveState(part, [b], colloc, sol)
     err = bench.evaluate_on_grid(state, problem, 64).err_l2()

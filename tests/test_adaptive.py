@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import pointwise_operator
+from conftest import fresh_rows, fresh_solve, pointwise_operator
 
 from rfpde import adaptive as ada
 from rfpde import basis as bas
@@ -105,9 +105,8 @@ class TestScaleSearch:
             forcing=lambda p: np.zeros(len(np.atleast_2d(p))),
             boundary=lambda p: np.zeros(len(np.atleast_2d(p))))
         basis0 = constant_basis()
-        result = ada.scale_search(problem, part, basis0, np.zeros(1),
-                                  part.ball(1), colloc, m_star=20, seed=5,
-                                  scale_max=4)
+        result = ada.scale_search(problem, basis0, np.zeros(1), part.ball(1), colloc,
+                                  ada.AdaptiveConfig(m_star=20, seed=5, scale_max=4))
         # zero data: every candidate fits exactly, ties resolve to s = 1
         assert result.scale == 1
         assert len(result.losses) == 4
@@ -150,8 +149,8 @@ class TestScaleSearch:
             region=box2(), forcing=bad_forcing,
             boundary=lambda p: np.zeros(len(np.atleast_2d(p))))
         with pytest.raises(ada.ScaleSearchError) as err:
-            ada.scale_search(problem, part, constant_basis(), np.zeros(1),
-                             part.ball(1), colloc, m_star=10, seed=5, scale_max=3)
+            ada.scale_search(problem, constant_basis(), np.zeros(1), part.ball(1),
+                             colloc, ada.AdaptiveConfig(m_star=10, seed=5, scale_max=3))
         assert err.value.scale == 1
 
 
@@ -336,7 +335,7 @@ class TestAdaptiveSolve:
 
 class TestWorkDoneOncePerBall:
     """A ball's rows come from its scale search, and a linear problem
-    eliminates each ball once, in the first coupled solve that includes it."""
+    eliminates each ball once, in its scale search."""
 
     def test_linear_problem_does_each_balls_work_once(self, monkeypatch):
         eliminated, evaluated = [], []
@@ -363,8 +362,8 @@ class TestWorkDoneOncePerBall:
         problem = pde.benchmark("peak2d-case2")
         cfg = ada.AdaptiveConfig(**SMALL)
         state, _ = ada.adaptive_solve(problem, cfg)
-        fresh = lsq.gauss_newton(state.partition, state.bases, state.colloc, problem,
-                                 n_max=cfg.n_max, tol=cfg.tol)
+        fresh = fresh_solve(state.partition, state.bases, state.colloc, problem,
+                            n_max=cfg.n_max, tol=cfg.tol)
         assert state.report.alpha.tobytes() == fresh.alpha.tobytes()
         assert state.report.loss == fresh.loss
 
@@ -372,8 +371,8 @@ class TestWorkDoneOncePerBall:
         problem = pde.benchmark("nonlinear2d-case1")
         state, trace = ada.adaptive_solve(problem, ada.AdaptiveConfig(**SMALL))
         report = state.report
-        blocks = lsq.assemble(problem, lsq.coupled_rows(state.partition, state.bases,
-                                                        state.colloc, problem),
+        blocks = lsq.assemble(problem, fresh_rows(state.partition, state.bases,
+                                                  state.colloc, problem),
                               alphas=report.alpha)
         assert report.true_loss == float(sum(b.rhs @ b.rhs
                                              for b in [blocks] + blocks.balls))
@@ -385,6 +384,39 @@ class TestWorkDoneOncePerBall:
         assert len(record.block_sigmas) == state.partition.n_subdomains
         assert all(hi >= lo > 0 for hi, lo in record.block_sigmas)
         assert record.alpha_norms == [float(np.linalg.norm(a)) for a in report.alphas]
+        assert record.residuals == report.residuals
+        assert len(record.residuals) == state.partition.n_subdomains
+
+    def search(self, problem):
+        """The scale search of ball 1 on ``TestScaleSearch``'s partition, and
+        the coupled problem's rows evaluated afresh with the winning basis."""
+        part, colloc = TestScaleSearch().make_ball_setup()
+        basis0 = bas.generate_transferable(20, 2.0, 2, seed=7, stream=0)
+        alpha0 = 0.1 * np.random.default_rng(5).standard_normal(basis0.size)
+        config = ada.AdaptiveConfig(m_star=40, seed=5, scale_max=3)
+        result = ada.scale_search(problem, basis0, alpha0, part.ball(1), colloc, config)
+        return result, fresh_rows(part, [basis0, result.basis], colloc, problem)
+
+    def test_linear_kept_ball_holds_the_elimination_of_its_coupled_block(self):
+        problem = pde.benchmark("peak2d-case1")
+        result, rows = self.search(problem)
+        ball = result.ball
+        for name in ("matrix", "row_kind", "forcing", "data"):
+            assert getattr(ball.rows, name).tobytes() == getattr(rows[1], name).tobytes()
+        # the coupled system at zero coefficients, its ball eliminated afresh
+        block = lsq.assemble(problem, rows).balls[0]
+        assert block.eliminated is None
+        expected = lsq._eliminate(block)
+        for name in expected._fields:
+            assert getattr(ball.eliminated, name).tobytes() == \
+                getattr(expected, name).tobytes(), name
+
+    def test_nonlinear_kept_ball_holds_no_elimination(self):
+        problem = pde.benchmark("nonlinear2d-case1")
+        result, rows = self.search(problem)
+        assert result.ball.eliminated is None
+        assert result.ball.rows.matrix.tobytes() == rows[1].matrix.tobytes()
+        assert result.ball.rows.values.tobytes() == rows[1].values.tobytes()
 
 
 class TestRadiusHalvingOnConflict:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import run_from_manifest
+from conftest import fresh_solve, run_from_manifest
 
 from rfpde import adaptive as ada
 from rfpde import basis as bas
@@ -57,7 +57,7 @@ def in_span_state(m=40, seed=11):
     colloc = geo.CollocationSets.initial(
         geo.generate_interior_grid(region, resolution=25),
         geo.generate_boundary_points(region, 80))
-    report = lsq.gauss_newton(part, [b], colloc, problem)
+    report = fresh_solve(part, [b], colloc, problem)
     state = ada.SolveState(part, [b], colloc, report)
     return state, problem
 
@@ -76,7 +76,7 @@ class TestEvaluateOnGrid:
         colloc = geo.CollocationSets.initial(
             geo.generate_interior_grid(problem.region, resolution=20),
             geo.generate_boundary_points(problem.region, 80))
-        report = lsq.gauss_newton(part, [b], colloc, problem)
+        report = fresh_solve(part, [b], colloc, problem)
         state = ada.SolveState(part, [b], colloc, report)
         grid = bench.evaluate_on_grid(state, problem, 256)
         assert grid.n_points < 256 * 256
@@ -95,7 +95,7 @@ class TestEvaluateOnGrid:
                 geo.generate_interior_grid(problem.region, resolution=20),
                 geo.generate_boundary_points(problem.region, 80)),
             part, interior_resolution=12, interface_count=40)
-        report = lsq.gauss_newton(part, [b0, b1], colloc, problem)
+        report = fresh_solve(part, [b0, b1], colloc, problem)
         state = ada.SolveState(part, [b0, b1], colloc, report)
         grid = bench.evaluate_on_grid(state, problem, 64)
         counts = np.bincount(grid.subdomain, minlength=2)
@@ -138,11 +138,15 @@ class TestRun:
         assert len(records) == manifest["n_balls"]
         assert records[0]["index"] == 1
         assert records[0]["err_l2"] is not None
-        # one squared residual per subdomain, summing to the coupled loss
-        by_subdomain = records[0]["residual_by_subdomain"]
-        assert len(by_subdomain) == 2
-        assert sum(by_subdomain) == pytest.approx(records[0]["loss"], rel=1e-12)
-        assert manifest["trace"][0]["residual_by_subdomain"] == by_subdomain
+        # per subdomain, one squared residual per row kind, summing to the
+        # coupled loss
+        residuals = records[0]["residuals"]
+        assert [sorted(r) for r in residuals] == [
+            ["boundary", "interior"],
+            ["interface-normal", "interface-value", "interior"]]
+        assert sum(v for r in residuals for v in r.values()) == \
+            pytest.approx(records[0]["loss"], rel=1e-12)
+        assert manifest["trace"][0]["residuals"] == residuals
         # conditioning per subdomain, and the residual at the coefficients
         for key in ("block_ranks", "block_sigmas", "alpha_norms"):
             assert len(records[0][key]) == 2

@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import fresh_ball_rows, fresh_rows, fresh_solve
+
 from rfpde import basis as bas
 from rfpde import geometry as geo
 from rfpde import lsq, pde
@@ -45,7 +47,7 @@ def standard_colloc(region, resolution=20, boundary=80):
 
 def assemble(partition, bases, colloc, problem, alphas=None):
     """The coupled system, its bases evaluated at the collocation points."""
-    return lsq.assemble(problem, lsq.coupled_rows(partition, bases, colloc, problem),
+    return lsq.assemble(problem, fresh_rows(partition, bases, colloc, problem),
                         alphas=alphas)
 
 
@@ -139,7 +141,7 @@ class TestAssemble:
         broken = geo.CollocationSets((empty, colloc.interior[1]),
                                      colloc.boundary, colloc.interface)
         with pytest.raises(lsq.AssemblyError):
-            lsq.coupled_rows(part, bases, broken, zero_problem())
+            fresh_rows(part, bases, broken, zero_problem())
 
     def test_block_locality(self):
         # subdomain 0's block is the system without the ball, and the ball's
@@ -286,10 +288,10 @@ class TestOneAssemblyPath:
     def test_blocks_share_or_leave_the_evaluated_rows(self):
         # a linear problem's blocks are the evaluated rows themselves; a
         # nonlinear re-linearization copies them and leaves them unchanged
-        rows = lsq.coupled_rows(self.part, self.bases, self.colloc, zero_problem())
+        rows = fresh_rows(self.part, self.bases, self.colloc, zero_problem())
         linear = lsq.assemble(zero_problem(), rows, alphas=self.alphas)
         assert all(b.matrix is r.matrix for b, r in zip([linear] + linear.balls, rows))
-        rows = lsq.coupled_rows(self.part, self.bases, self.colloc, self.problem)
+        rows = fresh_rows(self.part, self.bases, self.colloc, self.problem)
         before = [r.matrix.tobytes() for r in rows]
         full = lsq.assemble(self.problem, rows, alphas=self.alphas)
         assert not any(b.matrix is r.matrix for b, r in zip([full] + full.balls, rows))
@@ -301,17 +303,26 @@ class TestOneAssemblyPath:
             real = getattr(bas.BasisSet, name)
 
             def counted(self, *args, real=real, name=name):
-                calls.append(name)
+                calls.append((name, self))
                 return real(self, *args)
             monkeypatch.setattr(bas.BasisSet, name, counted)
-        report = lsq.gauss_newton(self.part, self.bases, self.colloc, self.problem,
-                                  n_max=4)
+        kept = [lsq.keep_ball(self.problem, rows) for rows in
+                fresh_ball_rows(self.part, self.bases, self.colloc, self.problem)]
+        made = len(calls)
+        report = lsq.gauss_newton(self.part, self.problem, self.bases[0],
+                                  self.colloc.interior[0], self.colloc.boundary[0],
+                                  kept, 4, 1e-5)
         assert len(report.iterations) > 1
+        names = [name for name, _ in calls]
         # per subdomain: interior values and Laplacians, boundary values; per
         # ball: values and normal derivatives of both bases on the interface
-        assert calls.count("laplacians") == 3
-        assert calls.count("values") == 3 * 2 + 2 * 2
-        assert calls.count("normal_derivatives") == 2 * 2
+        assert names.count("laplacians") == 3
+        assert names.count("values") == 3 * 2 + 2 * 2
+        assert names.count("normal_derivatives") == 2 * 2
+        # the coupled solve evaluates subdomain 0's basis alone
+        assert sorted(name for name, _ in calls[made:]) == \
+            ["laplacians", "values", "values"]
+        assert all(basis is self.bases[0] for _, basis in calls[made:])
 
 
 class TestBlockSolve:
@@ -335,8 +346,9 @@ class TestBlockSolve:
         assert sol.rank == F.shape[1]
         res = F @ sol.alpha - T
         assert sol.loss == pytest.approx(res @ res, rel=1e-12)
-        assert len(sol.residual_by_subdomain) == 3
-        assert sum(sol.residual_by_subdomain) == pytest.approx(sol.loss, rel=1e-12)
+        assert len(sol.residuals) == 3
+        assert sum(v for r in sol.residuals for v in r.values()) == \
+            pytest.approx(sol.loss, rel=1e-12)
 
     def test_conditioning_per_block(self):
         blocks = self.system()
@@ -364,7 +376,8 @@ class TestBlockSolve:
         sol = lsq.solve_min_norm(blocks)
         assert sol.alpha.tobytes() == ref.tobytes()
         assert sol.rank == rank
-        assert sol.residual_by_subdomain == [sol.loss]
+        assert len(sol.residuals) == 1
+        assert sum(sol.residuals[0].values()) == pytest.approx(sol.loss, rel=1e-12)
 
     def test_rank_deficient_ball_block_keeps_the_residual(self):
         _, bases, _ = two_ball_setup(m0=10, mstar=10)
@@ -383,49 +396,70 @@ class TestBlockSolve:
 
 
 class TestSingleBallSolve:
-    """A single-ball system is solved by gelsd on the R factor of [F | T]."""
+    """A single-ball system is solved by gelsd, on the R factor of [F | T]
+    when F has fewer than 1.6 rows per column: ball 1 of ``two_ball_setup``
+    has 168 rows, so 11 columns (m* = 10) take gelsd as it is and 121 columns
+    (m* = 120, at scale 8, where the block is better conditioned than at 2)
+    the R factor."""
 
-    def system(self, bases=None):
-        part, default_bases, colloc = two_ball_setup(m0=10, mstar=10)
-        bases = bases or default_bases
+    def system(self, mstar=10, scale=2, doubled=False):
+        part, bases, colloc = two_ball_setup(m0=10, mstar=mstar)
+        basis = replace(bases[1], scale=scale)
+        if doubled:    # every neuron twice: the block loses rank
+            basis = replace(basis, weights=np.vstack([basis.weights, basis.weights]),
+                            biases=np.concatenate([basis.biases, basis.biases]))
         problem = nonzero_nonlinear_problem()
-        rows = lsq.ball_rows(problem, part.ball(1), bases[1], bases[0],
+        rows = lsq.ball_rows(problem, part.ball(1), basis, bases[0],
                              colloc.interior[1], colloc.boundary[1],
                              colloc.interface[1])
         rng = np.random.default_rng(7)
         return lsq.assemble_local(problem, rows, 0.1 * rng.standard_normal(bases[0].size),
-                                  alpha_k=0.1 * rng.standard_normal(bases[1].size))
+                                  alpha_k=0.1 * rng.standard_normal(basis.size))
+
+    def test_path_is_chosen_by_shape(self, monkeypatch):
+        factored = []
+        real_qr = np.linalg.qr
+
+        def qr(a, *args, **kwargs):
+            factored.append(a.shape)
+            return real_qr(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        for mstar, scale, reduced in ((10, 2, False), (100, 2, False), (120, 8, True)):
+            blocks = self.system(mstar, scale)
+            m, n = blocks.matrix.shape
+            assert (n < m < 1.6 * n) == reduced
+            factored.clear()
+            lsq.solve_min_norm(blocks)
+            assert factored == ([(m, n + 1)] if reduced else [])
 
     def test_full_rank_matches_gelsd(self):
-        blocks = self.system()
-        A, T = blocks.matrix, blocks.rhs
-        assert blocks.coupling is not None and blocks.balls == []
-        assert np.linalg.matrix_rank(A) == A.shape[1]
-        ref, _, _, s = np.linalg.lstsq(A, T, rcond=lsq.DEFAULT_SVD_CUTOFF)
-        sol = lsq.solve_min_norm(blocks)
-        assert np.linalg.norm(sol.alpha - ref) <= 1e-10 * np.linalg.norm(ref)
-        ref_loss = float((A @ ref - T) @ (A @ ref - T))
-        assert sol.loss == pytest.approx(ref_loss, rel=1e-12)
-        # loss and residuals come from the system's own rows, not from R
-        res = A @ sol.alpha - T
-        assert sol.loss == float(res @ res)
-        assert sol.residual_by_subdomain == [sol.loss]
-        assert sol.block_ranks == [A.shape[1]]
-        np.testing.assert_allclose(sol.block_sigmas[0], [s[0], s[-1]], rtol=1e-10)
+        for mstar, scale in ((10, 2), (120, 8)):
+            blocks = self.system(mstar, scale)
+            A, T = blocks.matrix, blocks.rhs
+            assert blocks.coupling is not None and blocks.balls == []
+            assert np.linalg.matrix_rank(A) == A.shape[1]
+            ref, _, _, s = np.linalg.lstsq(A, T, rcond=lsq.DEFAULT_SVD_CUTOFF)
+            sol = lsq.solve_min_norm(blocks)
+            assert np.linalg.norm(sol.alpha - ref) <= 1e-10 * np.linalg.norm(ref)
+            ref_loss = float((A @ ref - T) @ (A @ ref - T))
+            assert sol.loss == pytest.approx(ref_loss, rel=1e-12)
+            # loss and residuals come from the system's own rows, not from R
+            res = A @ sol.alpha - T
+            assert sol.loss == float(res @ res)
+            assert sum(sol.residuals[0].values()) == pytest.approx(sol.loss, rel=1e-12)
+            assert sol.block_ranks == [A.shape[1]]
+            np.testing.assert_allclose(sol.block_sigmas[0], [s[0], s[-1]], rtol=1e-10)
 
     def test_rank_deficient_keeps_rank_and_loss(self):
-        _, bases, _ = two_ball_setup(m0=10, mstar=10)
-        b = bases[1]   # every neuron twice: the block loses rank
-        bases[1] = replace(b, weights=np.vstack([b.weights, b.weights]),
-                           biases=np.concatenate([b.biases, b.biases]))
-        blocks = self.system(bases)
-        A, T = blocks.matrix, blocks.rhs
-        ref, _, rank, _ = np.linalg.lstsq(A, T, rcond=lsq.DEFAULT_SVD_CUTOFF)
-        assert rank < bases[1].size
-        ref_loss = float((A @ ref - T) @ (A @ ref - T))
-        sol = lsq.solve_min_norm(blocks)
-        assert sol.rank == rank
-        assert sol.loss <= ref_loss * (1.0 + 1e-10)
+        for mstar in (10, 60):     # 168 rows on 21 and on 121 columns
+            blocks = self.system(mstar, doubled=True)
+            A, T = blocks.matrix, blocks.rhs
+            ref, _, rank, _ = np.linalg.lstsq(A, T, rcond=lsq.DEFAULT_SVD_CUTOFF)
+            assert rank < A.shape[1]
+            ref_loss = float((A @ ref - T) @ (A @ ref - T))
+            sol = lsq.solve_min_norm(blocks)
+            assert sol.rank == rank
+            assert sol.loss <= ref_loss * (1.0 + 1e-10)
 
 
 def blocks_from(F, T):
@@ -497,10 +531,24 @@ class TestSolveMinNorm:
         problem = manufactured_linear(b, np.linspace(-1, 1, 31))
         blocks = assemble(part, bases, colloc, problem)
         sol = lsq.solve_min_norm(blocks)
-        total = sum(sol.residual_by_kind.values())
-        assert total == pytest.approx(sol.loss, rel=1e-10, abs=1e-12)
-        assert set(sol.residual_by_kind) == {"interior", "boundary",
-                                             "interface-value", "interface-normal"}
+        F, T = dense(blocks)
+        res = F @ sol.alpha - T
+        kinds = np.concatenate([b.row_kind for b in [blocks] + blocks.balls])
+        table = {}
+        for r in sol.residuals:
+            for name, value in r.items():
+                table[name] = table.get(name, 0.0) + value
+        assert set(table) == {"interior", "boundary", "interface-value",
+                              "interface-normal"}
+        for kind, name in enumerate(lsq.ROW_KIND_NAMES):
+            part = res[kinds == kind]
+            assert table[name] == pytest.approx(part @ part, rel=1e-10, abs=1e-12)
+        assert sum(table.values()) == pytest.approx(sol.loss, rel=1e-10, abs=1e-12)
+        # subdomain 0 holds no interface rows, a ball inside the domain no
+        # boundary rows
+        assert sorted(sol.residuals[0]) == ["boundary", "interior"]
+        assert sorted(sol.residuals[1]) == ["interface-normal", "interface-value",
+                                            "interior"]
 
 
 class TestInSpanRecovery:
@@ -515,6 +563,12 @@ class TestInSpanRecovery:
         sol = lsq.solve_min_norm(blocks)
         rel = np.linalg.norm(sol.alpha - coeffs) / np.linalg.norm(coeffs)
         assert rel <= 1e-6
+
+
+def solve_with(part, bases, colloc, problem, kept, n_max=50, tol=1e-5):
+    """``lsq.gauss_newton`` with the given kept balls."""
+    return lsq.gauss_newton(part, problem, bases[0], colloc.interior[0],
+                            colloc.boundary[0], kept, n_max, tol)
 
 
 class TestGaussNewton:
@@ -537,7 +591,7 @@ class TestGaussNewton:
 
         for name in ("coupled_rows", "assemble", "solve_min_norm"):
             monkeypatch.setattr(lsq, name, counted(name))
-        report = lsq.gauss_newton(part, [b], colloc, problem)
+        report = fresh_solve(part, [b], colloc, problem)
         assert calls == ["coupled_rows", "assemble", "solve_min_norm"]
         assert report.iterations == [(0, direct.loss, None)]
         assert report.converged
@@ -556,41 +610,72 @@ class TestGaussNewton:
     def test_linear_kept_balls_are_eliminated_once(self, monkeypatch):
         part, bases, colloc = two_ball_setup()
         problem = manufactured_linear(bases[0], np.linspace(-1.0, 1.0, bases[0].size))
-        fresh = lsq.gauss_newton(part, bases, colloc, problem)
-        rows = lsq.coupled_rows(part, bases, colloc, problem)
-        kept = [lsq.KeptBall(r) for r in rows[1:]]
+        fresh = lsq.solve_min_norm(assemble(part, bases, colloc, problem))
         calls = self.count_eliminations(monkeypatch)
-        first = lsq.gauss_newton(part, bases, colloc, problem, kept=kept)
-        again = lsq.gauss_newton(part, bases, colloc, problem, kept=kept)
+        kept = [lsq.keep_ball(problem, rows)
+                for rows in fresh_ball_rows(part, bases, colloc, problem)]
         assert len(calls) == 2
-        assert all(ball.eliminated is not None for ball in kept)
+        first = solve_with(part, bases, colloc, problem, kept)
+        again = solve_with(part, bases, colloc, problem, kept)
+        assert len(calls) == 2
         assert first.alpha.tobytes() == fresh.alpha.tobytes()
         assert again.alpha.tobytes() == fresh.alpha.tobytes()
 
     def test_nonlinear_kept_balls_are_eliminated_every_step(self, monkeypatch):
         part, bases, colloc = two_ball_setup()
         problem = nonzero_nonlinear_problem()
-        fresh = lsq.gauss_newton(part, bases, colloc, problem, n_max=4)
-        rows = lsq.coupled_rows(part, bases, colloc, problem)
-        kept = [lsq.KeptBall(r) for r in rows[1:]]
+        rows = fresh_rows(part, bases, colloc, problem)
+        fresh = lsq.gauss_newton_core(
+            lambda alphas: lsq.assemble(problem, rows, alphas=alphas), False, 4, 1e-5)
+        kept = [lsq.keep_ball(problem, r) for r in rows[1:]]
+        assert all(ball.eliminated is None for ball in kept)
         calls = self.count_eliminations(monkeypatch)
-        report = lsq.gauss_newton(part, bases, colloc, problem, n_max=4, kept=kept)
+        report = solve_with(part, bases, colloc, problem, kept, n_max=4)
         assert len(report.iterations) > 1
         assert len(calls) == 2 * len(report.iterations)
-        assert all(ball.eliminated is None for ball in kept)
         assert report.alpha.tobytes() == fresh.alpha.tobytes()
 
     def test_kept_rows_must_align_with_the_partition(self):
         part, bases, colloc = two_ball_setup()
-        rows = lsq.coupled_rows(part, bases, colloc, zero_problem())
-        with pytest.raises(lsq.AssemblyError):
-            lsq.gauss_newton(part, bases, colloc, zero_problem(),
-                             kept=[lsq.KeptBall(rows[1])])
+        kept = [lsq.keep_ball(zero_problem(), rows)
+                for rows in fresh_ball_rows(part, bases, colloc, zero_problem())]
+        for misaligned in (kept[:1], kept + kept[:1], []):
+            with pytest.raises(lsq.AssemblyError):
+                solve_with(part, bases, colloc, zero_problem(), misaligned)
+
+    def test_kept_ball_is_immutable(self):
+        part, bases, colloc = one_ball_setup()
+        (rows,) = fresh_ball_rows(part, bases, colloc, zero_problem())
+        ball = lsq.keep_ball(zero_problem(), rows)
+        with pytest.raises(AttributeError):
+            ball.eliminated = None
+        with pytest.raises(AttributeError):
+            ball.rows = rows
+
+    def test_subdomain_0_points_and_boundary_count_are_checked(self):
+        empty = np.empty((0, 2))
+
+        def solve(setup, interior=None, boundary=None):
+            part, bases, colloc = setup
+            kept = [lsq.keep_ball(zero_problem(), rows)
+                    for rows in fresh_ball_rows(part, bases, colloc, zero_problem())]
+            return lsq.gauss_newton(
+                part, zero_problem(), bases[0],
+                colloc.interior[0] if interior is None else interior,
+                colloc.boundary[0] if boundary is None else boundary, kept, 50, 1e-5)
+
+        with pytest.raises(lsq.AssemblyError, match="subdomain 0"):
+            solve(one_ball_setup(), interior=empty)
+        with pytest.raises(lsq.AssemblyError, match="no boundary"):
+            solve(one_ball_setup(), boundary=empty)
+        # the second ball owns boundary points, which are enough
+        assert len(two_ball_setup()[2].boundary[2]) > 0
+        solve(two_ball_setup(), boundary=empty)
 
     def test_true_loss_is_the_residual_at_the_returned_coefficients(self):
         part, bases, colloc = two_ball_setup()
         problem = nonzero_nonlinear_problem()
-        report = lsq.gauss_newton(part, bases, colloc, problem, n_max=3)
+        report = fresh_solve(part, bases, colloc, problem, n_max=3)
         blocks = assemble(part, bases, colloc, problem, alphas=report.alpha)
         assert report.true_loss == float(sum(b.rhs @ b.rhs
                                              for b in [blocks] + blocks.balls))
@@ -609,7 +694,7 @@ class TestGaussNewton:
             nonlinearity=lambda u: u * u, nonlinearity_prime=lambda u: 2.0 * u)
         colloc = standard_colloc(region, resolution=5, boundary=8)
         part = geo.PartitionState(region)
-        report = lsq.gauss_newton(part, [b], colloc, problem, n_max=10, tol=1e-5)
+        report = fresh_solve(part, [b], colloc, problem, n_max=10, tol=1e-5)
         assert report.converged
         # loss is ~0 from the second solve on; the relative-change criterion
         # needs one more pass (on an exact zero) to declare convergence
@@ -667,7 +752,7 @@ class TestGaussNewton:
         part = geo.PartitionState(region)
         # loss bottoms out at float noise, where the relative-change criterion
         # oscillates; assert the recovery itself rather than the flag
-        report = lsq.gauss_newton(part, [b], colloc, problem, n_max=8)
+        report = fresh_solve(part, [b], colloc, problem, n_max=8)
         rel = np.linalg.norm(report.alpha - coeffs) / np.linalg.norm(coeffs)
         assert rel <= 1e-6
         assert report.loss <= 1e-20

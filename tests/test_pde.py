@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import fd_laplacian, pointwise_operator
+from conftest import fd_laplacian, fresh_rows, pointwise_operator
 
 from rfpde import basis as bas
 from rfpde import geometry as geo
@@ -35,7 +35,7 @@ def interior_rows(problem, basis, alpha, points):
     """Interior rows of the one-subdomain system assembled at ``alpha``."""
     region = problem.region
     colloc = geo.CollocationSets.initial(points, generate_boundary_points(region, 8))
-    rows = lsq.coupled_rows(geo.PartitionState(region), [basis], colloc, problem)
+    rows = fresh_rows(geo.PartitionState(region), [basis], colloc, problem)
     blocks = lsq.assemble(problem, rows, alphas=alpha)
     return blocks.matrix[blocks.row_kind == lsq.ROW_INTERIOR]
 

@@ -1,0 +1,102 @@
+"""Digest every least-squares system a benchmark workload solves.
+
+Runs one workload of ``perfbench/workloads.py`` (its problem and solver
+configuration) through ``rfpde.adaptive_solve`` with ``rfpde.lsq.solve_min_norm``
+wrapped, and prints one JSON object:
+
+- ``systems_sha256``: SHA-256 over every system passed to the solve, in call
+  order: its ``matrix``, ``rhs`` and ``row_kind``, and each ball block's
+  ``matrix``, ``rhs`` and ``coupling``;
+- ``alpha_sha256``: SHA-256 of the final stacked coefficients;
+- the number of systems, the chosen scales and the scale-candidate losses.
+
+Two checkouts that pass the same bytes to the solve print the same digests,
+whatever their code looks like. ``--src`` names the solver sources to run, so
+a change is compared with its parent checkout by running this script twice
+from one checkout:
+
+    python3 tools/digest_systems.py --workload peak2d-4ball
+    python3 tools/digest_systems.py --workload peak2d-4ball --src ../parent/src
+
+Results repeat bit for bit only at a fixed BLAS build and thread count, so
+run both with the same ``OPENBLAS_NUM_THREADS``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _update(digest, array) -> None:
+    array = np.ascontiguousarray(array)
+    digest.update(f"{array.dtype.str}{array.shape}".encode())
+    digest.update(array.tobytes())
+
+
+def digest(problem_name: str, config: dict) -> dict:
+    """Solve ``problem_name`` with ``config`` (``AdaptiveConfig`` keywords)
+    and digest what the least-squares solve received and returned."""
+    import rfpde
+
+    lsq = rfpde.lsq
+    real = lsq.solve_min_norm
+    systems = hashlib.sha256()
+    count = 0
+
+    def solve_min_norm(blocks):
+        nonlocal count
+        count += 1
+        for array in (blocks.matrix, blocks.rhs, blocks.row_kind):
+            _update(systems, array)
+        for ball in blocks.balls:
+            for array in (ball.matrix, ball.rhs, ball.coupling):
+                _update(systems, array)
+        return real(blocks)
+
+    lsq.solve_min_norm = solve_min_norm
+    try:
+        state, trace = rfpde.adaptive_solve(rfpde.benchmark(problem_name),
+                                            rfpde.AdaptiveConfig(**config))
+    finally:
+        lsq.solve_min_norm = real
+    alpha = hashlib.sha256()
+    _update(alpha, state.report.alpha)
+    return {"src": str(Path(rfpde.__file__).parent), "problem": problem_name,
+            "systems": count, "systems_sha256": systems.hexdigest(),
+            "alpha_sha256": alpha.hexdigest(),
+            "scales": [record.scale for record in trace],
+            "scale_losses": [record.scale_losses for record in trace]}
+
+
+def main(argv=None) -> int:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="directory holding the rfpde package to run")
+    args = parser.parse_args(argv)
+    if not (Path(args.src) / "rfpde" / "__init__.py").is_file():
+        print(f"error: no solver sources at {args.src}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, args.src)
+    workload = WORKLOADS[args.workload]
+    out = {"workload": workload.name,
+           "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+    out.update(digest(workload.problem, workload.config))
+    print(json.dumps(out, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
