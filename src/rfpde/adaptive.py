@@ -125,9 +125,9 @@ class RefinementRecord:
     scale: int
     mean_residual_before: float
     mean_residual_after: float
-    loss: float
-    # nonlinear residual at the re-solve's coefficients (``loss`` when linear)
-    true_loss: Optional[float] = None
+    loss: float                    # squared residual at the re-solve's coefficients
+    # the re-solve's Gauss-Newton steps, [n, loss, re_mse]
+    iterations: Optional[list] = None
     err_l2: Optional[float] = None
     scale_losses: Optional[list] = None
     seconds: Optional[float] = None
@@ -188,8 +188,9 @@ def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
     One draw of ``config.m_star`` neurons (substream = ball index) is
     rescaled for every candidate s = 1..``config.scale_max``; each candidate
     solves the local problem with the subdomain-0 expansion frozen at
-    ``alpha0``, and the smallest squared residual wins (ties to the smaller
-    s). The winner is returned as the finished ``lsq.KeptBall``.
+    ``alpha0``, and the smallest squared residual at its returned
+    coefficients wins (ties to the smaller s). The winner is returned as the
+    finished ``lsq.KeptBall``.
     """
     k = ball.index
     raw = basis_mod.generate_transferable(config.m_star, config.gamma, problem.dim,
@@ -229,7 +230,7 @@ def _base_basis(problem: SemilinearProblem, config: AdaptiveConfig) -> basis_mod
     b = basis_mod.generate_transferable(config.m0, config.gamma, d, config.seed,
                                         stream=0)
     # hyperplanes are laid out in the unit ball; map the base domain into it
-    return replace(b, input_scale=1.0 / problem.region.circumradius())
+    return replace(b, scale=1.0 / problem.region.circumradius())
 
 
 def initial_collocation(problem: SemilinearProblem,
@@ -304,7 +305,7 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
         trace.append(RefinementRecord(
             index=k, center=center.tolist(), radius=radius, scale=search.scale,
             mean_residual_before=gate, mean_residual_after=new_gate,
-            loss=report.loss, true_loss=report.true_loss,
+            loss=report.loss, iterations=[list(step) for step in report.iterations],
             err_l2=None if diagnostic is None else float(diagnostic(state)),
             scale_losses=[float(v) for v in search.losses],
             seconds=seconds, residuals=report.residuals,

@@ -3,12 +3,13 @@
 A basis set is M fixed hidden neurons plus the constant function at index 0:
 
     psi_0(x) = 1,
-    psi_m(x) = tanh(c * s_in * w_m . (x - x_c) + b_m),   m = 1..M,
+    psi_m(x) = tanh(c * w_m . (x - x_c) + b_m),   m = 1..M,
 
-where c is an (integer) frequency multiplier for recentred ball bases and
-s_in an optional input normalization used by the hyperplane-resampled
-construction on the base domain. Values, normal derivatives and Laplacians
-come from the closed forms tanh' = 1 - tanh^2 and tanh'' = -2 tanh (1 - tanh^2).
+where c is the frequency factor: the integer multiplier of a recentred ball
+basis, or the input normalization (one over the domain's circumradius) of
+the hyperplane-resampled construction on the base domain. Values, normal
+derivatives and Laplacians come from the closed forms tanh' = 1 - tanh^2 and
+tanh'' = -2 tanh (1 - tanh^2).
 
 Two hidden-parameter constructions are provided:
 
@@ -41,8 +42,7 @@ class BasisSet:
     weights: np.ndarray           # (M, d)
     biases: np.ndarray            # (M,)
     center: np.ndarray            # (d,)
-    scale: float = 1.0
-    input_scale: float = 1.0
+    scale: float = 1.0            # frequency factor c
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -52,13 +52,12 @@ class BasisSet:
             raise ValueError("inconsistent neuron array shapes")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ValueError("neuron parameters must be finite")
-        if self.scale <= 0 or self.input_scale <= 0:
-            raise ValueError("scale factors must be positive")
+        if self.scale <= 0:
+            raise ValueError("scale must be positive")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "biases", b)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "input_scale", float(self.input_scale))
 
     @property
     def n_neurons(self) -> int:
@@ -90,7 +89,7 @@ class BasisSet:
         dot = xc[:, 0, None] * self.weights[None, :, 0]
         for j in range(1, self.dim):
             dot = dot + xc[:, j, None] * self.weights[None, :, j]
-        return (self.scale * self.input_scale) * dot + self.biases[None, :]
+        return self.scale * dot + self.biases[None, :]
 
     def values(self, x) -> np.ndarray:
         """Basis values, shape (n, M+1); column 0 is the constant."""
@@ -104,11 +103,11 @@ class BasisSet:
         """Basis Laplacians, shape (n, M+1)."""
         pts = self._check(x)
         psi = np.tanh(self._preactivation(pts))
-        a = self.scale * self.input_scale
         wsq = np.sum(self.weights * self.weights, axis=1)
         out = np.empty((pts.shape[0], self.size))
         out[:, 0] = 0.0
-        out[:, 1:] = (a * a * wsq)[None, :] * (-2.0 * psi) * (1.0 - psi * psi)
+        out[:, 1:] = ((self.scale * self.scale * wsq)[None, :] * (-2.0 * psi)
+                      * (1.0 - psi * psi))
         return out
 
     def normal_derivatives(self, x, normals) -> np.ndarray:
@@ -123,7 +122,7 @@ class BasisSet:
             dot = dot + nrm[:, j, None] * self.weights[None, :, j]
         out = np.empty((pts.shape[0], self.size))
         out[:, 0] = 0.0
-        out[:, 1:] = (self.scale * self.input_scale) * (1.0 - psi * psi) * dot
+        out[:, 1:] = self.scale * (1.0 - psi * psi) * dot
         return out
 
 

@@ -142,11 +142,12 @@ def _write_subdomains_json(path, state: SolveState) -> None:
 def run(name: str, config: AdaptiveConfig, outdir) -> dict:
     """Execute one benchmark run and write its artifacts to ``outdir``.
 
-    Writes manifest.json, trace.jsonl, solution.csv and subdomains.json. A
-    solver failure writes manifest.json alone, with status="failed", the
-    error and the history the exception carries, and is re-raised: "trace"
-    holds the refinement records of a MaxRefinementsError (empty for other
-    failures), "iterations" the Gauss-Newton steps ``[n, loss, re_mse]`` of a
+    Writes manifest.json, trace.jsonl, solution.csv and subdomains.json; the
+    manifest's "iterations" holds the final solve's Gauss-Newton steps
+    ``[n, loss, re_mse]``. A solver failure writes manifest.json alone, with
+    status="failed", the error and the history the exception carries, and is
+    re-raised: "trace" holds the refinement records of a MaxRefinementsError
+    (empty for other failures), "iterations" the steps of a
     NonConvergenceError.
     """
     outdir = Path(outdir)
@@ -189,7 +190,7 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
         "err_l2": grid.err_l2(),
         "n_balls": state.partition.n_balls,
         "final_loss": state.report.loss,
-        "final_true_loss": state.report.true_loss,
+        "iterations": [list(step) for step in state.report.iterations],
         "trace": [r.to_dict() for r in trace],
         "timings": timings,
         "artifacts": {

@@ -33,12 +33,11 @@ have minimum norm given subdomain 0's, not jointly with them.
 
 Every problem is solved by one plain (undamped) Gauss-Newton loop on the
 linearized system, starting from zero coefficients; a linear problem stops
-after the first step, which is the direct solve. The loss a nonlinear solve
-reports, and whose relative change stops it, is the linearized model residual
-|F delta - T|^2 of the last step, where F and T are linearized at the
-coefficients before that step; the report's ``true_loss`` is the nonlinear
-residual at the returned coefficients, from one more assembly than the steps
-need.
+after the first step, which is the direct solve. Every solve reports, and a
+nonlinear one stops on the relative change of, one loss: the squared
+residual of the problem's equations at the returned coefficients. A
+nonlinear step reads it from the right-hand side of the system re-linearized
+at its updated coefficients, which the next step solves.
 
 Rows are built in one place, ``_row_groups``, one subdomain at a time in one
 order: interior rows, boundary rows, then a ball's interface value and
@@ -129,8 +128,8 @@ class SolveReport:
 
     alpha: np.ndarray                  # stacked coefficients
     alphas: list[np.ndarray]           # per subdomain
-    # |F x - T|^2 at the solution x of the last solved system: for Gauss-Newton
-    # the last step's linearized model residual, not the residual at ``alpha``
+    # squared residual of the equations at ``alpha``: of the problem for a
+    # Gauss-Newton solve, of the given system for ``solve_min_norm``
     loss: float
     # per block, as ``alphas``: {row kind name: squared residual of the
     # block's rows of that kind}, for the kinds the block has; the entries
@@ -141,9 +140,6 @@ class SolveReport:
     # of its projected problem)
     block_ranks: list
     block_sigmas: list
-    # |T|^2 of the system at ``alpha``: the nonlinear residual there, ``loss``
-    # for a linear problem
-    true_loss: float
     iterations: list = field(default_factory=list)  # (n, loss, re_mse)
     converged: bool = True
 
@@ -385,8 +381,7 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
                                   for b, res in zip(all_blocks, residuals)],
                        block_ranks=[int(rank)] + [len(e.s) for e in eliminated],
                        block_sigmas=[_sigma_range(s0[:rank])]
-                       + [_sigma_range(e.s) for e in eliminated],
-                       true_loss=loss)
+                       + [_sigma_range(e.s) for e in eliminated])
 
 
 def _residuals_by_kind(row_kind: np.ndarray, res: np.ndarray) -> dict:
@@ -400,7 +395,7 @@ def _sigma_range(s: np.ndarray) -> list[float]:
     return [float(s[0]), float(s[-1])] if len(s) else [0.0, 0.0]
 
 
-#: Divergence guard: abort when the loss exceeds this multiple of the initial loss.
+#: Divergence guard: abort when the loss exceeds this multiple of the first step's.
 DIVERGENCE_FACTOR = 1e6
 
 
@@ -412,49 +407,46 @@ def gauss_newton_core(assembler: Callable[[Optional[np.ndarray]], SystemBlocks],
     (zeros when None). Each step solves F delta = T for the increment and
     applies it. A linear problem stops after the first step, the direct solve
     of the system at zero coefficients: one assembly, one solve, iterations
-    ``[(0, loss, None)]``. A step's loss is its linearized model residual
-    |F delta - T|^2, with F and T taken at the coefficients before the step,
-    not the residual at the updated ones; a nonlinear loop stops once the
-    relative change of that loss drops below ``tol``, and the report's ``loss``
-    is the last step's. A nonlinear loop re-linearizes after every step, the
-    last one included, and its ``true_loss`` is |T|^2 of that last system, the
-    nonlinear residual at the returned coefficients. The report's ranks and
-    singular values are the last step's. Exhausting ``n_max`` returns
-    converged=False, and a loss blow-up beyond DIVERGENCE_FACTOR x the
-    initial loss raises NonConvergenceError.
+    ``[(0, loss, None)]``. A nonlinear loop re-linearizes after every step,
+    and a step's loss and residual table are |T|^2 of that system and its
+    right-hand side per row kind: the residual at the updated coefficients.
+    The loop stops once the relative change of that loss drops below ``tol``,
+    so the report's ``loss`` and ``residuals`` are those at the returned
+    coefficients. The report's ranks and singular values are the last
+    step's. Exhausting ``n_max`` returns converged=False, and a loss blow-up
+    beyond DIVERGENCE_FACTOR x the first step's loss raises
+    NonConvergenceError.
     """
     blocks = assembler(None)
     alpha = np.zeros(blocks.n_cols)
     trace = []
     prev_loss = None
     first_loss = None
-    report = None
     converged = False
     for n in range(n_max):
-        sol = solve_min_norm(blocks)
-        alpha = alpha + sol.alpha
-        loss = sol.loss
+        report = solve_min_norm(blocks)
+        alpha = alpha + report.alpha
+        if not is_linear:
+            blocks = assembler(alpha)
+            all_blocks = [blocks] + blocks.balls
+            report = replace(report, loss=float(sum(b.rhs @ b.rhs for b in all_blocks)),
+                             residuals=[_residuals_by_kind(b.row_kind, b.rhs)
+                                        for b in all_blocks])
+        loss = report.loss
         re_mse = None if prev_loss is None else (
             0.0 if prev_loss == 0.0 else abs(loss - prev_loss) / prev_loss)
         trace.append((n, loss, re_mse))
-        report = sol
         if first_loss is None:
             first_loss = loss
         elif loss > DIVERGENCE_FACTOR * max(first_loss, np.finfo(float).tiny):
             raise NonConvergenceError(
                 f"Gauss-Newton diverged at step {n}: loss {loss:.3e} vs "
-                f"initial {first_loss:.3e}", trace=trace)
-        if is_linear:
-            converged = True
-            break
-        blocks = assembler(alpha)
-        if prev_loss == 0.0 or (re_mse is not None and re_mse < tol):
+                f"{first_loss:.3e} after step 0", trace=trace)
+        if is_linear or prev_loss == 0.0 or (re_mse is not None and re_mse < tol):
             converged = True
             break
         prev_loss = loss
-    true_loss = report.true_loss if is_linear else float(
-        sum(b.rhs @ b.rhs for b in [blocks] + blocks.balls))
-    return replace(report, alpha=alpha, alphas=blocks.split(alpha), true_loss=true_loss,
+    return replace(report, alpha=alpha, alphas=blocks.split(alpha),
                    iterations=trace, converged=converged)
 
 

@@ -56,14 +56,14 @@ def fd_laplacian(f, x, h=1e-4):
 def pointwise_basis(basis, x):
     """Values, gradients and Laplacians of every basis function at one point.
 
-    With a = scale * input_scale and z_m = a w_m . (x - center) + b_m:
+    With a = scale and z_m = a w_m . (x - center) + b_m:
     psi_m = tanh(z_m), grad psi_m = a (1 - psi_m^2) w_m and
     lap psi_m = -2 a^2 |w_m|^2 psi_m (1 - psi_m^2). Returns arrays of shape
     (M+1,), (M+1, d) and (M+1,); index 0 is the constant function.
     """
     x = [float(v) for v in x]
     center = basis.center.tolist()
-    a = basis.scale * basis.input_scale
+    a = basis.scale
     values, gradients, laplacians = [1.0], [[0.0] * len(x)], [0.0]
     for w, b in zip(basis.weights.tolist(), basis.biases.tolist()):
         z = a * sum(wj * (xj - cj) for wj, xj, cj in zip(w, x, center)) + b

@@ -139,6 +139,33 @@ class TestScaleSearch:
         np.testing.assert_allclose(blocks.rhs[value_rows],
                                    b0.values(gamma_pts) @ alpha0, atol=1e-14)
 
+    def test_nonlinear_candidates_compare_residuals_at_their_coefficients(
+            self, monkeypatch):
+        part, colloc = self.make_ball_setup()
+        problem = pde.benchmark("nonlinear2d-case1")
+        basis0 = bas.generate_transferable(20, 2.0, 2, seed=7, stream=0)
+        alpha0 = 0.1 * np.random.default_rng(5).standard_normal(basis0.size)
+        rows, reports = [], []
+        real_rows, real_core = lsq.ball_rows, lsq.gauss_newton_core
+
+        def ball_rows(*args):
+            rows.append(real_rows(*args))
+            return rows[-1]
+
+        def gauss_newton_core(*args):
+            reports.append(real_core(*args))
+            return reports[-1]
+        monkeypatch.setattr(lsq, "ball_rows", ball_rows)
+        monkeypatch.setattr(lsq, "gauss_newton_core", gauss_newton_core)
+        result = ada.scale_search(problem, basis0, alpha0, part.ball(1), colloc,
+                                  ada.AdaptiveConfig(m_star=40, seed=5, scale_max=3))
+        assert len(rows) == len(reports) == len(result.losses) == 3
+        assert any(len(report.iterations) > 1 for report in reports)
+        for loss, r, report in zip(result.losses, rows, reports):
+            rhs = lsq.assemble_local(problem, r, alpha0, alpha_k=report.alpha).rhs
+            assert loss == float(rhs @ rhs)
+        assert result.scale == 1 + int(np.argmin(result.losses))
+
     def test_inner_failure_tagged_with_scale(self):
         part, colloc = self.make_ball_setup()
 
@@ -208,7 +235,7 @@ class TestAdaptiveSolve:
         cfg = ada.AdaptiveConfig(**SMALL)
         b0 = bas.generate_transferable(cfg.m0, cfg.gamma, 2, cfg.seed, stream=0)
         from dataclasses import replace
-        b0 = replace(b0, input_scale=1.0 / np.sqrt(2.0))
+        b0 = replace(b0, scale=1.0 / np.sqrt(2.0))
         coeffs = rng.standard_normal(b0.size)
 
         def forcing(p):
@@ -367,18 +394,21 @@ class TestWorkDoneOncePerBall:
         assert state.report.alpha.tobytes() == fresh.alpha.tobytes()
         assert state.report.loss == fresh.loss
 
-    def test_records_carry_conditioning_and_true_residual(self):
+    def test_records_carry_conditioning_and_the_gauss_newton_history(self):
         problem = pde.benchmark("nonlinear2d-case1")
         state, trace = ada.adaptive_solve(problem, ada.AdaptiveConfig(**SMALL))
         report = state.report
         blocks = lsq.assemble(problem, fresh_rows(state.partition, state.bases,
                                                   state.colloc, problem),
                               alphas=report.alpha)
-        assert report.true_loss == float(sum(b.rhs @ b.rhs
-                                             for b in [blocks] + blocks.balls))
-        assert report.true_loss != report.loss
+        assert report.loss == float(sum(b.rhs @ b.rhs
+                                        for b in [blocks] + blocks.balls))
+        assert sum(v for r in report.residuals for v in r.values()) == \
+            pytest.approx(report.loss, rel=1e-12)
         record = trace[-1]
-        assert record.true_loss == report.true_loss
+        assert record.loss == report.loss
+        assert record.iterations == [list(step) for step in report.iterations]
+        assert len(record.iterations) > 1 and record.iterations[-1][1] == report.loss
         assert record.block_ranks == report.block_ranks
         assert sum(record.block_ranks) == report.rank
         assert len(record.block_sigmas) == state.partition.n_subdomains

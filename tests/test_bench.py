@@ -147,12 +147,14 @@ class TestRun:
         assert sum(v for r in residuals for v in r.values()) == \
             pytest.approx(records[0]["loss"], rel=1e-12)
         assert manifest["trace"][0]["residuals"] == residuals
-        # conditioning per subdomain, and the residual at the coefficients
+        # conditioning per subdomain, and the Gauss-Newton steps [n, loss,
+        # re_mse]: one, the direct solve, for a linear problem
         for key in ("block_ranks", "block_sigmas", "alpha_norms"):
             assert len(records[0][key]) == 2
             assert manifest["trace"][0][key] == records[0][key]
-        assert records[0]["true_loss"] == records[0]["loss"]   # a linear problem
-        assert manifest["final_true_loss"] == manifest["final_loss"]
+        assert records[0]["iterations"] == [[0, records[0]["loss"], None]]
+        assert manifest["trace"][0]["iterations"] == records[0]["iterations"]
+        assert manifest["iterations"] == [[0, manifest["final_loss"], None]]
 
     def test_subdomains_json(self, case1_run):
         outdir, _ = case1_run

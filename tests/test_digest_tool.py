@@ -29,15 +29,28 @@ def load_tool():
 
 def test_two_runs_give_the_same_digests():
     tool = load_tool()
-    real = rfpde.lsq.solve_min_norm
+    real = rfpde.lsq.solve_min_norm, rfpde.lsq.gauss_newton_core
     first = tool.digest("peak2d-case1", TINY)
-    assert rfpde.lsq.solve_min_norm is real
+    assert (rfpde.lsq.solve_min_norm, rfpde.lsq.gauss_newton_core) == real
     assert first["scales"] and len(first["scale_losses"][0]) == TINY["scale_max"]
     assert first["systems"] > TINY["scale_max"]
+    # a linear problem: every Gauss-Newton solve is one step, one system
+    assert first["gauss_newton_steps"] == [1] * first["systems"]
     assert tool.digest("peak2d-case1", TINY) == first
     other = tool.digest("peak2d-case1", {**TINY, "m0": 99})
     assert other["systems_sha256"] != first["systems_sha256"]
     assert other["alpha_sha256"] != first["alpha_sha256"]
+
+
+def test_gauss_newton_steps_of_a_nonlinear_run():
+    tool = load_tool()
+    out = tool.digest("nonlinear2d-case1", TINY)
+    # the K=0 solve, the scale candidates and the coupled re-solve of each
+    # refinement, in call order; every step solves one system
+    refinements = len(out["scales"])
+    assert len(out["gauss_newton_steps"]) == 1 + refinements * (TINY["scale_max"] + 1)
+    assert sum(out["gauss_newton_steps"]) == out["systems"]
+    assert max(out["gauss_newton_steps"]) > 1
 
 
 def test_command_line_names_the_workloads(monkeypatch, tmp_path, capsys):

@@ -362,7 +362,6 @@ class TestBlockSolve:
             assert rank == len(kept)
             np.testing.assert_allclose(sigmas, [kept[0], kept[-1]], rtol=1e-12)
         assert sol.alpha_norms == [float(np.linalg.norm(a)) for a in sol.alphas]
-        assert sol.true_loss == sol.loss
 
     def test_no_ball_system_is_one_gelsd_call(self):
         region = box2()
@@ -672,14 +671,40 @@ class TestGaussNewton:
         assert len(two_ball_setup()[2].boundary[2]) > 0
         solve(two_ball_setup(), boundary=empty)
 
-    def test_true_loss_is_the_residual_at_the_returned_coefficients(self):
+    def test_loss_is_the_residual_at_the_returned_coefficients(self):
         part, bases, colloc = two_ball_setup()
         problem = nonzero_nonlinear_problem()
         report = fresh_solve(part, bases, colloc, problem, n_max=3)
         blocks = assemble(part, bases, colloc, problem, alphas=report.alpha)
-        assert report.true_loss == float(sum(b.rhs @ b.rhs
-                                             for b in [blocks] + blocks.balls))
-        assert report.true_loss != report.loss
+        all_blocks = [blocks] + blocks.balls
+        assert report.loss == float(sum(b.rhs @ b.rhs for b in all_blocks))
+        # the residual table is that of the same rows, per subdomain and kind
+        assert len(report.residuals) == len(all_blocks)
+        for table, b in zip(report.residuals, all_blocks):
+            assert sorted(table) == sorted(lsq.ROW_KIND_NAMES[k]
+                                           for k in np.unique(b.row_kind))
+        assert sum(v for r in report.residuals for v in r.values()) == \
+            pytest.approx(report.loss, rel=1e-12)
+
+    def test_every_step_reports_the_residual_after_it(self):
+        part, bases, colloc = two_ball_setup()
+        problem = nonzero_nonlinear_problem()
+        rows = fresh_rows(part, bases, colloc, problem)
+        at = []
+
+        def assembler(alphas):
+            at.append(None if alphas is None else alphas.copy())
+            return lsq.assemble(problem, rows, alphas=alphas)
+
+        report = lsq.gauss_newton_core(assembler, False, 4, 1e-5)
+        assert len(report.iterations) > 1
+        # one assembly at zero coefficients, then one after every step
+        assert at[0] is None and len(at) == len(report.iterations) + 1
+        assert at[-1].tobytes() == report.alpha.tobytes()
+        for (n, loss, _), alphas in zip(report.iterations, at[1:]):
+            blocks = assemble(part, bases, colloc, problem, alphas=alphas)
+            assert loss == float(sum(b.rhs @ b.rhs for b in [blocks] + blocks.balls)), n
+        assert report.loss == report.iterations[-1][1]
 
     def test_constant_fixed_point_of_quadratic_problem(self):
         # -lap(1) + 1^2 = 1, so with f = g = 1 the constant basis solves it

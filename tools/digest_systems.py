@@ -2,13 +2,15 @@
 
 Runs one workload of ``perfbench/workloads.py`` (its problem and solver
 configuration) through ``rfpde.adaptive_solve`` with ``rfpde.lsq.solve_min_norm``
-wrapped, and prints one JSON object:
+and ``rfpde.lsq.gauss_newton_core`` wrapped, and prints one JSON object:
 
 - ``systems_sha256``: SHA-256 over every system passed to the solve, in call
   order: its ``matrix``, ``rhs`` and ``row_kind``, and each ball block's
   ``matrix``, ``rhs`` and ``coupling``;
 - ``alpha_sha256``: SHA-256 of the final stacked coefficients;
-- the number of systems, the chosen scales and the scale-candidate losses.
+- the number of systems, the chosen scales and the scale-candidate losses;
+- ``gauss_newton_steps``: the number of steps of every Gauss-Newton solve,
+  in call order, so that a change to the stopping rule shows.
 
 Two checkouts that pass the same bytes to the solve print the same digests,
 whatever their code looks like. ``--src`` names the solver sources to run, so
@@ -48,9 +50,10 @@ def digest(problem_name: str, config: dict) -> dict:
     import rfpde
 
     lsq = rfpde.lsq
-    real = lsq.solve_min_norm
+    real, real_core = lsq.solve_min_norm, lsq.gauss_newton_core
     systems = hashlib.sha256()
     count = 0
+    steps = []
 
     def solve_min_norm(blocks):
         nonlocal count
@@ -62,19 +65,25 @@ def digest(problem_name: str, config: dict) -> dict:
                 _update(systems, array)
         return real(blocks)
 
-    lsq.solve_min_norm = solve_min_norm
+    def gauss_newton_core(*args, **kwargs):
+        report = real_core(*args, **kwargs)
+        steps.append(len(report.iterations))
+        return report
+
+    lsq.solve_min_norm, lsq.gauss_newton_core = solve_min_norm, gauss_newton_core
     try:
         state, trace = rfpde.adaptive_solve(rfpde.benchmark(problem_name),
                                             rfpde.AdaptiveConfig(**config))
     finally:
-        lsq.solve_min_norm = real
+        lsq.solve_min_norm, lsq.gauss_newton_core = real, real_core
     alpha = hashlib.sha256()
     _update(alpha, state.report.alpha)
     return {"src": str(Path(rfpde.__file__).parent), "problem": problem_name,
             "systems": count, "systems_sha256": systems.hexdigest(),
             "alpha_sha256": alpha.hexdigest(),
             "scales": [record.scale for record in trace],
-            "scale_losses": [record.scale_losses for record in trace]}
+            "scale_losses": [record.scale_losses for record in trace],
+            "gauss_newton_steps": steps}
 
 
 def main(argv=None) -> int:
