@@ -11,13 +11,37 @@ scale search returns the new ball complete, as an ``lsq.KeptBall`` of the
 winning candidate's rows (for a linear problem, with its block's elimination),
 and every later coupled solve takes the ball from it unchanged; only
 subdomain 0's rows are evaluated again (reclassification changes them).
+
+The scale candidates do not depend on each other, and ``adaptive_solve``
+solves them on a pool of worker processes, started with the ``spawn`` method
+by the first scale search and joined before it returns or raises.
+There are as many workers as usable cores, at most ``scale_max``. OpenBLAS
+reads its thread count only when it loads, so the workers are started with
+``OPENBLAS_NUM_THREADS=1`` (the coupled solves keep the calling process's
+threads) and compute every candidate's loss at one BLAS thread. A worker
+returns only its candidate's loss; the winner's rows are evaluated again in
+the calling process, bit for bit the same, since basis evaluation uses no
+BLAS. Each worker receives the problem by ``pickle``: a problem that does
+not pickle (one built from lambdas, say) has its candidates solved in the
+calling process, as they are on a single usable core, by the same code. A
+script that calls ``adaptive_solve`` should do so under
+``if __name__ == "__main__":``, because every spawned worker imports the
+script's main module. A worker that dies (one that re-ran an unguarded
+script, or could not import a problem's functions from an interactive
+``__main__``) breaks the pool, and the candidates then run in the calling
+process, with a warning.
 """
 
 from __future__ import annotations
 
 import numbers
+import os
+import pickle
 import time
+import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -131,6 +155,7 @@ class RefinementRecord:
     err_l2: Optional[float] = None
     scale_losses: Optional[list] = None
     seconds: Optional[float] = None
+    search_seconds: Optional[float] = None   # the scale search's part of seconds
     # per subdomain of the coupled re-solve: the squared residual of its rows
     # of each row kind, its block's rank and [largest, smallest] retained
     # singular value, and the norm of its coefficients
@@ -179,17 +204,41 @@ def locate_peak(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
     return points[int(np.argmax(np.abs(res)))].copy()
 
 
+def _candidate(problem: SemilinearProblem, raw: basis_mod.BasisSet,
+               ball: geo.BallSubdomain, basis0: basis_mod.BasisSet,
+               alpha0: np.ndarray, interior: np.ndarray, boundary: np.ndarray,
+               interface: np.ndarray, n_max: int, tol: float,
+               s: int) -> tuple[Optional[float], Optional[str]]:
+    """Solve scale candidate ``s``; returns (its loss, None), or (None, the
+    failure's message): a ``ScaleSearchError`` does not unpickle, so a
+    worker does not raise one."""
+    candidate = basis_mod.rescale(raw, ball.center, s)
+    try:
+        rows = lsq.ball_rows(problem, ball, candidate, basis0, interior, boundary,
+                             interface)
+
+        def assembler(alpha_k):
+            return lsq.assemble_local(problem, rows, alpha0, alpha_k=alpha_k)
+
+        report = lsq.gauss_newton_core(assembler, problem.is_linear, n_max, tol)
+    except (lsq.NonConvergenceError, lsq.AssemblyError) as exc:
+        return None, f"scale candidate s={s} failed: {exc}"
+    return report.loss, None
+
+
 def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
                  alpha0: np.ndarray, ball: geo.BallSubdomain,
-                 colloc: geo.CollocationSets,
-                 config: AdaptiveConfig) -> ScaleSearchResult:
+                 colloc: geo.CollocationSets, config: AdaptiveConfig,
+                 mapper: Callable = map) -> ScaleSearchResult:
     """Pick the integer frequency multiplier for a new ball's basis.
 
     One draw of ``config.m_star`` neurons (substream = ball index) is
     rescaled for every candidate s = 1..``config.scale_max``; each candidate
     solves the local problem with the subdomain-0 expansion frozen at
     ``alpha0``, and the smallest squared residual at its returned
-    coefficients wins (ties to the smaller s). The winner is returned as the
+    coefficients wins (ties to the smaller s). ``mapper`` runs the
+    candidates, like builtin ``map``; ``adaptive_solve`` passes a worker
+    pool's. The winner's rows are evaluated again here and returned as the
     finished ``lsq.KeptBall``.
     """
     k = ball.index
@@ -199,27 +248,85 @@ def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
     boundary = colloc.boundary[k]
     interface = colloc.interface[k]
 
+    task = partial(_candidate, problem, raw, ball, basis0, alpha0, interior,
+                   boundary, interface, config.n_max, config.tol)
     losses = []
-    best = None
-    for s in range(1, config.scale_max + 1):
-        candidate = basis_mod.rescale(raw, ball.center, s)
-        try:
-            rows = lsq.ball_rows(problem, ball, candidate, basis0, interior,
-                                 boundary, interface)
+    for s, (loss, error) in enumerate(mapper(task, range(1, config.scale_max + 1)), 1):
+        if error is not None:
+            raise ScaleSearchError(error, scale=s)
+        losses.append(loss)
+    best = 1 + losses.index(min(losses))        # the first of equal losses
+    basis = basis_mod.rescale(raw, ball.center, best)
+    rows = lsq.ball_rows(problem, ball, basis, basis0, interior, boundary, interface)
+    return ScaleSearchResult(scale=best, basis=basis, losses=losses,
+                             ball=lsq.keep_ball(problem, rows))
 
-            def assembler(alpha_k, rows=rows):
-                return lsq.assemble_local(problem, rows, alpha0, alpha_k=alpha_k)
 
-            report = lsq.gauss_newton_core(assembler, problem.is_linear,
-                                           config.n_max, config.tol)
-        except (lsq.NonConvergenceError, lsq.AssemblyError) as exc:
-            raise ScaleSearchError(f"scale candidate s={s} failed: {exc}", scale=s) \
-                from exc
-        losses.append(report.loss)
-        if best is None or report.loss < best[2]:
-            best = (s, candidate, report.loss, rows)
-    return ScaleSearchResult(scale=best[0], basis=best[1], losses=losses,
-                             ball=lsq.keep_ball(problem, best[3]))
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)      # Linux only
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """``OPENBLAS_NUM_THREADS=1`` for the processes spawned inside; the
+    caller's value is restored on exit."""
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
+@contextmanager
+def _candidate_map(problem: SemilinearProblem, config: AdaptiveConfig):
+    """The mapper of one adaptive solve's scale candidates.
+
+    It solves them on a ``spawn`` process pool whose workers start at its
+    first call and are joined on exit, or with builtin ``map`` on one usable
+    core or for a problem that does not pickle. If a worker dies, this call
+    and every later one run in the calling process, with a warning: a
+    problem's functions defined in an interactive ``__main__`` pickle by
+    name, but a spawned worker cannot import them.
+    """
+    workers = min(_usable_cores(), config.scale_max)
+    try:
+        pickle.dumps(problem)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        workers = 1
+    if workers < 2:
+        yield map
+        return
+    # imported here, not with the package: they add about a twentieth to the
+    # package's import time, and only a solve needs them
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    broken = False
+
+    def pool_map(fn, items):
+        nonlocal broken
+        items = list(items)
+        if not broken:
+            try:
+                with _one_blas_thread():    # a worker starts when a task is submitted
+                    results = pool.map(fn, items)
+                return list(results)
+            except BrokenProcessPool as exc:
+                broken = True
+                warnings.warn(f"a scale-search worker died ({exc}); the candidates "
+                              "run in the calling process", RuntimeWarning,
+                              stacklevel=2)
+        return map(fn, items)
+
+    with ProcessPoolExecutor(workers,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        yield pool_map
 
 
 def _base_basis(problem: SemilinearProblem, config: AdaptiveConfig) -> basis_mod.BasisSet:
@@ -268,49 +375,53 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
     trace: list[RefinementRecord] = []
 
     gate = mean_residual(problem, bases[0], report.alphas[0], colloc.interior[0])
-    while gate > cfg.epsilon:
-        if partition.n_balls >= cfg.max_refinements:
-            raise MaxRefinementsError(
-                f"mean residual {gate:.3e} still above {cfg.epsilon:.3e} after "
-                f"{cfg.max_refinements} refinements", trace=trace)
-        t0 = time.perf_counter()
-        center = locate_peak(problem, bases[0], report.alphas[0], colloc.interior[0])
-
-        radius = cfg.radius
-        for attempt in range(4):  # halve up to 3 times on ball overlap
-            try:
-                partition = geo.split_subdomain(partition, center, radius)
-                break
-            except geo.RefinementConflictError:
-                if attempt == 3:
-                    raise
-                radius *= 0.5
-
-        k = partition.n_balls
-        colloc = geo.reclassify_collocation(colloc, partition,
-                                            interior_resolution=cfg.ball_resolution,
-                                            interface_count=cfg.interface_count)
-        search = scale_search(problem, bases[0], report.alphas[0], partition.ball(k),
-                              colloc, cfg)
-        bases.append(search.basis)
-        kept.append(search.ball)
-
-        report = lsq.gauss_newton(partition, problem, bases[0], colloc.interior[0],
-                                  colloc.boundary[0], kept, cfg.n_max, cfg.tol)
-        state = SolveState(partition, list(bases), colloc, report)
-
-        new_gate = mean_residual(problem, bases[0], report.alphas[0],
+    with _candidate_map(problem, cfg) as mapper:
+        while gate > cfg.epsilon:
+            if partition.n_balls >= cfg.max_refinements:
+                raise MaxRefinementsError(
+                    f"mean residual {gate:.3e} still above {cfg.epsilon:.3e} after "
+                    f"{cfg.max_refinements} refinements", trace=trace)
+            t0 = time.perf_counter()
+            center = locate_peak(problem, bases[0], report.alphas[0],
                                  colloc.interior[0])
-        seconds = time.perf_counter() - t0
-        trace.append(RefinementRecord(
-            index=k, center=center.tolist(), radius=radius, scale=search.scale,
-            mean_residual_before=gate, mean_residual_after=new_gate,
-            loss=report.loss, iterations=[list(step) for step in report.iterations],
-            err_l2=None if diagnostic is None else float(diagnostic(state)),
-            scale_losses=[float(v) for v in search.losses],
-            seconds=seconds, residuals=report.residuals,
-            block_ranks=report.block_ranks, block_sigmas=report.block_sigmas,
-            alpha_norms=report.alpha_norms))
-        gate = new_gate
+
+            radius = cfg.radius
+            for attempt in range(4):  # halve up to 3 times on ball overlap
+                try:
+                    partition = geo.split_subdomain(partition, center, radius)
+                    break
+                except geo.RefinementConflictError:
+                    if attempt == 3:
+                        raise
+                    radius *= 0.5
+
+            k = partition.n_balls
+            colloc = geo.reclassify_collocation(colloc, partition,
+                                                interior_resolution=cfg.ball_resolution,
+                                                interface_count=cfg.interface_count)
+            t_search = time.perf_counter()
+            search = scale_search(problem, bases[0], report.alphas[0],
+                                  partition.ball(k), colloc, cfg, mapper=mapper)
+            search_seconds = time.perf_counter() - t_search
+            bases.append(search.basis)
+            kept.append(search.ball)
+
+            report = lsq.gauss_newton(partition, problem, bases[0], colloc.interior[0],
+                                      colloc.boundary[0], kept, cfg.n_max, cfg.tol)
+            state = SolveState(partition, list(bases), colloc, report)
+
+            new_gate = mean_residual(problem, bases[0], report.alphas[0],
+                                     colloc.interior[0])
+            seconds = time.perf_counter() - t0
+            trace.append(RefinementRecord(
+                index=k, center=center.tolist(), radius=radius, scale=search.scale,
+                mean_residual_before=gate, mean_residual_after=new_gate,
+                loss=report.loss, iterations=[list(step) for step in report.iterations],
+                err_l2=None if diagnostic is None else float(diagnostic(state)),
+                scale_losses=[float(v) for v in search.losses],
+                seconds=seconds, search_seconds=search_seconds,
+                residuals=report.residuals, block_ranks=report.block_ranks,
+                block_sigmas=report.block_sigmas, alpha_norms=report.alpha_norms))
+            gate = new_gate
 
     return state, trace

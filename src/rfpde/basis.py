@@ -84,19 +84,22 @@ class BasisSet:
 
     def _preactivation(self, pts: np.ndarray) -> np.ndarray:
         # fixed left-to-right accumulation over axes, no BLAS: a point's row
-        # is the same bits whatever batch it is evaluated in
+        # is the same bits whatever batch it is evaluated in; accumulated in
+        # place, so the only (n, M) temporaries are the result and one product
         xc = pts - self.center
         dot = xc[:, 0, None] * self.weights[None, :, 0]
         for j in range(1, self.dim):
-            dot = dot + xc[:, j, None] * self.weights[None, :, j]
-        return self.scale * dot + self.biases[None, :]
+            dot += xc[:, j, None] * self.weights[None, :, j]
+        dot *= self.scale
+        dot += self.biases
+        return dot
 
     def values(self, x) -> np.ndarray:
         """Basis values, shape (n, M+1); column 0 is the constant."""
         pts = self._check(x)
         out = np.empty((pts.shape[0], self.size))
         out[:, 0] = 1.0
-        out[:, 1:] = np.tanh(self._preactivation(pts))
+        np.tanh(self._preactivation(pts), out=out[:, 1:])
         return out
 
     def laplacians(self, x) -> np.ndarray:

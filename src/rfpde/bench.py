@@ -5,7 +5,10 @@ piecewise expansion on a uniform test grid (each point evaluated with the
 basis of the subdomain that owns it), and writes a manifest plus CSV/JSON
 artifacts sufficient to re-check every reported number offline. ``run`` with
 the manifest's ``benchmark`` and ``config`` reproduces the artifacts
-bit-identically on the same BLAS build and thread count.
+bit-identically on the same BLAS build and thread count. The scale
+candidates' losses are computed at one BLAS thread whenever worker processes
+solve them (see ``adaptive``), whatever the thread count of the calling
+process.
 """
 
 from __future__ import annotations

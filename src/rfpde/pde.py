@@ -8,12 +8,14 @@ Gauss-Newton rows are built from.
 Benchmarks: sharp Gaussian bumps exp(-1000 |x - p|^2) on [-1,1]^2 and
 [-1,1]^3 (linear and with the quadratic nonlinearity u^2), and the corner
 singularity (x^2 + y^2)^(1/3) on the L-shape [-1,1]^2 \\ [0,1]^2. Forcings
-are analytic; boundary data is the trace of the exact solution.
+are analytic; boundary data is the trace of the exact solution. Every
+benchmark is built from module-level functions, so it pickles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -80,6 +82,8 @@ _PEAK_CENTERS_2D = {
 
 
 def _bump_sum(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Exact solution: the sum of the bumps exp(-a |x - c|^2) over ``centers``."""
+    points = np.atleast_2d(points)
     a = PEAK_SHARPNESS
     total = np.zeros(points.shape[0])
     for c in centers:
@@ -89,7 +93,9 @@ def _bump_sum(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _bump_neg_laplacian(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Linear forcing: -lap of ``_bump_sum``."""
     # lap exp(-a r^2) = (4 a^2 r^2 - 2 a d) exp(-a r^2)
+    points = np.atleast_2d(points)
     a = PEAK_SHARPNESS
     d = points.shape[1]
     total = np.zeros(points.shape[0])
@@ -99,47 +105,54 @@ def _bump_neg_laplacian(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return total
 
 
+def _bump_nonlinear_forcing(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Forcing of -lap(u) + u^2 for the bump sum u."""
+    return _bump_neg_laplacian(points, centers) + _bump_sum(points, centers) ** 2
+
+
+def _square(u: np.ndarray) -> np.ndarray:
+    return u * u
+
+
+def _twice(u: np.ndarray) -> np.ndarray:
+    return 2.0 * u
+
+
 def _peak_problem(name: str, centers, dim: int, nonlinear: bool) -> SemilinearProblem:
+    # module-level functions bound by ``partial``: the problem pickles, so a
+    # worker process can receive it
     centers = np.asarray(centers, dtype=float)
     region = Box(-np.ones(dim), np.ones(dim))
-
-    def exact(points):
-        return _bump_sum(np.atleast_2d(points), centers)
-
+    exact = partial(_bump_sum, centers=centers)
     if nonlinear:
-        def forcing(points):
-            pts = np.atleast_2d(points)
-            return _bump_neg_laplacian(pts, centers) + _bump_sum(pts, centers) ** 2
+        return SemilinearProblem(region=region,
+                                 forcing=partial(_bump_nonlinear_forcing, centers=centers),
+                                 boundary=exact, nonlinearity=_square,
+                                 nonlinearity_prime=_twice, exact=exact, name=name)
+    return SemilinearProblem(region=region,
+                             forcing=partial(_bump_neg_laplacian, centers=centers),
+                             boundary=exact, exact=exact, name=name)
 
-        return SemilinearProblem(region=region, forcing=forcing, boundary=exact,
-                                 nonlinearity=lambda u: u * u,
-                                 nonlinearity_prime=lambda u: 2.0 * u,
-                                 exact=exact, name=name)
 
-    def forcing(points):
-        return _bump_neg_laplacian(np.atleast_2d(points), centers)
+def _corner_exact(points: np.ndarray) -> np.ndarray:
+    pts = np.atleast_2d(points)
+    return (pts[:, 0] ** 2 + pts[:, 1] ** 2) ** (1.0 / 3.0)
 
-    return SemilinearProblem(region=region, forcing=forcing, boundary=exact,
-                             exact=exact, name=name)
+
+def _corner_forcing(points: np.ndarray) -> np.ndarray:
+    pts = np.atleast_2d(points)
+    r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
+    if np.any(r2 < CORNER_FORCING_GUARD):
+        raise ValueError("forcing evaluated at the singular corner")
+    return -(4.0 / 9.0) * r2 ** (-2.0 / 3.0)
 
 
 def _corner_problem() -> SemilinearProblem:
     region = BoxMinusBox(outer=Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
                          removed=Box(np.array([0.0, 0.0]), np.array([1.0, 1.0])))
-
-    def exact(points):
-        pts = np.atleast_2d(points)
-        return (pts[:, 0] ** 2 + pts[:, 1] ** 2) ** (1.0 / 3.0)
-
-    def forcing(points):
-        pts = np.atleast_2d(points)
-        r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        if np.any(r2 < CORNER_FORCING_GUARD):
-            raise ValueError("forcing evaluated at the singular corner")
-        return -(4.0 / 9.0) * r2 ** (-2.0 / 3.0)
-
-    return SemilinearProblem(region=region, forcing=forcing, boundary=exact,
-                             exact=exact, name="corner2d")
+    return SemilinearProblem(region=region, forcing=_corner_forcing,
+                             boundary=_corner_exact, exact=_corner_exact,
+                             name="corner2d")
 
 
 BENCHMARKS = (

@@ -157,14 +157,23 @@ class TestScaleSearch:
             return reports[-1]
         monkeypatch.setattr(lsq, "ball_rows", ball_rows)
         monkeypatch.setattr(lsq, "gauss_newton_core", gauss_newton_core)
+        # builtin map, the default mapper: every candidate runs in this process
         result = ada.scale_search(problem, basis0, alpha0, part.ball(1), colloc,
                                   ada.AdaptiveConfig(m_star=40, seed=5, scale_max=3))
-        assert len(rows) == len(reports) == len(result.losses) == 3
+        # the three candidates' rows, then the winner's evaluated again
+        assert len(rows) == 4
+        assert len(reports) == len(result.losses) == 3
         assert any(len(report.iterations) > 1 for report in reports)
         for loss, r, report in zip(result.losses, rows, reports):
             rhs = lsq.assemble_local(problem, r, alpha0, alpha_k=report.alpha).rhs
             assert loss == float(rhs @ rhs)
         assert result.scale == 1 + int(np.argmin(result.losses))
+        assert result.ball.rows is rows[-1]
+        for name, kept in rows[-1]._asdict().items():
+            candidate = getattr(rows[result.scale - 1], name)
+            if name == "trace":
+                kept, candidate = np.concatenate(kept), np.concatenate(candidate)
+            assert kept.tobytes() == candidate.tobytes(), name
 
     def test_inner_failure_tagged_with_scale(self):
         part, colloc = self.make_ball_setup()
@@ -416,6 +425,7 @@ class TestWorkDoneOncePerBall:
         assert record.alpha_norms == [float(np.linalg.norm(a)) for a in report.alphas]
         assert record.residuals == report.residuals
         assert len(record.residuals) == state.partition.n_subdomains
+        assert 0 < record.search_seconds <= record.seconds
 
     def search(self, problem):
         """The scale search of ball 1 on ``TestScaleSearch``'s partition, and

@@ -155,6 +155,9 @@ class TestRun:
         assert records[0]["iterations"] == [[0, records[0]["loss"], None]]
         assert manifest["trace"][0]["iterations"] == records[0]["iterations"]
         assert manifest["iterations"] == [[0, manifest["final_loss"], None]]
+        # the scale search's wall time, part of the refinement's
+        assert 0 < records[0]["search_seconds"] <= records[0]["seconds"]
+        assert manifest["trace"][0]["search_seconds"] == records[0]["search_seconds"]
 
     def test_subdomains_json(self, case1_run):
         outdir, _ = case1_run

@@ -30,9 +30,14 @@ def load_tool():
 def test_two_runs_give_the_same_digests():
     tool = load_tool()
     real = rfpde.lsq.solve_min_norm, rfpde.lsq.gauss_newton_core
+    real_map = rfpde.adaptive._candidate_map
     first = tool.digest("peak2d-case1", TINY)
     assert (rfpde.lsq.solve_min_norm, rfpde.lsq.gauss_newton_core) == real
     assert first["scales"] and len(first["scale_losses"][0]) == TINY["scale_max"]
+    # the default run, on worker processes: the same shape of losses
+    assert [len(losses) for losses in first["pool"]["scale_losses"]] == \
+        [len(losses) for losses in first["scale_losses"]]
+    assert rfpde.adaptive._candidate_map is real_map
     assert first["systems"] > TINY["scale_max"]
     # a linear problem: every Gauss-Newton solve is one step, one system
     assert first["gauss_newton_steps"] == [1] * first["systems"]

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from conftest import fd_laplacian, fresh_rows, pointwise_operator
@@ -185,6 +187,24 @@ class TestBenchmarks:
         fd = (problem.nonlinearity(u + h) - problem.nonlinearity(u)) / h
         np.testing.assert_allclose(fd, problem.nonlinearity_prime(u),
                                    rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("name", pde.BENCHMARKS)
+    def test_benchmark_round_trips_through_pickle(self, name, rng):
+        # a worker process receives the problem by pickle and must compute
+        # the same values, bit for bit
+        problem = pde.benchmark(name)
+        copy = pickle.loads(pickle.dumps(problem))
+        pts = rng.uniform(-1, 1, size=(200, problem.dim))
+        pts = pts[np.sum(pts * pts, axis=1) > 1e-3]       # off corner2d's singularity
+        for attr in ("forcing", "boundary", "exact"):
+            assert getattr(copy, attr)(pts).tobytes() == \
+                getattr(problem, attr)(pts).tobytes(), attr
+        assert copy.is_linear == problem.is_linear
+        if not problem.is_linear:
+            u = rng.standard_normal(50)
+            for attr in ("nonlinearity", "nonlinearity_prime"):
+                assert getattr(copy, attr)(u).tobytes() == \
+                    getattr(problem, attr)(u).tobytes(), attr
 
     def test_nonlinearity_requires_derivative(self):
         from rfpde.geometry import Box

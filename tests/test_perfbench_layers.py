@@ -9,6 +9,7 @@ on the results of a small traced solve with one refinement.
 import importlib.util
 import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import rfpde
@@ -32,7 +33,11 @@ def test_every_patched_attribute_exists():
         assert callable(getattr(owner, attribute, None)), span
 
 
-def test_every_counter_reads_a_traced_solve():
+def test_every_counter_reads_a_traced_solve(monkeypatch):
+    # the wrappers see only this process's calls: solve the scale candidates
+    # here, not on worker processes
+    monkeypatch.setattr(rfpde.adaptive, "_candidate_map",
+                        lambda problem, config: nullcontext(map))
     layers, tracing = load("layers"), load("tracing")
     tracer = tracing.Tracer()
     config = rfpde.AdaptiveConfig(interior_resolution=20, boundary_count=120,

@@ -10,7 +10,13 @@ and ``rfpde.lsq.gauss_newton_core`` wrapped, and prints one JSON object:
 - ``alpha_sha256``: SHA-256 of the final stacked coefficients;
 - the number of systems, the chosen scales and the scale-candidate losses;
 - ``gauss_newton_steps``: the number of steps of every Gauss-Newton solve,
-  in call order, so that a change to the stopping rule shows.
+  in call order, so that a change to the stopping rule shows;
+- ``pool``: the coefficient digest and the scale-candidate losses of a
+  second, default run, whose scale candidates are solved on worker processes.
+
+The wrappers see only calls in this process, so the digested run solves
+the scale candidates in this process too, through the private seam
+``rfpde.adaptive._candidate_map``.
 
 Two checkouts that pass the same bytes to the solve print the same digests,
 whatever their code looks like. ``--src`` names the solver sources to run, so
@@ -21,7 +27,9 @@ from one checkout:
     python3 tools/digest_systems.py --workload peak2d-4ball --src ../parent/src
 
 Results repeat bit for bit only at a fixed BLAS build and thread count, so
-run both with the same ``OPENBLAS_NUM_THREADS``.
+run both with the same ``OPENBLAS_NUM_THREADS``. The workers always run one
+BLAS thread, so the two runs of one checkout match bit for bit only at
+``OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -44,13 +53,22 @@ def _update(digest, array) -> None:
     digest.update(array.tobytes())
 
 
+def _sha256(array) -> str:
+    digest = hashlib.sha256()
+    _update(digest, array)
+    return digest.hexdigest()
+
+
 def digest(problem_name: str, config: dict) -> dict:
     """Solve ``problem_name`` with ``config`` (``AdaptiveConfig`` keywords)
-    and digest what the least-squares solve received and returned."""
+    and digest what the least-squares solve received and returned; then
+    solve it again by default, on worker processes."""
     import rfpde
 
-    lsq = rfpde.lsq
+    ada, lsq = rfpde.adaptive, rfpde.lsq
     real, real_core = lsq.solve_min_norm, lsq.gauss_newton_core
+    # absent from sources that solve every candidate in the calling process
+    real_map = getattr(ada, "_candidate_map", None)
     systems = hashlib.sha256()
     count = 0
     steps = []
@@ -70,20 +88,28 @@ def digest(problem_name: str, config: dict) -> dict:
         steps.append(len(report.iterations))
         return report
 
+    def solve():
+        return rfpde.adaptive_solve(rfpde.benchmark(problem_name),
+                                    rfpde.AdaptiveConfig(**config))
+
     lsq.solve_min_norm, lsq.gauss_newton_core = solve_min_norm, gauss_newton_core
+    if real_map is not None:
+        ada._candidate_map = lambda problem, config: nullcontext(map)
     try:
-        state, trace = rfpde.adaptive_solve(rfpde.benchmark(problem_name),
-                                            rfpde.AdaptiveConfig(**config))
+        state, trace = solve()
     finally:
         lsq.solve_min_norm, lsq.gauss_newton_core = real, real_core
-    alpha = hashlib.sha256()
-    _update(alpha, state.report.alpha)
+        if real_map is not None:
+            ada._candidate_map = real_map
+    pool_state, pool_trace = solve()
     return {"src": str(Path(rfpde.__file__).parent), "problem": problem_name,
             "systems": count, "systems_sha256": systems.hexdigest(),
-            "alpha_sha256": alpha.hexdigest(),
+            "alpha_sha256": _sha256(state.report.alpha),
             "scales": [record.scale for record in trace],
             "scale_losses": [record.scale_losses for record in trace],
-            "gauss_newton_steps": steps}
+            "gauss_newton_steps": steps,
+            "pool": {"alpha_sha256": _sha256(pool_state.report.alpha),
+                     "scale_losses": [record.scale_losses for record in pool_trace]}}
 
 
 def main(argv=None) -> int:
