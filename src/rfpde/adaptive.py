@@ -27,9 +27,10 @@ calling process, as they are on a single usable core, by the same code. A
 script that calls ``adaptive_solve`` should do so under
 ``if __name__ == "__main__":``, because every spawned worker imports the
 script's main module. A worker that dies (one that re-ran an unguarded
-script, or could not import a problem's functions from an interactive
-``__main__``) breaks the pool, and the candidates then run in the calling
-process, with a warning.
+script, could not import a problem's functions from an interactive
+``__main__``, or found ``OPENBLAS_NUM_THREADS`` set to other than 1 by the
+main module's import) breaks the pool, and the candidates then run in the
+calling process, with a warning.
 """
 
 from __future__ import annotations
@@ -67,6 +68,9 @@ class ScaleSearchError(RuntimeError):
         super().__init__(message)
         self.scale = scale
 
+    def __reduce__(self):       # so that it crosses from a worker process
+        return type(self), (str(self), self.scale)
+
 
 #: Accepted values of each annotation of an ``AdaptiveConfig`` field.
 _FIELD_TYPES = {"float": numbers.Real, "int": numbers.Integral, "str": str,
@@ -77,12 +81,12 @@ _FIELD_TYPES = {"float": numbers.Real, "int": numbers.Integral, "str": str,
 class AdaptiveConfig:
     """Knobs of the adaptive solver.
 
-    Resolution fields left as None fall back to the dimension defaults:
-    2D interior 50x50 lattice / 400 boundary / 40x40 ball lattice / 200
-    interface points / 256x256 test grid; 3D 10000-target lattice / 2400
-    boundary / 8500-target ball lattice / 600 interface points / 50^3 test
-    grid. ``interior_resolution`` and ``ball_resolution`` are points per axis
-    in 2D and total lattice budgets in 3D.
+    Every ``*_resolution`` field is a number of lattice points per axis, in
+    2D and in 3D. Resolution fields left as None fall back to the dimension
+    defaults: 2D interior 50^2 lattice / 400 boundary points / 40^2 ball
+    lattice / 200 interface points / 256^2 test grid; 3D interior 21^3
+    lattice / 2400 boundary points / 20^3 ball lattice / 600 interface
+    points / 50^3 test grid.
     """
 
     epsilon: float = 1e-4
@@ -121,8 +125,8 @@ class AdaptiveConfig:
         defaults = {
             2: dict(interior_resolution=50, boundary_count=400, ball_resolution=40,
                     interface_count=200, test_resolution=256),
-            3: dict(interior_resolution=10000, boundary_count=2400,
-                    ball_resolution=8500, interface_count=600, test_resolution=50),
+            3: dict(interior_resolution=21, boundary_count=2400, ball_resolution=20,
+                    interface_count=600, test_resolution=50),
         }[dim]
         updates = {k: v for k, v in defaults.items() if getattr(self, k) is None}
         return replace(self, **updates) if updates else self
@@ -207,11 +211,8 @@ def locate_peak(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
 def _candidate(problem: SemilinearProblem, raw: basis_mod.BasisSet,
                ball: geo.BallSubdomain, basis0: basis_mod.BasisSet,
                alpha0: np.ndarray, interior: np.ndarray, boundary: np.ndarray,
-               interface: np.ndarray, n_max: int, tol: float,
-               s: int) -> tuple[Optional[float], Optional[str]]:
-    """Solve scale candidate ``s``; returns (its loss, None), or (None, the
-    failure's message): a ``ScaleSearchError`` does not unpickle, so a
-    worker does not raise one."""
+               interface: np.ndarray, n_max: int, tol: float, s: int) -> float:
+    """Solve scale candidate ``s`` and return its loss."""
     candidate = basis_mod.rescale(raw, ball.center, s)
     try:
         rows = lsq.ball_rows(problem, ball, candidate, basis0, interior, boundary,
@@ -222,8 +223,8 @@ def _candidate(problem: SemilinearProblem, raw: basis_mod.BasisSet,
 
         report = lsq.gauss_newton_core(assembler, problem.is_linear, n_max, tol)
     except (lsq.NonConvergenceError, lsq.AssemblyError) as exc:
-        return None, f"scale candidate s={s} failed: {exc}"
-    return report.loss, None
+        raise ScaleSearchError(f"scale candidate s={s} failed: {exc}", scale=s) from exc
+    return report.loss
 
 
 def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
@@ -250,11 +251,7 @@ def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
 
     task = partial(_candidate, problem, raw, ball, basis0, alpha0, interior,
                    boundary, interface, config.n_max, config.tol)
-    losses = []
-    for s, (loss, error) in enumerate(mapper(task, range(1, config.scale_max + 1)), 1):
-        if error is not None:
-            raise ScaleSearchError(error, scale=s)
-        losses.append(loss)
+    losses = list(mapper(task, range(1, config.scale_max + 1)))
     best = 1 + losses.index(min(losses))        # the first of equal losses
     basis = basis_mod.rescale(raw, ball.center, best)
     rows = lsq.ball_rows(problem, ball, basis, basis0, interior, boundary, interface)
@@ -283,6 +280,21 @@ def _one_blas_thread():
             os.environ["OPENBLAS_NUM_THREADS"] = saved
 
 
+def _refuse_blas_threads():
+    """A worker's initializer: refuse to run unless ``OPENBLAS_NUM_THREADS``
+    is still 1.
+
+    A main module that sets ``OPENBLAS_NUM_THREADS`` when it is imported sets
+    it again in every spawned worker, over the 1 it was started with; the
+    workers would then oversubscribe the cores. Raising here breaks the pool.
+    The variable is read, not the thread count OpenBLAS loaded with.
+    """
+    threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    if threads != "1":
+        raise RuntimeError(f"OPENBLAS_NUM_THREADS is {threads!r} in a scale-search "
+                           "worker, not '1': the main module sets it when imported")
+
+
 @contextmanager
 def _candidate_map(problem: SemilinearProblem, config: AdaptiveConfig):
     """The mapper of one adaptive solve's scale candidates.
@@ -292,7 +304,8 @@ def _candidate_map(problem: SemilinearProblem, config: AdaptiveConfig):
     core or for a problem that does not pickle. If a worker dies, this call
     and every later one run in the calling process, with a warning: a
     problem's functions defined in an interactive ``__main__`` pickle by
-    name, but a spawned worker cannot import them.
+    name, but a spawned worker cannot import them, and a worker whose main
+    module set ``OPENBLAS_NUM_THREADS`` refuses to start.
     """
     workers = min(_usable_cores(), config.scale_max)
     try:
@@ -324,8 +337,8 @@ def _candidate_map(problem: SemilinearProblem, config: AdaptiveConfig):
                               stacklevel=2)
         return map(fn, items)
 
-    with ProcessPoolExecutor(workers,
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                             initializer=_refuse_blas_threads) as pool:
         yield pool_map
 
 
@@ -343,12 +356,7 @@ def _base_basis(problem: SemilinearProblem, config: AdaptiveConfig) -> basis_mod
 def initial_collocation(problem: SemilinearProblem,
                         config: AdaptiveConfig) -> geo.CollocationSets:
     cfg = config.resolved(problem.dim)
-    if problem.dim == 2:
-        interior = geo.generate_interior_grid(problem.region,
-                                              resolution=cfg.interior_resolution)
-    else:
-        interior = geo.generate_interior_grid(problem.region,
-                                              target=cfg.interior_resolution)
+    interior = geo.generate_interior_grid(problem.region, cfg.interior_resolution)
     boundary = geo.generate_boundary_points(problem.region, cfg.boundary_count)
     return geo.CollocationSets.initial(interior, boundary)
 
@@ -397,7 +405,7 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
 
             k = partition.n_balls
             colloc = geo.reclassify_collocation(colloc, partition,
-                                                interior_resolution=cfg.ball_resolution,
+                                                ball_resolution=cfg.ball_resolution,
                                                 interface_count=cfg.interface_count)
             t_search = time.perf_counter()
             search = scale_search(problem, bases[0], report.alphas[0],

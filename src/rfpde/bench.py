@@ -113,14 +113,8 @@ def evaluate_on_grid(state: SolveState, problem: SemilinearProblem,
 def _write_solution_csv(path, grid: TestGrid) -> None:
     d = grid.points.shape[1]
     header = ",".join(["x", "y", "z"][:d] + ["predicted", "exact", "abs_err"])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        err = grid.abs_err
-        for i in range(grid.n_points):
-            cols = [f"{v:.17g}" for v in grid.points[i]]
-            cols += [f"{grid.predicted[i]:.17g}", f"{grid.exact[i]:.17g}",
-                     f"{err[i]:.17g}"]
-            fh.write(",".join(cols) + "\n")
+    table = np.column_stack([grid.points, grid.predicted, grid.exact, grid.abs_err])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def _write_trace_jsonl(path, trace) -> None:

@@ -70,10 +70,7 @@ class Box:
         return self.lo.shape[0]
 
     def corners(self) -> np.ndarray:
-        d = self.dim
-        grids = np.meshgrid(*[np.array([self.lo[i], self.hi[i]]) for i in range(d)],
-                            indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        return _tensor_lattice(self, 2)
 
     def circumradius(self) -> float:
         """Largest distance from the origin to a corner of the box."""
@@ -273,44 +270,38 @@ class CollocationSets:
         return CollocationSets((interior,), (boundary,), (empty,))
 
 
-def _lattice_axis_count(target: int, dim: int) -> int:
-    """Largest n with n**dim <= target."""
-    n = int(round(target ** (1.0 / dim)))
-    while n ** dim > target:
-        n -= 1
-    while (n + 1) ** dim <= target:
-        n += 1
-    if n < 2:
-        raise GeometryError(f"target count {target} too small for a {dim}-d lattice")
-    return n
-
-
 def _tensor_lattice(box: Box, n: int) -> np.ndarray:
+    """The n-points-per-axis lattice over ``box``, endpoints included."""
+    if n < 2:
+        raise GeometryError(f"a lattice needs at least 2 points per axis, not {n}")
     axes = [np.linspace(box.lo[i], box.hi[i], n) for i in range(box.dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    try:
+        grids = np.meshgrid(*axes, indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=1)
+    except MemoryError:
+        raise GeometryError(f"a {n}-per-axis lattice ({n ** box.dim} points) does not "
+                            "fit in memory; a resolution is points per axis, not a "
+                            "total") from None
 
 
-def generate_interior_grid(region: BaseRegion, resolution: int | None = None,
-                           target: int | None = None) -> np.ndarray:
-    """Uniform lattice over the outer box, masked to the closed domain.
-
-    Exactly one of ``resolution`` (points per axis, endpoints included) and
-    ``target`` (total lattice budget; the largest n**d <= target is used)
-    must be given. Lattice points outside the domain are masked off; points
-    within ``CORNER_EXCLUSION`` of a re-entrant corner are dropped.
-    """
-    if (resolution is None) == (target is None):
-        raise GeometryError("give exactly one of resolution and target")
-    if resolution is not None and resolution < 2:
-        raise GeometryError("resolution must be at least 2 per axis")
-    outer = region if isinstance(region, Box) else region.outer
-    n = resolution if resolution is not None else _lattice_axis_count(target, region.dim)
-    pts = _tensor_lattice(outer, n)
-    keep = region.in_closure(pts)
+def _off_corners(region: BaseRegion, pts: np.ndarray) -> np.ndarray:
+    """Mask of the points not within ``CORNER_EXCLUSION`` of a re-entrant corner."""
+    keep = np.ones(len(pts), dtype=bool)
     for corner in region.corner_guard_points():
         keep &= np.linalg.norm(pts - corner, axis=1) >= CORNER_EXCLUSION
-    return pts[keep]
+    return keep
+
+
+def generate_interior_grid(region: BaseRegion, resolution: int) -> np.ndarray:
+    """Uniform lattice over the outer box, masked to the closed domain.
+
+    ``resolution`` is points per axis, endpoints included. Lattice points
+    outside the domain are masked off; points within ``CORNER_EXCLUSION`` of
+    a re-entrant corner are dropped.
+    """
+    outer = region if isinstance(region, Box) else region.outer
+    pts = _tensor_lattice(outer, resolution)
+    return pts[region.in_closure(pts) & _off_corners(region, pts)]
 
 
 def _edge_points(p0: np.ndarray, p1: np.ndarray, n: int) -> np.ndarray:
@@ -380,6 +371,16 @@ def _face_lattice_counts(n_face: int, len_u: float, len_v: float) -> tuple[int, 
     return best[1], best[2]
 
 
+def _proportional_split(count: int, sizes: np.ndarray, what: str) -> np.ndarray:
+    """Integer counts proportional to ``sizes`` that add up to ``count``."""
+    raw = count * sizes / sizes.sum()
+    counts = np.rint(raw).astype(int)
+    if np.any(np.abs(raw - counts) > 1e-9) or counts.sum() != count:
+        raise GeometryError(
+            f"count {count} does not split proportionally over {len(sizes)} {what}")
+    return counts
+
+
 def generate_boundary_points(region: BaseRegion, count: int) -> np.ndarray:
     """Deterministic boundary collocation points, ``count`` in total.
 
@@ -392,12 +393,7 @@ def generate_boundary_points(region: BaseRegion, count: int) -> np.ndarray:
     if region.dim == 2:
         edges = _boundary_edges_2d(region)
         lengths = np.array([np.linalg.norm(p1 - p0) for p0, p1 in edges])
-        total = lengths.sum()
-        raw = count * lengths / total
-        counts = np.rint(raw).astype(int)
-        if np.any(np.abs(raw - counts) > 1e-9) or counts.sum() != count:
-            raise GeometryError(
-                f"count {count} does not split proportionally over {len(edges)} edges")
+        counts = _proportional_split(count, lengths, "edges")
         chunks = [_edge_points(p0, p1, n) for (p0, p1), n in zip(edges, counts)]
         return np.vstack(chunks)
 
@@ -410,12 +406,7 @@ def generate_boundary_points(region: BaseRegion, count: int) -> np.ndarray:
         for side_val in (lo[ax], hi[ax]):
             u_ax, v_ax = [i for i in range(3) if i != ax]
             faces.append((ax, side_val, u_ax, v_ax, sides[u_ax] * sides[v_ax]))
-    areas = np.array([f[4] for f in faces])
-    raw = count * areas / areas.sum()
-    counts = np.rint(raw).astype(int)
-    if np.any(np.abs(raw - counts) > 1e-9) or counts.sum() != count:
-        raise GeometryError(
-            f"count {count} does not split proportionally over 6 faces")
+    counts = _proportional_split(count, np.array([f[4] for f in faces]), "faces")
     chunks = []
     for (ax, side_val, u_ax, v_ax, _), n_face in zip(faces, counts):
         nu, nv = _face_lattice_counts(n_face, sides[u_ax], sides[v_ax])
@@ -494,7 +485,7 @@ def split_subdomain(partition: PartitionState, center, radius: float) -> Partiti
 
 
 def reclassify_collocation(sets: CollocationSets, partition: PartitionState,
-                           interior_resolution: int,
+                           ball_resolution: int,
                            interface_count: int) -> CollocationSets:
     """Collocation bookkeeping after the partition's newest ball is carved out.
 
@@ -503,17 +494,13 @@ def reclassify_collocation(sets: CollocationSets, partition: PartitionState,
     ball are dropped; a fresh lattice masked to the open ball-domain becomes
     the ball's interior set, and a sphere sample masked to the open domain
     becomes its interface set. ``sets`` must hold every subdomain but the
-    newest ball.
-
-    ``interior_resolution`` is points per axis in 2D and a total lattice
-    budget in 3D.
+    newest ball. ``ball_resolution`` is the ball lattice's points per axis.
     """
     k = partition.n_balls
     if sets.n_subdomains != k:
         raise GeometryError(f"expected the collocation sets of subdomains 0..{k - 1}, "
                             f"got {sets.n_subdomains} subdomains; ball {k} is the newest")
     ball = partition.ball(k)
-    d = partition.dim
 
     x_f0, x_g0 = sets.interior[0], sets.boundary[0]
     migrate = ball.contains_closed(x_g0)
@@ -521,20 +508,17 @@ def reclassify_collocation(sets: CollocationSets, partition: PartitionState,
     x_g0_new = x_g0[~migrate]
     x_f0_new = x_f0[~ball.contains_closed(x_f0)]
 
-    bbox = ball.bounding_box()
-    if d == 2:
-        lattice = _tensor_lattice(bbox, interior_resolution)
-    else:
-        lattice = _tensor_lattice(bbox, _lattice_axis_count(interior_resolution, d))
-    keep = ball.contains_open(lattice) & partition.base.contains(lattice)
-    for corner in partition.base.corner_guard_points():
-        keep &= np.linalg.norm(lattice - corner, axis=1) >= CORNER_EXCLUSION
-    x_fk = lattice[keep]
+    base = partition.base
+    lattice = _tensor_lattice(ball.bounding_box(), ball_resolution)
+    x_fk = lattice[ball.contains_open(lattice) & base.contains(lattice)
+                   & _off_corners(base, lattice)]
     if len(x_fk) == 0:
-        raise GeometryError(f"ball {k} has an empty interior lattice (outside the domain?)")
+        raise GeometryError(
+            f"ball {k} holds no point of its {ball_resolution}-per-axis lattice "
+            "inside the domain; raise ball_resolution (points per axis)")
 
     sphere = sample_sphere_uniform(ball.center, ball.radius, interface_count)
-    x_gamma = sphere[partition.base.contains(sphere)]
+    x_gamma = sphere[base.contains(sphere)]
 
     return CollocationSets((x_f0_new,) + sets.interior[1:] + (x_fk,),
                            (x_g0_new,) + sets.boundary[1:] + (x_gk,),

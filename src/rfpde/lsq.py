@@ -144,11 +144,6 @@ class SolveReport:
     converged: bool = True
 
     @property
-    def rank(self) -> int:
-        """Effective rank of the whole system: the sum over the blocks."""
-        return sum(self.block_ranks)
-
-    @property
     def alpha_norms(self) -> list[float]:
         return [float(np.linalg.norm(a)) for a in self.alphas]
 

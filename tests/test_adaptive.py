@@ -94,7 +94,7 @@ class TestScaleSearch:
             geo.generate_interior_grid(region, resolution=15),
             geo.generate_boundary_points(region, 40))
         colloc = geo.reclassify_collocation(colloc, part,
-                                            interior_resolution=10,
+                                            ball_resolution=10,
                                             interface_count=30)
         return part, colloc
 
@@ -216,13 +216,18 @@ class TestConfig:
         assert (two.ball_resolution, two.interface_count, two.test_resolution) \
             == (40, 200, 256)
         three = cfg.resolved(3)
-        assert (three.interior_resolution, three.boundary_count) == (10000, 2400)
+        assert (three.interior_resolution, three.boundary_count) == (21, 2400)
         assert (three.ball_resolution, three.interface_count, three.test_resolution) \
-            == (8500, 600, 50)
+            == (20, 600, 50)
 
     def test_explicit_values_kept(self):
         cfg = ada.AdaptiveConfig(interior_resolution=12).resolved(2)
         assert cfg.interior_resolution == 12
+
+    def test_3d_interior_resolution_is_points_per_axis(self):
+        cfg = ada.AdaptiveConfig(interior_resolution=21).resolved(3)
+        colloc = ada.initial_collocation(pde.benchmark("peak3d"), cfg)
+        assert len(colloc.interior[0]) == 21 ** 3
 
     def test_dict_roundtrip(self):
         cfg = ada.AdaptiveConfig(**SMALL)
@@ -302,7 +307,7 @@ class TestAdaptiveSolve:
                 geo.generate_interior_grid(problem.region,
                                            resolution=cfg.interior_resolution),
                 geo.generate_boundary_points(problem.region, cfg.boundary_count)),
-            part1, interior_resolution=cfg.ball_resolution,
+            part1, ball_resolution=cfg.ball_resolution,
             interface_count=cfg.interface_count)
         assert state.colloc.interior[1].tobytes() == colloc1.interior[1].tobytes()
         assert state.colloc.interface[1].tobytes() == colloc1.interface[1].tobytes()
@@ -419,7 +424,6 @@ class TestWorkDoneOncePerBall:
         assert record.iterations == [list(step) for step in report.iterations]
         assert len(record.iterations) > 1 and record.iterations[-1][1] == report.loss
         assert record.block_ranks == report.block_ranks
-        assert sum(record.block_ranks) == report.rank
         assert len(record.block_sigmas) == state.partition.n_subdomains
         assert all(hi >= lo > 0 for hi, lo in record.block_sigmas)
         assert record.alpha_norms == [float(np.linalg.norm(a)) for a in report.alphas]

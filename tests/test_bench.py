@@ -94,7 +94,7 @@ class TestEvaluateOnGrid:
             geo.CollocationSets.initial(
                 geo.generate_interior_grid(problem.region, resolution=20),
                 geo.generate_boundary_points(problem.region, 80)),
-            part, interior_resolution=12, interface_count=40)
+            part, ball_resolution=12, interface_count=40)
         report = fresh_solve(part, [b0, b1], colloc, problem)
         state = ada.SolveState(part, [b0, b1], colloc, report)
         grid = bench.evaluate_on_grid(state, problem, 64)

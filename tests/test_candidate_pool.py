@@ -11,6 +11,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -112,6 +113,12 @@ def test_a_workers_failure_raises_with_its_scale(monkeypatch):
     assert str(pooled.value) == str(here.value)
 
 
+def test_scale_search_error_pickles_with_its_scale():
+    back = pickle.loads(pickle.dumps(ada.ScaleSearchError("candidate failed", scale=3)))
+    assert (type(back), str(back), back.scale) == \
+        (ada.ScaleSearchError, "candidate failed", 3)
+
+
 def test_candidate_map_falls_back_to_builtin_map(monkeypatch):
     config = ada.AdaptiveConfig(**SMALL)
     lambdas = pde.SemilinearProblem(region=geo.Box(-np.ones(2), np.ones(2)),
@@ -184,16 +191,22 @@ UNIMPORTABLE = textwrap.dedent("""
 """)
 
 
-@pytest.mark.parametrize("guarded", [True, False], ids=["python-c", "no-main-guard"])
-def test_workers_that_die_leave_the_solve_to_the_calling_process(guarded, tmp_path):
+@pytest.mark.parametrize("case", ["python-c", "no-main-guard", "threads-set-on-import"])
+def test_workers_that_die_leave_the_solve_to_the_calling_process(case, tmp_path):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
                                                         os.environ.get("PYTHONPATH")])))
-    if guarded:
-        command = ["-c", UNIMPORTABLE + "if __name__ == '__main__':\n    solve()\n"]
+    guarded = UNIMPORTABLE + "if __name__ == '__main__':\n    solve()\n"
+    if case == "python-c":
+        command = ["-c", guarded]
     else:
-        script = tmp_path / "unguarded.py"
-        script.write_text(UNIMPORTABLE + "solve()\n")
+        # a worker imports a script file: one that solves outside the main
+        # guard runs its solve, one that sets the BLAS threads on import sets
+        # them over the worker's 1, and the worker refuses to start
+        script = tmp_path / "script.py"
+        script.write_text(UNIMPORTABLE + "solve()\n" if case == "no-main-guard" else
+                          'import os\nos.environ["OPENBLAS_NUM_THREADS"] = "2"\n'
+                          + guarded)
         command = [str(script)]
     done = subprocess.run([sys.executable, *command, json.dumps(SMALL)], env=env,
                           capture_output=True, text=True, timeout=300)
@@ -201,3 +214,5 @@ def test_workers_that_die_leave_the_solve_to_the_calling_process(guarded, tmp_pa
     assert json.loads(done.stdout.splitlines()[-1]) == {"refinements": 1, "children": 0}
     if MULTICORE:
         assert "RuntimeWarning: a scale-search worker died" in done.stderr
+    if MULTICORE and case == "threads-set-on-import":
+        assert "OPENBLAS_NUM_THREADS is '2' in a scale-search worker" in done.stderr

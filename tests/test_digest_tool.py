@@ -31,8 +31,11 @@ def test_two_runs_give_the_same_digests():
     tool = load_tool()
     real = rfpde.lsq.solve_min_norm, rfpde.lsq.gauss_newton_core
     real_map = rfpde.adaptive._candidate_map
+    real_sets = rfpde.adaptive.initial_collocation, rfpde.geometry.reclassify_collocation
     first = tool.digest("peak2d-case1", TINY)
     assert (rfpde.lsq.solve_min_norm, rfpde.lsq.gauss_newton_core) == real
+    assert (rfpde.adaptive.initial_collocation,
+            rfpde.geometry.reclassify_collocation) == real_sets
     assert first["scales"] and len(first["scale_losses"][0]) == TINY["scale_max"]
     # the default run, on worker processes: the same shape of losses
     assert [len(losses) for losses in first["pool"]["scale_losses"]] == \
@@ -45,6 +48,10 @@ def test_two_runs_give_the_same_digests():
     other = tool.digest("peak2d-case1", {**TINY, "m0": 99})
     assert other["systems_sha256"] != first["systems_sha256"]
     assert other["alpha_sha256"] != first["alpha_sha256"]
+    # the collocation points depend on the lattices, not on the bases
+    assert other["collocation_sha256"] == first["collocation_sha256"]
+    finer = tool.digest("peak2d-case1", {**TINY, "ball_resolution": 25})
+    assert finer["collocation_sha256"] != first["collocation_sha256"]
 
 
 def test_gauss_newton_steps_of_a_nonlinear_run():

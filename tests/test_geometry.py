@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -74,14 +80,37 @@ class TestInteriorGrid:
         expected = {(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)}
         assert {tuple(p) for p in pts} == expected
 
-    def test_3d_target_count(self):
+    def test_3d_points_per_axis(self):
         box3 = geo.Box(-np.ones(3), np.ones(3))
-        pts = geo.generate_interior_grid(box3, target=10000)
+        pts = geo.generate_interior_grid(box3, resolution=21)
         assert len(pts) == 21 ** 3
+        assert len(np.unique(pts[:, 0])) == 21
 
     def test_resolution_precondition(self):
         with pytest.raises(geo.GeometryError):
             geo.generate_interior_grid(unit_box2(), resolution=1)
+
+    def test_a_total_budget_read_per_axis_fails_cleanly(self):
+        # a config written when 3D resolutions were totals asks for 10000 per
+        # axis; under a 2 GB address-space limit it must fail as a GeometryError
+        pytest.importorskip("resource")
+        script = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            import numpy as np
+            from rfpde import geometry as geo
+            try:
+                geo.generate_interior_grid(geo.Box(np.zeros(3), np.ones(3)), 10000)
+            except geo.GeometryError as exc:
+                print(exc)
+        """)
+        src = str(Path(geo.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "10000-per-axis lattice" in done.stdout
 
     def test_determinism(self):
         a = geo.generate_interior_grid(lshape(), resolution=37)
@@ -177,14 +206,15 @@ class TestSplitSubdomain:
                                 np.array([5.0, 5.0]), 0.1)
 
 
-def make_case(center, radius, region=None, resolution=50, boundary=400):
+def make_case(center, radius, region=None, resolution=50, boundary=400,
+              ball_resolution=40):
     region = region or unit_box2()
     interior = geo.generate_interior_grid(region, resolution=resolution)
     bpts = geo.generate_boundary_points(region, boundary)
     sets = geo.CollocationSets.initial(interior, bpts)
     part = geo.split_subdomain(geo.PartitionState(region), np.asarray(center), radius)
-    return part, sets, geo.reclassify_collocation(sets, part, interior_resolution=40,
-                                                  interface_count=200)
+    return part, sets, geo.reclassify_collocation(
+        sets, part, ball_resolution=ball_resolution, interface_count=200)
 
 
 class TestReclassify:
@@ -205,12 +235,12 @@ class TestReclassify:
         part, before, after = make_case([0.95, 0.2], 0.1)
         # ball 1 is already reclassified
         with pytest.raises(geo.GeometryError):
-            geo.reclassify_collocation(after, part, interior_resolution=40,
+            geo.reclassify_collocation(after, part, ball_resolution=40,
                                        interface_count=200)
         # ball 1 was never reclassified, and ball 2 is the newest
         two = geo.split_subdomain(part, np.array([-0.5, -0.5]), 0.1)
         with pytest.raises(geo.GeometryError):
-            geo.reclassify_collocation(before, two, interior_resolution=40,
+            geo.reclassify_collocation(before, two, ball_resolution=40,
                                        interface_count=200)
 
     def test_boundary_conservation(self):
@@ -248,7 +278,7 @@ class TestReclassify:
         ball = geo.BallSubdomain(center=np.array([1.5, 0.0]), radius=0.1, index=1)
         part = geo.PartitionState(region, (ball,))
         with pytest.raises(geo.GeometryError):
-            geo.reclassify_collocation(sets, part, interior_resolution=40,
+            geo.reclassify_collocation(sets, part, ball_resolution=40,
                                        interface_count=200)
 
     def test_partition_completeness(self):
@@ -258,18 +288,24 @@ class TestReclassify:
         counts = np.bincount(labels, minlength=2)
         assert counts.sum() == len(before.interior[0])
 
-    def test_3d_ball_lattice_budget(self):
+    def test_3d_ball_lattice_per_axis(self):
         box3 = geo.Box(-np.ones(3), np.ones(3))
-        interior = geo.generate_interior_grid(box3, target=1000)
+        interior = geo.generate_interior_grid(box3, resolution=10)
         bpts = geo.generate_boundary_points(box3, 600)
         sets = geo.CollocationSets.initial(interior, bpts)
         part = geo.split_subdomain(geo.PartitionState(box3),
                                    np.array([0.5, 0.5, 0.5]), 0.11)
-        after = geo.reclassify_collocation(sets, part, interior_resolution=8500,
+        after = geo.reclassify_collocation(sets, part, ball_resolution=20,
                                            interface_count=600)
         # 20^3 lattice masked to the open ball: inscribed-ball fraction
-        assert 0 < len(after.interior[1]) < 8000
+        assert len(after.interior[1]) == 3544
         assert len(after.interface[1]) == 600
+
+    def test_too_coarse_ball_lattice_names_ball_resolution(self):
+        # the 2-per-axis lattice is the bounding box's corners, all outside
+        with pytest.raises(geo.GeometryError, match="ball_resolution"):
+            make_case([0.5, 0.5], 0.15, resolution=20, boundary=40,
+                      ball_resolution=2)
 
 
 class TestNormals:

@@ -69,7 +69,7 @@ def one_ball_setup(m0=40, mstar=50, seed=3, center=(0.4, 0.4), radius=0.2):
     region = box2()
     part = geo.split_subdomain(geo.PartitionState(region), np.asarray(center), radius)
     colloc = geo.reclassify_collocation(standard_colloc(region), part,
-                                        interior_resolution=12, interface_count=40)
+                                        ball_resolution=12, interface_count=40)
     b0 = bas.generate_transferable(m0, 2.0, 2, seed=seed, stream=0)
     b1 = bas.rescale(bas.generate_transferable(mstar, 2.0, 2, seed=seed, stream=1),
                      np.asarray(center), 2)
@@ -207,7 +207,7 @@ def two_ball_setup(seed=3, m0=40, mstar=50):
     bases = [bas.generate_transferable(m0, 2.0, 2, seed=seed, stream=0)]
     for k, center in enumerate([np.array([0.4, 0.4]), np.array([0.9, -0.3])], 1):
         part = geo.split_subdomain(part, center, 0.2)
-        colloc = geo.reclassify_collocation(colloc, part, interior_resolution=12,
+        colloc = geo.reclassify_collocation(colloc, part, ball_resolution=12,
                                             interface_count=40)
         bases.append(bas.rescale(
             bas.generate_transferable(mstar, 2.0, 2, seed=seed, stream=k), center, 2))
@@ -343,7 +343,7 @@ class TestBlockSolve:
         ref, _, _, _ = np.linalg.lstsq(F, T, rcond=lsq.DEFAULT_SVD_CUTOFF)
         sol = lsq.solve_min_norm(blocks)
         assert np.linalg.norm(sol.alpha - ref) <= 1e-10 * np.linalg.norm(ref)
-        assert sol.rank == F.shape[1]
+        assert sum(sol.block_ranks) == F.shape[1]
         res = F @ sol.alpha - T
         assert sol.loss == pytest.approx(res @ res, rel=1e-12)
         assert len(sol.residuals) == 3
@@ -354,7 +354,6 @@ class TestBlockSolve:
         blocks = self.system()
         sol = lsq.solve_min_norm(blocks)
         assert len(sol.block_ranks) == len(sol.block_sigmas) == 3
-        assert sum(sol.block_ranks) == sol.rank
         for ball, rank, sigmas in zip(blocks.balls, sol.block_ranks[1:],
                                       sol.block_sigmas[1:]):
             s = np.linalg.svd(ball.matrix, compute_uv=False)
@@ -374,7 +373,7 @@ class TestBlockSolve:
                                           rcond=lsq.DEFAULT_SVD_CUTOFF)
         sol = lsq.solve_min_norm(blocks)
         assert sol.alpha.tobytes() == ref.tobytes()
-        assert sol.rank == rank
+        assert sum(sol.block_ranks) == rank
         assert len(sol.residuals) == 1
         assert sum(sol.residuals[0].values()) == pytest.approx(sol.loss, rel=1e-12)
 
@@ -457,7 +456,7 @@ class TestSingleBallSolve:
             assert rank < A.shape[1]
             ref_loss = float((A @ ref - T) @ (A @ ref - T))
             sol = lsq.solve_min_norm(blocks)
-            assert sol.rank == rank
+            assert sum(sol.block_ranks) == rank
             assert sol.loss <= ref_loss * (1.0 + 1e-10)
 
 
@@ -473,7 +472,7 @@ class TestSolveMinNorm:
         sol = lsq.solve_min_norm(blocks_from(np.eye(3), [1.0, 2.0, 3.0]))
         np.testing.assert_allclose(sol.alpha, [1, 2, 3], atol=1e-14)
         assert sol.loss == pytest.approx(0.0, abs=1e-28)
-        assert sol.rank == 3
+        assert sum(sol.block_ranks) == 3
 
     def test_overdetermined_single_column(self):
         # d/da [(a-1)^2 + a^2] = 0 at a = 1/2, squared residual 1/2
@@ -485,7 +484,7 @@ class TestSolveMinNorm:
         # among alpha1 + alpha2 = 2 the minimum-norm solution is (1, 1)
         sol = lsq.solve_min_norm(blocks_from([[1.0, 1.0], [1.0, 1.0]], [2.0, 2.0]))
         np.testing.assert_allclose(sol.alpha, [1.0, 1.0], atol=1e-12)
-        assert sol.rank == 1
+        assert sum(sol.block_ranks) == 1
 
     def test_non_finite_rejected(self):
         with pytest.raises(lsq.AssemblyError):

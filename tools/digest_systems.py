@@ -1,12 +1,17 @@
 """Digest every least-squares system a benchmark workload solves.
 
 Runs one workload of ``perfbench/workloads.py`` (its problem and solver
-configuration) through ``rfpde.adaptive_solve`` with ``rfpde.lsq.solve_min_norm``
-and ``rfpde.lsq.gauss_newton_core`` wrapped, and prints one JSON object:
+configuration) through ``rfpde.adaptive_solve`` with ``rfpde.lsq.solve_min_norm``,
+``rfpde.lsq.gauss_newton_core`` and the two builders of collocation sets
+wrapped, and prints one JSON object:
 
 - ``systems_sha256``: SHA-256 over every system passed to the solve, in call
   order: its ``matrix``, ``rhs`` and ``row_kind``, and each ball block's
   ``matrix``, ``rhs`` and ``coupling``;
+- ``collocation_sha256``: SHA-256 over every collocation set the solve
+  builds, in call order: those returned by ``rfpde.adaptive.initial_collocation``
+  and by each ``rfpde.geometry.reclassify_collocation``, each set's interior,
+  boundary and interface points of every subdomain;
 - ``alpha_sha256``: SHA-256 of the final stacked coefficients;
 - the number of systems, the chosen scales and the scale-candidate losses;
 - ``gauss_newton_steps``: the number of steps of every Gauss-Newton solve,
@@ -65,11 +70,13 @@ def digest(problem_name: str, config: dict) -> dict:
     solve it again by default, on worker processes."""
     import rfpde
 
-    ada, lsq = rfpde.adaptive, rfpde.lsq
+    ada, geo, lsq = rfpde.adaptive, rfpde.geometry, rfpde.lsq
     real, real_core = lsq.solve_min_norm, lsq.gauss_newton_core
+    real_initial, real_reclassify = ada.initial_collocation, geo.reclassify_collocation
     # absent from sources that solve every candidate in the calling process
     real_map = getattr(ada, "_candidate_map", None)
     systems = hashlib.sha256()
+    collocation = hashlib.sha256()
     count = 0
     steps = []
 
@@ -83,6 +90,15 @@ def digest(problem_name: str, config: dict) -> dict:
                 _update(systems, array)
         return real(blocks)
 
+    def digested(make):
+        def wrapper(*args, **kwargs):
+            sets = make(*args, **kwargs)
+            for kind in (sets.interior, sets.boundary, sets.interface):
+                for array in kind:
+                    _update(collocation, array)
+            return sets
+        return wrapper
+
     def gauss_newton_core(*args, **kwargs):
         report = real_core(*args, **kwargs)
         steps.append(len(report.iterations))
@@ -93,17 +109,22 @@ def digest(problem_name: str, config: dict) -> dict:
                                     rfpde.AdaptiveConfig(**config))
 
     lsq.solve_min_norm, lsq.gauss_newton_core = solve_min_norm, gauss_newton_core
+    ada.initial_collocation = digested(real_initial)
+    geo.reclassify_collocation = digested(real_reclassify)
     if real_map is not None:
         ada._candidate_map = lambda problem, config: nullcontext(map)
     try:
         state, trace = solve()
     finally:
         lsq.solve_min_norm, lsq.gauss_newton_core = real, real_core
+        ada.initial_collocation = real_initial
+        geo.reclassify_collocation = real_reclassify
         if real_map is not None:
             ada._candidate_map = real_map
     pool_state, pool_trace = solve()
     return {"src": str(Path(rfpde.__file__).parent), "problem": problem_name,
             "systems": count, "systems_sha256": systems.hexdigest(),
+            "collocation_sha256": collocation.hexdigest(),
             "alpha_sha256": _sha256(state.report.alpha),
             "scales": [record.scale for record in trace],
             "scale_losses": [record.scale_losses for record in trace],
