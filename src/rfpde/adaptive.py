@@ -15,22 +15,22 @@ subdomain 0's rows are evaluated again (reclassification changes them).
 The scale candidates do not depend on each other, and ``adaptive_solve``
 solves them on a pool of worker processes, started with the ``spawn`` method
 by the first scale search and joined before it returns or raises.
-There are as many workers as usable cores, at most ``scale_max``. OpenBLAS
-reads its thread count only when it loads, so the workers are started with
-``OPENBLAS_NUM_THREADS=1`` (the coupled solves keep the calling process's
-threads) and compute every candidate's loss at one BLAS thread. A worker
-returns only its candidate's loss; the winner's rows are evaluated again in
-the calling process, bit for bit the same, since basis evaluation uses no
-BLAS. Each worker receives the problem by ``pickle``: a problem that does
-not pickle (one built from lambdas, say) has its candidates solved in the
-calling process, as they are on a single usable core, by the same code. A
-script that calls ``adaptive_solve`` should do so under
-``if __name__ == "__main__":``, because every spawned worker imports the
-script's main module. A worker that dies (one that re-ran an unguarded
-script, could not import a problem's functions from an interactive
-``__main__``, or found ``OPENBLAS_NUM_THREADS`` set to other than 1 by the
-main module's import) breaks the pool, and the candidates then run in the
-calling process, with a warning.
+There are as many workers as usable cores, at most ``scale_max``. The
+workers are started with ``OPENBLAS_NUM_THREADS=1``, and each sets the
+OpenBLAS that numpy loaded to one thread once it has imported the calling
+script's main module, whatever that module set; so every candidate's loss
+is computed at one BLAS thread, and the coupled solves keep the calling
+process's threads. A worker returns only its candidate's loss; the winner's
+rows are evaluated again in the calling process, bit for bit the same,
+since basis evaluation uses no BLAS. Each worker receives the problem by
+``pickle``: a problem that does not pickle (one built from lambdas, say) has
+its candidates solved in the calling process, as they are on a single usable
+core, by the same code. A script that calls ``adaptive_solve`` should do so
+under ``if __name__ == "__main__":``, because every spawned worker imports
+the script's main module. A worker that dies (one that re-ran an unguarded
+script, or could not import a problem's functions from an interactive
+``__main__``) breaks the pool, and the candidates then run in the calling
+process, with a warning.
 """
 
 from __future__ import annotations
@@ -113,10 +113,16 @@ class AdaptiveConfig:
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ValueError(f"config field {f.name!r} must be {f.type}, "
                                  f"not {value!r}")
-        if self.epsilon <= 0 or self.radius <= 0:
-            raise ValueError("epsilon and radius must be positive")
+        if min(self.epsilon, self.radius, self.gamma, self.uniform_range) <= 0:
+            raise ValueError("epsilon, radius, gamma and uniform_range must be positive")
         if min(self.m0, self.m_star, self.scale_max, self.n_max) < 1:
             raise ValueError("basis counts, scale bound and n_max must be >= 1")
+        for name, least in (("interior_resolution", 2), ("ball_resolution", 2),
+                            ("test_resolution", 2), ("boundary_count", 1),
+                            ("interface_count", 1)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}, not {value}")
         if self.strategy not in ("transferable", "uniform"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
@@ -268,7 +274,15 @@ def _usable_cores() -> int:
 @contextmanager
 def _one_blas_thread():
     """``OPENBLAS_NUM_THREADS=1`` for the processes spawned inside; the
-    caller's value is restored on exit."""
+    caller's value is restored on exit.
+
+    ``_one_loaded_blas_thread`` alone would give the workers one thread too,
+    but an OpenBLAS that loads at two threads and is then set to one runs
+    slower: on 2 cores a worker's second round of candidate solves took a
+    median 1.57 s against 1.48 s (8 runs each), and the ``peak2d-4ball``
+    benchmark's ``solve_s`` was slower in 9 of 10 pairs, by a median 0.45 s
+    (about 3%).
+    """
     saved = os.environ.get("OPENBLAS_NUM_THREADS")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
@@ -280,19 +294,36 @@ def _one_blas_thread():
             os.environ["OPENBLAS_NUM_THREADS"] = saved
 
 
-def _refuse_blas_threads():
-    """A worker's initializer: refuse to run unless ``OPENBLAS_NUM_THREADS``
-    is still 1.
+#: The exports that set an OpenBLAS's thread count: of the OpenBLAS in numpy
+#: >= 2 wheels (64- and 32-bit integers), in numpy 1.x wheels, and of
+#: distribution and conda builds
+_OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
+                         "scipy_openblas_set_num_threads",
+                         "openblas_set_num_threads64_", "openblas_set_num_threads")
 
-    A main module that sets ``OPENBLAS_NUM_THREADS`` when it is imported sets
-    it again in every spawned worker, over the 1 it was started with; the
-    workers would then oversubscribe the cores. Raising here breaks the pool.
-    The variable is read, not the thread count OpenBLAS loaded with.
+
+def _one_loaded_blas_thread():
+    """A worker's initializer: set the OpenBLAS that numpy loaded to one thread.
+
+    It runs after the worker has imported the calling script's main module,
+    which may have set ``OPENBLAS_NUM_THREADS`` over the worker's 1. The
+    export is looked up through numpy's linear-algebra extension, whose
+    dependencies ``dlsym`` searches (Windows' ``GetProcAddress`` does not);
+    a BLAS that exports none of these names (MKL, Accelerate) is left as it
+    is.
     """
-    threads = os.environ.get("OPENBLAS_NUM_THREADS")
-    if threads != "1":
-        raise RuntimeError(f"OPENBLAS_NUM_THREADS is {threads!r} in a scale-search "
-                           "worker, not '1': the main module sets it when imported")
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+    try:
+        blas = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return
+    for name in _OPENBLAS_SET_THREADS:
+        set_threads = getattr(blas, name, None)
+        if set_threads is not None:
+            set_threads(1)
+            return
 
 
 @contextmanager
@@ -304,8 +335,7 @@ def _candidate_map(problem: SemilinearProblem, config: AdaptiveConfig):
     core or for a problem that does not pickle. If a worker dies, this call
     and every later one run in the calling process, with a warning: a
     problem's functions defined in an interactive ``__main__`` pickle by
-    name, but a spawned worker cannot import them, and a worker whose main
-    module set ``OPENBLAS_NUM_THREADS`` refuses to start.
+    name, but a spawned worker cannot import them.
     """
     workers = min(_usable_cores(), config.scale_max)
     try:
@@ -338,7 +368,7 @@ def _candidate_map(problem: SemilinearProblem, config: AdaptiveConfig):
         return map(fn, items)
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
-                             initializer=_refuse_blas_threads) as pool:
+                             initializer=_one_loaded_blas_thread) as pool:
         yield pool_map
 
 

@@ -232,10 +232,12 @@ def coupled_rows(problem: SemilinearProblem, basis_0: BasisSet,
 
 
 def _block(problem: SemilinearProblem, rows: SubdomainRows,
-           alpha_k: np.ndarray, alpha_0: np.ndarray) -> SystemBlocks:
+           alpha_k: np.ndarray, alpha_0: np.ndarray,
+           eliminated: Optional["_Eliminated"] = None) -> SystemBlocks:
     """One subdomain's block linearized at ``alpha_k``, with subdomain 0 at
     ``alpha_0``: its rows on its own columns and, for a ball, its interface
-    rows on subdomain 0's columns as ``coupling``.
+    rows on subdomain 0's columns as ``coupling``, and the block's
+    ``eliminated`` when one was made before.
 
     Right-hand sides are the residuals at the current coefficients, so on an
     interface they carry subdomain 0's trace at ``alpha_0``.
@@ -260,13 +262,17 @@ def _block(problem: SemilinearProblem, rows: SubdomainRows,
             start = sl.stop
         coupling = np.concatenate([-trace_0 for trace_0 in rows.trace])
     return SystemBlocks(matrix=F, rhs=T, col_slices=[slice(0, rows.size)],
-                        row_kind=rows.row_kind, coupling=coupling)
+                        row_kind=rows.row_kind, coupling=coupling,
+                        eliminated=eliminated)
 
 
 def assemble(problem: SemilinearProblem, rows: Sequence[SubdomainRows],
-             alphas: Optional[np.ndarray] = None) -> SystemBlocks:
+             alphas: Optional[np.ndarray] = None,
+             eliminated: Optional[Sequence[Optional["_Eliminated"]]] = None
+             ) -> SystemBlocks:
     """The coupled system of ``coupled_rows``, linearized at ``alphas`` (zeros
-    if None).
+    if None). ``eliminated``, one entry per ball (None for a ball to be
+    eliminated by the solve), gives each ball's block its elimination.
 
     At zero coefficients and for a linear operator this is exactly the direct
     transcription of the collocated problem; otherwise rows carry the
@@ -283,7 +289,10 @@ def assemble(problem: SemilinearProblem, rows: Sequence[SubdomainRows],
     if alphas.shape != (start,):
         raise AssemblyError(f"expected {start} stacked coefficients")
     parts = [alphas[sl] for sl in col_slices]
-    balls = [_block(problem, r, a, parts[0]) for r, a in zip(rows[1:], parts[1:])]
+    if eliminated is None:
+        eliminated = [None] * (len(rows) - 1)
+    balls = [_block(problem, r, a, parts[0], e)
+             for r, a, e in zip(rows[1:], parts[1:], eliminated)]
     return replace(_block(problem, rows[0], parts[0], parts[0]),
                    col_slices=col_slices, balls=balls)
 
@@ -480,9 +489,7 @@ def gauss_newton(partition: PartitionState, problem: SemilinearProblem,
     def assembler(alphas):
         # a linear problem is assembled once, at zero coefficients, where its
         # kept eliminations hold
-        blocks = assemble(problem, rows, alphas=alphas)
-        for ball, block in zip(kept, blocks.balls):
-            block.eliminated = ball.eliminated
-        return blocks
+        return assemble(problem, rows, alphas=alphas,
+                        eliminated=[ball.eliminated for ball in kept])
 
     return gauss_newton_core(assembler, problem.is_linear, n_max, tol)

@@ -200,6 +200,15 @@ class TestConfig:
             ada.AdaptiveConfig(n_max=0)
         with pytest.raises(ValueError):
             ada.AdaptiveConfig(strategy="magic")
+        for bad in (dict(gamma=0.0), dict(gamma=-1.0), dict(uniform_range=0.0),
+                    dict(interior_resolution=1), dict(ball_resolution=1),
+                    dict(test_resolution=1), dict(boundary_count=0),
+                    dict(interface_count=0)):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                ada.AdaptiveConfig(**bad)
+        # the smallest values allowed, and a solve that may not refine
+        ada.AdaptiveConfig(interior_resolution=2, ball_resolution=2, test_resolution=2,
+                           boundary_count=1, interface_count=1, max_refinements=0)
 
     def test_field_types_checked(self):
         for bad in (dict(m0="100"), dict(epsilon="1e-4"), dict(seed=1.0),

@@ -289,6 +289,20 @@ class TestCli:
         assert "'m0'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, config", [
+        (["--gamma", "-1"], {}), (["--strategy", "uniform", "--R", "0"], {}),
+        ([], {"boundary_count": 0}), ([], {"test_resolution": 1})],
+        ids=["gamma", "uniform-range", "boundary-count", "test-resolution"])
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, argv, config):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"benchmark": "peak2d-case1", **SMALL,
+                                           **config}))
+        code = cli_main(["--config", str(config_path), *argv,
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("configuration error")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_sweep_writes_errors_csv(self, tmp_path, source):
         config = {"benchmark": "peak2d-case1", **SMALL}

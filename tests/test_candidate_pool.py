@@ -1,9 +1,10 @@
 """The scale search's candidates on worker processes.
 
 ``adaptive_solve`` solves the candidates on a pool of spawned workers whose
-OpenBLAS runs one thread. At one BLAS thread in the calling process too, a
-pool run and an in-process run must agree bit for bit, and no worker may
-outlive the solve, however it ends.
+OpenBLAS runs one thread, whatever the calling process or its main module
+set. So a pool run's candidate losses equal those of an in-process run at one
+BLAS thread bit for bit; at one BLAS thread in the calling process too, so
+does the whole solve. No worker may outlive the solve, however it ends.
 """
 
 import concurrent.futures.process
@@ -44,45 +45,100 @@ def in_process(monkeypatch):
     monkeypatch.setattr(ada, "_candidate_map", lambda problem, config: nullcontext(map))
 
 
-def test_pool_and_in_process_runs_match_at_one_blas_thread():
-    script = textwrap.dedent("""
-        import contextlib, hashlib, json, resource, sys
-        import rfpde
-        from rfpde import adaptive as ada
+def subprocess_env(threads):
+    """This environment with ``OPENBLAS_NUM_THREADS=threads`` and the
+    sources under test on the path."""
+    return dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                         os.environ.get("PYTHONPATH")])))
 
-        def solve(name, config):
-            state, trace = rfpde.adaptive_solve(rfpde.benchmark(name),
-                                                rfpde.AdaptiveConfig(**config))
-            return {"scales": [r.scale for r in trace],
-                    "scale_losses": [r.scale_losses for r in trace],
-                    "alpha": hashlib.sha256(state.report.alpha.tobytes()).hexdigest()}
 
-        if __name__ == "__main__":
-            config = json.loads(sys.argv[1])
-            pool_map = ada._candidate_map
-            out = {}
-            for name in ("peak2d-case1", "nonlinear2d-case1"):
-                ada._candidate_map = pool_map
-                pool = solve(name, config)
-                ada._candidate_map = lambda problem, config: contextlib.nullcontext(map)
-                out[name] = [pool, solve(name, config)]
-            out["child_cpu_s"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
-            print(json.dumps(out))
-    """)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
-                                                        os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script, json.dumps(SMALL)], env=env,
-                          capture_output=True, text=True, timeout=600)
+NAMES = ("peak2d-case1", "nonlinear2d-case1")
+
+#: Solves the ``NAMES`` at the config ``argv[1]``, on the worker pool or,
+#: with ``argv[2] == "in-process"``, in this process, and prints what they
+#: chose, the worker children left and their CPU time
+SOLVES = textwrap.dedent("""
+    import contextlib, hashlib, json, multiprocessing, resource, sys
+    import rfpde
+    from rfpde import adaptive as ada
+
+    def solve(name, config):
+        state, trace = rfpde.adaptive_solve(rfpde.benchmark(name),
+                                            rfpde.AdaptiveConfig(**config))
+        return {"scales": [r.scale for r in trace],
+                "scale_losses": [r.scale_losses for r in trace],
+                "alpha": hashlib.sha256(state.report.alpha.tobytes()).hexdigest()}
+
+    if __name__ == "__main__":
+        if sys.argv[2] == "in-process":
+            ada._candidate_map = lambda problem, config: contextlib.nullcontext(map)
+        out = {name: solve(name, json.loads(sys.argv[1]))
+               for name in ("peak2d-case1", "nonlinear2d-case1")}
+        out["children"] = len(multiprocessing.active_children())
+        out["child_cpu_s"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
+        print(json.dumps(out))
+""")
+
+
+def run_solves(command, threads, mode="pool"):
+    """Run a script of ``SOLVES``, named by the interpreter's arguments
+    ``command``, at ``OPENBLAS_NUM_THREADS=threads`` on ``SMALL``; return
+    what it printed and its stderr."""
+    done = subprocess.run([sys.executable, *command, json.dumps(SMALL), mode],
+                          env=subprocess_env(threads), capture_output=True, text=True,
+                          timeout=600)
     assert done.returncode == 0, done.stderr
-    out = json.loads(done.stdout.splitlines()[-1])
-    for name in ("peak2d-case1", "nonlinear2d-case1"):
-        pool, here = out[name]
-        assert pool["scales"], name
-        assert len(pool["scale_losses"][0]) == SMALL["scale_max"]
-        assert pool == here, name
+    return json.loads(done.stdout.splitlines()[-1]), done.stderr
+
+
+@pytest.fixture(scope="module")
+def in_process_at_one_thread():
+    out, _ = run_solves(["-c", SOLVES], "1", "in-process")
+    for name in NAMES:
+        assert out[name]["scales"], name
+        assert len(out[name]["scale_losses"][0]) == SMALL["scale_max"]
+    return out
+
+
+def assert_on_the_pool(out, stderr):
+    assert "a scale-search worker died" not in stderr
+    assert out["children"] == 0
     if MULTICORE:
-        assert out["child_cpu_s"] > 0      # the pool runs really ran on workers
+        assert out["child_cpu_s"] > 0      # the candidates really ran on workers
+
+
+def test_pool_and_in_process_runs_match_at_one_blas_thread(in_process_at_one_thread):
+    out, stderr = run_solves(["-c", SOLVES], "1")
+    assert_on_the_pool(out, stderr)
+    for name in NAMES:
+        assert out[name] == in_process_at_one_thread[name], name
+
+
+def test_the_callers_blas_threads_do_not_reach_the_candidates(in_process_at_one_thread):
+    # the coupled solves run at the caller's two threads, so only the
+    # candidates' losses must keep their bits
+    out, stderr = run_solves(["-c", SOLVES], "2")
+    assert_on_the_pool(out, stderr)
+    for name in NAMES:
+        assert out[name]["scale_losses"] == \
+            in_process_at_one_thread[name]["scale_losses"], name
+
+
+@pytest.mark.parametrize("imported", ["before-numpy", "after-numpy"])
+def test_threads_set_by_the_main_module_stay_one_in_the_workers(
+        imported, in_process_at_one_thread, tmp_path):
+    # every worker imports the script, which sets two BLAS threads over the
+    # one the worker started with: before numpy loads OpenBLAS, or after
+    setting = 'import os\nos.environ["OPENBLAS_NUM_THREADS"] = "2"\n'
+    script = tmp_path / "script.py"
+    script.write_text(setting + SOLVES if imported == "before-numpy" else
+                      "import numpy\n" + setting + SOLVES)
+    out, stderr = run_solves([str(script)], "1")
+    assert_on_the_pool(out, stderr)
+    for name in NAMES:
+        assert out[name]["scale_losses"] == \
+            in_process_at_one_thread[name]["scale_losses"], name
 
 
 def test_no_worker_outlives_a_solve():
@@ -191,28 +247,21 @@ UNIMPORTABLE = textwrap.dedent("""
 """)
 
 
-@pytest.mark.parametrize("case", ["python-c", "no-main-guard", "threads-set-on-import"])
+@pytest.mark.parametrize("case", ["python-c", "no-main-guard"])
 def test_workers_that_die_leave_the_solve_to_the_calling_process(case, tmp_path):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
-                                                        os.environ.get("PYTHONPATH")])))
     guarded = UNIMPORTABLE + "if __name__ == '__main__':\n    solve()\n"
     if case == "python-c":
         command = ["-c", guarded]
     else:
-        # a worker imports a script file: one that solves outside the main
-        # guard runs its solve, one that sets the BLAS threads on import sets
-        # them over the worker's 1, and the worker refuses to start
+        # a worker imports a script file, and one that solves outside the
+        # main guard runs its solve
         script = tmp_path / "script.py"
-        script.write_text(UNIMPORTABLE + "solve()\n" if case == "no-main-guard" else
-                          'import os\nos.environ["OPENBLAS_NUM_THREADS"] = "2"\n'
-                          + guarded)
+        script.write_text(UNIMPORTABLE + "solve()\n")
         command = [str(script)]
-    done = subprocess.run([sys.executable, *command, json.dumps(SMALL)], env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, *command, json.dumps(SMALL)],
+                          env=subprocess_env("1"), capture_output=True, text=True,
+                          timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == {"refinements": 1, "children": 0}
     if MULTICORE:
         assert "RuntimeWarning: a scale-search worker died" in done.stderr
-    if MULTICORE and case == "threads-set-on-import":
-        assert "OPENBLAS_NUM_THREADS is '2' in a scale-search worker" in done.stderr
