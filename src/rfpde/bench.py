@@ -5,7 +5,11 @@ piecewise expansion on a uniform test grid (each point evaluated with the
 basis of the subdomain that owns it), and writes a manifest plus CSV/JSON
 artifacts sufficient to re-check every reported number offline. ``run`` with
 the manifest's ``benchmark`` and ``config`` reproduces the artifacts
-bit-identically on the same BLAS build and thread count. The scale
+bit-identically only at a fixed BLAS build, BLAS thread count and
+``_EVAL_CHUNK``: ``predict`` multiplies each chunk's basis values by the
+coefficients with BLAS, and a test point's prediction depends on the chunk
+it falls in (on peak2d-4ball, chunks of 16384 and of 2048 points give 2 of
+65536 predictions that differ by up to 3.9e-14). The scale
 candidates' losses are computed at one BLAS thread whenever worker processes
 solve them (see ``adaptive``), whatever the thread count of the calling
 process.
@@ -33,7 +37,8 @@ SOLVER_ERRORS = (NonConvergenceError, MaxRefinementsError, ScaleSearchError,
 #: Test points per evaluation chunk. A chunk's temporaries (points x basis
 #: size doubles, 16 MB at 1001 functions) stay below glibc's largest dynamic
 #: mmap threshold (32 MB), so later chunks and calls reuse heap memory instead
-#: of mapping and page-faulting fresh memory each time.
+#: of mapping and page-faulting fresh memory each time. Changing it moves
+#: predictions in their last bits (see the module docstring).
 _EVAL_CHUNK = 2048
 
 

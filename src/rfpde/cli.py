@@ -17,7 +17,8 @@ from pathlib import Path
 
 from .adaptive import AdaptiveConfig
 from .bench import SOLVER_ERRORS, run
-from .pde import BENCHMARKS
+from .geometry import GeometryError, generate_boundary_points
+from .pde import BENCHMARKS, benchmark
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,6 +75,12 @@ def _load_config(args) -> tuple[str, AdaptiveConfig, list]:
     if args.sweep:
         sweep = [int(tok) for tok in args.sweep.split(",") if tok.strip()]
     config = AdaptiveConfig.from_dict(data)
+    # a count the region's edges or faces cannot split is the config's fault
+    region = benchmark(problem).region
+    try:
+        generate_boundary_points(region, config.resolved(region.dim).boundary_count)
+    except GeometryError as exc:
+        raise ValueError(f"boundary_count: {exc}") from exc
     return problem, config, [(m, replace(config, m_star=m)) for m in sweep]
 
 

@@ -39,12 +39,15 @@ residual of the problem's equations at the returned coefficients. A
 nonlinear step reads it from the right-hand side of the system re-linearized
 at its updated coefficients, which the next step solves.
 
-Rows are built in one place, ``_row_groups``, one subdomain at a time in one
-order: interior rows, boundary rows, then a ball's interface value and
-normal-derivative rows. The bases are evaluated at the collocation points
-into the rows of the operator's linear part (``ball_rows``; subdomain 0's in
-``coupled_rows``); a Gauss-Newton step only re-linearizes them (``assemble``,
-``assemble_local``), and a linear problem's block is that array itself.
+Rows are built in one place, ``_subdomain_rows``, one subdomain at a time in
+one order: interior rows, boundary rows, then a ball's interface value and
+normal-derivative rows. It allocates the subdomain's block once and has the
+basis evaluate each row group straight into its slice of it (``out=``), the
+interior Laplacians then negated in place, so the block is the rows of the
+operator's linear part with no copy (``ball_rows``; subdomain 0's in
+``coupled_rows``). A Gauss-Newton step only re-linearizes them
+(``assemble``, ``assemble_local``), and a linear problem's block is that
+array itself.
 ``assemble_local``, the single-ball problem of the scale search, builds the
 same block as the ball's block of ``assemble``; its solve leaves the
 subdomain-0 trace, frozen, in the right-hand side.
@@ -61,6 +64,7 @@ rows and takes each ball's rows, and a linear problem's elimination, from its
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -168,34 +172,33 @@ class SubdomainRows(NamedTuple):
         return self.matrix.shape[1]
 
 
-def _row_groups(basis: BasisSet, interior: np.ndarray, boundary: np.ndarray,
-                interface: Optional[np.ndarray], normals: Optional[np.ndarray]):
-    """Yield the row groups ``(kind, rows)`` of one subdomain in block order:
-    interior, boundary, then a ball's interface value and normal-derivative
-    rows. ``rows`` are the linear part of the operator, on the subdomain's
-    columns: -Laplacians, values, values, normal derivatives."""
-    yield ROW_INTERIOR, -basis.laplacians(interior)
-    yield ROW_BOUNDARY, basis.values(boundary)
-    if normals is not None:
-        yield ROW_IFACE_VALUE, basis.values(interface)
-        yield ROW_IFACE_NORMAL, basis.normal_derivatives(interface, normals)
-
-
 def _subdomain_rows(problem: SemilinearProblem, basis: BasisSet,
                     interior: np.ndarray, boundary: np.ndarray,
                     ball: Optional[BallSubdomain] = None,
                     interface: Optional[np.ndarray] = None,
                     basis_0: Optional[BasisSet] = None) -> SubdomainRows:
+    """One subdomain's rows in block order: interior, boundary, then a ball's
+    interface value and normal-derivative rows. The rows are the operator's
+    linear part on the subdomain's columns (-Laplacians, values, values,
+    normal derivatives), each group evaluated into its slice of the block."""
     normals = None if ball is None else outward_normals(ball, interface)
-    n_rows = len(interior) + len(boundary) + (0 if ball is None else 2 * len(interface))
-    matrix = np.empty((n_rows, basis.size))
-    row_kind = np.empty(n_rows, dtype=np.int8)
+    # (kind, points, evaluation into ``out``) of each row group, in block order
+    groups = [(ROW_INTERIOR, interior, basis.laplacians),
+              (ROW_BOUNDARY, boundary, basis.values)]
+    if ball is not None:
+        groups += [(ROW_IFACE_VALUE, interface, basis.values),
+                   (ROW_IFACE_NORMAL, interface,
+                    partial(basis.normal_derivatives, normals=normals))]
+    matrix = np.empty((sum(len(pts) for _, pts, _ in groups), basis.size))
+    row_kind = np.empty(len(matrix), dtype=np.int8)
     start = 0
-    for kind, rows in _row_groups(basis, interior, boundary, interface, normals):
-        sl = slice(start, start + len(rows))
-        matrix[sl] = rows
+    for kind, pts, evaluate in groups:
+        sl = slice(start, start + len(pts))
+        evaluate(pts, out=matrix[sl])
         row_kind[sl] = kind
         start = sl.stop
+    interior_rows = matrix[:len(interior)]
+    np.negative(interior_rows, out=interior_rows)
     trace = None
     if ball is not None:
         trace = (basis_0.values(interface), basis_0.normal_derivatives(interface, normals))

@@ -396,9 +396,9 @@ class TestWorkDoneOncePerBall:
             eliminated.append(ball)
             return real_eliminate(ball)
 
-        def laplacians(self, points):
+        def laplacians(self, points, **kwargs):
             evaluated.append(self)
-            return real_laplacians(self, points)
+            return real_laplacians(self, points, **kwargs)
         monkeypatch.setattr(lsq, "_eliminate", eliminate)
         monkeypatch.setattr(bas.BasisSet, "laplacians", laplacians)
         problem = pde.benchmark("peak2d-case2")

@@ -95,21 +95,24 @@ class TestEvaluate:
             b.values(np.array([[np.nan, 0.0]]))
 
     def test_batch_matches_pointwise_bitwise(self, rng):
-        # a point's row does not depend on the batch it is evaluated in
-        b = bas.rescale(bas.generate_transferable(30, 2.0, 2, seed=5),
-                        np.array([0.3, -0.1]), 4)
-        pts = rng.uniform(-1, 1, size=(64, 2))
-        normals = rng.standard_normal((64, 2))
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        vals = b.values(pts)
-        laps = b.laplacians(pts)
-        nds = b.normal_derivatives(pts, normals)
-        for i in (0, 17, 63):
-            one = slice(i, i + 1)
-            assert b.values(pts[one]).tobytes() == vals[i].tobytes()
-            assert b.laplacians(pts[one]).tobytes() == laps[i].tobytes()
-            assert b.normal_derivatives(pts[one], normals[one]).tobytes() \
-                == nds[i].tobytes()
+        # a point's row does not depend on the batch it is evaluated in, nor
+        # on the chunk of the batch it falls in
+        for m in (30, 1000):
+            b = bas.rescale(bas.generate_transferable(m, 2.0, 2, seed=5),
+                            np.array([0.3, -0.1]), 4)
+            n = 2 * bas.chunk_rows(m) + 3
+            pts = rng.uniform(-1, 1, size=(n, 2))
+            normals = rng.standard_normal((n, 2))
+            normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+            vals = b.values(pts)
+            laps = b.laplacians(pts)
+            nds = b.normal_derivatives(pts, normals)
+            for i in (0, 17, n // 2, n - 1):
+                one = slice(i, i + 1)
+                assert b.values(pts[one]).tobytes() == vals[i].tobytes()
+                assert b.laplacians(pts[one]).tobytes() == laps[i].tobytes()
+                assert b.normal_derivatives(pts[one], normals[one]).tobytes() \
+                    == nds[i].tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_batch_matches_pointwise_oracle(self, dim, rng):
@@ -156,6 +159,57 @@ class TestEvaluate:
         expected = np.array([pointwise_basis(b, x)[1] @ n
                              for x, n in zip(pts, normals)])
         np.testing.assert_allclose(nd, expected, atol=1e-14)
+
+
+def evaluations(b, pts, normals):
+    """(name, call(out=...)) for every evaluation method of ``b`` at ``pts``."""
+    return [("values", lambda **kw: b.values(pts, **kw)),
+            ("laplacians", lambda **kw: b.laplacians(pts, **kw)),
+            ("normal_derivatives", lambda **kw: b.normal_derivatives(pts, normals, **kw))]
+
+
+class TestEvaluateInto:
+    """``out=``: rows written in place, in chunks, into a slice of a host matrix."""
+
+    M = 1000
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rows_match_fresh_call_for_every_chunking(self, dim, rng):
+        b = bas.rescale(bas.generate_transferable(self.M, 2.0, dim, seed=dim),
+                        rng.uniform(-0.3, 0.3, size=dim), 3)
+        step = bas.chunk_rows(self.M)
+        for n in (0, 1, step - 1, step, step + 1, 3 * step + 5):
+            pts = rng.uniform(-1, 1, size=(n, dim))
+            normals = rng.standard_normal((n, dim))
+            host = rng.standard_normal((n + 7, b.size))
+            for name, call in evaluations(b, pts, normals):
+                before = host.copy()
+                fresh = call()
+                call(out=host[4:4 + n])
+                assert host[4:4 + n].tobytes() == fresh.tobytes(), (name, n)
+                assert host[:4].tobytes() == before[:4].tobytes(), (name, n)
+                assert host[4 + n:].tobytes() == before[4 + n:].tobytes(), (name, n)
+
+    def test_returns_out(self, rng):
+        b = bas.generate_transferable(5, 2.0, 2, seed=1)
+        pts = rng.uniform(-1, 1, size=(4, 2))
+        out = np.empty((4, b.size))
+        for _, call in evaluations(b, pts, pts):
+            assert call(out=out) is out
+
+    @pytest.mark.parametrize("bad", ["shape", "dtype", "read-only", "list"])
+    def test_unfit_out_rejected(self, bad, rng):
+        b = bas.generate_transferable(5, 2.0, 2, seed=1)
+        pts = rng.uniform(-1, 1, size=(4, 2))
+        out = {"shape": np.empty((4, b.size - 1)),
+               "dtype": np.empty((4, b.size), dtype=np.float32),
+               "read-only": np.empty((4, b.size)),
+               "list": [[0.0] * b.size] * 4}[bad]
+        if bad == "read-only":
+            out.flags.writeable = False
+        for name, call in evaluations(b, pts, pts):
+            with pytest.raises(ValueError):
+                call(out=out)
 
 
 class TestRescale:

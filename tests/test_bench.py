@@ -289,6 +289,12 @@ class TestCli:
         assert "'m0'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_unsplittable_boundary_count_is_config_error(self, tmp_path, capsys):
+        config = {"benchmark": "peak2d-case1", **SMALL, "boundary_count": 3}
+        assert self.config_exit_code(tmp_path, config) == 3
+        assert "boundary_count" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     @pytest.mark.parametrize("argv, config", [
         (["--gamma", "-1"], {}), (["--strategy", "uniform", "--R", "0"], {}),
         ([], {"boundary_count": 0}), ([], {"test_resolution": 1})],

@@ -302,9 +302,9 @@ class TestOneAssemblyPath:
         for name in ("values", "laplacians", "normal_derivatives"):
             real = getattr(bas.BasisSet, name)
 
-            def counted(self, *args, real=real, name=name):
+            def counted(self, *args, real=real, name=name, **kwargs):
                 calls.append((name, self))
-                return real(self, *args)
+                return real(self, *args, **kwargs)
             monkeypatch.setattr(bas.BasisSet, name, counted)
         kept = [lsq.keep_ball(self.problem, rows) for rows in
                 fresh_ball_rows(self.part, self.bases, self.colloc, self.problem)]
