@@ -7,10 +7,11 @@ residual, reclassifies collocation points, picks an integer frequency
 multiplier for the new ball's basis by trying 1..L on a local problem with
 the subdomain-0 trace frozen, and re-solves the coupled system. Existing
 balls keep their bases and collocation; only coefficients change. So the
-scale search returns the new ball complete, as an ``lsq.KeptBall`` of the
-winning candidate's rows (for a linear problem, with its block's elimination),
-and every later coupled solve takes the ball from it unchanged; only
-subdomain 0's rows are evaluated again (reclassification changes them).
+scale search returns the new ball complete, as an ``lsq.KeptBall``: the
+winning candidate's rows for a nonlinear problem, the elimination of its
+block alone for a linear one. Every later coupled solve takes the ball from
+it unchanged; only subdomain 0's rows are evaluated again (reclassification
+changes them).
 
 The scale candidates do not depend on each other, and ``adaptive_solve``
 solves them on a pool of worker processes, started with the ``spawn`` method
@@ -30,7 +31,8 @@ under ``if __name__ == "__main__":``, because every spawned worker imports
 the script's main module. A worker that dies (one that re-ran an unguarded
 script, or could not import a problem's functions from an interactive
 ``__main__``) breaks the pool, and the candidates then run in the calling
-process, with a warning.
+process, with a warning. A worker exits on its own when the calling process
+dies, even by a signal that leaves it no time to join the pool.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import numbers
 import os
 import pickle
+import threading
 import time
 import warnings
 from contextlib import contextmanager
@@ -302,8 +305,28 @@ _OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
                          "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
+def _init_worker(parent: int):
+    """A worker's initializer: one BLAS thread, and an exit when ``parent``,
+    the process that started the pool, is gone."""
+    _one_loaded_blas_thread()
+    threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
+
+
+def _exit_with_parent(parent: int):
+    """Exit this process within half a second of its parent's no longer
+    being ``parent``.
+
+    A pool's shutdown joins its workers, but a calling process killed by a
+    signal joins nothing, and its idle workers would wait for tasks forever.
+    Such a worker is re-parented, so its parent pid changes.
+    """
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
+
+
 def _one_loaded_blas_thread():
-    """A worker's initializer: set the OpenBLAS that numpy loaded to one thread.
+    """Set the OpenBLAS that numpy loaded to one thread.
 
     It runs after the worker has imported the calling script's main module,
     which may have set ``OPENBLAS_NUM_THREADS`` over the worker's 1. The
@@ -368,7 +391,7 @@ def _candidate_map(problem: SemilinearProblem, config: AdaptiveConfig):
         return map(fn, items)
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
-                             initializer=_one_loaded_blas_thread) as pool:
+                             initializer=_init_worker, initargs=(os.getpid(),)) as pool:
         yield pool_map
 
 

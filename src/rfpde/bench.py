@@ -18,6 +18,7 @@ process.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +41,21 @@ SOLVER_ERRORS = (NonConvergenceError, MaxRefinementsError, ScaleSearchError,
 #: of mapping and page-faulting fresh memory each time. Changing it moves
 #: predictions in their last bits (see the module docstring).
 _EVAL_CHUNK = 2048
+
+
+#: Bytes per unit of ``ru_maxrss``: kibibytes on Linux, bytes on macOS.
+_MAXRSS_UNIT = 1 if sys.platform == "darwin" else 1024
+
+
+def _peak_rss_mb() -> dict:
+    """Peak resident sizes in MB: of this process so far (``self``), and of
+    the largest of its children that have been waited for (``worker``: the
+    scale-search workers, once their pool is joined; 0 without them)."""
+    import resource     # Unix only
+
+    def peak(who):
+        return resource.getrusage(who).ru_maxrss * _MAXRSS_UNIT / 1e6
+    return {"self": peak(resource.RUSAGE_SELF), "worker": peak(resource.RUSAGE_CHILDREN)}
 
 
 class UndefinedMetricError(ValueError):
@@ -146,11 +162,13 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
 
     Writes manifest.json, trace.jsonl, solution.csv and subdomains.json; the
     manifest's "iterations" holds the final solve's Gauss-Newton steps
-    ``[n, loss, re_mse]``. A solver failure writes manifest.json alone, with
-    status="failed", the error and the history the exception carries, and is
-    re-raised: "trace" holds the refinement records of a MaxRefinementsError
-    (empty for other failures), "iterations" the steps of a
-    NonConvergenceError.
+    ``[n, loss, re_mse]``, and "peak_rss_mb" the peak resident sizes of the
+    calling process and of its largest scale-search worker, read once the
+    artifacts are written (``_peak_rss_mb``). A solver failure writes
+    manifest.json alone, with status="failed", the error and the history the
+    exception carries, and is re-raised: "trace" holds the refinement
+    records of a MaxRefinementsError (empty for other failures),
+    "iterations" the steps of a NonConvergenceError.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -195,6 +213,7 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
         "iterations": [list(step) for step in state.report.iterations],
         "trace": [r.to_dict() for r in trace],
         "timings": timings,
+        "peak_rss_mb": _peak_rss_mb(),      # the workers are joined by now
         "artifacts": {
             "solution": str(outdir / "solution.csv"),
             "trace": str(outdir / "trace.jsonl"),

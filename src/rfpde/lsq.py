@@ -54,11 +54,19 @@ subdomain-0 trace, frozen, in the right-hand side.
 
 A ball keeps its basis and its collocation points once placed, so it is made
 once, by the scale search, and never changed: ``keep_ball`` turns the winning
-candidate's rows into a ``KeptBall``, which for a linear problem also holds
-the elimination of its block at zero coefficients (that block depends on the
-rows alone). Every coupled solve, ``gauss_newton``, evaluates subdomain 0's
-rows and takes each ball's rows, and a linear problem's elimination, from its
-``KeptBall``.
+candidate's rows into a ``KeptBall``. A nonlinear ball keeps its rows, which
+every Gauss-Newton step re-linearizes. A linear problem is assembled at zero
+coefficients only, where a ball's block depends on its rows alone, so
+``keep_ball`` checks that block for finite entries, eliminates it and keeps
+the elimination with the ball's row kinds, boundary-row count and column
+count; the rows are released once factored. Every coupled solve,
+``gauss_newton``, evaluates subdomain 0's rows; ``assemble`` builds a
+nonlinear ball's block from its kept rows and passes a linear ball on as its
+elimination alone, and ``solve_min_norm`` takes that elimination as it is. The residual of such a
+ball's rows is then (I - U U^T) C x_0 - (I - U U^T) T, the elimination's
+``coupling @ alpha_0 - rhs``: the same vector as A x_k + C x_0 - T, because
+x_k = V S^-1 U^T (T - C x_0) gives A x_k = U U^T (T - C x_0) (the dropped
+singular directions of A are orthogonal to x_k).
 """
 
 from __future__ import annotations
@@ -104,14 +112,14 @@ class SystemBlocks:
     single-ball system of that ball. A ball's block also holds ``coupling``,
     its interface rows (its last ``len(coupling)`` rows) on subdomain 0's
     columns; a solve uses it only in a coupled system. ``col_slices`` places
-    each subdomain's coefficients in the stacked vector. A ball's block
-    carries ``eliminated`` when its elimination was made before the system was
-    assembled (a linear problem's, kept with the ball since its scale
-    search); the solve eliminates every other ball.
+    each subdomain's coefficients in the stacked vector. The block of a kept
+    linear ball holds only ``eliminated``, made by its scale search, and its
+    ``row_kind``: ``matrix``, ``rhs`` and ``coupling`` are None, the rows
+    released. The solve eliminates every other ball.
     """
 
-    matrix: np.ndarray                 # (rows, cols of the first subdomain)
-    rhs: np.ndarray                    # (rows,)
+    matrix: Optional[np.ndarray]       # (rows, cols of the first subdomain)
+    rhs: Optional[np.ndarray]          # (rows,)
     col_slices: list[slice]            # one slice of columns per subdomain
     row_kind: np.ndarray               # int8, ROW_* constants
     coupling: Optional[np.ndarray] = None
@@ -171,6 +179,10 @@ class SubdomainRows(NamedTuple):
     def size(self) -> int:
         return self.matrix.shape[1]
 
+    @property
+    def n_boundary(self) -> int:
+        return len(self.data)
+
 
 def _subdomain_rows(problem: SemilinearProblem, basis: BasisSet,
                     interior: np.ndarray, boundary: np.ndarray,
@@ -223,24 +235,23 @@ def ball_rows(problem: SemilinearProblem, ball: BallSubdomain, basis_k: BasisSet
 
 def coupled_rows(problem: SemilinearProblem, basis_0: BasisSet,
                  interior: np.ndarray, boundary: np.ndarray,
-                 balls: Sequence[SubdomainRows]) -> list[SubdomainRows]:
+                 balls: Sequence[SubdomainRows | KeptBall]) -> list:
     """The rows of every subdomain of the coupled problem: subdomain 0's,
     evaluated at its ``interior`` and ``boundary`` points, then the balls'
-    (of ``ball_rows``, on the same basis of subdomain 0)."""
+    as given, each one's rows (of ``ball_rows``, on the same basis of
+    subdomain 0) or its ``KeptBall``."""
     if len(interior) == 0:
         raise AssemblyError("empty interior collocation set for subdomain 0")
-    if len(boundary) + sum(len(rows.data) for rows in balls) == 0:
+    if len(boundary) + sum(ball.n_boundary for ball in balls) == 0:
         raise AssemblyError("no boundary collocation points at all")
     return [_subdomain_rows(problem, basis_0, interior, boundary)] + list(balls)
 
 
 def _block(problem: SemilinearProblem, rows: SubdomainRows,
-           alpha_k: np.ndarray, alpha_0: np.ndarray,
-           eliminated: Optional["_Eliminated"] = None) -> SystemBlocks:
+           alpha_k: np.ndarray, alpha_0: np.ndarray) -> SystemBlocks:
     """One subdomain's block linearized at ``alpha_k``, with subdomain 0 at
     ``alpha_0``: its rows on its own columns and, for a ball, its interface
-    rows on subdomain 0's columns as ``coupling``, and the block's
-    ``eliminated`` when one was made before.
+    rows on subdomain 0's columns as ``coupling``.
 
     Right-hand sides are the residuals at the current coefficients, so on an
     interface they carry subdomain 0's trace at ``alpha_0``.
@@ -265,17 +276,28 @@ def _block(problem: SemilinearProblem, rows: SubdomainRows,
             start = sl.stop
         coupling = np.concatenate([-trace_0 for trace_0 in rows.trace])
     return SystemBlocks(matrix=F, rhs=T, col_slices=[slice(0, rows.size)],
-                        row_kind=rows.row_kind, coupling=coupling,
-                        eliminated=eliminated)
+                        row_kind=rows.row_kind, coupling=coupling)
 
 
-def assemble(problem: SemilinearProblem, rows: Sequence[SubdomainRows],
-             alphas: Optional[np.ndarray] = None,
-             eliminated: Optional[Sequence[Optional["_Eliminated"]]] = None
-             ) -> SystemBlocks:
+def _ball_block(problem: SemilinearProblem, ball: SubdomainRows | KeptBall,
+                alpha_k: np.ndarray, alpha_0: np.ndarray) -> SystemBlocks:
+    """A ball's block: its rows linearized by ``_block``, or a kept linear
+    ball's elimination alone, which holds at zero coefficients only."""
+    if isinstance(ball, KeptBall):
+        if ball.rows is None:
+            if np.any(alpha_k) or np.any(alpha_0):
+                raise AssemblyError("a kept linear ball is eliminated at zero "
+                                    "coefficients only")
+            return SystemBlocks(matrix=None, rhs=None, col_slices=[slice(0, ball.size)],
+                                row_kind=ball.row_kind, eliminated=ball.eliminated)
+        ball = ball.rows
+    return _block(problem, ball, alpha_k, alpha_0)
+
+
+def assemble(problem: SemilinearProblem, rows: Sequence,
+             alphas: Optional[np.ndarray] = None) -> SystemBlocks:
     """The coupled system of ``coupled_rows``, linearized at ``alphas`` (zeros
-    if None). ``eliminated``, one entry per ball (None for a ball to be
-    eliminated by the solve), gives each ball's block its elimination.
+    if None). A kept linear ball's block is its elimination alone.
 
     At zero coefficients and for a linear operator this is exactly the direct
     transcription of the collocated problem; otherwise rows carry the
@@ -292,10 +314,7 @@ def assemble(problem: SemilinearProblem, rows: Sequence[SubdomainRows],
     if alphas.shape != (start,):
         raise AssemblyError(f"expected {start} stacked coefficients")
     parts = [alphas[sl] for sl in col_slices]
-    if eliminated is None:
-        eliminated = [None] * (len(rows) - 1)
-    balls = [_block(problem, r, a, parts[0], e)
-             for r, a, e in zip(rows[1:], parts[1:], eliminated)]
+    balls = [_ball_block(problem, r, a, parts[0]) for r, a in zip(rows[1:], parts[1:])]
     return replace(_block(problem, rows[0], parts[0], parts[0]),
                    col_slices=col_slices, balls=balls)
 
@@ -354,16 +373,12 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
     discarded. Without balls this is gelsd on ``matrix``, the minimum-norm
     solution. A gelsd problem with n < m < int(1.6 n) is reduced to the R
     factor of [F | T] first. The report carries each block's rank, retained
-    singular-value range and squared residual per row kind, all computed on
-    the system's own rows.
+    singular-value range and squared residual per row kind, computed on the
+    system's own rows; a ball taken from its ``eliminated`` has its residual
+    from the elimination (see the module docstring).
     """
     all_blocks = [blocks] + blocks.balls
-    if any(b.matrix.size == 0 for b in all_blocks):
-        raise AssemblyError("empty system")
-    arrays = [a for b in all_blocks for a in (b.matrix, b.rhs, b.coupling)
-              if a is not None]
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise AssemblyError("non-finite entries in the assembled system")
+    _check_blocks([b for b in all_blocks if b.eliminated is None])
     eliminated = [_eliminate(ball) if ball.eliminated is None else ball.eliminated
                   for ball in blocks.balls]
     F0, T0 = blocks.matrix, blocks.rhs
@@ -378,9 +393,12 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
     alpha = np.concatenate([alpha_0] + [e.back_substitute(alpha_0) for e in eliminated])
 
     residuals = [blocks.matrix @ alpha_0 - blocks.rhs]
-    for ball, x in zip(blocks.balls, blocks.split(alpha)[1:]):
-        res = ball.matrix @ x - ball.rhs
-        res[len(res) - len(ball.coupling):] += ball.coupling @ alpha_0
+    for ball, e, x in zip(blocks.balls, eliminated, blocks.split(alpha)[1:]):
+        if ball.eliminated is not None:        # its rows released
+            res = e.coupling @ alpha_0 - e.rhs
+        else:
+            res = ball.matrix @ x - ball.rhs
+            res[len(res) - len(ball.coupling):] += ball.coupling @ alpha_0
         residuals.append(res)
     loss = float(sum(res @ res for res in residuals))
     return SolveReport(alpha=alpha, alphas=blocks.split(alpha), loss=loss,
@@ -389,6 +407,15 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
                        block_ranks=[int(rank)] + [len(e.s) for e in eliminated],
                        block_sigmas=[_sigma_range(s0[:rank])]
                        + [_sigma_range(e.s) for e in eliminated])
+
+
+def _check_blocks(blocks: Sequence[SystemBlocks]) -> None:
+    """Raise AssemblyError for an empty block or a non-finite entry."""
+    if any(b.matrix.size == 0 for b in blocks):
+        raise AssemblyError("empty system")
+    arrays = [a for b in blocks for a in (b.matrix, b.rhs, b.coupling) if a is not None]
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise AssemblyError("non-finite entries in the assembled system")
 
 
 def _residuals_by_kind(row_kind: np.ndarray, res: np.ndarray) -> dict:
@@ -458,22 +485,34 @@ def gauss_newton_core(assembler: Callable[[Optional[np.ndarray]], SystemBlocks],
 
 
 class KeptBall(NamedTuple):
-    """A ball as its scale search made it, complete and never changed: the
-    winning candidate's rows and, for a linear problem, the elimination of
-    its block at zero coefficients, which every coupled solve takes instead of
-    factoring the block again (None for a nonlinear problem, whose block
-    changes with every Gauss-Newton step)."""
+    """A ball as its scale search made it, complete and never changed.
 
-    rows: SubdomainRows
-    eliminated: Optional[_Eliminated]
+    A nonlinear ball keeps the winning candidate's ``rows``, which every
+    Gauss-Newton step re-linearizes. A linear ball keeps only what a coupled
+    solve reads: the elimination of its block at zero coefficients, which
+    every coupled solve takes instead of factoring the block again, and
+    ``row_kind`` for the residual table; its rows are released. Both carry
+    the boundary-row count and the column count.
+    """
+
+    row_kind: np.ndarray               # int8, ROW_* constants, in block order
+    n_boundary: int                    # boundary rows
+    size: int                          # basis functions, the block's columns
+    rows: Optional[SubdomainRows]      # a nonlinear ball's; None when linear
+    eliminated: Optional[_Eliminated]  # a linear ball's; None when nonlinear
 
 
 def keep_ball(problem: SemilinearProblem, rows: SubdomainRows) -> KeptBall:
-    """The ``KeptBall`` of a ball's rows (of ``ball_rows``)."""
+    """The ``KeptBall`` of a ball's rows (of ``ball_rows``). A linear ball's
+    block is checked for finite entries and eliminated here, once."""
     if not problem.is_linear:
-        return KeptBall(rows, None)
-    zeros_0 = np.zeros(rows.trace[0].shape[1])
-    return KeptBall(rows, _eliminate(_block(problem, rows, np.zeros(rows.size), zeros_0)))
+        return KeptBall(rows.row_kind, rows.n_boundary, rows.size, rows, None)
+    block = _block(problem, rows, np.zeros(rows.size), np.zeros(rows.trace[0].shape[1]))
+    _check_blocks([block])
+    eliminated = _eliminate(block)
+    # the retained rows of V^T alone, not the whole V^T they are a view of
+    return KeptBall(rows.row_kind, rows.n_boundary, rows.size, None,
+                    eliminated._replace(vt=eliminated.vt.copy()))
 
 
 def gauss_newton(partition: PartitionState, problem: SemilinearProblem,
@@ -486,13 +525,6 @@ def gauss_newton(partition: PartitionState, problem: SemilinearProblem,
     """
     if len(kept) != partition.n_balls:
         raise AssemblyError("kept balls do not align with the partition")
-    rows = coupled_rows(problem, basis_0, interior, boundary,
-                        [ball.rows for ball in kept])
-
-    def assembler(alphas):
-        # a linear problem is assembled once, at zero coefficients, where its
-        # kept eliminations hold
-        return assemble(problem, rows, alphas=alphas,
-                        eliminated=[ball.eliminated for ball in kept])
-
-    return gauss_newton_core(assembler, problem.is_linear, n_max, tol)
+    rows = coupled_rows(problem, basis_0, interior, boundary, kept)
+    return gauss_newton_core(partial(assemble, problem, rows), problem.is_linear,
+                             n_max, tol)

@@ -1,4 +1,5 @@
 import json
+import resource
 
 import numpy as np
 import pytest
@@ -158,6 +159,17 @@ class TestRun:
         # the scale search's wall time, part of the refinement's
         assert 0 < records[0]["search_seconds"] <= records[0]["seconds"]
         assert manifest["trace"][0]["search_seconds"] == records[0]["search_seconds"]
+
+    def test_manifest_records_peak_memory(self, case1_run):
+        outdir, manifest = case1_run
+        written = json.loads((outdir / "manifest.json").read_text())
+        assert written["peak_rss_mb"] == manifest["peak_rss_mb"]
+        peak = manifest["peak_rss_mb"]
+        assert sorted(peak) == ["self", "worker"]
+        now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+        assert 0 < peak["self"] <= now
+        if ada._usable_cores() > 1:        # the run's scale search had workers
+            assert peak["worker"] > 0
 
     def test_subdomains_json(self, case1_run):
         outdir, _ = case1_run

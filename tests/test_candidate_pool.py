@@ -16,6 +16,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import time
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -152,6 +153,70 @@ def test_no_worker_outlives_a_solve():
             **{**SMALL, "epsilon": 1e-12, "max_refinements": 1}))
     assert len(err.value.trace) == 1
     assert multiprocessing.active_children() == []
+
+
+def children(pid):
+    """The pids of the live processes whose parent is ``pid``, from ``/proc``."""
+    found = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue
+        # the fields after the command name, which may hold spaces: state, ppid
+        state, ppid = stat.rpartition(")")[2].split()[:2]
+        if int(ppid) == pid and state != "Z":
+            found.append(int(entry))
+    return found
+
+
+def alive(pid):
+    """Whether ``pid`` is a live process (not gone, not a zombie)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+def cmdline(pid):
+    try:
+        return Path(f"/proc/{pid}/cmdline").read_bytes()
+    except OSError:
+        return b""
+
+
+def wait_for(condition, seconds):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return condition()
+
+
+@pytest.mark.skipif(not MULTICORE or not os.path.isdir("/proc"),
+                    reason="needs two usable cores and /proc")
+def test_workers_exit_when_the_calling_process_is_killed(tmp_path):
+    script = tmp_path / "solve.py"
+    script.write_text(textwrap.dedent("""
+        import rfpde
+
+        if __name__ == "__main__":
+            rfpde.adaptive_solve(rfpde.benchmark("peak2d-case3"), rfpde.AdaptiveConfig())
+    """))
+    workers = min(ada._usable_cores(), ada.AdaptiveConfig().scale_max)
+    proc = subprocess.Popen([sys.executable, str(script)], env=subprocess_env("1"))
+    try:
+        def spawned():
+            return [pid for pid in children(proc.pid) if b"spawn_main" in cmdline(pid)]
+        assert wait_for(lambda: len(spawned()) == workers, 120), "no pool started"
+        pids = children(proc.pid)          # the workers and the resource tracker
+        time.sleep(1.0)                    # the workers take their candidates
+        assert proc.poll() is None, "the solve ended before its scale search"
+    finally:
+        proc.kill()
+        proc.wait()
+    assert wait_for(lambda: not any(map(alive, pids)), 5), \
+        [pid for pid in pids if alive(pid)]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

@@ -781,3 +781,75 @@ class TestGaussNewton:
         assert rel <= 1e-6
         assert report.loss <= 1e-20
 
+
+
+def held_bytes(array):
+    """The bytes ``array`` keeps alive: of the array it is a view of, if any."""
+    while array.base is not None:
+        array = array.base
+    return array.nbytes
+
+
+class TestKeptLinearBall:
+    """A linear ball is kept as its elimination alone: its rows are released
+    once factored, and no coupled solve reads them."""
+
+    def setup_method(self):
+        # subdomain 0 has fewer columns than a ball, so no kept array of the
+        # ball's row count has the rows' shape by accident
+        self.part, self.bases, self.colloc = two_ball_setup(m0=10, mstar=50)
+        self.problem = manufactured_linear(self.bases[0],
+                                           np.linspace(-1.0, 1.0, self.bases[0].size))
+        self.rows = fresh_ball_rows(self.part, self.bases, self.colloc, self.problem)
+
+    def test_holds_no_array_of_the_rows_shape(self):
+        for rows in self.rows:
+            ball = lsq.keep_ball(self.problem, rows)
+            assert ball.rows is None
+            assert (ball.n_boundary, ball.size) == (len(rows.data), rows.size)
+            arrays = [ball.row_kind, *ball.eliminated]
+            assert len(rows.row_kind) > rows.size
+            assert all(a.shape != rows.matrix.shape for a in arrays)
+            assert not any(np.shares_memory(a, rows.matrix) for a in arrays)
+            assert sum(held_bytes(a) for a in arrays) < rows.matrix.nbytes
+
+    def test_a_coupled_solve_never_reads_the_rows(self, monkeypatch):
+        kept = [lsq.keep_ball(self.problem, rows) for rows in self.rows]
+        reference = solve_with(self.part, self.bases, self.colloc, self.problem, kept)
+        for rows in self.rows:         # every array the rows hold, spoilt
+            for array in (rows.matrix, rows.forcing, rows.data, *rows.trace):
+                array.fill(np.nan)
+        systems = []
+        real = lsq.solve_min_norm
+
+        def solve_min_norm(blocks):
+            systems.append(blocks)
+            return real(blocks)
+        monkeypatch.setattr(lsq, "solve_min_norm", solve_min_norm)
+        report = solve_with(self.part, self.bases, self.colloc, self.problem, kept)
+        assert report.alpha.tobytes() == reference.alpha.tobytes()
+        assert report.loss == reference.loss
+        (system,) = systems
+        assert len(system.balls) == 2
+        for block, ball in zip(system.balls, kept):
+            assert block.matrix is None and block.rhs is None and block.coupling is None
+            assert block.eliminated is ball.eliminated
+
+    def test_is_assembled_at_zero_coefficients_only(self):
+        kept = [lsq.keep_ball(self.problem, rows) for rows in self.rows]
+        rows = lsq.coupled_rows(self.problem, self.bases[0], self.colloc.interior[0],
+                                self.colloc.boundary[0], kept)
+        n_cols = sum(b.size for b in self.bases)
+        assert lsq.assemble(self.problem, rows, alphas=np.zeros(n_cols)).balls
+        for k in range(n_cols):
+            alphas = np.zeros(n_cols)
+            alphas[k] = 1.0
+            with pytest.raises(lsq.AssemblyError, match="zero coefficients"):
+                lsq.assemble(self.problem, rows, alphas=alphas)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_rows_are_refused_when_kept(self):
+        rows = self.rows[0]
+        rows.matrix[len(rows.forcing), 1] = np.inf     # a boundary row
+        with pytest.raises(lsq.AssemblyError, match="non-finite"):
+            lsq.keep_ball(self.problem, rows)

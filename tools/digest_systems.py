@@ -7,7 +7,8 @@ wrapped, and prints one JSON object:
 
 - ``systems_sha256``: SHA-256 over every system passed to the solve, in call
   order: its ``matrix``, ``rhs`` and ``row_kind``, and each ball block's
-  ``matrix``, ``rhs`` and ``coupling``;
+  ``matrix``, ``rhs`` and ``coupling``, or, for a ball block that holds its
+  elimination alone (a kept linear ball's), the elimination's arrays;
 - ``collocation_sha256``: SHA-256 over every collocation set the solve
   builds, in call order: those returned by ``rfpde.adaptive.initial_collocation``
   and by each ``rfpde.geometry.reclassify_collocation``, each set's interior,
@@ -86,7 +87,9 @@ def digest(problem_name: str, config: dict) -> dict:
         for array in (blocks.matrix, blocks.rhs, blocks.row_kind):
             _update(systems, array)
         for ball in blocks.balls:
-            for array in (ball.matrix, ball.rhs, ball.coupling):
+            arrays = ball.eliminated if ball.matrix is None else \
+                (ball.matrix, ball.rhs, ball.coupling)
+            for array in arrays:
                 _update(systems, array)
         return real(blocks)
 
