@@ -350,6 +350,14 @@ class _Eliminated(NamedTuple):
 
 
 def _eliminate(ball: SystemBlocks) -> _Eliminated:
+    """Eliminate a ball's block by its truncated SVD (gesdd).
+
+    The SVD stays, workspace and all, because the projection needs an
+    orthonormal U: a QR first took the same time and peak memory to within
+    a few MB, and one gelsd solve for [T | C] projected as B - A X loses the
+    projection to cancellation at |X| ~ 2e6 (err_l2 and Gauss-Newton steps
+    move; see CHANGES.md).
+    """
     u, s, vt = np.linalg.svd(ball.matrix, full_matrices=False)
     r = int(np.count_nonzero(s > DEFAULT_SVD_CUTOFF * s[0]))
     u, s, vt = u[:, :r], s[:r], vt[:r]

@@ -94,15 +94,16 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             b.values(np.array([[np.nan, 0.0]]))
 
-    def test_batch_matches_pointwise_bitwise(self, rng):
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batch_matches_pointwise_bitwise(self, dim, rng):
         # a point's row does not depend on the batch it is evaluated in, nor
         # on the chunk of the batch it falls in
         for m in (30, 1000):
-            b = bas.rescale(bas.generate_transferable(m, 2.0, 2, seed=5),
-                            np.array([0.3, -0.1]), 4)
+            b = bas.rescale(bas.generate_transferable(m, 2.0, dim, seed=5),
+                            np.array([0.3, -0.1, 0.2][:dim]), 4)
             n = 2 * bas.chunk_rows(m) + 3
-            pts = rng.uniform(-1, 1, size=(n, 2))
-            normals = rng.standard_normal((n, 2))
+            pts = rng.uniform(-1, 1, size=(n, dim))
+            normals = rng.standard_normal((n, dim))
             normals /= np.linalg.norm(normals, axis=1, keepdims=True)
             vals = b.values(pts)
             laps = b.laplacians(pts)
@@ -210,6 +211,84 @@ class TestEvaluateInto:
         for name, call in evaluations(b, pts, pts):
             with pytest.raises(ValueError):
                 call(out=out)
+
+
+def broadcast_oracle(b, pts, normals):
+    """Values, Laplacians and normal derivatives of ``b``, each of shape
+    (n, M+1), by the broadcast products ``np.multiply(a[:, j, None],
+    w[None, :, j])`` summed over the axes left to right, and the same
+    elementwise steps, in the same order, as ``BasisSet``: the bits the
+    evaluation must keep, however its axis products are formed."""
+    def axis_dot(a):
+        out = np.multiply(a[:, 0, None], b.weights[None, :, 0])
+        for j in range(1, b.dim):
+            out += np.multiply(a[:, j, None], b.weights[None, :, j])
+        return out
+
+    psi = axis_dot(pts - b.center)
+    psi *= b.scale
+    psi += b.biases
+    t = np.tanh(psi)
+    slope = np.subtract(1.0, t * t)
+    coef = b.scale * b.scale * np.sum(b.weights * b.weights, axis=1)
+    n = len(pts)
+    values = np.column_stack([np.ones(n), t])
+    laplacians = np.column_stack([np.zeros(n), slope * (t * -2.0 * coef)])
+    normal = np.column_stack([np.zeros(n), axis_dot(normals) * (slope * b.scale)])
+    return {"values": values, "laplacians": laplacians,
+            "normal_derivatives": normal}
+
+
+class TestBroadcastOracle:
+    """The evaluation keeps the bits of broadcast axis products."""
+
+    @pytest.mark.parametrize("scale", [1, 6])
+    @pytest.mark.parametrize("kind", ["transferable", "uniform"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bits_equal_broadcast_products(self, dim, kind, scale, rng):
+        m = 200
+        make = {"transferable": lambda: bas.generate_transferable(m, 2.0, dim, seed=7),
+                "uniform": lambda: bas.generate_uniform(m, 1.5, dim, seed=7)}[kind]
+        center = rng.uniform(-0.3, 0.3, size=dim)
+        b = bas.rescale(make(), center, scale)
+        step = bas.chunk_rows(m)
+        # three chunks and a bit, with the centre itself (a zero offset on
+        # every axis) at the first row, on both sides of the first chunk
+        # boundary and at the last row; axis-aligned unit normals (zero
+        # components) among them, as on the faces of a box
+        n = 3 * step + 2
+        pts = rng.uniform(-1, 1, size=(n, dim))
+        pts[[0, step - 1, step, n - 1]] = center
+        normals = rng.standard_normal((n, dim))
+        normals[step - 2:step + 2] = -np.eye(dim)[np.arange(4) % dim]
+        expected = broadcast_oracle(b, pts, normals)
+        tall = rng.standard_normal((n + 5, b.size))
+        wide = rng.standard_normal((n + 5, b.size + 3))
+        for name, call in evaluations(b, pts, normals):
+            want = expected[name].tobytes()
+            assert call().tobytes() == want, name
+            assert call(out=tall[2:2 + n]).tobytes() == want, name
+            assert tall[2:2 + n].tobytes() == want, name
+            call(out=wide[2:2 + n, 1:1 + b.size])
+            assert np.ascontiguousarray(wide[2:2 + n, 1:1 + b.size]).tobytes() \
+                == want, name
+
+    def test_only_an_all_zero_dot_loses_its_sign(self):
+        # The one difference from broadcast products: an axis product that is
+        # -0.0 enters the sum as +0.0. It shows only where every axis product
+        # is zero and nothing nonzero is added, as in the normal derivative
+        # along a zero vector, or a preactivation at the centre with a bias of
+        # -0.0. Unit normals and the generators' biases (never -0.0) do not
+        # reach it; the numbers compare equal either way.
+        b = tanh_set([[-0.5, -1.0], [-0.25, -2.0]], [-0.0, 0.3])
+        at_centre = np.zeros((1, 2))
+        zero_normal = np.zeros((1, 2))
+        expected = broadcast_oracle(b, at_centre, zero_normal)
+        for name, call in evaluations(b, at_centre, zero_normal):
+            got = call()
+            assert np.array_equal(got, expected[name]), name
+            differ = np.signbit(got) != np.signbit(expected[name])
+            assert np.any(differ) and np.all(got[differ] == 0.0), name
 
 
 class TestRescale:

@@ -19,6 +19,9 @@ TINY = dict(interior_resolution=30, boundary_count=200, ball_resolution=24,
             interface_count=100, scale_max=8, m0=100, m_star=300, epsilon=1e-3,
             seed=3)
 
+#: Test-grid points per axis of the digested predictions.
+TEST_RESOLUTION = 40
+
 
 def load_tool():
     spec = importlib.util.spec_from_file_location("digest_systems", TOOL)
@@ -32,7 +35,7 @@ def test_two_runs_give_the_same_digests():
     real = rfpde.lsq.solve_min_norm, rfpde.lsq.gauss_newton_core
     real_map = rfpde.adaptive._candidate_map
     real_sets = rfpde.adaptive.initial_collocation, rfpde.geometry.reclassify_collocation
-    first = tool.digest("peak2d-case1", TINY)
+    first = tool.digest("peak2d-case1", TINY, TEST_RESOLUTION)
     assert (rfpde.lsq.solve_min_norm, rfpde.lsq.gauss_newton_core) == real
     assert (rfpde.adaptive.initial_collocation,
             rfpde.geometry.reclassify_collocation) == real_sets
@@ -44,19 +47,24 @@ def test_two_runs_give_the_same_digests():
     assert first["systems"] > TINY["scale_max"]
     # a linear problem: every Gauss-Newton solve is one step, one system
     assert first["gauss_newton_steps"] == [1] * first["systems"]
-    assert tool.digest("peak2d-case1", TINY) == first
-    other = tool.digest("peak2d-case1", {**TINY, "m0": 99})
+    assert tool.digest("peak2d-case1", TINY, TEST_RESOLUTION) == first
+    other = tool.digest("peak2d-case1", {**TINY, "m0": 99}, TEST_RESOLUTION)
     assert other["systems_sha256"] != first["systems_sha256"]
     assert other["alpha_sha256"] != first["alpha_sha256"]
     # the collocation points depend on the lattices, not on the bases
     assert other["collocation_sha256"] == first["collocation_sha256"]
-    finer = tool.digest("peak2d-case1", {**TINY, "ball_resolution": 25})
+    # another seed draws other bases: other values on the same test grid
+    reseeded = tool.digest("peak2d-case1", {**TINY, "seed": 4}, TEST_RESOLUTION)
+    assert reseeded["predictions_sha256"] != first["predictions_sha256"]
+    assert reseeded["alpha_sha256"] != first["alpha_sha256"]
+    finer = tool.digest("peak2d-case1", {**TINY, "ball_resolution": 25},
+                        TEST_RESOLUTION)
     assert finer["collocation_sha256"] != first["collocation_sha256"]
 
 
 def test_gauss_newton_steps_of_a_nonlinear_run():
     tool = load_tool()
-    out = tool.digest("nonlinear2d-case1", TINY)
+    out = tool.digest("nonlinear2d-case1", TINY, TEST_RESOLUTION)
     # the K=0 solve, the scale candidates and the coupled re-solve of each
     # refinement, in call order; every step solves one system
     refinements = len(out["scales"])

@@ -14,6 +14,10 @@ wrapped, and prints one JSON object:
   and by each ``rfpde.geometry.reclassify_collocation``, each set's interior,
   boundary and interface points of every subdomain;
 - ``alpha_sha256``: SHA-256 of the final stacked coefficients;
+- ``predictions_sha256``: SHA-256 of the solution's values on the
+  workload's test grid (``rfpde.evaluate_on_grid(...).predicted`` at its test
+  resolution), so that a change to basis evaluation is checked end to end,
+  not only on the systems;
 - the number of systems, the chosen scales and the scale-candidate losses;
 - ``gauss_newton_steps``: the number of steps of every Gauss-Newton solve,
   in call order, so that a change to the stopping rule shows;
@@ -65,10 +69,11 @@ def _sha256(array) -> str:
     return digest.hexdigest()
 
 
-def digest(problem_name: str, config: dict) -> dict:
-    """Solve ``problem_name`` with ``config`` (``AdaptiveConfig`` keywords)
-    and digest what the least-squares solve received and returned; then
-    solve it again by default, on worker processes."""
+def digest(problem_name: str, config: dict, test_resolution: int) -> dict:
+    """Solve ``problem_name`` with ``config`` (``AdaptiveConfig`` keywords),
+    digest what the least-squares solve received and returned and the
+    solution's values on the test grid of ``test_resolution`` points per
+    axis; then solve it again by default, on worker processes."""
     import rfpde
 
     ada, geo, lsq = rfpde.adaptive, rfpde.geometry, rfpde.lsq
@@ -107,9 +112,10 @@ def digest(problem_name: str, config: dict) -> dict:
         steps.append(len(report.iterations))
         return report
 
+    problem = rfpde.benchmark(problem_name)
+
     def solve():
-        return rfpde.adaptive_solve(rfpde.benchmark(problem_name),
-                                    rfpde.AdaptiveConfig(**config))
+        return rfpde.adaptive_solve(problem, rfpde.AdaptiveConfig(**config))
 
     lsq.solve_min_norm, lsq.gauss_newton_core = solve_min_norm, gauss_newton_core
     ada.initial_collocation = digested(real_initial)
@@ -124,11 +130,13 @@ def digest(problem_name: str, config: dict) -> dict:
         geo.reclassify_collocation = real_reclassify
         if real_map is not None:
             ada._candidate_map = real_map
+    grid = rfpde.evaluate_on_grid(state, problem, test_resolution)
     pool_state, pool_trace = solve()
     return {"src": str(Path(rfpde.__file__).parent), "problem": problem_name,
             "systems": count, "systems_sha256": systems.hexdigest(),
             "collocation_sha256": collocation.hexdigest(),
             "alpha_sha256": _sha256(state.report.alpha),
+            "predictions_sha256": _sha256(grid.predicted),
             "scales": [record.scale for record in trace],
             "scale_losses": [record.scale_losses for record in trace],
             "gauss_newton_steps": steps,
@@ -152,7 +160,7 @@ def main(argv=None) -> int:
     workload = WORKLOADS[args.workload]
     out = {"workload": workload.name,
            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
-    out.update(digest(workload.problem, workload.config))
+    out.update(digest(workload.problem, workload.config, workload.test_resolution))
     print(json.dumps(out, indent=1))
     return 0
 
