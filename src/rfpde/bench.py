@@ -5,14 +5,15 @@ piecewise expansion on a uniform test grid (each point evaluated with the
 basis of the subdomain that owns it), and writes a manifest plus CSV/JSON
 artifacts sufficient to re-check every reported number offline. ``run`` with
 the manifest's ``benchmark`` and ``config`` reproduces the artifacts
-bit-identically only at a fixed BLAS build, BLAS thread count and
-``_EVAL_CHUNK``: ``predict`` multiplies each chunk's basis values by the
-coefficients with BLAS, and a test point's prediction depends on the chunk
-it falls in (on peak2d-4ball, chunks of 16384 and of 2048 points give 2 of
-65536 predictions that differ by up to 3.9e-14). The scale
-candidates' losses are computed at one BLAS thread whenever worker processes
-solve them (see ``adaptive``), whatever the thread count of the calling
-process.
+bit-identically only at a fixed BLAS build and BLAS thread count, because
+the coefficients depend on both. The predictions depend only on the
+coefficients and the numpy build: ``predict`` evaluates the basis with no
+BLAS and sums each row with ``np.einsum``, the same reduction for every row,
+so a test point's prediction does not depend on the BLAS thread count, on
+how many threads ``predict`` runs (the usable cores of the calling process)
+or on which span or chunk of points it falls in. The scale candidates'
+losses are computed at one BLAS thread whenever worker processes solve them
+(see ``adaptive``), whatever the thread count of the calling process.
 """
 
 from __future__ import annotations
@@ -25,23 +26,17 @@ from pathlib import Path
 
 import numpy as np
 
+from . import adaptive
 from . import geometry as geo
 from .adaptive import (AdaptiveConfig, MaxRefinementsError, ScaleSearchError,
                        SolveState, adaptive_solve)
+from .basis import BasisSet, chunk_rows
 from .lsq import NonConvergenceError
 from .pde import SemilinearProblem, benchmark
 
 #: Solver-side failures a run records in its manifest before re-raising.
 SOLVER_ERRORS = (NonConvergenceError, MaxRefinementsError, ScaleSearchError,
                  geo.GeometryError)
-
-#: Test points per evaluation chunk. A chunk's temporaries (points x basis
-#: size doubles, 16 MB at 1001 functions) stay below glibc's largest dynamic
-#: mmap threshold (32 MB), so later chunks and calls reuse heap memory instead
-#: of mapping and page-faulting fresh memory each time. Changing it moves
-#: predictions in their last bits (see the module docstring).
-_EVAL_CHUNK = 2048
-
 
 #: Bytes per unit of ``ru_maxrss``: kibibytes on Linux, bytes on macOS.
 _MAXRSS_UNIT = 1 if sys.platform == "darwin" else 1024
@@ -95,26 +90,56 @@ class TestGrid:
         return err_l2(self.predicted, self.exact)
 
 
+def _predict_span(basis: BasisSet, alpha: np.ndarray, points: np.ndarray,
+                  out: np.ndarray) -> None:
+    """``out`` = the expansion's values at ``points``, evaluated
+    ``chunk_rows(M)`` points at a time into one reused buffer of rows."""
+    step = chunk_rows(basis.n_neurons)
+    buffer = np.empty((min(step, len(points)), basis.size))
+    for start in range(0, len(points), step):
+        stop = min(start + step, len(points))
+        rows = basis.values(points[start:stop], out=buffer[:stop - start])
+        # each row summed by the same einsum loop, with no BLAS: a point's
+        # value is the same bits whatever rows are summed along with it
+        np.einsum("ij,j->i", rows, alpha, out=out[start:stop])
+
+
 def predict(state: SolveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the piecewise expansion; returns (values, subdomain labels).
 
     Points on a sphere belong to the ball; a point outside every subdomain is
-    a geometry bug and raises.
+    a geometry bug and raises. Each subdomain's points are split into at most
+    as many contiguous spans as the calling process has usable cores, and
+    the spans of every subdomain run together on that many threads (numpy
+    releases the GIL in the basis evaluation and the row sums).
     """
+    # imported here, not with the package, whose import time it would add to
+    from concurrent.futures import ThreadPoolExecutor
+
     labels = state.partition.classify(points)
     if np.any(labels < 0):
         raise RuntimeError("test point assigned to no subdomain")
+    cores = adaptive._usable_cores()
     values = np.empty(len(points))
-    for k in range(state.partition.n_subdomains):
-        mask = labels == k
-        if not np.any(mask):
-            continue
-        pts = points[mask]
-        out = np.empty(len(pts))
-        for start in range(0, len(pts), _EVAL_CHUNK):
-            chunk = pts[start:start + _EVAL_CHUNK]
-            out[start:start + len(chunk)] = \
-                state.bases[k].values(chunk) @ state.report.alphas[k]
+    owned = []
+    with ThreadPoolExecutor(max_workers=cores) as pool:
+        tasks = []
+        for k in range(state.partition.n_subdomains):
+            mask = labels == k
+            pts = points[mask]
+            if len(pts) == 0:
+                continue
+            out = np.empty(len(pts))
+            owned.append((mask, out))
+            basis, alpha = state.bases[k], state.report.alphas[k]
+            spans = min(cores, -(-len(pts) // chunk_rows(basis.n_neurons)))
+            bounds = [len(pts) * i // spans for i in range(spans + 1)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                tasks.append(pool.submit(_predict_span, basis, alpha,
+                                         pts[lo:hi], out[lo:hi]))
+        for task in tasks:
+            task.result()           # re-raises a task's error
+    for mask, out in owned:
         values[mask] = out
     return values, labels
 

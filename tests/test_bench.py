@@ -1,5 +1,11 @@
 import json
+import os
 import resource
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,19 +91,7 @@ class TestEvaluateOnGrid:
 
     def test_partition_of_test_points(self):
         # every test point is assigned to exactly one subdomain, spheres to balls
-        problem = pde.benchmark("peak2d-case1")
-        part = geo.split_subdomain(geo.PartitionState(problem.region),
-                                   np.array([0.5, 0.5]), 0.15)
-        b0 = bas.generate_transferable(20, 2.0, 2, seed=1, stream=0)
-        b1 = bas.rescale(bas.generate_transferable(25, 2.0, 2, seed=1, stream=1),
-                         np.array([0.5, 0.5]), 3)
-        colloc = geo.reclassify_collocation(
-            geo.CollocationSets.initial(
-                geo.generate_interior_grid(problem.region, resolution=20),
-                geo.generate_boundary_points(problem.region, 80)),
-            part, ball_resolution=12, interface_count=40)
-        report = fresh_solve(part, [b0, b1], colloc, problem)
-        state = ada.SolveState(part, [b0, b1], colloc, report)
+        state, problem = one_ball_state()
         grid = bench.evaluate_on_grid(state, problem, 64)
         counts = np.bincount(grid.subdomain, minlength=2)
         assert counts.sum() == grid.n_points
@@ -108,10 +102,116 @@ class TestEvaluateOnGrid:
 
     def test_chunked_prediction_matches_direct(self, rng):
         state, problem = in_span_state()
-        pts = rng.uniform(-1, 1, size=(bench._EVAL_CHUNK + 7, 2))
+        basis, alpha = state.bases[0], state.report.alphas[0]
+        pts = rng.uniform(-1, 1, size=(3 * bas.chunk_rows(basis.n_neurons) + 7, 2))
         vals, _ = bench.predict(state, pts)
-        direct = state.bases[0].values(pts) @ state.report.alphas[0]
+        # one row at a time, so no row is summed along with another
+        direct = np.array([np.einsum("j,j->", row, alpha)
+                           for row in basis.values(pts)])
         assert vals.tobytes() == direct.tobytes()
+
+
+def one_ball_state():
+    """A solved peak2d-case1 state with one ball of radius 0.15 at (0.5, 0.5)."""
+    problem = pde.benchmark("peak2d-case1")
+    part = geo.split_subdomain(geo.PartitionState(problem.region),
+                               np.array([0.5, 0.5]), 0.15)
+    b0 = bas.generate_transferable(20, 2.0, 2, seed=1, stream=0)
+    b1 = bas.rescale(bas.generate_transferable(25, 2.0, 2, seed=1, stream=1),
+                     np.array([0.5, 0.5]), 3)
+    colloc = geo.reclassify_collocation(
+        geo.CollocationSets.initial(
+            geo.generate_interior_grid(problem.region, resolution=20),
+            geo.generate_boundary_points(problem.region, 80)),
+        part, ball_resolution=12, interface_count=40)
+    report = fresh_solve(part, [b0, b1], colloc, problem)
+    return ada.SolveState(part, [b0, b1], colloc, report), problem
+
+
+class TestPredictThreads:
+    @pytest.fixture(scope="class")
+    def state_and_points(self):
+        state, problem = one_ball_state()
+        points = geo.generate_interior_grid(problem.region, resolution=128)
+        return state, points
+
+    def test_same_bytes_for_every_thread_count(self, state_and_points, monkeypatch):
+        state, points = state_and_points
+        labels = state.partition.classify(points)
+        ball_points = np.count_nonzero(labels == 1)
+        # at 3 threads subdomain 0 runs as 3 spans, the ball as one span of
+        # fewer points than one evaluation chunk
+        assert 0 < ball_points < bas.chunk_rows(state.bases[1].n_neurons)
+        assert len(points) - ball_points > 3 * bas.chunk_rows(state.bases[0].n_neurons)
+        predicted = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # the threads switch as often as they can
+        try:
+            for cores in (1, 3):
+                monkeypatch.setattr(ada, "_usable_cores", lambda cores=cores: cores)
+                predicted[cores], _ = bench.predict(state, points)
+        finally:
+            sys.setswitchinterval(interval)
+        assert predicted[1].tobytes() == predicted[3].tobytes()
+
+    def test_no_thread_outlives_predict(self, state_and_points, monkeypatch):
+        state, points = state_and_points
+        monkeypatch.setattr(ada, "_usable_cores", lambda: 3)
+        before = threading.active_count()
+        bench.predict(state, points)
+        assert threading.active_count() == before
+
+    def test_error_in_a_task_propagates(self, state_and_points, monkeypatch):
+        state, points = state_and_points
+        monkeypatch.setattr(ada, "_usable_cores", lambda: 3)
+
+        def values(self, x, out=None):
+            raise FloatingPointError("evaluation failed")
+
+        monkeypatch.setattr(bas.BasisSet, "values", values)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="evaluation failed"):
+            bench.predict(state, points)
+        assert threading.active_count() == before
+
+
+#: Predicts on peak2d-case3's test grid with a fixed, unsolved two-ball state
+#: whose coefficients are random and large, and prints the predictions' digest
+PREDICT_FIXED_STATE = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from rfpde import adaptive as ada, basis as bas, bench, geometry as geo, lsq, pde
+
+    problem = pde.benchmark("peak2d-case3")
+    part = geo.PartitionState(problem.region)
+    bases = [bas.generate_transferable(400, 2.0, 2, seed=5, stream=0)]
+    for k, center in enumerate(([0.5, 0.5], [-0.5, -0.5]), start=1):
+        part = geo.split_subdomain(part, np.array(center), 0.2)
+        bases.append(bas.rescale(bas.generate_transferable(600, 2.0, 2, seed=5,
+                                                           stream=k),
+                                 np.array(center), 6))
+    rng = np.random.default_rng(7)
+    alphas = [1e6 * rng.standard_normal(b.size) for b in bases]
+    report = lsq.SolveReport(alpha=np.concatenate(alphas), alphas=alphas, loss=0.0,
+                             residuals=[], block_ranks=[], block_sigmas=[])
+    state = ada.SolveState(part, bases, None, report)
+    points = geo.generate_interior_grid(problem.region, resolution=256)
+    predicted, _ = bench.predict(state, points)
+    print(hashlib.sha256(predicted.tobytes()).hexdigest())
+""")
+
+
+def test_predictions_do_not_depend_on_blas_threads():
+    src = str(Path(bench.__file__).parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", PREDICT_FIXED_STATE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
 
 
 @pytest.fixture(scope="module")

@@ -36,10 +36,13 @@ from one checkout:
     python3 tools/digest_systems.py --workload peak2d-4ball
     python3 tools/digest_systems.py --workload peak2d-4ball --src ../parent/src
 
-Results repeat bit for bit only at a fixed BLAS build and thread count, so
-run both with the same ``OPENBLAS_NUM_THREADS``. The workers always run one
-BLAS thread, so the two runs of one checkout match bit for bit only at
-``OPENBLAS_NUM_THREADS=1``.
+The coefficients repeat bit for bit only at a fixed BLAS build and thread
+count, so run both with the same ``OPENBLAS_NUM_THREADS``. The workers always
+run one BLAS thread, so the two runs of one checkout match bit for bit only at
+``OPENBLAS_NUM_THREADS=1``. The predictions depend only on the coefficients
+and the numpy build: ``rfpde.bench.predict`` sums each test point's row with
+``np.einsum``, not BLAS, on the usable cores of the calling process, and
+equal coefficients give equal predictions at any thread count.
 """
 
 from __future__ import annotations
