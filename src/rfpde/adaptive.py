@@ -7,11 +7,11 @@ residual, reclassifies collocation points, picks an integer frequency
 multiplier for the new ball's basis by trying 1..L on a local problem with
 the subdomain-0 trace frozen, and re-solves the coupled system. Existing
 balls keep their bases and collocation; only coefficients change. So the
-scale search returns the new ball complete, as an ``lsq.KeptBall``: the
-winning candidate's rows for a nonlinear problem, the elimination of its
-block alone for a linear one. Every later coupled solve takes the ball from
-it unchanged; only subdomain 0's rows are evaluated again (reclassification
-changes them).
+scale search returns the new ball complete, as ``lsq.keep_ball`` makes it:
+the winning candidate's rows (``lsq.SubdomainRows``) for a nonlinear
+problem, the elimination of its block alone (``lsq._Eliminated``) for a
+linear one. Every later coupled solve takes the ball as it is; only
+subdomain 0's rows are evaluated again (reclassification changes them).
 
 The scale candidates do not depend on each other, and ``adaptive_solve``
 solves them on a pool of worker processes, started with the ``spawn`` method
@@ -196,7 +196,8 @@ class ScaleSearchResult:
     scale: int
     basis: basis_mod.BasisSet
     losses: list
-    ball: lsq.KeptBall                 # the winning candidate's
+    # the winning candidate's, as ``lsq.keep_ball`` makes it
+    ball: lsq.SubdomainRows | lsq._Eliminated
 
 
 def mean_residual(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
@@ -249,7 +250,7 @@ def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
     coefficients wins (ties to the smaller s). ``mapper`` runs the
     candidates, like builtin ``map``; ``adaptive_solve`` passes a worker
     pool's. The winner's rows are evaluated again here and returned as the
-    finished ``lsq.KeptBall``.
+    finished ball of ``lsq.keep_ball``.
     """
     k = ball.index
     raw = basis_mod.generate_transferable(config.m_star, config.gamma, problem.dim,
@@ -428,7 +429,7 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
     partition = geo.PartitionState(problem.region)
     colloc = initial_collocation(problem, cfg)
     bases = [_base_basis(problem, cfg)]
-    kept: list[lsq.KeptBall] = []
+    kept: list[lsq.SubdomainRows | lsq._Eliminated] = []
 
     report = lsq.gauss_newton(partition, problem, bases[0], colloc.interior[0],
                               colloc.boundary[0], kept, cfg.n_max, cfg.tol)

@@ -31,12 +31,12 @@ from . import geometry as geo
 from .adaptive import (AdaptiveConfig, MaxRefinementsError, ScaleSearchError,
                        SolveState, adaptive_solve)
 from .basis import BasisSet, chunk_rows
-from .lsq import NonConvergenceError
+from .lsq import AssemblyError, NonConvergenceError
 from .pde import SemilinearProblem, benchmark
 
 #: Solver-side failures a run records in its manifest before re-raising.
 SOLVER_ERRORS = (NonConvergenceError, MaxRefinementsError, ScaleSearchError,
-                 geo.GeometryError)
+                 AssemblyError, geo.GeometryError)
 
 #: Bytes per unit of ``ru_maxrss``: kibibytes on Linux, bytes on macOS.
 _MAXRSS_UNIT = 1 if sys.platform == "darwin" else 1024

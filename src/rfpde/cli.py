@@ -58,8 +58,8 @@ def _load_config(args) -> tuple[str, AdaptiveConfig, list]:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("the config file must hold a JSON object")
-    own = {key: data.pop(key, None) for key in ("benchmark", "problem", "sweep")}
-    problem = args.problem or own["benchmark"] or own["problem"]
+    own = {key: data.pop(key, None) for key in ("benchmark", "sweep")}
+    problem = args.problem or own["benchmark"]
     if not problem:
         raise ValueError("no benchmark given (--problem or config 'benchmark')")
     if problem not in BENCHMARKS:

@@ -54,19 +54,20 @@ subdomain-0 trace, frozen, in the right-hand side.
 
 A ball keeps its basis and its collocation points once placed, so it is made
 once, by the scale search, and never changed: ``keep_ball`` turns the winning
-candidate's rows into a ``KeptBall``. A nonlinear ball keeps its rows, which
-every Gauss-Newton step re-linearizes. A linear problem is assembled at zero
-coefficients only, where a ball's block depends on its rows alone, so
-``keep_ball`` checks that block for finite entries, eliminates it and keeps
-the elimination with the ball's row kinds, boundary-row count and column
-count; the rows are released once factored. Every coupled solve,
-``gauss_newton``, evaluates subdomain 0's rows; ``assemble`` builds a
-nonlinear ball's block from its kept rows and passes a linear ball on as its
-elimination alone, and ``solve_min_norm`` takes that elimination as it is. The residual of such a
-ball's rows is then (I - U U^T) C x_0 - (I - U U^T) T, the elimination's
-``coupling @ alpha_0 - rhs``: the same vector as A x_k + C x_0 - T, because
-x_k = V S^-1 U^T (T - C x_0) gives A x_k = U U^T (T - C x_0) (the dropped
-singular directions of A are orthogonal to x_k).
+candidate's rows into what every coupled solve reads of the ball. A
+nonlinear ball is kept as its rows, which every Gauss-Newton step
+re-linearizes. A linear problem is assembled at zero coefficients only,
+where a ball's block depends on its rows alone, so ``keep_ball`` checks that
+block for finite entries, eliminates it and keeps the elimination alone; the
+rows are released once factored. Every coupled solve, ``gauss_newton``,
+evaluates subdomain 0's rows; ``assemble`` builds a nonlinear ball's block
+from its kept rows and passes a linear ball's elimination on as it is, and
+``solve_min_norm`` eliminates every other ball. The residual of every ball's
+rows is read from its elimination: (I - U U^T) C x_0 - (I - U U^T) T, the
+elimination's ``coupling @ alpha_0 - rhs``, is the same vector as
+A x_k + C x_0 - T, because x_k = V S^-1 U^T (T - C x_0) gives
+A x_k = U U^T (T - C x_0) (the dropped singular directions of A are
+orthogonal to x_k).
 """
 
 from __future__ import annotations
@@ -112,19 +113,17 @@ class SystemBlocks:
     single-ball system of that ball. A ball's block also holds ``coupling``,
     its interface rows (its last ``len(coupling)`` rows) on subdomain 0's
     columns; a solve uses it only in a coupled system. ``col_slices`` places
-    each subdomain's coefficients in the stacked vector. The block of a kept
-    linear ball holds only ``eliminated``, made by its scale search, and its
-    ``row_kind``: ``matrix``, ``rhs`` and ``coupling`` are None, the rows
-    released. The solve eliminates every other ball.
+    each subdomain's coefficients in the stacked vector. A kept linear ball
+    is in ``balls`` as its ``_Eliminated``, made by its scale search; the
+    solve eliminates every other ball.
     """
 
-    matrix: Optional[np.ndarray]       # (rows, cols of the first subdomain)
-    rhs: Optional[np.ndarray]          # (rows,)
+    matrix: np.ndarray                 # (rows, cols of the first subdomain)
+    rhs: np.ndarray                    # (rows,)
     col_slices: list[slice]            # one slice of columns per subdomain
     row_kind: np.ndarray               # int8, ROW_* constants
     coupling: Optional[np.ndarray] = None
-    balls: list["SystemBlocks"] = field(default_factory=list)
-    eliminated: Optional["_Eliminated"] = None
+    balls: list[SystemBlocks | _Eliminated] = field(default_factory=list)
 
     @property
     def n_cols(self) -> int:
@@ -235,11 +234,11 @@ def ball_rows(problem: SemilinearProblem, ball: BallSubdomain, basis_k: BasisSet
 
 def coupled_rows(problem: SemilinearProblem, basis_0: BasisSet,
                  interior: np.ndarray, boundary: np.ndarray,
-                 balls: Sequence[SubdomainRows | KeptBall]) -> list:
+                 balls: Sequence[SubdomainRows | _Eliminated]) -> list:
     """The rows of every subdomain of the coupled problem: subdomain 0's,
     evaluated at its ``interior`` and ``boundary`` points, then the balls'
     as given, each one's rows (of ``ball_rows``, on the same basis of
-    subdomain 0) or its ``KeptBall``."""
+    subdomain 0) or what ``keep_ball`` made of them."""
     if len(interior) == 0:
         raise AssemblyError("empty interior collocation set for subdomain 0")
     if len(boundary) + sum(ball.n_boundary for ball in balls) == 0:
@@ -279,25 +278,22 @@ def _block(problem: SemilinearProblem, rows: SubdomainRows,
                         row_kind=rows.row_kind, coupling=coupling)
 
 
-def _ball_block(problem: SemilinearProblem, ball: SubdomainRows | KeptBall,
-                alpha_k: np.ndarray, alpha_0: np.ndarray) -> SystemBlocks:
+def _ball_block(problem: SemilinearProblem, ball: SubdomainRows | _Eliminated,
+                alpha_k: np.ndarray, alpha_0: np.ndarray) -> SystemBlocks | _Eliminated:
     """A ball's block: its rows linearized by ``_block``, or a kept linear
-    ball's elimination alone, which holds at zero coefficients only."""
-    if isinstance(ball, KeptBall):
-        if ball.rows is None:
-            if np.any(alpha_k) or np.any(alpha_0):
-                raise AssemblyError("a kept linear ball is eliminated at zero "
-                                    "coefficients only")
-            return SystemBlocks(matrix=None, rhs=None, col_slices=[slice(0, ball.size)],
-                                row_kind=ball.row_kind, eliminated=ball.eliminated)
-        ball = ball.rows
+    ball's elimination itself, which holds at zero coefficients only."""
+    if isinstance(ball, _Eliminated):
+        if np.any(alpha_k) or np.any(alpha_0):
+            raise AssemblyError("a kept linear ball is eliminated at zero "
+                                "coefficients only")
+        return ball
     return _block(problem, ball, alpha_k, alpha_0)
 
 
 def assemble(problem: SemilinearProblem, rows: Sequence,
              alphas: Optional[np.ndarray] = None) -> SystemBlocks:
     """The coupled system of ``coupled_rows``, linearized at ``alphas`` (zeros
-    if None). A kept linear ball's block is its elimination alone.
+    if None). A kept linear ball's block is its elimination.
 
     At zero coefficients and for a linear operator this is exactly the direct
     transcription of the collocated problem; otherwise rows carry the
@@ -336,7 +332,8 @@ def assemble_local(problem: SemilinearProblem, rows: SubdomainRows,
 class _Eliminated(NamedTuple):
     """A ball block after elimination: its rows projected onto the orthogonal
     complement of the retained left singular vectors U, and what the
-    back-substitution x_k = V S^-1 U^T (T - C x_0) needs."""
+    back-substitution x_k = V S^-1 U^T (T - C x_0) needs, with the rows'
+    kinds for the residual table."""
 
     coupling: np.ndarray               # (I - U U^T) C, on all the block's rows
     rhs: np.ndarray                    # (I - U U^T) T
@@ -344,6 +341,15 @@ class _Eliminated(NamedTuple):
     s: np.ndarray                      # retained singular values
     ut_rhs: np.ndarray                 # U^T T
     ut_coupling: np.ndarray            # U^T C
+    row_kind: np.ndarray               # int8, ROW_* constants, in block order
+
+    @property
+    def size(self) -> int:
+        return self.vt.shape[1]
+
+    @property
+    def n_boundary(self) -> int:
+        return int(np.count_nonzero(self.row_kind == ROW_BOUNDARY))
 
     def back_substitute(self, alpha_0: np.ndarray) -> np.ndarray:
         return self.vt.T @ ((self.ut_rhs - self.ut_coupling @ alpha_0) / self.s)
@@ -367,27 +373,25 @@ def _eliminate(ball: SystemBlocks) -> _Eliminated:
     coupling[iface] += ball.coupling
     ut_rhs = u.T @ ball.rhs
     return _Eliminated(coupling=coupling, rhs=ball.rhs - u @ ut_rhs, vt=vt, s=s,
-                       ut_rhs=ut_rhs, ut_coupling=ut_coupling)
+                       ut_rhs=ut_rhs, ut_coupling=ut_coupling, row_kind=ball.row_kind)
 
 
 def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
     """Least-squares solution by block elimination, truncated SVD per block.
 
-    Each ball is eliminated with its block's truncated SVD (or taken from
-    its ``eliminated``), the stacked projected subdomain-0 problem is solved
-    by gelsd (``np.linalg.lstsq``), and the balls' coefficients are
+    Each ball block is eliminated with its truncated SVD (a kept linear ball
+    is its elimination already), the stacked projected subdomain-0 problem is
+    solved by gelsd (``np.linalg.lstsq``), and the balls' coefficients are
     back-substituted; singular values below DEFAULT_SVD_CUTOFF times the
     largest of their block (of the projected problem for subdomain 0) are
     discarded. Without balls this is gelsd on ``matrix``, the minimum-norm
     solution. A gelsd problem with n < m < int(1.6 n) is reduced to the R
     factor of [F | T] first. The report carries each block's rank, retained
-    singular-value range and squared residual per row kind, computed on the
-    system's own rows; a ball taken from its ``eliminated`` has its residual
-    from the elimination (see the module docstring).
+    singular-value range and squared residual per row kind; a ball's residual
+    is read from its elimination (see the module docstring).
     """
-    all_blocks = [blocks] + blocks.balls
-    _check_blocks([b for b in all_blocks if b.eliminated is None])
-    eliminated = [_eliminate(ball) if ball.eliminated is None else ball.eliminated
+    _check_blocks([b for b in [blocks] + blocks.balls if isinstance(b, SystemBlocks)])
+    eliminated = [_eliminate(ball) if isinstance(ball, SystemBlocks) else ball
                   for ball in blocks.balls]
     F0, T0 = blocks.matrix, blocks.rhs
     if eliminated:
@@ -401,17 +405,11 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
     alpha = np.concatenate([alpha_0] + [e.back_substitute(alpha_0) for e in eliminated])
 
     residuals = [blocks.matrix @ alpha_0 - blocks.rhs]
-    for ball, e, x in zip(blocks.balls, eliminated, blocks.split(alpha)[1:]):
-        if ball.eliminated is not None:        # its rows released
-            res = e.coupling @ alpha_0 - e.rhs
-        else:
-            res = ball.matrix @ x - ball.rhs
-            res[len(res) - len(ball.coupling):] += ball.coupling @ alpha_0
-        residuals.append(res)
+    residuals += [e.coupling @ alpha_0 - e.rhs for e in eliminated]
     loss = float(sum(res @ res for res in residuals))
     return SolveReport(alpha=alpha, alphas=blocks.split(alpha), loss=loss,
                        residuals=[_residuals_by_kind(b.row_kind, res)
-                                  for b, res in zip(all_blocks, residuals)],
+                                  for b, res in zip([blocks] + eliminated, residuals)],
                        block_ranks=[int(rank)] + [len(e.s) for e in eliminated],
                        block_sigmas=[_sigma_range(s0[:rank])]
                        + [_sigma_range(e.s) for e in eliminated])
@@ -492,44 +490,32 @@ def gauss_newton_core(assembler: Callable[[Optional[np.ndarray]], SystemBlocks],
                    iterations=trace, converged=converged)
 
 
-class KeptBall(NamedTuple):
-    """A ball as its scale search made it, complete and never changed.
-
-    A nonlinear ball keeps the winning candidate's ``rows``, which every
-    Gauss-Newton step re-linearizes. A linear ball keeps only what a coupled
-    solve reads: the elimination of its block at zero coefficients, which
-    every coupled solve takes instead of factoring the block again, and
-    ``row_kind`` for the residual table; its rows are released. Both carry
-    the boundary-row count and the column count.
-    """
-
-    row_kind: np.ndarray               # int8, ROW_* constants, in block order
-    n_boundary: int                    # boundary rows
-    size: int                          # basis functions, the block's columns
-    rows: Optional[SubdomainRows]      # a nonlinear ball's; None when linear
-    eliminated: Optional[_Eliminated]  # a linear ball's; None when nonlinear
-
-
-def keep_ball(problem: SemilinearProblem, rows: SubdomainRows) -> KeptBall:
-    """The ``KeptBall`` of a ball's rows (of ``ball_rows``). A linear ball's
-    block is checked for finite entries and eliminated here, once."""
+def keep_ball(problem: SemilinearProblem,
+              rows: SubdomainRows) -> SubdomainRows | _Eliminated:
+    """A ball as its scale search made it, complete and never changed, from
+    its rows (of ``ball_rows``): a nonlinear ball's rows themselves, which
+    every Gauss-Newton step re-linearizes; a linear ball's block at zero
+    coefficients, checked for finite entries and eliminated here, once, so
+    that every coupled solve takes the elimination instead of factoring the
+    block again, and the rows are released."""
     if not problem.is_linear:
-        return KeptBall(rows.row_kind, rows.n_boundary, rows.size, rows, None)
+        return rows
     block = _block(problem, rows, np.zeros(rows.size), np.zeros(rows.trace[0].shape[1]))
     _check_blocks([block])
     eliminated = _eliminate(block)
     # the retained rows of V^T alone, not the whole V^T they are a view of
-    return KeptBall(rows.row_kind, rows.n_boundary, rows.size, None,
-                    eliminated._replace(vt=eliminated.vt.copy()))
+    return eliminated._replace(vt=eliminated.vt.copy())
 
 
 def gauss_newton(partition: PartitionState, problem: SemilinearProblem,
                  basis_0: BasisSet, interior: np.ndarray, boundary: np.ndarray,
-                 kept: Sequence[KeptBall], n_max: int, tol: float) -> SolveReport:
+                 kept: Sequence[SubdomainRows | _Eliminated], n_max: int,
+                 tol: float) -> SolveReport:
     """Solve the coupled problem over all subdomains (direct when linear).
 
     Subdomain 0's rows are evaluated with ``basis_0`` at its ``interior`` and
-    ``boundary`` points; ``kept`` holds every ball of ``partition``, in order.
+    ``boundary`` points; ``kept`` holds every ball of ``partition``, in order,
+    as ``keep_ball`` made it.
     """
     if len(kept) != partition.n_balls:
         raise AssemblyError("kept balls do not align with the partition")

@@ -168,7 +168,7 @@ class TestScaleSearch:
             rhs = lsq.assemble_local(problem, r, alpha0, alpha_k=report.alpha).rhs
             assert loss == float(rhs @ rhs)
         assert result.scale == 1 + int(np.argmin(result.losses))
-        assert result.ball.rows is rows[-1]
+        assert result.ball is rows[-1]
         for name, kept in rows[-1]._asdict().items():
             candidate = getattr(rows[result.scale - 1], name)
             if name == "trace":
@@ -478,23 +478,23 @@ class TestWorkDoneOncePerBall:
         result, rows = self.search(problem)
         ball = result.ball
         # the rows are released; what the residual table and the checks read stays
-        assert ball.rows is None
+        assert isinstance(ball, lsq._Eliminated)
         assert ball.row_kind.tobytes() == rows[1].row_kind.tobytes()
         assert (ball.n_boundary, ball.size) == (len(rows[1].data), rows[1].size)
         # the coupled system at zero coefficients, its ball eliminated afresh
         block = lsq.assemble(problem, rows).balls[0]
-        assert block.eliminated is None
+        assert isinstance(block, lsq.SystemBlocks)
         expected = lsq._eliminate(block)
         for name in expected._fields:
-            assert getattr(ball.eliminated, name).tobytes() == \
+            assert getattr(ball, name).tobytes() == \
                 getattr(expected, name).tobytes(), name
 
     def test_nonlinear_kept_ball_holds_no_elimination(self):
         problem = pde.benchmark("nonlinear2d-case1")
         result, rows = self.search(problem)
-        assert result.ball.eliminated is None
-        assert result.ball.rows.matrix.tobytes() == rows[1].matrix.tobytes()
-        assert result.ball.rows.values.tobytes() == rows[1].values.tobytes()
+        assert isinstance(result.ball, lsq.SubdomainRows)
+        assert result.ball.matrix.tobytes() == rows[1].matrix.tobytes()
+        assert result.ball.values.tobytes() == rows[1].values.tobytes()
 
 
 class TestRadiusHalvingOnConflict:

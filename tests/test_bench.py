@@ -360,6 +360,19 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_unassemblable_system_is_a_recorded_solver_failure(self, tmp_path, capsys):
+        # gamma 1e200 overflows subdomain 0's Laplacian rows at the K=0 solve
+        out = tmp_path / "out"
+        code = cli_main(["--problem", "peak2d-case1", "--gamma", "1e200",
+                         "--out", str(out)])
+        assert code == 2
+        assert "solver failed" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "AssemblyError" in manifest["error"]
+
     def test_gauss_newton_failure_exit_code(self, tmp_path, monkeypatch):
         diverge_after_first_ball(monkeypatch)
         config_path = tmp_path / "config.json"
@@ -389,6 +402,16 @@ class TestCli:
     def test_json_array_config_is_config_error(self, tmp_path, capsys):
         assert self.config_exit_code(tmp_path, ["peak2d-case1"]) == 3
         assert "JSON object" in capsys.readouterr().err
+
+    def test_problem_key_is_config_error(self, tmp_path, capsys):
+        # the config file names its benchmark as ``benchmark`` only
+        config = {"problem": "peak2d-case1", **SMALL}
+        assert self.config_exit_code(tmp_path, config) == 3
+        assert "no benchmark given" in capsys.readouterr().err
+        config = {"benchmark": "peak2d-case1", "problem": "peak2d-case2", **SMALL}
+        assert self.config_exit_code(tmp_path, config) == 3
+        assert "unknown config fields: problem" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_list_sweep_is_config_error(self, tmp_path, capsys):
         config = {"benchmark": "peak2d-case1", **SMALL, "sweep": 5}

@@ -619,6 +619,17 @@ class TestGaussNewton:
         assert first.alpha.tobytes() == fresh.alpha.tobytes()
         assert again.alpha.tobytes() == fresh.alpha.tobytes()
 
+    def test_kept_linear_balls_report_what_fresh_rows_report(self):
+        part, bases, colloc = two_ball_setup()
+        problem = manufactured_linear(bases[0], np.linspace(-1.0, 1.0, bases[0].size))
+        fresh = lsq.solve_min_norm(assemble(part, bases, colloc, problem))
+        kept = [lsq.keep_ball(problem, rows)
+                for rows in fresh_ball_rows(part, bases, colloc, problem)]
+        report = solve_with(part, bases, colloc, problem, kept)
+        assert report.alpha.tobytes() == fresh.alpha.tobytes()
+        assert report.loss == fresh.loss
+        assert report.residuals == fresh.residuals
+
     def test_nonlinear_kept_balls_are_eliminated_every_step(self, monkeypatch):
         part, bases, colloc = two_ball_setup()
         problem = nonzero_nonlinear_problem()
@@ -626,7 +637,8 @@ class TestGaussNewton:
         fresh = lsq.gauss_newton_core(
             lambda alphas: lsq.assemble(problem, rows, alphas=alphas), False, 4, 1e-5)
         kept = [lsq.keep_ball(problem, r) for r in rows[1:]]
-        assert all(ball.eliminated is None for ball in kept)
+        # a nonlinear ball is kept as its rows, which every step re-linearizes
+        assert all(ball is r for ball, r in zip(kept, rows[1:]))
         calls = self.count_eliminations(monkeypatch)
         report = solve_with(part, bases, colloc, problem, kept, n_max=4)
         assert len(report.iterations) > 1
@@ -643,12 +655,14 @@ class TestGaussNewton:
 
     def test_kept_ball_is_immutable(self):
         part, bases, colloc = one_ball_setup()
-        (rows,) = fresh_ball_rows(part, bases, colloc, zero_problem())
-        ball = lsq.keep_ball(zero_problem(), rows)
-        with pytest.raises(AttributeError):
-            ball.eliminated = None
-        with pytest.raises(AttributeError):
-            ball.rows = rows
+        for problem in (zero_problem(), zero_problem(nonlinear=True)):
+            (rows,) = fresh_ball_rows(part, bases, colloc, problem)
+            ball = lsq.keep_ball(problem, rows)
+            # a linear ball's elimination, a nonlinear ball's rows
+            name = "vt" if problem.is_linear else "matrix"
+            with pytest.raises(AttributeError):
+                setattr(ball, name, None)
+            assert getattr(ball, name) is not None
 
     def test_subdomain_0_points_and_boundary_count_are_checked(self):
         empty = np.empty((0, 2))
@@ -805,9 +819,9 @@ class TestKeptLinearBall:
     def test_holds_no_array_of_the_rows_shape(self):
         for rows in self.rows:
             ball = lsq.keep_ball(self.problem, rows)
-            assert ball.rows is None
+            assert isinstance(ball, lsq._Eliminated)
             assert (ball.n_boundary, ball.size) == (len(rows.data), rows.size)
-            arrays = [ball.row_kind, *ball.eliminated]
+            arrays = list(ball)
             assert len(rows.row_kind) > rows.size
             assert all(a.shape != rows.matrix.shape for a in arrays)
             assert not any(np.shares_memory(a, rows.matrix) for a in arrays)
@@ -831,9 +845,8 @@ class TestKeptLinearBall:
         assert report.loss == reference.loss
         (system,) = systems
         assert len(system.balls) == 2
-        for block, ball in zip(system.balls, kept):
-            assert block.matrix is None and block.rhs is None and block.coupling is None
-            assert block.eliminated is ball.eliminated
+        # the block is the kept elimination itself
+        assert all(block is ball for block, ball in zip(system.balls, kept))
 
     def test_is_assembled_at_zero_coefficients_only(self):
         kept = [lsq.keep_ball(self.problem, rows) for rows in self.rows]

@@ -7,8 +7,10 @@ wrapped, and prints one JSON object:
 
 - ``systems_sha256``: SHA-256 over every system passed to the solve, in call
   order: its ``matrix``, ``rhs`` and ``row_kind``, and each ball block's
-  ``matrix``, ``rhs`` and ``coupling``, or, for a ball block that holds its
-  elimination alone (a kept linear ball's), the elimination's arrays;
+  ``matrix``, ``rhs`` and ``coupling``, or, for a ball that reaches the solve
+  as its elimination (a kept linear ball), the elimination's six arrays,
+  ``coupling``, ``rhs``, ``vt``, ``s``, ``ut_rhs`` and ``ut_coupling``, in
+  that order (its ``row_kind`` is left out);
 - ``collocation_sha256``: SHA-256 over every collocation set the solve
   builds, in call order: those returned by ``rfpde.adaptive.initial_collocation``
   and by each ``rfpde.geometry.reclassify_collocation``, each set's interior,
@@ -95,8 +97,11 @@ def digest(problem_name: str, config: dict, test_resolution: int) -> dict:
         for array in (blocks.matrix, blocks.rhs, blocks.row_kind):
             _update(systems, array)
         for ball in blocks.balls:
-            arrays = ball.eliminated if ball.matrix is None else \
-                (ball.matrix, ball.rhs, ball.coupling)
+            if isinstance(ball, lsq.SystemBlocks):
+                arrays = (ball.matrix, ball.rhs, ball.coupling)
+            else:       # a kept linear ball's elimination
+                arrays = (ball.coupling, ball.rhs, ball.vt, ball.s, ball.ut_rhs,
+                          ball.ut_coupling)
             for array in arrays:
                 _update(systems, array)
         return real(blocks)
