@@ -169,6 +169,7 @@ class RefinementRecord:
     scale_losses: Optional[list] = None
     seconds: Optional[float] = None
     search_seconds: Optional[float] = None   # the scale search's part of seconds
+    solve_seconds: Optional[float] = None    # the coupled re-solve's part of seconds
     # per subdomain of the coupled re-solve: the squared residual of its rows
     # of each row kind, its block's rank and [largest, smallest] retained
     # singular value, and the norm of its coefficients
@@ -468,8 +469,10 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
             bases.append(search.basis)
             kept.append(search.ball)
 
+            t_solve = time.perf_counter()
             report = lsq.gauss_newton(partition, problem, bases[0], colloc.interior[0],
                                       colloc.boundary[0], kept, cfg.n_max, cfg.tol)
+            solve_seconds = time.perf_counter() - t_solve
             state = SolveState(partition, list(bases), colloc, report)
 
             new_gate = mean_residual(problem, bases[0], report.alphas[0],
@@ -482,6 +485,7 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
                 err_l2=None if diagnostic is None else float(diagnostic(state)),
                 scale_losses=[float(v) for v in search.losses],
                 seconds=seconds, search_seconds=search_seconds,
+                solve_seconds=solve_seconds,
                 residuals=report.residuals, block_ranks=report.block_ranks,
                 block_sigmas=report.block_sigmas, alpha_norms=report.alpha_norms))
             gate = new_gate

@@ -187,9 +187,13 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
 
     Writes manifest.json, trace.jsonl, solution.csv and subdomains.json; the
     manifest's "iterations" holds the final solve's Gauss-Newton steps
-    ``[n, loss, re_mse]``, and "peak_rss_mb" the peak resident sizes of the
-    calling process and of its largest scale-search worker, read once the
-    artifacts are written (``_peak_rss_mb``). A solver failure writes
+    ``[n, loss, re_mse]``; "timings" the wall time of the solve ("solve_s"),
+    of the error on the test grid that each refinement record carries,
+    which "solve_s" leaves out ("diagnostic_s"), of the final evaluation on
+    the test grid ("evaluate_s") and of the whole run ("total_s"); and
+    "peak_rss_mb" the peak resident sizes of the calling process and of its
+    largest scale-search worker, read once the artifacts are written
+    (``_peak_rss_mb``). A solver failure writes
     manifest.json alone, with status="failed", the error and the history the
     exception carries, and is re-raised: "trace" holds the refinement
     records of a MaxRefinementsError (empty for other failures),
@@ -204,13 +208,20 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
     timings = {}
     manifest = {"benchmark": name, "config": cfg.to_dict(), "status": "ok"}
 
+    diagnostic_s = 0.0
+
     def diagnostic(state: SolveState) -> float:
-        return evaluate_on_grid(state, problem, cfg.test_resolution).err_l2()
+        nonlocal diagnostic_s
+        t0 = time.perf_counter()
+        err = evaluate_on_grid(state, problem, cfg.test_resolution).err_l2()
+        diagnostic_s += time.perf_counter() - t0
+        return err
 
     try:
         state, trace = adaptive_solve(
             problem, cfg, diagnostic=diagnostic if problem.exact else None)
-        timings["solve_s"] = time.perf_counter() - t_start
+        timings["solve_s"] = time.perf_counter() - t_start - diagnostic_s
+        timings["diagnostic_s"] = diagnostic_s
     except SOLVER_ERRORS as exc:
         manifest["status"] = "failed"
         manifest["error"] = f"{type(exc).__name__}: {exc}"

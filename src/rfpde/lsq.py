@@ -17,7 +17,11 @@ largest; projects the ball's coupling and right-hand side onto the orthogonal
 complement of the retained U; solves the stacked projected subdomain-0
 problem with gelsd at the same relative cutoff; and back-substitutes each
 ball's coefficients (Bjorck, Numerical Methods for Least Squares Problems,
-1996, section 6.3). A system without balls is one gelsd call. The gelsd
+1996, section 6.3). The stacked problem is one array, the one that holds
+subdomain 0's block: it has one spare row per ball row below subdomain 0's
+rows, the solve writes each ball's projected coupling into them and hands
+the whole array to gelsd, so subdomain 0's rows are never copied to stack
+them. A system without balls is one gelsd call. The gelsd
 call chooses its path by the shape of its m x n matrix F: when n < m <
 int(1.6 n), below gelsd's own threshold for taking a QR first (MNTHR =
 int(1.6 min(m, n)); R-bidiagonalization: T. F. Chan, ACM TOMS 8(1), 1982),
@@ -47,7 +51,9 @@ interior Laplacians then negated in place, so the block is the rows of the
 operator's linear part with no copy (``ball_rows``; subdomain 0's in
 ``coupled_rows``). A Gauss-Newton step only re-linearizes them
 (``assemble``, ``assemble_local``), and a linear problem's block is that
-array itself.
+array itself. So a linear problem's subdomain-0 rows are evaluated into an
+array with the stacked problem's spare rows below them, and each nonlinear
+step re-linearizes them into a fresh such array.
 ``assemble_local``, the single-ball problem of the scale search, builds the
 same block as the ball's block of ``assemble``; its solve leaves the
 subdomain-0 trace, frozen, in the right-hand side.
@@ -116,6 +122,11 @@ class SystemBlocks:
     each subdomain's coefficients in the stacked vector. A kept linear ball
     is in ``balls`` as its ``_Eliminated``, made by its scale search; the
     solve eliminates every other ball.
+
+    ``matrix`` is the top of ``stacked``, the one array of the stacked
+    projected problem: below the first subdomain's rows it has one spare row
+    per ball row, in ball order, into which ``solve_min_norm`` writes each
+    ball's projected coupling before it solves the whole array.
     """
 
     matrix: np.ndarray                 # (rows, cols of the first subdomain)
@@ -124,6 +135,7 @@ class SystemBlocks:
     row_kind: np.ndarray               # int8, ROW_* constants
     coupling: Optional[np.ndarray] = None
     balls: list[SystemBlocks | _Eliminated] = field(default_factory=list)
+    stacked: Optional[np.ndarray] = None   # None: ``matrix`` itself
 
     @property
     def n_cols(self) -> int:
@@ -164,7 +176,9 @@ class SubdomainRows(NamedTuple):
     basis evaluated at its collocation points, and the problem data there."""
 
     # the rows of the operator's linear part on the subdomain's columns, in
-    # block order; a linear problem's block is this array itself
+    # block order; a linear problem's block is this array itself, which for
+    # subdomain 0 of a coupled problem holds one spare row per ball row below
+    # them (``SystemBlocks.stacked``)
     matrix: np.ndarray
     row_kind: np.ndarray               # int8, ROW_* constants
     forcing: np.ndarray                # f at the interior points
@@ -187,11 +201,13 @@ def _subdomain_rows(problem: SemilinearProblem, basis: BasisSet,
                     interior: np.ndarray, boundary: np.ndarray,
                     ball: Optional[BallSubdomain] = None,
                     interface: Optional[np.ndarray] = None,
-                    basis_0: Optional[BasisSet] = None) -> SubdomainRows:
+                    basis_0: Optional[BasisSet] = None,
+                    spare: int = 0) -> SubdomainRows:
     """One subdomain's rows in block order: interior, boundary, then a ball's
     interface value and normal-derivative rows. The rows are the operator's
     linear part on the subdomain's columns (-Laplacians, values, values,
-    normal derivatives), each group evaluated into its slice of the block."""
+    normal derivatives), each group evaluated into its slice of the block,
+    with ``spare`` more rows left below them."""
     normals = None if ball is None else outward_normals(ball, interface)
     # (kind, points, evaluation into ``out``) of each row group, in block order
     groups = [(ROW_INTERIOR, interior, basis.laplacians),
@@ -200,8 +216,8 @@ def _subdomain_rows(problem: SemilinearProblem, basis: BasisSet,
         groups += [(ROW_IFACE_VALUE, interface, basis.values),
                    (ROW_IFACE_NORMAL, interface,
                     partial(basis.normal_derivatives, normals=normals))]
-    matrix = np.empty((sum(len(pts) for _, pts, _ in groups), basis.size))
-    row_kind = np.empty(len(matrix), dtype=np.int8)
+    row_kind = np.empty(sum(len(pts) for _, pts, _ in groups), dtype=np.int8)
+    matrix = np.empty((len(row_kind) + spare, basis.size))
     start = 0
     for kind, pts, evaluate in groups:
         sl = slice(start, start + len(pts))
@@ -238,31 +254,42 @@ def coupled_rows(problem: SemilinearProblem, basis_0: BasisSet,
     """The rows of every subdomain of the coupled problem: subdomain 0's,
     evaluated at its ``interior`` and ``boundary`` points, then the balls'
     as given, each one's rows (of ``ball_rows``, on the same basis of
-    subdomain 0) or what ``keep_ball`` made of them."""
+    subdomain 0) or what ``keep_ball`` made of them. A linear problem's
+    block is its rows' array, so its subdomain-0 rows hold one spare row per
+    ball row below them (``SystemBlocks.stacked``)."""
     if len(interior) == 0:
         raise AssemblyError("empty interior collocation set for subdomain 0")
     if len(boundary) + sum(ball.n_boundary for ball in balls) == 0:
         raise AssemblyError("no boundary collocation points at all")
-    return [_subdomain_rows(problem, basis_0, interior, boundary)] + list(balls)
+    spare = sum(len(ball.row_kind) for ball in balls) if problem.is_linear else 0
+    return [_subdomain_rows(problem, basis_0, interior, boundary, spare=spare),
+            *balls]
 
 
 def _block(problem: SemilinearProblem, rows: SubdomainRows,
-           alpha_k: np.ndarray, alpha_0: np.ndarray) -> SystemBlocks:
+           alpha_k: np.ndarray, alpha_0: np.ndarray, spare: int = 0) -> SystemBlocks:
     """One subdomain's block linearized at ``alpha_k``, with subdomain 0 at
     ``alpha_0``: its rows on its own columns and, for a ball, its interface
     rows on subdomain 0's columns as ``coupling``.
 
     Right-hand sides are the residuals at the current coefficients, so on an
     interface they carry subdomain 0's trace at ``alpha_0``.
+
+    The block's ``matrix`` is the top of ``stacked``, which holds ``spare``
+    rows below it: a linear block is the rows' own array, made with its
+    spare rows (``coupled_rows``), and a nonlinear one the array the rows
+    are re-linearized into here.
     """
-    F = rows.matrix
+    F = rows.matrix                    # the block's ``stacked``, if linear
+    n = len(rows.row_kind)
     interior = slice(0, len(rows.forcing))
     boundary = slice(interior.stop, interior.stop + len(rows.data))
-    T = np.empty(len(F))
+    T = np.empty(n)
     T[interior] = rows.forcing - F[interior] @ alpha_k
     if problem.nonlinearity is not None:
         u = rows.values @ alpha_k
-        F = F.copy()
+        F = np.empty((n + spare, rows.size))
+        F[:n] = rows.matrix
         F[interior] += problem.nonlinearity_prime(u)[:, None] * rows.values
         T[interior] -= problem.nonlinearity(u)
     T[boundary] = rows.data - F[boundary] @ alpha_k
@@ -274,8 +301,8 @@ def _block(problem: SemilinearProblem, rows: SubdomainRows,
             T[sl] = trace_0 @ alpha_0 - F[sl] @ alpha_k
             start = sl.stop
         coupling = np.concatenate([-trace_0 for trace_0 in rows.trace])
-    return SystemBlocks(matrix=F, rhs=T, col_slices=[slice(0, rows.size)],
-                        row_kind=rows.row_kind, coupling=coupling)
+    return SystemBlocks(matrix=F[:n], rhs=T, col_slices=[slice(0, rows.size)],
+                        row_kind=rows.row_kind, coupling=coupling, stacked=F)
 
 
 def _ball_block(problem: SemilinearProblem, ball: SubdomainRows | _Eliminated,
@@ -311,7 +338,8 @@ def assemble(problem: SemilinearProblem, rows: Sequence,
         raise AssemblyError(f"expected {start} stacked coefficients")
     parts = [alphas[sl] for sl in col_slices]
     balls = [_ball_block(problem, r, a, parts[0]) for r, a in zip(rows[1:], parts[1:])]
-    return replace(_block(problem, rows[0], parts[0], parts[0]),
+    spare = sum(len(ball.row_kind) for ball in balls)
+    return replace(_block(problem, rows[0], parts[0], parts[0], spare=spare),
                    col_slices=col_slices, balls=balls)
 
 
@@ -384,19 +412,28 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
     solved by gelsd (``np.linalg.lstsq``), and the balls' coefficients are
     back-substituted; singular values below DEFAULT_SVD_CUTOFF times the
     largest of their block (of the projected problem for subdomain 0) are
-    discarded. Without balls this is gelsd on ``matrix``, the minimum-norm
-    solution. A gelsd problem with n < m < int(1.6 n) is reduced to the R
-    factor of [F | T] first. The report carries each block's rank, retained
-    singular-value range and squared residual per row kind; a ball's residual
-    is read from its elimination (see the module docstring).
+    discarded. The projected couplings are written into the spare rows of
+    ``stacked``, so the stacked problem is that array, with no copy of
+    subdomain 0's rows. Without balls this is gelsd on ``matrix``, the
+    minimum-norm solution. A gelsd problem with n < m < int(1.6 n) is
+    reduced to the R factor of [F | T] first. The report carries each
+    block's rank, retained singular-value range and squared residual per row
+    kind; a ball's residual is read from its elimination (see the module
+    docstring).
     """
     _check_blocks([b for b in [blocks] + blocks.balls if isinstance(b, SystemBlocks)])
     eliminated = [_eliminate(ball) if isinstance(ball, SystemBlocks) else ball
                   for ball in blocks.balls]
     F0, T0 = blocks.matrix, blocks.rhs
     if eliminated:
-        F0 = np.concatenate([F0] + [e.coupling for e in eliminated])
+        F0 = blocks.stacked
         T0 = np.concatenate([T0] + [e.rhs for e in eliminated])
+        if F0 is None or len(F0) != len(T0):
+            raise AssemblyError("no spare row below subdomain 0's for every ball row")
+        start = len(blocks.rhs)
+        for e in eliminated:
+            F0[start:start + len(e.rhs)] = e.coupling
+            start += len(e.rhs)
     m, n = F0.shape
     if n < m < int(1.6 * n):       # gelsd takes a QR first from int(1.6 n) rows on
         R = np.linalg.qr(np.column_stack([F0, T0]), mode="r")
@@ -467,6 +504,7 @@ def gauss_newton_core(assembler: Callable[[Optional[np.ndarray]], SystemBlocks],
         report = solve_min_norm(blocks)
         alpha = alpha + report.alpha
         if not is_linear:
+            del blocks      # its stacked array is as large as the next one's
             blocks = assembler(alpha)
             all_blocks = [blocks] + blocks.balls
             report = replace(report, loss=float(sum(b.rhs @ b.rhs for b in all_blocks)),

@@ -461,7 +461,8 @@ class TestWorkDoneOncePerBall:
         assert record.alpha_norms == [float(np.linalg.norm(a)) for a in report.alphas]
         assert record.residuals == report.residuals
         assert len(record.residuals) == state.partition.n_subdomains
-        assert 0 < record.search_seconds <= record.seconds
+        assert 0 < record.search_seconds + record.solve_seconds <= record.seconds
+        assert record.search_seconds > 0 and record.solve_seconds > 0
 
     def search(self, problem):
         """The scale search of ball 1 on ``TestScaleSearch``'s partition, and

@@ -256,9 +256,39 @@ class TestRun:
         assert records[0]["iterations"] == [[0, records[0]["loss"], None]]
         assert manifest["trace"][0]["iterations"] == records[0]["iterations"]
         assert manifest["iterations"] == [[0, manifest["final_loss"], None]]
-        # the scale search's wall time, part of the refinement's
-        assert 0 < records[0]["search_seconds"] <= records[0]["seconds"]
-        assert manifest["trace"][0]["search_seconds"] == records[0]["search_seconds"]
+        # the wall times of the scale search and of the coupled re-solve,
+        # parts of the refinement's
+        record = records[0]
+        assert 0 < record["search_seconds"] + record["solve_seconds"] <= record["seconds"]
+        assert record["search_seconds"] > 0 and record["solve_seconds"] > 0
+        for key in ("search_seconds", "solve_seconds"):
+            assert manifest["trace"][0][key] == record[key]
+
+    def test_solve_time_leaves_out_the_diagnostic(self, case1_run):
+        # the test-grid error of each refinement record is timed apart from
+        # the solve; the problem has an exact solution, so it was evaluated
+        _, manifest = case1_run
+        timings = manifest["timings"]
+        assert sorted(timings) == ["diagnostic_s", "evaluate_s", "solve_s", "total_s"]
+        assert timings["diagnostic_s"] > 0 and timings["solve_s"] > 0
+        assert timings["solve_s"] + timings["diagnostic_s"] <= timings["total_s"]
+
+    def test_solve_time_excludes_every_diagnostic(self, tmp_path, monkeypatch):
+        # a fake clock that only the test-grid evaluations advance: the
+        # solve's time must hold none of them
+        clock = {"t": 0.0}
+        monkeypatch.setattr(bench.time, "perf_counter", lambda: clock["t"])
+        real = bench.evaluate_on_grid
+
+        def evaluate_on_grid(*args, **kwargs):
+            clock["t"] += 1000.0
+            return real(*args, **kwargs)
+        monkeypatch.setattr(bench, "evaluate_on_grid", evaluate_on_grid)
+        manifest = bench.run("peak2d-case1", ada.AdaptiveConfig(**SMALL), tmp_path)
+        timings = manifest["timings"]
+        assert timings["diagnostic_s"] == 1000.0 * manifest["n_balls"] > 0
+        assert timings["solve_s"] == 0.0
+        assert timings["evaluate_s"] == 1000.0
 
     def test_manifest_records_peak_memory(self, case1_run):
         outdir, manifest = case1_run

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -194,7 +195,8 @@ class TestAssemble:
             assert ball_block.coupling.shape[1] == sizes[0]
         arrays = [a for b in [blocks] + blocks.balls for a in vars(b).values()
                   if isinstance(a, np.ndarray)]
-        assert len(arrays) == 3 + 4 + 4
+        # matrix, rhs, row_kind and stacked, and a ball's coupling
+        assert len(arrays) == 4 + 5 + 5
         assert all(a.ndim == 1 or a.shape[1] in (sizes[0], sizes[1], sizes[2])
                    for a in arrays)
 
@@ -290,11 +292,12 @@ class TestOneAssemblyPath:
         # nonlinear re-linearization copies them and leaves them unchanged
         rows = fresh_rows(self.part, self.bases, self.colloc, zero_problem())
         linear = lsq.assemble(zero_problem(), rows, alphas=self.alphas)
-        assert all(b.matrix is r.matrix for b, r in zip([linear] + linear.balls, rows))
+        assert all(b.stacked is r.matrix for b, r in zip([linear] + linear.balls, rows))
         rows = fresh_rows(self.part, self.bases, self.colloc, self.problem)
         before = [r.matrix.tobytes() for r in rows]
         full = lsq.assemble(self.problem, rows, alphas=self.alphas)
-        assert not any(b.matrix is r.matrix for b, r in zip([full] + full.balls, rows))
+        assert not any(np.shares_memory(b.stacked, r.matrix)
+                       for b, r in zip([full] + full.balls, rows))
         assert [r.matrix.tobytes() for r in rows] == before
 
     def test_bases_are_evaluated_once_per_gauss_newton_solve(self, monkeypatch):
@@ -866,3 +869,105 @@ class TestKeptLinearBall:
         rows.matrix[len(rows.forcing), 1] = np.inf     # a boundary row
         with pytest.raises(lsq.AssemblyError, match="non-finite"):
             lsq.keep_ball(self.problem, rows)
+
+
+def concatenated_solve(blocks):
+    """``lsq.solve_min_norm`` of a coupled system on plain gelsd, with the
+    balls' projected couplings stacked below subdomain 0's rows by
+    ``np.concatenate``, into a second copy of them: the reference for the
+    solve of the one stacked array. Returns alpha, loss and residuals."""
+    eliminated = [lsq._eliminate(ball) if isinstance(ball, lsq.SystemBlocks) else ball
+                  for ball in blocks.balls]
+    F0 = np.concatenate([blocks.matrix] + [e.coupling for e in eliminated])
+    T0 = np.concatenate([blocks.rhs] + [e.rhs for e in eliminated])
+    m, n = F0.shape
+    assert m >= int(1.6 * n)        # no R factor first
+    alpha_0, _, _, _ = np.linalg.lstsq(F0, T0, rcond=lsq.DEFAULT_SVD_CUTOFF)
+    alpha = np.concatenate([alpha_0] + [e.back_substitute(alpha_0) for e in eliminated])
+    residuals = [blocks.matrix @ alpha_0 - blocks.rhs]
+    residuals += [e.coupling @ alpha_0 - e.rhs for e in eliminated]
+    return (alpha, float(sum(res @ res for res in residuals)),
+            [lsq._residuals_by_kind(b.row_kind, res)
+             for b, res in zip([blocks] + eliminated, residuals)])
+
+
+class TestStackedSystem:
+    """A coupled solve writes each ball's projected coupling into the spare
+    rows below subdomain 0's, in the array that holds subdomain 0's block,
+    and gelsd takes that array: subdomain 0's rows are never copied."""
+
+    def solve(self, monkeypatch, part, bases, colloc, problem):
+        """Every system the coupled solve of ``problem`` passes to
+        ``solve_min_norm``, its report, and the matrix gelsd received."""
+        kept = [lsq.keep_ball(problem, rows)
+                for rows in fresh_ball_rows(part, bases, colloc, problem)]
+        systems, received = [], []
+        real_solve, real_lstsq = lsq.solve_min_norm, np.linalg.lstsq
+
+        def solve_min_norm(blocks):
+            systems.append((blocks, real_solve(blocks)))
+            return systems[-1][1]
+
+        def lstsq(a, *args, **kwargs):
+            received.append(a)
+            return real_lstsq(a, *args, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(lsq, "solve_min_norm", solve_min_norm)
+            m.setattr(lsq.np.linalg, "lstsq", lstsq)
+            solve_with(part, bases, colloc, problem, kept)
+        assert len(received) == len(systems)
+        return kept, systems, received
+
+    def check(self, systems, received):
+        for (blocks, report), a in zip(systems, received):
+            n_rows = len(blocks.rhs) + sum(len(ball.rhs) for ball in blocks.balls)
+            assert a.shape == (n_rows, blocks.matrix.shape[1])
+            assert a is blocks.stacked
+            assert np.shares_memory(a, blocks.matrix)
+            alpha, loss, residuals = concatenated_solve(blocks)
+            assert report.alpha.tobytes() == alpha.tobytes()
+            assert report.loss == loss
+            assert report.residuals == residuals
+
+    def test_linear_solve_stacks_the_kept_balls_below_the_rows(self, monkeypatch):
+        part, bases, colloc = two_ball_setup()
+        problem = manufactured_linear(bases[0], np.linspace(-1.0, 1.0, bases[0].size))
+        kept, systems, received = self.solve(monkeypatch, part, bases, colloc, problem)
+        (blocks, _), = systems
+        assert len(blocks.balls) == 2
+        assert all(ball is k for ball, k in zip(blocks.balls, kept))
+        self.check(systems, received)
+
+    def test_nonlinear_steps_stack_into_their_linearized_rows(self, monkeypatch):
+        part, bases, colloc = one_ball_setup()
+        _, systems, received = self.solve(monkeypatch, part, bases, colloc,
+                                          nonzero_nonlinear_problem())
+        assert len(systems) > 1
+        assert all(len(blocks.balls) == 1 for blocks, _ in systems)
+        self.check(systems, received)
+
+    def test_subdomain_0s_rows_are_held_once(self):
+        # a linear K=1 solve whose subdomain-0 block (about 6 MB) dwarfs the
+        # basis evaluation's 1 MB of scratch and the vectors of the solve
+        region = box2()
+        center = np.array([0.4, 0.4])
+        part = geo.split_subdomain(geo.PartitionState(region), center, 0.2)
+        colloc = geo.reclassify_collocation(
+            standard_colloc(region, resolution=60, boundary=400), part,
+            ball_resolution=12, interface_count=40)
+        bases = [bas.generate_transferable(200, 2.0, 2, seed=3, stream=0),
+                 bas.rescale(bas.generate_transferable(50, 2.0, 2, seed=3, stream=1),
+                             center, 2)]
+        problem = zero_problem()
+        (ball,) = [lsq.keep_ball(problem, rows)
+                   for rows in fresh_ball_rows(part, bases, colloc, problem)]
+        n_rows = len(colloc.interior[0]) + len(colloc.boundary[0])
+        rows_bytes = n_rows * bases[0].size * 8
+        stacked_bytes = (n_rows + len(ball.rhs)) * bases[0].size * 8
+        tracemalloc.start()
+        try:
+            solve_with(part, bases, colloc, problem, [ball])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stacked_bytes + rows_bytes / 2
