@@ -1,16 +1,18 @@
 """Adaptive outer loop: residual gating, ball placement, scale search.
 
-The driver solves the coupled problem on the current partition, measures the
-mean squared interior residual on subdomain 0, and while it exceeds the
-threshold: places a ball at the collocation point with the largest absolute
-residual, reclassifies collocation points, picks an integer frequency
-multiplier for the new ball's basis by trying 1..L on a local problem with
-the subdomain-0 trace frozen, and re-solves the coupled system. Existing
-balls keep their bases and collocation; only coefficients change. So the
-scale search returns the new ball complete, as ``lsq.keep_ball`` makes it:
-the winning candidate's rows (``lsq.SubdomainRows``) for a nonlinear
-problem, the elimination of its block alone (``lsq._Eliminated``) for a
-linear one. Every later coupled solve takes the ball as it is; only
+Every solve, at K=0 and after each refinement, is one step,
+``_solve_and_gate``: the coupled problem is solved on the current partition,
+and subdomain 0's interior residual is evaluated once at the solution. The
+mean of its squares is the gate, and while it exceeds the threshold the
+driver places a ball at the collocation point with the largest absolute
+entry of that same residual, reclassifies collocation points, picks an
+integer frequency multiplier for the new ball's basis by trying 1..L on a
+local problem with the subdomain-0 trace frozen, and takes the step again.
+Existing balls keep their bases and collocation; only coefficients change.
+So the scale search returns the new ball complete, as ``lsq.keep_ball``
+makes it: the winning candidate's rows (``lsq.SubdomainRows``) for a
+nonlinear problem, the elimination of its block alone (``lsq._Eliminated``)
+for a linear one. Every later coupled solve takes the ball as it is; only
 subdomain 0's rows are evaluated again (reclassification changes them).
 
 The scale candidates do not depend on each other, and ``adaptive_solve``
@@ -165,6 +167,7 @@ class RefinementRecord:
     loss: float                    # squared residual at the re-solve's coefficients
     # the re-solve's Gauss-Newton steps, [n, loss, re_mse]
     iterations: Optional[list] = None
+    converged: Optional[bool] = None       # the re-solve's: False if it used up n_max
     err_l2: Optional[float] = None
     scale_losses: Optional[list] = None
     seconds: Optional[float] = None
@@ -201,22 +204,34 @@ class ScaleSearchResult:
     ball: lsq.SubdomainRows | lsq._Eliminated
 
 
-def mean_residual(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
-                  alpha0: np.ndarray, points: np.ndarray) -> float:
-    """Mean of squared interior residuals over the subdomain-0 points."""
-    if len(points) == 0:
+def mean_residual(res: np.ndarray) -> float:
+    """Mean of the squared interior residuals ``res`` (of ``_solve_and_gate``)."""
+    if len(res) == 0:
         raise ValueError("empty interior point set")
-    res = operator_residuals(problem, basis0, alpha0, points)
     return float(np.mean(res * res))
 
 
-def locate_peak(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
-                alpha0: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Collocation point with the largest absolute residual (first on ties)."""
+def locate_peak(res: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The point of ``points`` whose residual in ``res`` is largest in
+    absolute value (the first on ties)."""
     if len(points) == 0:
         raise ValueError("empty interior point set")
-    res = operator_residuals(problem, basis0, alpha0, points)
     return points[int(np.argmax(np.abs(res)))].copy()
+
+
+def _solve_and_gate(problem: SemilinearProblem, partition: geo.PartitionState,
+                    bases: list, colloc: geo.CollocationSets, kept: list,
+                    cfg: AdaptiveConfig) -> tuple[SolveState, np.ndarray, float]:
+    """The coupled solve on ``partition``, and subdomain 0's interior residual
+    at its coefficients, evaluated once for both ``mean_residual``, the gate,
+    and ``locate_peak``, which places the next ball. Returns the solved
+    state, that residual and the seconds of the Gauss-Newton solve alone."""
+    t0 = time.perf_counter()
+    report = lsq.gauss_newton(partition, problem, bases[0], colloc.interior[0],
+                              colloc.boundary[0], kept, cfg.n_max, cfg.tol)
+    seconds = time.perf_counter() - t0
+    res = operator_residuals(problem, bases[0], report.alphas[0], colloc.interior[0])
+    return SolveState(partition, list(bases), colloc, report), res, seconds
 
 
 def _candidate(problem: SemilinearProblem, raw: basis_mod.BasisSet,
@@ -228,11 +243,8 @@ def _candidate(problem: SemilinearProblem, raw: basis_mod.BasisSet,
     try:
         rows = lsq.ball_rows(problem, ball, candidate, basis0, interior, boundary,
                              interface)
-
-        def assembler(alpha_k):
-            return lsq.assemble_local(problem, rows, alpha0, alpha_k=alpha_k)
-
-        report = lsq.gauss_newton_core(assembler, problem.is_linear, n_max, tol)
+        report = lsq.gauss_newton_core(partial(lsq.assemble_local, problem, rows, alpha0),
+                                       problem.is_linear, n_max, tol)
     except (lsq.NonConvergenceError, lsq.AssemblyError) as exc:
         raise ScaleSearchError(f"scale candidate s={s} failed: {exc}", scale=s) from exc
     return report.loss
@@ -431,13 +443,10 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
     colloc = initial_collocation(problem, cfg)
     bases = [_base_basis(problem, cfg)]
     kept: list[lsq.SubdomainRows | lsq._Eliminated] = []
-
-    report = lsq.gauss_newton(partition, problem, bases[0], colloc.interior[0],
-                              colloc.boundary[0], kept, cfg.n_max, cfg.tol)
-    state = SolveState(partition, list(bases), colloc, report)
     trace: list[RefinementRecord] = []
 
-    gate = mean_residual(problem, bases[0], report.alphas[0], colloc.interior[0])
+    state, res, _ = _solve_and_gate(problem, partition, bases, colloc, kept, cfg)
+    gate = mean_residual(res)
     with _candidate_map(problem, cfg) as mapper:
         while gate > cfg.epsilon:
             if partition.n_balls >= cfg.max_refinements:
@@ -445,8 +454,7 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
                     f"mean residual {gate:.3e} still above {cfg.epsilon:.3e} after "
                     f"{cfg.max_refinements} refinements", trace=trace)
             t0 = time.perf_counter()
-            center = locate_peak(problem, bases[0], report.alphas[0],
-                                 colloc.interior[0])
+            center = locate_peak(res, colloc.interior[0])
 
             radius = cfg.radius
             for attempt in range(4):  # halve up to 3 times on ball overlap
@@ -463,25 +471,22 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
                                                 ball_resolution=cfg.ball_resolution,
                                                 interface_count=cfg.interface_count)
             t_search = time.perf_counter()
-            search = scale_search(problem, bases[0], report.alphas[0],
+            search = scale_search(problem, bases[0], state.report.alphas[0],
                                   partition.ball(k), colloc, cfg, mapper=mapper)
             search_seconds = time.perf_counter() - t_search
             bases.append(search.basis)
             kept.append(search.ball)
 
-            t_solve = time.perf_counter()
-            report = lsq.gauss_newton(partition, problem, bases[0], colloc.interior[0],
-                                      colloc.boundary[0], kept, cfg.n_max, cfg.tol)
-            solve_seconds = time.perf_counter() - t_solve
-            state = SolveState(partition, list(bases), colloc, report)
-
-            new_gate = mean_residual(problem, bases[0], report.alphas[0],
-                                     colloc.interior[0])
+            state, res, solve_seconds = _solve_and_gate(problem, partition, bases,
+                                                        colloc, kept, cfg)
+            report = state.report
+            new_gate = mean_residual(res)
             seconds = time.perf_counter() - t0
             trace.append(RefinementRecord(
                 index=k, center=center.tolist(), radius=radius, scale=search.scale,
                 mean_residual_before=gate, mean_residual_after=new_gate,
                 loss=report.loss, iterations=[list(step) for step in report.iterations],
+                converged=report.converged,
                 err_l2=None if diagnostic is None else float(diagnostic(state)),
                 scale_losses=[float(v) for v in search.losses],
                 seconds=seconds, search_seconds=search_seconds,

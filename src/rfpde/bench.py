@@ -187,10 +187,12 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
 
     Writes manifest.json, trace.jsonl, solution.csv and subdomains.json; the
     manifest's "iterations" holds the final solve's Gauss-Newton steps
-    ``[n, loss, re_mse]``; "timings" the wall time of the solve ("solve_s"),
-    of the error on the test grid that each refinement record carries,
-    which "solve_s" leaves out ("diagnostic_s"), of the final evaluation on
-    the test grid ("evaluate_s") and of the whole run ("total_s"); and
+    ``[n, loss, re_mse]``, and "converged" whether that solve met its
+    stopping rule within n_max steps; "timings" the wall time of the solve
+    ("solve_s"), of the error on the test grid that each refinement record
+    carries, which "solve_s" leaves out ("diagnostic_s"), of the final
+    evaluation on the test grid ("evaluate_s") and of the whole run
+    ("total_s"); and
     "peak_rss_mb" the peak resident sizes of the calling process and of its
     largest scale-search worker, read once the artifacts are written
     (``_peak_rss_mb``). A solver failure writes
@@ -247,6 +249,7 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
         "n_balls": state.partition.n_balls,
         "final_loss": state.report.loss,
         "iterations": [list(step) for step in state.report.iterations],
+        "converged": state.report.converged,
         "trace": [r.to_dict() for r in trace],
         "timings": timings,
         "peak_rss_mb": _peak_rss_mb(),      # the workers are joined by now

@@ -17,12 +17,13 @@ largest; projects the ball's coupling and right-hand side onto the orthogonal
 complement of the retained U; solves the stacked projected subdomain-0
 problem with gelsd at the same relative cutoff; and back-substitutes each
 ball's coefficients (Bjorck, Numerical Methods for Least Squares Problems,
-1996, section 6.3). The stacked problem is one array, the one that holds
-subdomain 0's block: it has one spare row per ball row below subdomain 0's
-rows, the solve writes each ball's projected coupling into them and hands
-the whole array to gelsd, so subdomain 0's rows are never copied to stack
-them. A system without balls is one gelsd call. The gelsd
-call chooses its path by the shape of its m x n matrix F: when n < m <
+1996, section 6.3). Every system, with balls or without, is solved as one
+array by one path: ``SystemBlocks.stacked``, the array that holds subdomain
+0's block. It has one spare row per ball row below subdomain 0's rows (none
+without balls); the solve writes each ball's projected coupling into them
+and hands the whole array to gelsd, so subdomain 0's rows are never copied
+to stack them, and a system without balls is that gelsd call alone. The
+gelsd call chooses its path by the shape of its m x n matrix F: when n < m <
 int(1.6 n), below gelsd's own threshold for taking a QR first (MNTHR =
 int(1.6 min(m, n)); R-bidiagonalization: T. F. Chan, ACM TOMS 8(1), 1982),
 the system is first reduced to the triangular factor R of [F | T], and gelsd
@@ -123,19 +124,23 @@ class SystemBlocks:
     is in ``balls`` as its ``_Eliminated``, made by its scale search; the
     solve eliminates every other ball.
 
-    ``matrix`` is the top of ``stacked``, the one array of the stacked
-    projected problem: below the first subdomain's rows it has one spare row
-    per ball row, in ball order, into which ``solve_min_norm`` writes each
-    ball's projected coupling before it solves the whole array.
+    ``stacked`` is the one array that holds a block's rows; ``matrix`` is its
+    top ``len(rhs)`` rows. Below them the first subdomain's ``stacked`` has
+    one spare row per ball row, in ball order, into which ``solve_min_norm``
+    writes each ball's projected coupling before it solves the whole array;
+    a block without balls has none.
     """
 
-    matrix: np.ndarray                 # (rows, cols of the first subdomain)
+    stacked: np.ndarray                # (rows + spare rows, cols of the first subdomain)
     rhs: np.ndarray                    # (rows,)
     col_slices: list[slice]            # one slice of columns per subdomain
     row_kind: np.ndarray               # int8, ROW_* constants
     coupling: Optional[np.ndarray] = None
     balls: list[SystemBlocks | _Eliminated] = field(default_factory=list)
-    stacked: Optional[np.ndarray] = None   # None: ``matrix`` itself
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.stacked[:len(self.rhs)]
 
     @property
     def n_cols(self) -> int:
@@ -301,8 +306,8 @@ def _block(problem: SemilinearProblem, rows: SubdomainRows,
             T[sl] = trace_0 @ alpha_0 - F[sl] @ alpha_k
             start = sl.stop
         coupling = np.concatenate([-trace_0 for trace_0 in rows.trace])
-    return SystemBlocks(matrix=F[:n], rhs=T, col_slices=[slice(0, rows.size)],
-                        row_kind=rows.row_kind, coupling=coupling, stacked=F)
+    return SystemBlocks(stacked=F, rhs=T, col_slices=[slice(0, rows.size)],
+                        row_kind=rows.row_kind, coupling=coupling)
 
 
 def _ball_block(problem: SemilinearProblem, ball: SubdomainRows | _Eliminated,
@@ -414,7 +419,8 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
     largest of their block (of the projected problem for subdomain 0) are
     discarded. The projected couplings are written into the spare rows of
     ``stacked``, so the stacked problem is that array, with no copy of
-    subdomain 0's rows. Without balls this is gelsd on ``matrix``, the
+    subdomain 0's rows; too few spare rows raise AssemblyError. Without
+    balls ``stacked`` has no spare row and this is gelsd on ``matrix``, the
     minimum-norm solution. A gelsd problem with n < m < int(1.6 n) is
     reduced to the R factor of [F | T] first. The report carries each
     block's rank, retained singular-value range and squared residual per row
@@ -424,16 +430,14 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
     _check_blocks([b for b in [blocks] + blocks.balls if isinstance(b, SystemBlocks)])
     eliminated = [_eliminate(ball) if isinstance(ball, SystemBlocks) else ball
                   for ball in blocks.balls]
-    F0, T0 = blocks.matrix, blocks.rhs
-    if eliminated:
-        F0 = blocks.stacked
-        T0 = np.concatenate([T0] + [e.rhs for e in eliminated])
-        if F0 is None or len(F0) != len(T0):
-            raise AssemblyError("no spare row below subdomain 0's for every ball row")
-        start = len(blocks.rhs)
-        for e in eliminated:
-            F0[start:start + len(e.rhs)] = e.coupling
-            start += len(e.rhs)
+    F0 = blocks.stacked
+    T0 = np.concatenate([blocks.rhs] + [e.rhs for e in eliminated])
+    if len(F0) != len(T0):
+        raise AssemblyError("subdomain 0's array needs one spare row per ball row")
+    start = len(blocks.rhs)
+    for e in eliminated:
+        F0[start:start + len(e.rhs)] = e.coupling
+        start += len(e.rhs)
     m, n = F0.shape
     if n < m < int(1.6 * n):       # gelsd takes a QR first from int(1.6 n) rows on
         R = np.linalg.qr(np.column_stack([F0, T0]), mode="r")

@@ -120,7 +120,7 @@ def test_criterion_2_least_squares_oracles(rng):
         cols = int(rng.integers(2, 11))
         F = rng.standard_normal((rows, cols)) + 3.0 * np.eye(rows, cols)
         T = rng.standard_normal(rows)
-        blocks = lsq.SystemBlocks(matrix=F, rhs=T, col_slices=[slice(0, cols)],
+        blocks = lsq.SystemBlocks(stacked=F, rhs=T, col_slices=[slice(0, cols)],
                                   row_kind=np.zeros(rows, dtype=np.int8))
         sol = lsq.solve_min_norm(blocks)
         brute = np.linalg.solve(F.T @ F, F.T @ T)
@@ -130,7 +130,7 @@ def test_criterion_2_least_squares_oracles(rng):
         rank = int(rng.integers(1, 4))
         F = rng.standard_normal((15, rank)) @ rng.standard_normal((rank, 7))
         T = rng.standard_normal(15)
-        blocks = lsq.SystemBlocks(matrix=F, rhs=T, col_slices=[slice(0, 7)],
+        blocks = lsq.SystemBlocks(stacked=F, rhs=T, col_slices=[slice(0, 7)],
                                   row_kind=np.zeros(15, dtype=np.int8))
         sol = lsq.solve_min_norm(blocks)
         pin = np.linalg.pinv(F) @ T

@@ -44,20 +44,21 @@ class TestMeanResidual:
             boundary=lambda p: np.zeros(len(np.atleast_2d(p))),
             nonlinearity=lambda u: u * u, nonlinearity_prime=lambda u: 2.0 * u)
         pts = np.array([[0.0, 0.0], [0.3, -0.2], [0.7, 0.7]])
-        assert ada.mean_residual(problem, constant_basis(), np.array([2.0]), pts) == 0.0
+        res = pde.operator_residuals(problem, constant_basis(), np.array([2.0]), pts)
+        assert ada.mean_residual(res) == 0.0
 
     def test_single_point_squares_residual(self):
         pts = np.array([[0.1, 0.2]])
         problem = problem_with_forcing([-3.0], pts)
-        assert ada.mean_residual(problem, constant_basis(), np.zeros(1), pts) \
-            == pytest.approx(9.0)
+        res = pde.operator_residuals(problem, constant_basis(), np.zeros(1), pts)
+        assert ada.mean_residual(res) == pytest.approx(9.0)
 
     def test_matches_direct_loop(self, rng):
         b = bas.generate_transferable(12, 2.0, 2, seed=4)
         alpha = rng.standard_normal(b.size)
         problem = pde.benchmark("peak2d-case1")
         pts = rng.uniform(-1, 1, size=(10, 2))
-        got = ada.mean_residual(problem, b, alpha, pts)
+        got = ada.mean_residual(pde.operator_residuals(problem, b, alpha, pts))
         acc = 0.0
         for x in pts:
             r = pointwise_operator(problem, b, alpha, x) - problem.forcing(x[None, :])[0]
@@ -65,24 +66,31 @@ class TestMeanResidual:
         assert got == pytest.approx(acc / len(pts), rel=1e-14)
 
     def test_empty_points_rejected(self):
-        problem = pde.benchmark("peak2d-case1")
         with pytest.raises(ValueError):
-            ada.mean_residual(problem, constant_basis(), np.zeros(1),
-                              np.empty((0, 2)))
+            ada.mean_residual(np.empty(0))
 
 
 class TestLocatePeak:
     def test_argmax_point(self):
         pts = np.array([[0.0, 0.0], [0.5, 0.5], [-0.5, 0.2]])
         problem = problem_with_forcing([-0.1, -5.0, -0.3], pts)
-        peak = ada.locate_peak(problem, constant_basis(), np.zeros(1), pts)
-        np.testing.assert_array_equal(peak, [0.5, 0.5])
+        res = pde.operator_residuals(problem, constant_basis(), np.zeros(1), pts)
+        np.testing.assert_array_equal(ada.locate_peak(res, pts), [0.5, 0.5])
+
+    def test_largest_absolute_value_wins(self):
+        pts = np.array([[0.0, 0.0], [0.5, 0.5], [-0.5, 0.2]])
+        peak = ada.locate_peak(np.array([1.0, -4.0, 3.0]), pts)
+        np.testing.assert_array_equal(peak, pts[1])
 
     def test_tie_breaks_to_first_point(self):
         pts = np.array([[0.0, 0.0], [0.5, 0.5], [-0.5, 0.2]])
         problem = problem_with_forcing([-2.0, -2.0, -2.0], pts)
-        peak = ada.locate_peak(problem, constant_basis(), np.zeros(1), pts)
-        np.testing.assert_array_equal(peak, pts[0])
+        res = pde.operator_residuals(problem, constant_basis(), np.zeros(1), pts)
+        np.testing.assert_array_equal(ada.locate_peak(res, pts), pts[0])
+
+    def test_empty_points_rejected(self):
+        with pytest.raises(ValueError):
+            ada.locate_peak(np.empty(0), np.empty((0, 2)))
 
 
 class TestScaleSearch:
@@ -326,12 +334,29 @@ class TestAdaptiveSolve:
         state, trace = ada.adaptive_solve(problem, ada.AdaptiveConfig(**SMALL))
         # recompute each entry's "after" residual from the final state of that
         # refinement; the last one is the terminal gate value
-        final_gate = ada.mean_residual(problem, state.bases[0],
-                                       state.report.alphas[0],
-                                       state.colloc.interior[0])
-        assert trace[-1].mean_residual_after == pytest.approx(final_gate, rel=1e-12)
-        assert trace[0].mean_residual_after == pytest.approx(
-            trace[1].mean_residual_before, rel=1e-12)
+        final_gate = ada.mean_residual(pde.operator_residuals(
+            problem, state.bases[0], state.report.alphas[0], state.colloc.interior[0]))
+        assert trace[-1].mean_residual_after == final_gate
+        assert trace[0].mean_residual_after == trace[1].mean_residual_before
+
+    def test_one_residual_evaluation_per_coupled_solve(self, monkeypatch):
+        # the gate and the next ball's center read one residual of each solve
+        calls = {"residuals": 0, "solves": 0}
+        real_residuals, real_solve = ada.operator_residuals, lsq.gauss_newton
+
+        def operator_residuals(*args):
+            calls["residuals"] += 1
+            return real_residuals(*args)
+
+        def gauss_newton(*args):
+            calls["solves"] += 1
+            return real_solve(*args)
+        monkeypatch.setattr(ada, "operator_residuals", operator_residuals)
+        monkeypatch.setattr(lsq, "gauss_newton", gauss_newton)
+        _, trace = ada.adaptive_solve(pde.benchmark("peak2d-case1"),
+                                      ada.AdaptiveConfig(**SMALL))
+        assert len(trace) == 1
+        assert calls == {"residuals": len(trace) + 1, "solves": len(trace) + 1}
 
     def test_max_refinements_errors(self):
         problem = pde.benchmark("peak2d-case1")

@@ -256,6 +256,8 @@ class TestRun:
         assert records[0]["iterations"] == [[0, records[0]["loss"], None]]
         assert manifest["trace"][0]["iterations"] == records[0]["iterations"]
         assert manifest["iterations"] == [[0, manifest["final_loss"], None]]
+        assert records[0]["converged"] is manifest["trace"][0]["converged"] is True
+        assert manifest["converged"] is True
         # the wall times of the scale search and of the coupled re-solve,
         # parts of the refinement's
         record = records[0]
@@ -263,6 +265,19 @@ class TestRun:
         assert record["search_seconds"] > 0 and record["solve_seconds"] > 0
         for key in ("search_seconds", "solve_seconds"):
             assert manifest["trace"][0][key] == record[key]
+
+    def test_unconverged_solves_are_recorded(self, tmp_path):
+        # one Gauss-Newton step leaves a nonlinear solve short of its
+        # stopping rule; the run still finishes, and says so
+        config = ada.AdaptiveConfig(**{**SMALL, "n_max": 1, "scale_max": 2,
+                                       "max_refinements": 1, "epsilon": 1.0})
+        manifest = bench.run("nonlinear2d-case1", config, tmp_path)
+        assert manifest["n_balls"] == 1
+        written = json.loads((tmp_path / "manifest.json").read_text())
+        assert written["converged"] is False
+        assert written["trace"][0]["converged"] is False
+        record = json.loads((tmp_path / "trace.jsonl").read_text())
+        assert record["converged"] is False
 
     def test_solve_time_leaves_out_the_diagnostic(self, case1_run):
         # the test-grid error of each refinement record is timed apart from

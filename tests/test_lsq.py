@@ -195,8 +195,8 @@ class TestAssemble:
             assert ball_block.coupling.shape[1] == sizes[0]
         arrays = [a for b in [blocks] + blocks.balls for a in vars(b).values()
                   if isinstance(a, np.ndarray)]
-        # matrix, rhs, row_kind and stacked, and a ball's coupling
-        assert len(arrays) == 4 + 5 + 5
+        # stacked, rhs and row_kind, and a ball's coupling
+        assert len(arrays) == 3 + 4 + 4
         assert all(a.ndim == 1 or a.shape[1] in (sizes[0], sizes[1], sizes[2])
                    for a in arrays)
 
@@ -466,7 +466,7 @@ class TestSingleBallSolve:
 def blocks_from(F, T):
     F = np.asarray(F, dtype=float)
     T = np.asarray(T, dtype=float)
-    return lsq.SystemBlocks(matrix=F, rhs=T, col_slices=[slice(0, F.shape[1])],
+    return lsq.SystemBlocks(stacked=F, rhs=T, col_slices=[slice(0, F.shape[1])],
                             row_kind=np.zeros(F.shape[0], dtype=np.int8))
 
 
@@ -945,6 +945,14 @@ class TestStackedSystem:
         assert len(systems) > 1
         assert all(len(blocks.balls) == 1 for blocks, _ in systems)
         self.check(systems, received)
+
+    def test_too_few_spare_rows_are_refused(self):
+        part, bases, colloc = one_ball_setup()
+        blocks = assemble(part, bases, colloc, nonzero_nonlinear_problem())
+        assert len(blocks.stacked) > len(blocks.rhs)
+        for stacked in (blocks.matrix, blocks.stacked[:-1]):
+            with pytest.raises(lsq.AssemblyError, match="spare row"):
+                lsq.solve_min_norm(replace(blocks, stacked=stacked))
 
     def test_subdomain_0s_rows_are_held_once(self):
         # a linear K=1 solve whose subdomain-0 block (about 6 MB) dwarfs the

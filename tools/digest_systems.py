@@ -84,8 +84,7 @@ def digest(problem_name: str, config: dict, test_resolution: int) -> dict:
     ada, geo, lsq = rfpde.adaptive, rfpde.geometry, rfpde.lsq
     real, real_core = lsq.solve_min_norm, lsq.gauss_newton_core
     real_initial, real_reclassify = ada.initial_collocation, geo.reclassify_collocation
-    # absent from sources that solve every candidate in the calling process
-    real_map = getattr(ada, "_candidate_map", None)
+    real_map = ada._candidate_map
     systems = hashlib.sha256()
     collocation = hashlib.sha256()
     count = 0
@@ -128,16 +127,14 @@ def digest(problem_name: str, config: dict, test_resolution: int) -> dict:
     lsq.solve_min_norm, lsq.gauss_newton_core = solve_min_norm, gauss_newton_core
     ada.initial_collocation = digested(real_initial)
     geo.reclassify_collocation = digested(real_reclassify)
-    if real_map is not None:
-        ada._candidate_map = lambda problem, config: nullcontext(map)
+    ada._candidate_map = lambda problem, config: nullcontext(map)
     try:
         state, trace = solve()
     finally:
         lsq.solve_min_norm, lsq.gauss_newton_core = real, real_core
         ada.initial_collocation = real_initial
         geo.reclassify_collocation = real_reclassify
-        if real_map is not None:
-            ada._candidate_map = real_map
+        ada._candidate_map = real_map
     grid = rfpde.evaluate_on_grid(state, problem, test_resolution)
     pool_state, pool_trace = solve()
     return {"src": str(Path(rfpde.__file__).parent), "problem": problem_name,
