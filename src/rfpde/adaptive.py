@@ -39,6 +39,7 @@ dies, even by a signal that leaves it no time to join the pool.
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 import pickle
@@ -118,10 +119,17 @@ class AdaptiveConfig:
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ValueError(f"config field {f.name!r} must be {f.type}, "
                                  f"not {value!r}")
-        if min(self.epsilon, self.radius, self.gamma, self.uniform_range) <= 0:
-            raise ValueError("epsilon, radius, gamma and uniform_range must be positive")
+        # written so that NaN fails every comparison
+        if not all(0 < v < math.inf for v in (self.epsilon, self.radius, self.gamma,
+                                               self.uniform_range)):
+            raise ValueError("epsilon, radius, gamma and uniform_range must be "
+                             "positive and finite")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError("tol must be non-negative and finite")
         if min(self.m0, self.m_star, self.scale_max, self.n_max) < 1:
             raise ValueError("basis counts, scale bound and n_max must be >= 1")
+        if self.max_refinements < 0:
+            raise ValueError("max_refinements must be >= 0")
         for name, least in (("interior_resolution", 2), ("ball_resolution", 2),
                             ("test_resolution", 2), ("boundary_count", 1),
                             ("interface_count", 1)):
@@ -227,22 +235,30 @@ def _solve_and_gate(problem: SemilinearProblem, partition: geo.PartitionState,
     and ``locate_peak``, which places the next ball. Returns the solved
     state, that residual and the seconds of the Gauss-Newton solve alone."""
     t0 = time.perf_counter()
-    report = lsq.gauss_newton(partition, problem, bases[0], colloc.interior[0],
-                              colloc.boundary[0], kept, cfg.n_max, cfg.tol)
+    report = lsq.gauss_newton(problem, bases[0], colloc.interior[0], colloc.boundary[0],
+                              kept, cfg.n_max, cfg.tol)
     seconds = time.perf_counter() - t0
     res = operator_residuals(problem, bases[0], report.alphas[0], colloc.interior[0])
     return SolveState(partition, list(bases), colloc, report), res, seconds
 
 
-def _candidate(problem: SemilinearProblem, raw: basis_mod.BasisSet,
-               ball: geo.BallSubdomain, basis0: basis_mod.BasisSet,
-               alpha0: np.ndarray, interior: np.ndarray, boundary: np.ndarray,
-               interface: np.ndarray, n_max: int, tol: float, s: int) -> float:
-    """Solve scale candidate ``s`` and return its loss."""
-    candidate = basis_mod.rescale(raw, ball.center, s)
+def _candidate_rows(problem: SemilinearProblem, raw: basis_mod.BasisSet,
+                    ball: geo.BallSubdomain, basis0: basis_mod.BasisSet,
+                    interior: np.ndarray, boundary: np.ndarray, interface: np.ndarray,
+                    s: int) -> tuple[basis_mod.BasisSet, lsq.SubdomainRows]:
+    """Scale candidate ``s``'s basis, ``raw`` rescaled by ``s`` about the
+    ball's centre, and the ball's rows on it (``lsq.ball_rows``)."""
+    basis = basis_mod.rescale(raw, ball.center, s)
+    return basis, lsq.ball_rows(problem, ball, basis, basis0, interior, boundary,
+                                interface)
+
+
+def _candidate(problem: SemilinearProblem, rows_of: Callable, alpha0: np.ndarray,
+               n_max: int, tol: float, s: int) -> float:
+    """Solve scale candidate ``s``, its rows made by ``rows_of(s)``, and
+    return its loss."""
     try:
-        rows = lsq.ball_rows(problem, ball, candidate, basis0, interior, boundary,
-                             interface)
+        _, rows = rows_of(s)
         report = lsq.gauss_newton_core(partial(lsq.assemble_local, problem, rows, alpha0),
                                        problem.is_linear, n_max, tol)
     except (lsq.NonConvergenceError, lsq.AssemblyError) as exc:
@@ -262,22 +278,19 @@ def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
     ``alpha0``, and the smallest squared residual at its returned
     coefficients wins (ties to the smaller s). ``mapper`` runs the
     candidates, like builtin ``map``; ``adaptive_solve`` passes a worker
-    pool's. The winner's rows are evaluated again here and returned as the
-    finished ball of ``lsq.keep_ball``.
+    pool's. The winner's rows are evaluated again here, by the same
+    ``_candidate_rows``, and returned as the finished ball of
+    ``lsq.keep_ball``.
     """
     k = ball.index
     raw = basis_mod.generate_transferable(config.m_star, config.gamma, problem.dim,
                                           config.seed, stream=k)
-    interior = colloc.interior[k]
-    boundary = colloc.boundary[k]
-    interface = colloc.interface[k]
-
-    task = partial(_candidate, problem, raw, ball, basis0, alpha0, interior,
-                   boundary, interface, config.n_max, config.tol)
+    rows_of = partial(_candidate_rows, problem, raw, ball, basis0, colloc.interior[k],
+                      colloc.boundary[k], colloc.interface[k])
+    task = partial(_candidate, problem, rows_of, alpha0, config.n_max, config.tol)
     losses = list(mapper(task, range(1, config.scale_max + 1)))
     best = 1 + losses.index(min(losses))        # the first of equal losses
-    basis = basis_mod.rescale(raw, ball.center, best)
-    rows = lsq.ball_rows(problem, ball, basis, basis0, interior, boundary, interface)
+    basis, rows = rows_of(best)
     return ScaleSearchResult(scale=best, basis=basis, losses=losses,
                              ball=lsq.keep_ball(problem, rows))
 

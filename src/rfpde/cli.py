@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .adaptive import AdaptiveConfig
@@ -28,25 +28,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", choices=BENCHMARKS, help="benchmark name")
     p.add_argument("--config", help="JSON file with configuration fields")
     p.add_argument("--out", required=True, help="output directory for artifacts")
-    p.add_argument("--m0", type=int, help="basis size on subdomain 0")
-    p.add_argument("--mstar", type=int, help="basis size on each ball subdomain")
-    p.add_argument("--epsilon", type=float, help="mean-residual threshold")
-    p.add_argument("--radius", type=float, help="ball radius")
-    p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--gamma", type=float, help="shared shape parameter")
-    p.add_argument("--strategy", choices=("uniform", "transferable"),
+    # each configuration flag's dest is its AdaptiveConfig field
+    p.add_argument("--m0", type=int, dest="m0", help="basis size on subdomain 0")
+    p.add_argument("--mstar", type=int, dest="m_star",
+                   help="basis size on each ball subdomain")
+    p.add_argument("--epsilon", type=float, dest="epsilon",
+                   help="mean-residual threshold")
+    p.add_argument("--radius", type=float, dest="radius", help="ball radius")
+    p.add_argument("--seed", type=int, dest="seed", help="random seed")
+    p.add_argument("--gamma", type=float, dest="gamma", help="shared shape parameter")
+    p.add_argument("--strategy", choices=("uniform", "transferable"), dest="strategy",
                    help="hidden-parameter construction")
     p.add_argument("--R", type=float, dest="uniform_range",
                    help="range bound for the uniform strategy")
     p.add_argument("--sweep", help="comma-separated m_star values to sweep")
     return p
-
-
-_FLAG_FIELDS = {
-    "m0": "m0", "mstar": "m_star", "epsilon": "epsilon", "radius": "radius",
-    "seed": "seed", "gamma": "gamma", "strategy": "strategy",
-    "uniform_range": "uniform_range",
-}
 
 
 def _load_config(args) -> tuple[str, AdaptiveConfig, list]:
@@ -64,10 +60,10 @@ def _load_config(args) -> tuple[str, AdaptiveConfig, list]:
         raise ValueError("no benchmark given (--problem or config 'benchmark')")
     if problem not in BENCHMARKS:
         raise ValueError(f"unknown benchmark {problem!r}")
-    for flag, field_name in _FLAG_FIELDS.items():
-        value = getattr(args, flag)
+    for f in fields(AdaptiveConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            data[field_name] = value
+            data[f.name] = value
     sweep = [] if own["sweep"] is None else own["sweep"]
     if not (isinstance(sweep, list)
             and all(isinstance(m, int) and not isinstance(m, bool) for m in sweep)):

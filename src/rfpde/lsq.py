@@ -86,7 +86,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .basis import BasisSet
-from .geometry import BallSubdomain, PartitionState, outward_normals
+from .geometry import BallSubdomain, outward_normals
 from .pde import SemilinearProblem
 
 ROW_INTERIOR = 0
@@ -119,10 +119,9 @@ class SystemBlocks:
     one. ``balls`` holds the blocks of a coupled system's balls, each one the
     single-ball system of that ball. A ball's block also holds ``coupling``,
     its interface rows (its last ``len(coupling)`` rows) on subdomain 0's
-    columns; a solve uses it only in a coupled system. ``col_slices`` places
-    each subdomain's coefficients in the stacked vector. A kept linear ball
-    is in ``balls`` as its ``_Eliminated``, made by its scale search; the
-    solve eliminates every other ball.
+    columns; a solve uses it only in a coupled system. A kept linear ball is
+    in ``balls`` as its ``_Eliminated``, made by its scale search; the solve
+    eliminates every other ball.
 
     ``stacked`` is the one array that holds a block's rows; ``matrix`` is its
     top ``len(rhs)`` rows. Below them the first subdomain's ``stacked`` has
@@ -133,7 +132,6 @@ class SystemBlocks:
 
     stacked: np.ndarray                # (rows + spare rows, cols of the first subdomain)
     rhs: np.ndarray                    # (rows,)
-    col_slices: list[slice]            # one slice of columns per subdomain
     row_kind: np.ndarray               # int8, ROW_* constants
     coupling: Optional[np.ndarray] = None
     balls: list[SystemBlocks | _Eliminated] = field(default_factory=list)
@@ -143,20 +141,16 @@ class SystemBlocks:
         return self.stacked[:len(self.rhs)]
 
     @property
-    def n_cols(self) -> int:
-        return self.col_slices[-1].stop
-
-    def split(self, alpha: np.ndarray) -> list[np.ndarray]:
-        return [alpha[sl] for sl in self.col_slices]
+    def size(self) -> int:
+        return self.stacked.shape[1]
 
 
 @dataclass
 class SolveReport:
     """Solution coefficients plus diagnostics of the solve."""
 
-    alpha: np.ndarray                  # stacked coefficients
-    alphas: list[np.ndarray]           # per subdomain
-    # squared residual of the equations at ``alpha``: of the problem for a
+    alphas: list[np.ndarray]           # coefficients per subdomain
+    # squared residual of the equations at ``alphas``: of the problem for a
     # Gauss-Newton solve, of the given system for ``solve_min_norm``
     loss: float
     # per block, as ``alphas``: {row kind name: squared residual of the
@@ -196,10 +190,6 @@ class SubdomainRows(NamedTuple):
     @property
     def size(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def n_boundary(self) -> int:
-        return len(self.data)
 
 
 def _subdomain_rows(problem: SemilinearProblem, basis: BasisSet,
@@ -264,7 +254,7 @@ def coupled_rows(problem: SemilinearProblem, basis_0: BasisSet,
     ball row below them (``SystemBlocks.stacked``)."""
     if len(interior) == 0:
         raise AssemblyError("empty interior collocation set for subdomain 0")
-    if len(boundary) + sum(ball.n_boundary for ball in balls) == 0:
+    if len(boundary) == 0 and not any(ROW_BOUNDARY in ball.row_kind for ball in balls):
         raise AssemblyError("no boundary collocation points at all")
     spare = sum(len(ball.row_kind) for ball in balls) if problem.is_linear else 0
     return [_subdomain_rows(problem, basis_0, interior, boundary, spare=spare),
@@ -306,8 +296,7 @@ def _block(problem: SemilinearProblem, rows: SubdomainRows,
             T[sl] = trace_0 @ alpha_0 - F[sl] @ alpha_k
             start = sl.stop
         coupling = np.concatenate([-trace_0 for trace_0 in rows.trace])
-    return SystemBlocks(stacked=F, rhs=T, col_slices=[slice(0, rows.size)],
-                        row_kind=rows.row_kind, coupling=coupling)
+    return SystemBlocks(stacked=F, rhs=T, row_kind=rows.row_kind, coupling=coupling)
 
 
 def _ball_block(problem: SemilinearProblem, ball: SubdomainRows | _Eliminated,
@@ -322,44 +311,45 @@ def _ball_block(problem: SemilinearProblem, ball: SubdomainRows | _Eliminated,
     return _block(problem, ball, alpha_k, alpha_0)
 
 
+def _coefficients(rows: Sequence, alphas: Optional[Sequence]) -> list[np.ndarray]:
+    """``alphas``, one vector per subdomain of ``rows``, or zeros if None."""
+    if alphas is None:
+        return [np.zeros(r.size) for r in rows]
+    alphas = [np.asarray(a, dtype=float) for a in alphas]
+    if [a.shape for a in alphas] != [(r.size,) for r in rows]:
+        raise AssemblyError(f"expected coefficients of sizes {[r.size for r in rows]}")
+    return alphas
+
+
 def assemble(problem: SemilinearProblem, rows: Sequence,
-             alphas: Optional[np.ndarray] = None) -> SystemBlocks:
-    """The coupled system of ``coupled_rows``, linearized at ``alphas`` (zeros
-    if None). A kept linear ball's block is its elimination.
+             alphas: Optional[Sequence] = None) -> SystemBlocks:
+    """The coupled system of ``coupled_rows``, linearized at ``alphas``, one
+    coefficient vector per subdomain (zeros if None). A kept linear ball's
+    block is its elimination.
 
     At zero coefficients and for a linear operator this is exactly the direct
     transcription of the collocated problem; otherwise rows carry the
     operator's directional derivative and the right-hand side the current
     residuals (including the cancel-the-jump interface terms).
     """
-    col_slices, start = [], 0
-    for r in rows:
-        col_slices.append(slice(start, start + r.size))
-        start += r.size
-    if alphas is None:
-        alphas = np.zeros(start)
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.shape != (start,):
-        raise AssemblyError(f"expected {start} stacked coefficients")
-    parts = [alphas[sl] for sl in col_slices]
-    balls = [_ball_block(problem, r, a, parts[0]) for r, a in zip(rows[1:], parts[1:])]
+    alpha_0, *alpha_balls = _coefficients(rows, alphas)
+    balls = [_ball_block(problem, r, a, alpha_0) for r, a in zip(rows[1:], alpha_balls)]
     spare = sum(len(ball.row_kind) for ball in balls)
-    return replace(_block(problem, rows[0], parts[0], parts[0], spare=spare),
-                   col_slices=col_slices, balls=balls)
+    return replace(_block(problem, rows[0], alpha_0, alpha_0, spare=spare), balls=balls)
 
 
 def assemble_local(problem: SemilinearProblem, rows: SubdomainRows,
                    alpha_0: np.ndarray,
-                   alpha_k: Optional[np.ndarray] = None) -> SystemBlocks:
-    """Single-ball system of ``ball_rows``, with subdomain 0 frozen at
+                   alphas: Optional[Sequence] = None) -> SystemBlocks:
+    """Single-ball system of ``ball_rows``, linearized at ``alphas``, the
+    ball's one coefficient vector (zeros if None), with subdomain 0 frozen at
     ``alpha_0``.
 
     The frozen trace and normal trace enter the interface right-hand sides;
     only the ball's coefficients are unknowns.
     """
-    if alpha_k is None:
-        alpha_k = np.zeros(rows.size)
-    return _block(problem, rows, np.asarray(alpha_k, dtype=float), alpha_0)
+    (alpha_k,) = _coefficients([rows], alphas)
+    return _block(problem, rows, alpha_k, alpha_0)
 
 
 class _Eliminated(NamedTuple):
@@ -379,10 +369,6 @@ class _Eliminated(NamedTuple):
     @property
     def size(self) -> int:
         return self.vt.shape[1]
-
-    @property
-    def n_boundary(self) -> int:
-        return int(np.count_nonzero(self.row_kind == ROW_BOUNDARY))
 
     def back_substitute(self, alpha_0: np.ndarray) -> np.ndarray:
         return self.vt.T @ ((self.ut_rhs - self.ut_coupling @ alpha_0) / self.s)
@@ -443,12 +429,12 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
         R = np.linalg.qr(np.column_stack([F0, T0]), mode="r")
         F0, T0 = R[:, :-1], R[:, -1]
     alpha_0, _, rank, s0 = np.linalg.lstsq(F0, T0, rcond=DEFAULT_SVD_CUTOFF)
-    alpha = np.concatenate([alpha_0] + [e.back_substitute(alpha_0) for e in eliminated])
+    alphas = [alpha_0] + [e.back_substitute(alpha_0) for e in eliminated]
 
     residuals = [blocks.matrix @ alpha_0 - blocks.rhs]
     residuals += [e.coupling @ alpha_0 - e.rhs for e in eliminated]
     loss = float(sum(res @ res for res in residuals))
-    return SolveReport(alpha=alpha, alphas=blocks.split(alpha), loss=loss,
+    return SolveReport(alphas=alphas, loss=loss,
                        residuals=[_residuals_by_kind(b.row_kind, res)
                                   for b, res in zip([blocks] + eliminated, residuals)],
                        block_ranks=[int(rank)] + [len(e.s) for e in eliminated],
@@ -480,13 +466,14 @@ def _sigma_range(s: np.ndarray) -> list[float]:
 DIVERGENCE_FACTOR = 1e6
 
 
-def gauss_newton_core(assembler: Callable[[Optional[np.ndarray]], SystemBlocks],
+def gauss_newton_core(assembler: Callable[[Optional[list]], SystemBlocks],
                       is_linear: bool, n_max: int, tol: float) -> SolveReport:
     """Gauss-Newton driver over an assembler callback.
 
-    ``assembler(alphas)`` must return the system linearized at ``alphas``
-    (zeros when None). Each step solves F delta = T for the increment and
-    applies it. A linear problem stops after the first step, the direct solve
+    ``assembler(alphas)`` must return the system linearized at ``alphas``,
+    one coefficient vector per subdomain (zeros when None). Each step solves
+    F delta = T for the increments and adds each to its subdomain's
+    coefficients. A linear problem stops after the first step, the direct solve
     of the system at zero coefficients: one assembly, one solve, iterations
     ``[(0, loss, None)]``. A nonlinear loop re-linearizes after every step,
     and a step's loss and residual table are |T|^2 of that system and its
@@ -499,17 +486,17 @@ def gauss_newton_core(assembler: Callable[[Optional[np.ndarray]], SystemBlocks],
     NonConvergenceError.
     """
     blocks = assembler(None)
-    alpha = np.zeros(blocks.n_cols)
+    alphas = [np.zeros(b.size) for b in [blocks] + blocks.balls]
     trace = []
     prev_loss = None
     first_loss = None
     converged = False
     for n in range(n_max):
         report = solve_min_norm(blocks)
-        alpha = alpha + report.alpha
+        alphas = [a + step for a, step in zip(alphas, report.alphas)]
         if not is_linear:
             del blocks      # its stacked array is as large as the next one's
-            blocks = assembler(alpha)
+            blocks = assembler(alphas)
             all_blocks = [blocks] + blocks.balls
             report = replace(report, loss=float(sum(b.rhs @ b.rhs for b in all_blocks)),
                              residuals=[_residuals_by_kind(b.row_kind, b.rhs)
@@ -528,8 +515,7 @@ def gauss_newton_core(assembler: Callable[[Optional[np.ndarray]], SystemBlocks],
             converged = True
             break
         prev_loss = loss
-    return replace(report, alpha=alpha, alphas=blocks.split(alpha),
-                   iterations=trace, converged=converged)
+    return replace(report, alphas=alphas, iterations=trace, converged=converged)
 
 
 def keep_ball(problem: SemilinearProblem,
@@ -549,18 +535,16 @@ def keep_ball(problem: SemilinearProblem,
     return eliminated._replace(vt=eliminated.vt.copy())
 
 
-def gauss_newton(partition: PartitionState, problem: SemilinearProblem,
-                 basis_0: BasisSet, interior: np.ndarray, boundary: np.ndarray,
+def gauss_newton(problem: SemilinearProblem, basis_0: BasisSet,
+                 interior: np.ndarray, boundary: np.ndarray,
                  kept: Sequence[SubdomainRows | _Eliminated], n_max: int,
                  tol: float) -> SolveReport:
     """Solve the coupled problem over all subdomains (direct when linear).
 
     Subdomain 0's rows are evaluated with ``basis_0`` at its ``interior`` and
-    ``boundary`` points; ``kept`` holds every ball of ``partition``, in order,
-    as ``keep_ball`` made it.
+    ``boundary`` points; ``kept`` holds every ball, in order, as
+    ``keep_ball`` made it.
     """
-    if len(kept) != partition.n_balls:
-        raise AssemblyError("kept balls do not align with the partition")
     rows = coupled_rows(problem, basis_0, interior, boundary, kept)
     return gauss_newton_core(partial(assemble, problem, rows), problem.is_linear,
                              n_max, tol)

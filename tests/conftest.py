@@ -113,9 +113,14 @@ def fresh_solve(partition, bases, colloc, problem, n_max=None, tol=None):
     defaults = AdaptiveConfig()
     kept = [lsq.keep_ball(problem, rows)
             for rows in fresh_ball_rows(partition, bases, colloc, problem)]
-    return lsq.gauss_newton(partition, problem, bases[0], colloc.interior[0],
-                            colloc.boundary[0], kept, n_max or defaults.n_max,
-                            tol or defaults.tol)
+    return lsq.gauss_newton(problem, bases[0], colloc.interior[0], colloc.boundary[0],
+                            kept, n_max or defaults.n_max, tol or defaults.tol)
+
+
+def all_coefficients(report):
+    """Every subdomain's coefficients of ``report``, concatenated in
+    subdomain order."""
+    return np.concatenate(report.alphas)
 
 
 def rel_err(approx, exact, floor=1.0):

@@ -120,21 +120,21 @@ def test_criterion_2_least_squares_oracles(rng):
         cols = int(rng.integers(2, 11))
         F = rng.standard_normal((rows, cols)) + 3.0 * np.eye(rows, cols)
         T = rng.standard_normal(rows)
-        blocks = lsq.SystemBlocks(stacked=F, rhs=T, col_slices=[slice(0, cols)],
+        blocks = lsq.SystemBlocks(stacked=F, rhs=T,
                                   row_kind=np.zeros(rows, dtype=np.int8))
         sol = lsq.solve_min_norm(blocks)
         brute = np.linalg.solve(F.T @ F, F.T @ T)
-        worst = max(worst, float(np.max(np.abs(sol.alpha - brute))))
+        worst = max(worst, float(np.max(np.abs(sol.alphas[0] - brute))))
     min_norm_ok = True
     for _ in range(10):
         rank = int(rng.integers(1, 4))
         F = rng.standard_normal((15, rank)) @ rng.standard_normal((rank, 7))
         T = rng.standard_normal(15)
-        blocks = lsq.SystemBlocks(stacked=F, rhs=T, col_slices=[slice(0, 7)],
+        blocks = lsq.SystemBlocks(stacked=F, rhs=T,
                                   row_kind=np.zeros(15, dtype=np.int8))
         sol = lsq.solve_min_norm(blocks)
         pin = np.linalg.pinv(F) @ T
-        min_norm_ok &= bool(np.allclose(sol.alpha, pin, atol=1e-10))
+        min_norm_ok &= bool(np.allclose(sol.alphas[0], pin, atol=1e-10))
     ok = worst <= 1e-8 and min_norm_ok
     report("criterion-2 least-squares-oracles", ok,
            f"50 well-conditioned systems worst dev={worst:.2e} (tol 1e-8); "
@@ -160,7 +160,7 @@ def test_criterion_3_in_span_recovery(rng):
         geo.generate_boundary_points(region, 400))
     sol = lsq.solve_min_norm(
         lsq.assemble(problem, fresh_rows(part, [b], colloc, problem)))
-    rel = float(np.linalg.norm(sol.alpha - coeffs) / np.linalg.norm(coeffs))
+    rel = float(np.linalg.norm(sol.alphas[0] - coeffs) / np.linalg.norm(coeffs))
     state = ada.SolveState(part, [b], colloc, sol)
     err = bench.evaluate_on_grid(state, problem, 64).err_l2()
     ok = rel <= 1e-6 and err <= 1e-8

@@ -17,6 +17,7 @@ from rfpde import basis as bas
 from rfpde import bench
 from rfpde import geometry as geo
 from rfpde import lsq, pde
+from rfpde import cli
 from rfpde.cli import main as cli_main
 
 
@@ -192,8 +193,8 @@ PREDICT_FIXED_STATE = textwrap.dedent("""
                                  np.array(center), 6))
     rng = np.random.default_rng(7)
     alphas = [1e6 * rng.standard_normal(b.size) for b in bases]
-    report = lsq.SolveReport(alpha=np.concatenate(alphas), alphas=alphas, loss=0.0,
-                             residuals=[], block_ranks=[], block_sigmas=[])
+    report = lsq.SolveReport(alphas=alphas, loss=0.0, residuals=[], block_ranks=[],
+                             block_sigmas=[])
     state = ada.SolveState(part, bases, None, report)
     points = geo.generate_interior_grid(problem.region, resolution=256)
     predicted, _ = bench.predict(state, points)
@@ -362,11 +363,11 @@ def diverge_after_first_ball(monkeypatch):
     """Make every coupled solve with a ball raise NonConvergenceError."""
     real = lsq.gauss_newton
 
-    def gauss_newton(partition, *args, **kwargs):
-        if partition.n_balls:
+    def gauss_newton(problem, basis_0, interior, boundary, kept, *args, **kwargs):
+        if kept:
             raise lsq.NonConvergenceError(
                 "diverged", trace=[(0, 1.0, None), (1, 1e7, 1e7)])
-        return real(partition, *args, **kwargs)
+        return real(problem, basis_0, interior, boundary, kept, *args, **kwargs)
 
     monkeypatch.setattr(lsq, "gauss_newton", gauss_newton)
 
@@ -388,6 +389,23 @@ class TestCli:
         assert code == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 9
+
+    def test_every_flag_sets_its_field(self):
+        values = {"--m0": ("m0", 120), "--mstar": ("m_star", 340),
+                  "--epsilon": ("epsilon", 0.5), "--radius": ("radius", 0.2),
+                  "--seed": ("seed", 9), "--gamma": ("gamma", 3.0),
+                  "--strategy": ("strategy", "uniform"), "--R": ("uniform_range", 2.5)}
+        config_flags = {a.option_strings[0] for a in cli.build_parser()._actions
+                        if a.dest in ada.AdaptiveConfig.__dataclass_fields__}
+        assert config_flags == set(values)
+        argv = ["--problem", "peak2d-case1", "--out", "unused"]
+        argv += [token for flag, (_, value) in values.items()
+                 for token in (flag, str(value))]
+        _, config, _ = cli._load_config(cli.build_parser().parse_args(argv))
+        default = ada.AdaptiveConfig()
+        for name, value in values.values():
+            assert getattr(default, name) != value
+            assert getattr(config, name) == value, name
 
     def test_missing_problem_is_config_error(self, tmp_path):
         assert cli_main(["--out", str(tmp_path / "out")]) == 3
@@ -477,8 +495,10 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, config", [
         (["--gamma", "-1"], {}), (["--strategy", "uniform", "--R", "0"], {}),
-        ([], {"boundary_count": 0}), ([], {"test_resolution": 1})],
-        ids=["gamma", "uniform-range", "boundary-count", "test-resolution"])
+        ([], {"boundary_count": 0}), ([], {"test_resolution": 1}),
+        (["--epsilon", "nan"], {})],
+        ids=["gamma", "uniform-range", "boundary-count", "test-resolution",
+             "epsilon-nan"])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, argv, config):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"benchmark": "peak2d-case1", **SMALL,

@@ -23,6 +23,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import all_coefficients
+
 from rfpde import adaptive as ada
 from rfpde import geometry as geo
 from rfpde import pde
@@ -61,6 +63,7 @@ NAMES = ("peak2d-case1", "nonlinear2d-case1")
 #: chose, the worker children left and their CPU time
 SOLVES = textwrap.dedent("""
     import contextlib, hashlib, json, multiprocessing, resource, sys
+    import numpy as np
     import rfpde
     from rfpde import adaptive as ada
 
@@ -69,7 +72,8 @@ SOLVES = textwrap.dedent("""
                                             rfpde.AdaptiveConfig(**config))
         return {"scales": [r.scale for r in trace],
                 "scale_losses": [r.scale_losses for r in trace],
-                "alpha": hashlib.sha256(state.report.alpha.tobytes()).hexdigest()}
+                "alpha": hashlib.sha256(np.concatenate(state.report.alphas).tobytes())
+                .hexdigest()}
 
     if __name__ == "__main__":
         if sys.argv[2] == "in-process":
@@ -284,7 +288,8 @@ def test_a_problem_of_lambdas_solves_in_the_calling_process(monkeypatch):
     assert trace
     in_process(monkeypatch)
     expected, _ = ada.adaptive_solve(benchmark, ada.AdaptiveConfig(**SMALL))
-    assert state.report.alpha.tobytes() == expected.report.alpha.tobytes()
+    assert all_coefficients(state.report).tobytes() == \
+        all_coefficients(expected.report).tobytes()
 
 
 #: A problem whose functions a spawned worker cannot import: they live in the

@@ -34,11 +34,12 @@ def quadratic_toy(forcing=None):
 
 
 def interior_rows(problem, basis, alpha, points):
-    """Interior rows of the one-subdomain system assembled at ``alpha``."""
+    """Interior rows of the one-subdomain system assembled at ``alpha``, its
+    one subdomain's coefficients."""
     region = problem.region
     colloc = geo.CollocationSets.initial(points, generate_boundary_points(region, 8))
     rows = fresh_rows(geo.PartitionState(region), [basis], colloc, problem)
-    blocks = lsq.assemble(problem, rows, alphas=alpha)
+    blocks = lsq.assemble(problem, rows, alphas=[alpha])
     return blocks.matrix[blocks.row_kind == lsq.ROW_INTERIOR]
 
 

@@ -15,7 +15,8 @@ wrapped, and prints one JSON object:
   builds, in call order: those returned by ``rfpde.adaptive.initial_collocation``
   and by each ``rfpde.geometry.reclassify_collocation``, each set's interior,
   boundary and interface points of every subdomain;
-- ``alpha_sha256``: SHA-256 of the final stacked coefficients;
+- ``alpha_sha256``: SHA-256 of the final coefficients, every subdomain's
+  in subdomain order, concatenated (``np.concatenate(report.alphas)``);
 - ``predictions_sha256``: SHA-256 of the solution's values on the
   workload's test grid (``rfpde.evaluate_on_grid(...).predicted`` at its test
   resolution), so that a change to basis evaluation is checked end to end,
@@ -140,12 +141,12 @@ def digest(problem_name: str, config: dict, test_resolution: int) -> dict:
     return {"src": str(Path(rfpde.__file__).parent), "problem": problem_name,
             "systems": count, "systems_sha256": systems.hexdigest(),
             "collocation_sha256": collocation.hexdigest(),
-            "alpha_sha256": _sha256(state.report.alpha),
+            "alpha_sha256": _sha256(np.concatenate(state.report.alphas)),
             "predictions_sha256": _sha256(grid.predicted),
             "scales": [record.scale for record in trace],
             "scale_losses": [record.scale_losses for record in trace],
             "gauss_newton_steps": steps,
-            "pool": {"alpha_sha256": _sha256(pool_state.report.alpha),
+            "pool": {"alpha_sha256": _sha256(np.concatenate(pool_state.report.alphas)),
                      "scale_losses": [record.scale_losses for record in pool_trace]}}
 
 
