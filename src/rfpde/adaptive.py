@@ -130,6 +130,8 @@ class AdaptiveConfig:
             raise ValueError("basis counts, scale bound and n_max must be >= 1")
         if self.max_refinements < 0:
             raise ValueError("max_refinements must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         for name, least in (("interior_resolution", 2), ("ball_resolution", 2),
                             ("test_resolution", 2), ("boundary_count", 1),
                             ("interface_count", 1)):

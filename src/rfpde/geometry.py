@@ -304,54 +304,55 @@ def generate_interior_grid(region: BaseRegion, resolution: int) -> np.ndarray:
     return pts[region.in_closure(pts) & _off_corners(region, pts)]
 
 
-def _edge_points(p0: np.ndarray, p1: np.ndarray, n: int) -> np.ndarray:
-    # midpoint offsets: n points strictly between the endpoints, no corner
-    # duplication across adjacent edges
-    t = (np.arange(n) + 0.5) / n
-    return p0 + t[:, None] * (p1 - p0)
+def _facet(lo: np.ndarray, hi: np.ndarray, ax: int,
+           value: float) -> tuple[np.ndarray, np.ndarray]:
+    """The facet x_ax = ``value`` of the box [lo, hi], as its corners."""
+    lo, hi = lo.copy(), hi.copy()
+    lo[ax] = hi[ax] = value
+    return lo, hi
+
+
+def _facet_points(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """``n`` midpoint-offset lattice points on the facet with corners lo, hi.
+
+    The free axes are those where lo != hi: an edge gets n ticks, a face the
+    ``_face_lattice_counts`` grid, raveled in axis order. The offsets keep
+    every point off the facet's rim, so no corner or shared edge repeats.
+    """
+    free = np.flatnonzero(lo != hi)
+    sides = hi[free] - lo[free]
+    ticks = (n,) if len(free) == 1 else _face_lattice_counts(n, *sides)
+    grids = np.meshgrid(*[lo[a] + (np.arange(m) + 0.5) / m * side
+                          for a, m, side in zip(free, ticks, sides)], indexing="ij")
+    pts = np.repeat(lo[None, :], grids[0].size, axis=0)
+    pts[:, free] = np.stack([g.ravel() for g in grids], axis=1)
+    return pts
 
 
 def _boundary_edges_2d(region: BaseRegion) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The outer walk (bottom, right, top, left), each edge cut by the removed
+    box, then the removed box's reachable faces."""
     outer = region if isinstance(region, Box) else region.outer
     lo, hi = outer.lo, outer.hi
-    # fixed walk order: bottom, right, top, left
-    walk = [
-        (1, lo[1], 0, lo[0], hi[0]),
-        (0, hi[0], 1, lo[1], hi[1]),
-        (1, hi[1], 0, lo[0], hi[0]),
-        (0, lo[0], 1, lo[1], hi[1]),
-    ]
     removed = region.removed if isinstance(region, BoxMinusBox) else None
     edges = []
-    for fixed_ax, fixed_val, free_ax, a, b in walk:
+    for ax, value in ((1, lo[1]), (0, hi[0]), (1, hi[1]), (0, lo[0])):
+        a, b = lo[1 - ax], hi[1 - ax]
         pieces = [(a, b)]
         if removed is not None and \
-                removed.lo[fixed_ax] - TAU_GEO <= fixed_val <= removed.hi[fixed_ax] + TAU_GEO:
-            ra, rb = removed.lo[free_ax], removed.hi[free_ax]
+                removed.lo[ax] - TAU_GEO <= value <= removed.hi[ax] + TAU_GEO:
+            ra, rb = removed.lo[1 - ax], removed.hi[1 - ax]
             pieces = []
             if ra > a + TAU_GEO:
                 pieces.append((a, min(ra, b)))
             if rb < b - TAU_GEO:
                 pieces.append((max(rb, a), b))
-        for pa, pb in pieces:
-            if pb - pa <= TAU_GEO:
-                continue
-            p0 = np.empty(2)
-            p1 = np.empty(2)
-            p0[fixed_ax] = p1[fixed_ax] = fixed_val
-            p0[free_ax], p1[free_ax] = pa, pb
-            edges.append((p0, p1))
+        edges += [_facet(np.full(2, pa), np.full(2, pb), ax, value)
+                  for pa, pb in pieces if pb - pa > TAU_GEO]
     if removed is not None:
-        for ax, side in region._reachable_faces():
-            v = removed.lo[ax] if side == 0 else removed.hi[ax]
-            free_ax = 1 - ax
-            pa = max(removed.lo[free_ax], outer.lo[free_ax])
-            pb = min(removed.hi[free_ax], outer.hi[free_ax])
-            p0 = np.empty(2)
-            p1 = np.empty(2)
-            p0[ax] = p1[ax] = v
-            p0[free_ax], p1[free_ax] = pa, pb
-            edges.append((p0, p1))
+        edges += [_facet(np.maximum(removed.lo, lo), np.minimum(removed.hi, hi), ax,
+                         removed.hi[ax] if side else removed.lo[ax])
+                  for ax, side in region._reachable_faces()]
     return edges
 
 
@@ -384,41 +385,26 @@ def _proportional_split(count: int, sizes: np.ndarray, what: str) -> np.ndarray:
 def generate_boundary_points(region: BaseRegion, count: int) -> np.ndarray:
     """Deterministic boundary collocation points, ``count`` in total.
 
-    Points are allocated to edges (2D) or faces (3D) proportionally to
-    arclength/area (the equal split of the square/cube cases is a special
-    case) and laid out as midpoint-offset lattices, so corners and shared
-    edges are never duplicated. Raises if the proportional allocation is not
-    integral.
+    The boundary is one list of facets: the edges of ``_boundary_edges_2d``
+    in 2D, the six faces of the box in (axis, lo/hi) order in 3D. One
+    ``_proportional_split`` gives each facet points in proportion to its
+    length or area (the equal split of the square/cube cases is a special
+    case), and each facet is laid out as the same midpoint-offset lattice
+    (``_facet_points``), so corners and shared edges are never duplicated.
+    Raises if the proportional allocation is not integral.
     """
     if region.dim == 2:
-        edges = _boundary_edges_2d(region)
-        lengths = np.array([np.linalg.norm(p1 - p0) for p0, p1 in edges])
-        counts = _proportional_split(count, lengths, "edges")
-        chunks = [_edge_points(p0, p1, n) for (p0, p1), n in zip(edges, counts)]
-        return np.vstack(chunks)
-
-    if isinstance(region, BoxMinusBox):
+        facets, what = _boundary_edges_2d(region), "edges"
+    elif isinstance(region, BoxMinusBox):
         raise NotImplementedError("3-d box-minus-box boundary sampling is not supported")
-    lo, hi = region.lo, region.hi
-    sides = hi - lo
-    faces = []
-    for ax in range(3):
-        for side_val in (lo[ax], hi[ax]):
-            u_ax, v_ax = [i for i in range(3) if i != ax]
-            faces.append((ax, side_val, u_ax, v_ax, sides[u_ax] * sides[v_ax]))
-    counts = _proportional_split(count, np.array([f[4] for f in faces]), "faces")
-    chunks = []
-    for (ax, side_val, u_ax, v_ax, _), n_face in zip(faces, counts):
-        nu, nv = _face_lattice_counts(n_face, sides[u_ax], sides[v_ax])
-        tu = lo[u_ax] + (np.arange(nu) + 0.5) / nu * sides[u_ax]
-        tv = lo[v_ax] + (np.arange(nv) + 0.5) / nv * sides[v_ax]
-        uu, vv = np.meshgrid(tu, tv, indexing="ij")
-        pts = np.empty((n_face, 3))
-        pts[:, ax] = side_val
-        pts[:, u_ax] = uu.ravel()
-        pts[:, v_ax] = vv.ravel()
-        chunks.append(pts)
-    return np.vstack(chunks)
+    else:
+        lo, hi = region.lo, region.hi
+        facets = [_facet(lo, hi, ax, v) for ax in range(3) for v in (lo[ax], hi[ax])]
+        what = "faces"
+    sizes = np.array([np.prod((f_hi - f_lo)[f_lo != f_hi]) for f_lo, f_hi in facets])
+    counts = _proportional_split(count, sizes, what)
+    return np.vstack([_facet_points(f_lo, f_hi, n)
+                      for (f_lo, f_hi), n in zip(facets, counts)])
 
 
 def sample_sphere_uniform(center, radius: float, count: int) -> np.ndarray:

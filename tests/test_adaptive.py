@@ -214,13 +214,13 @@ class TestConfig:
                     dict(interface_count=0), dict(epsilon=np.nan), dict(gamma=np.nan),
                     dict(radius=np.inf), dict(uniform_range=np.inf),
                     dict(epsilon=-np.inf), dict(tol=np.nan), dict(tol=np.inf),
-                    dict(tol=-1.0), dict(max_refinements=-3)):
+                    dict(tol=-1.0), dict(max_refinements=-3), dict(seed=-1)):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 ada.AdaptiveConfig(**bad)
         # the smallest values allowed, and a solve that may not refine
         ada.AdaptiveConfig(interior_resolution=2, ball_resolution=2, test_resolution=2,
                            boundary_count=1, interface_count=1, max_refinements=0,
-                           tol=0.0)
+                           tol=0.0, seed=0)
 
     def test_field_types_checked(self):
         for bad in (dict(m0="100"), dict(epsilon="1e-4"), dict(seed=1.0),

@@ -496,9 +496,9 @@ class TestCli:
     @pytest.mark.parametrize("argv, config", [
         (["--gamma", "-1"], {}), (["--strategy", "uniform", "--R", "0"], {}),
         ([], {"boundary_count": 0}), ([], {"test_resolution": 1}),
-        (["--epsilon", "nan"], {})],
+        (["--epsilon", "nan"], {}), (["--seed", "-1"], {})],
         ids=["gamma", "uniform-range", "boundary-count", "test-resolution",
-             "epsilon-nan"])
+             "epsilon-nan", "seed"])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, argv, config):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"benchmark": "peak2d-case1", **SMALL,

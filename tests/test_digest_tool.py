@@ -73,6 +73,16 @@ def test_gauss_newton_steps_of_a_nonlinear_run():
     assert max(out["gauss_newton_steps"]) > 1
 
 
+def test_every_benchmark_collocation_is_digested():
+    tool = load_tool()
+    first = tool.benchmarks_collocation()
+    assert list(first) == list(rfpde.BENCHMARKS) and len(first) == 8
+    # the 2D peak problems share the square; the L-shape and the cube differ
+    assert first["peak2d-case1"] == first["nonlinear2d-case3"]
+    assert len({first["peak2d-case1"], first["corner2d"], first["peak3d"]}) == 3
+    assert tool.benchmarks_collocation() == first
+
+
 def test_command_line_names_the_workloads(monkeypatch, tmp_path, capsys):
     tool = load_tool()
     monkeypatch.setattr(sys, "path", list(sys.path))    # main extends it

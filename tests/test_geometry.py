@@ -128,10 +128,32 @@ class TestBoundaryPoints:
         on_bottom = np.abs(pts[:, 1] + 1.0) <= geo.TAU_GEO
         assert on_bottom.sum() == 100
 
+    # The point order sets the row order of every block, and so the bits of
+    # the coefficients: the edges run bottom, right, top, left, each in
+    # increasing coordinate, then the removed box's reachable faces; the
+    # faces run in (axis, lo/hi) order, each raveled over its free axes.
     def test_square_4_midpoints(self):
         pts = geo.generate_boundary_points(unit_box2(), 4)
-        expected = {(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)}
-        assert {tuple(p) for p in pts} == expected
+        np.testing.assert_array_equal(pts, [[0, -1], [1, 0], [0, 1], [-1, 0]])
+
+    @pytest.mark.parametrize("region, count, expected", [
+        (lshape(), 8, [[-.5, -1], [.5, -1], [1, -.5], [-.5, 1], [-1, -.5], [-1, .5],
+                       [0, .5], [.5, 0]]),
+        (geo.Box(np.zeros(2), np.array([2.0, 1.0])), 6,
+         [[.5, 0], [1.5, 0], [2, .5], [.5, 1], [1.5, 1], [0, .5]]),
+        (geo.Box(np.zeros(3), np.array([2.0, 1.0, 1.0])), 10,
+         [[0, .5, .5], [2, .5, .5],
+          [.5, 0, .5], [1.5, 0, .5], [.5, 1, .5], [1.5, 1, .5],
+          [.5, .5, 0], [1.5, .5, 0], [.5, .5, 1], [1.5, .5, 1]]),
+    ], ids=["lshape-8", "box-2x1-6", "box-2x1x1-10"])
+    def test_point_order(self, region, count, expected):
+        pts = geo.generate_boundary_points(region, count)
+        np.testing.assert_array_equal(pts, expected)
+
+    def test_cube_first_face_order(self):
+        pts = geo.generate_boundary_points(geo.Box(-np.ones(3), np.ones(3)), 24)
+        np.testing.assert_array_equal(pts[:4], [[-1, -.5, -.5], [-1, -.5, .5],
+                                                [-1, .5, -.5], [-1, .5, .5]])
 
     def test_lshape_arclength_proportional(self):
         pts = geo.generate_boundary_points(lshape(), 400)

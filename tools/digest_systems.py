@@ -25,7 +25,12 @@ wrapped, and prints one JSON object:
 - ``gauss_newton_steps``: the number of steps of every Gauss-Newton solve,
   in call order, so that a change to the stopping rule shows;
 - ``pool``: the coefficient digest and the scale-candidate losses of a
-  second, default run, whose scale candidates are solved on worker processes.
+  second, default run, whose scale candidates are solved on worker processes;
+- ``benchmarks_collocation_sha256``: for every name in ``rfpde.BENCHMARKS``,
+  the SHA-256 of the initial collocation set of that benchmark at the default
+  ``AdaptiveConfig`` (``rfpde.adaptive.initial_collocation``), digested like
+  ``collocation_sha256``. No solve is run, so it also covers the regions no
+  workload solves, such as the L-shape of ``corner2d``.
 
 The wrappers see only calls in this process, so the digested run solves
 the scale candidates in this process too, through the private seam
@@ -75,6 +80,25 @@ def _sha256(array) -> str:
     return digest.hexdigest()
 
 
+def _update_sets(digest, sets) -> None:
+    for kind in (sets.interior, sets.boundary, sets.interface):
+        for array in kind:
+            _update(digest, array)
+
+
+def benchmarks_collocation() -> dict:
+    """The digest of every benchmark's initial collocation set, by name."""
+    import rfpde
+
+    out = {}
+    for name in rfpde.BENCHMARKS:
+        sha = hashlib.sha256()
+        _update_sets(sha, rfpde.adaptive.initial_collocation(rfpde.benchmark(name),
+                                                             rfpde.AdaptiveConfig()))
+        out[name] = sha.hexdigest()
+    return out
+
+
 def digest(problem_name: str, config: dict, test_resolution: int) -> dict:
     """Solve ``problem_name`` with ``config`` (``AdaptiveConfig`` keywords),
     digest what the least-squares solve received and returned and the
@@ -109,9 +133,7 @@ def digest(problem_name: str, config: dict, test_resolution: int) -> dict:
     def digested(make):
         def wrapper(*args, **kwargs):
             sets = make(*args, **kwargs)
-            for kind in (sets.interior, sets.boundary, sets.interface):
-                for array in kind:
-                    _update(collocation, array)
+            _update_sets(collocation, sets)
             return sets
         return wrapper
 
@@ -167,6 +189,7 @@ def main(argv=None) -> int:
     out = {"workload": workload.name,
            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
     out.update(digest(workload.problem, workload.config, workload.test_resolution))
+    out["benchmarks_collocation_sha256"] = benchmarks_collocation()
     print(json.dumps(out, indent=1))
     return 0
 
