@@ -17,8 +17,7 @@ from .geometry import (BallSubdomain, BaseRegion, Box, BoxMinusBox,
                        generate_boundary_points, generate_interior_grid,
                        reclassify_collocation, sample_sphere_uniform,
                        split_subdomain)
-from .lsq import (NonConvergenceError, SolveReport, SystemBlocks, assemble,
-                  gauss_newton, solve_min_norm)
+from .lsq import SolveReport, SystemBlocks, assemble, gauss_newton, solve_min_norm
 from .pde import BENCHMARKS, SemilinearProblem, benchmark
 
 __version__ = "0.1.0"

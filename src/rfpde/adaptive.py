@@ -177,7 +177,8 @@ class RefinementRecord:
     loss: float                    # squared residual at the re-solve's coefficients
     # the re-solve's Gauss-Newton steps, [n, loss, re_mse]
     iterations: Optional[list] = None
-    converged: Optional[bool] = None       # the re-solve's: False if it used up n_max
+    # the re-solve's: False if it used up n_max or no halving lowered a step
+    converged: Optional[bool] = None
     err_l2: Optional[float] = None
     scale_losses: Optional[list] = None
     seconds: Optional[float] = None
@@ -263,7 +264,7 @@ def _candidate(problem: SemilinearProblem, rows_of: Callable, alpha0: np.ndarray
         _, rows = rows_of(s)
         report = lsq.gauss_newton_core(partial(lsq.assemble_local, problem, rows, alpha0),
                                        problem.is_linear, n_max, tol)
-    except (lsq.NonConvergenceError, lsq.AssemblyError) as exc:
+    except lsq.AssemblyError as exc:
         raise ScaleSearchError(f"scale candidate s={s} failed: {exc}", scale=s) from exc
     return report.loss
 

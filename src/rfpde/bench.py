@@ -31,12 +31,12 @@ from . import geometry as geo
 from .adaptive import (AdaptiveConfig, MaxRefinementsError, ScaleSearchError,
                        SolveState, adaptive_solve)
 from .basis import BasisSet, chunk_rows
-from .lsq import AssemblyError, NonConvergenceError
+from .lsq import AssemblyError
 from .pde import SemilinearProblem, benchmark
 
 #: Solver-side failures a run records in its manifest before re-raising.
-SOLVER_ERRORS = (NonConvergenceError, MaxRefinementsError, ScaleSearchError,
-                 AssemblyError, geo.GeometryError)
+SOLVER_ERRORS = (MaxRefinementsError, ScaleSearchError, AssemblyError,
+                 geo.GeometryError)
 
 #: Bytes per unit of ``ru_maxrss``: kibibytes on Linux, bytes on macOS.
 _MAXRSS_UNIT = 1 if sys.platform == "darwin" else 1024
@@ -188,7 +188,8 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
     Writes manifest.json, trace.jsonl, solution.csv and subdomains.json; the
     manifest's "iterations" holds the final solve's Gauss-Newton steps
     ``[n, loss, re_mse]``, and "converged" whether that solve met its
-    stopping rule within n_max steps; "timings" the wall time of the solve
+    stopping rule (false when it used up n_max steps or took a step that no
+    halving made lower); "timings" the wall time of the solve
     ("solve_s"), of the error on the test grid that each refinement record
     carries, which "solve_s" leaves out ("diagnostic_s"), of the final
     evaluation on the test grid ("evaluate_s") and of the whole run
@@ -198,8 +199,7 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
     (``_peak_rss_mb``). A solver failure writes
     manifest.json alone, with status="failed", the error and the history the
     exception carries, and is re-raised: "trace" holds the refinement
-    records of a MaxRefinementsError (empty for other failures),
-    "iterations" the steps of a NonConvergenceError.
+    records of a MaxRefinementsError (empty for other failures).
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -229,8 +229,6 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
         manifest["error"] = f"{type(exc).__name__}: {exc}"
         records = exc.trace if isinstance(exc, MaxRefinementsError) else None
         manifest["trace"] = [r.to_dict() for r in records or []]
-        if isinstance(exc, NonConvergenceError):
-            manifest["iterations"] = [list(step) for step in exc.trace]
         with open(outdir / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2)
         raise

@@ -36,13 +36,18 @@ the result is a least-squares solution but not the minimum-norm one that
 gelsd on the whole zero-padded matrix would give: each ball's coefficients
 have minimum norm given subdomain 0's, not jointly with them.
 
-Every problem is solved by one plain (undamped) Gauss-Newton loop on the
-linearized system, starting from zero coefficients; a linear problem stops
-after the first step, which is the direct solve. Every solve reports, and a
-nonlinear one stops on the relative change of, one loss: the squared
-residual of the problem's equations at the returned coefficients. A
-nonlinear step reads it from the right-hand side of the system re-linearized
-at its updated coefficients, which the next step solves.
+Every row of a block, and its entry of the right-hand side, is scaled to
+unit 2-norm (an interface row's norm covers its subdomain-0 columns too), so
+the scale search, ``keep_ball`` and every coupled solve see one weighted
+system, and the relative SVD truncation acts on rows of one size. A linear
+problem is solved directly, at zero coefficients; a nonlinear one by a
+Gauss-Newton loop from zero coefficients whose step is backtracked: halved
+until the weighted squared residual |T|^2 at the trial coefficients is not
+above the current one. Each trial is the system re-linearized at it, which
+the next step solves, so an accepted full step costs nothing extra. Every
+solve reports, and a nonlinear one stops on the relative change of, one
+loss: |T|^2 at the returned coefficients, the squared residual of the
+problem's equations in unit-row units.
 
 Rows are built in one place, ``_subdomain_rows``, one subdomain at a time in
 one order: interior rows, boundary rows, then a ball's interface value and
@@ -79,6 +84,7 @@ orthogonal to x_k).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -100,14 +106,6 @@ DEFAULT_SVD_CUTOFF = 1e-12
 
 class AssemblyError(ValueError):
     """Collocation/basis data unfit for assembly."""
-
-
-class NonConvergenceError(RuntimeError):
-    """Gauss-Newton diverged; carries the iteration trace."""
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace or []
 
 
 @dataclass
@@ -150,12 +148,13 @@ class SolveReport:
     """Solution coefficients plus diagnostics of the solve."""
 
     alphas: list[np.ndarray]           # coefficients per subdomain
-    # squared residual of the equations at ``alphas``: of the problem for a
-    # Gauss-Newton solve, of the given system for ``solve_min_norm``
+    # squared residual of the equations at ``alphas``, in unit-row units:
+    # of the problem for a Gauss-Newton solve, of the given system for
+    # ``solve_min_norm``
     loss: float
     # per block, as ``alphas``: {row kind name: squared residual of the
-    # block's rows of that kind}, for the kinds the block has; the entries
-    # add up to ``loss``
+    # block's unit rows of that kind}, for the kinds the block has; the
+    # entries add up to ``loss``
     residuals: list
     # per block, as ``alphas``: the rank and [largest, smallest] retained
     # singular value of its factorization (subdomain 0's of a coupled system:
@@ -274,6 +273,10 @@ def _block(problem: SemilinearProblem, rows: SubdomainRows,
     rows below it: a linear block is the rows' own array, made with its
     spare rows (``coupled_rows``), and a nonlinear one the array the rows
     are re-linearized into here.
+
+    Every row is then scaled to unit 2-norm, its right-hand side with it
+    (``_equilibrate``), so a linear problem's rows are assembled once: their
+    array is scaled in place.
     """
     F = rows.matrix                    # the block's ``stacked``, if linear
     n = len(rows.row_kind)
@@ -296,7 +299,33 @@ def _block(problem: SemilinearProblem, rows: SubdomainRows,
             T[sl] = trace_0 @ alpha_0 - F[sl] @ alpha_k
             start = sl.stop
         coupling = np.concatenate([-trace_0 for trace_0 in rows.trace])
+    _equilibrate(F[:n], T, coupling)
     return SystemBlocks(stacked=F, rhs=T, row_kind=rows.row_kind, coupling=coupling)
+
+
+def _equilibrate(matrix: np.ndarray, rhs: np.ndarray,
+                 coupling: Optional[np.ndarray]) -> None:
+    """Scale each row of a block, and its entry of ``rhs``, to unit 2-norm,
+    in place. A row's squared norm is the sum of its squares over the
+    subdomain's columns (``matrix``), then, for an interface row, over
+    subdomain 0's (``coupling``, the last rows). A row of norm zero keeps
+    weight 1.
+
+    Unscaled, an interior row weighs scale^2 |w|^2 against at most 1 for a
+    value row, and the truncation relative to the largest singular value
+    drops what the value rows ask for: peak3d at acceptance criterion 10's
+    settings solves to err_l2 43.3 on unscaled rows, 1.5e-2 on unit rows.
+    """
+    norms = np.einsum("ij,ij->i", matrix, matrix)
+    if coupling is not None:
+        iface = slice(len(norms) - len(coupling), None)
+        norms[iface] += np.einsum("ij,ij->i", coupling, coupling)
+    np.sqrt(norms, out=norms)
+    norms[norms == 0.0] = 1.0
+    matrix /= norms[:, None]
+    rhs /= norms
+    if coupling is not None:
+        coupling /= norms[iface, None]
 
 
 def _ball_block(problem: SemilinearProblem, ball: SubdomainRows | _Eliminated,
@@ -330,7 +359,9 @@ def assemble(problem: SemilinearProblem, rows: Sequence,
     At zero coefficients and for a linear operator this is exactly the direct
     transcription of the collocated problem; otherwise rows carry the
     operator's directional derivative and the right-hand side the current
-    residuals (including the cancel-the-jump interface terms).
+    residuals (including the cancel-the-jump interface terms). Every row is
+    at unit norm; a linear problem's rows are scaled in place, so they are
+    assembled once (``coupled_rows`` and ``ball_rows`` evaluate them anew).
     """
     alpha_0, *alpha_balls = _coefficients(rows, alphas)
     balls = [_ball_block(problem, r, a, alpha_0) for r, a in zip(rows[1:], alpha_balls)]
@@ -462,60 +493,97 @@ def _sigma_range(s: np.ndarray) -> list[float]:
     return [float(s[0]), float(s[-1])] if len(s) else [0.0, 0.0]
 
 
-#: Divergence guard: abort when the loss exceeds this multiple of the first step's.
-DIVERGENCE_FACTOR = 1e6
+#: Halvings of a Gauss-Newton step before the loop gives up on lowering |T|^2.
+MAX_HALVINGS = 20
+
+
+def _weighted_residual(blocks: SystemBlocks) -> tuple[float, list]:
+    """|T|^2 of a system of nonlinear blocks, and its residual table: the
+    squared residual, per block and row kind, of its rows at the
+    coefficients it was linearized at."""
+    all_blocks = [blocks] + blocks.balls
+    return (float(sum(b.rhs @ b.rhs for b in all_blocks)),
+            [_residuals_by_kind(b.row_kind, b.rhs) for b in all_blocks])
+
+
+def _backtrack(assembler: Callable[[Optional[list]], SystemBlocks],
+               alphas: list, step: list, loss: float, tol: float):
+    """The first trial alphas + t ``step``, t = 1, 1/2, ..., 2^-MAX_HALVINGS,
+    whose system's |T|^2 is not above ``loss``, that of ``alphas``.
+
+    Returns the trial's coefficients and system (None and None when no trial
+    is taken), and the relative rise of |T|^2 at the full step (0 when it did
+    not rise). A full step that rises by less than ``tol`` relative is not
+    halved: no trial is taken. Each rejected trial's system is released
+    before the next one is assembled.
+    """
+    rise = 0.0
+    for halving in range(MAX_HALVINGS + 1):
+        trial = [a + 0.5 ** halving * d for a, d in zip(alphas, step)]
+        blocks = assembler(trial)
+        trial_loss, _ = _weighted_residual(blocks)
+        if trial_loss <= loss:
+            return trial, blocks, rise
+        del blocks
+        if halving == 0:
+            rise = (trial_loss - loss) / loss if loss else math.inf
+            if rise < tol:
+                break
+    return None, None, rise
 
 
 def gauss_newton_core(assembler: Callable[[Optional[list]], SystemBlocks],
                       is_linear: bool, n_max: int, tol: float) -> SolveReport:
-    """Gauss-Newton driver over an assembler callback.
+    """Gauss-Newton driver over an assembler callback, with a backtracked
+    step.
 
     ``assembler(alphas)`` must return the system linearized at ``alphas``,
-    one coefficient vector per subdomain (zeros when None). Each step solves
-    F delta = T for the increments and adds each to its subdomain's
-    coefficients. A linear problem stops after the first step, the direct solve
-    of the system at zero coefficients: one assembly, one solve, iterations
-    ``[(0, loss, None)]``. A nonlinear loop re-linearizes after every step,
-    and a step's loss and residual table are |T|^2 of that system and its
-    right-hand side per row kind: the residual at the updated coefficients.
-    The loop stops once the relative change of that loss drops below ``tol``,
-    so the report's ``loss`` and ``residuals`` are those at the returned
-    coefficients. The report's ranks and singular values are the last
-    step's. Exhausting ``n_max`` returns converged=False, and a loss blow-up
-    beyond DIVERGENCE_FACTOR x the first step's loss raises
-    NonConvergenceError.
+    one coefficient vector per subdomain (zeros when None), its rows at unit
+    norm. A linear problem is the direct solve of the system at zero
+    coefficients: one assembly, one solve, iterations ``[(0, loss, None)]``.
+    A nonlinear step solves F delta = T for the increments and tries
+    alphas + t delta for t = 1, 1/2, ..., 2^-MAX_HALVINGS (``_backtrack``);
+    each trial's system is assembled, and the first whose |T|^2 is not above
+    the current one is taken, its system the next step's. A step's entry
+    ``(n, loss, re_mse)`` holds |T|^2 at the coefficients after it and its
+    relative change from the step before (None for the first step), and the
+    loop stops converged once that change drops below ``tol``. A step it
+    does not take ends the loop at the current coefficients, its entry
+    holding their |T|^2 and the relative rise at the full step: converged
+    when a full step raises |T|^2 by less than ``tol`` relative, which is
+    rounding, and converged=False when no halving lowers it. Exhausting
+    ``n_max`` also returns converged=False. The report's ``loss`` and
+    ``residuals`` are |T|^2 and its table per block and row kind at the
+    returned coefficients, the weighted residual that the solve minimises;
+    its ranks and singular values are the last solve's.
     """
     blocks = assembler(None)
+    if is_linear:
+        report = solve_min_norm(blocks)
+        return replace(report, iterations=[(0, report.loss, None)])
     alphas = [np.zeros(b.size) for b in [blocks] + blocks.balls]
+    loss, residuals = _weighted_residual(blocks)
     trace = []
-    prev_loss = None
-    first_loss = None
     converged = False
     for n in range(n_max):
         report = solve_min_norm(blocks)
-        alphas = [a + step for a, step in zip(alphas, report.alphas)]
-        if not is_linear:
-            del blocks      # its stacked array is as large as the next one's
-            blocks = assembler(alphas)
-            all_blocks = [blocks] + blocks.balls
-            report = replace(report, loss=float(sum(b.rhs @ b.rhs for b in all_blocks)),
-                             residuals=[_residuals_by_kind(b.row_kind, b.rhs)
-                                        for b in all_blocks])
-        loss = report.loss
-        re_mse = None if prev_loss is None else (
-            0.0 if prev_loss == 0.0 else abs(loss - prev_loss) / prev_loss)
+        del blocks      # its stacked array is as large as a trial's
+        trial, blocks, rise = _backtrack(assembler, alphas, report.alphas, loss, tol)
+        if blocks is None:
+            trace.append((n, loss, rise))
+            converged = rise < tol
+            break
+        alphas = trial
+        previous = loss
+        loss, residuals = _weighted_residual(blocks)
+        re_mse = None if n == 0 else (
+            0.0 if previous == 0.0 else abs(loss - previous) / previous)
         trace.append((n, loss, re_mse))
-        if first_loss is None:
-            first_loss = loss
-        elif loss > DIVERGENCE_FACTOR * max(first_loss, np.finfo(float).tiny):
-            raise NonConvergenceError(
-                f"Gauss-Newton diverged at step {n}: loss {loss:.3e} vs "
-                f"{first_loss:.3e} after step 0", trace=trace)
-        if is_linear or prev_loss == 0.0 or (re_mse is not None and re_mse < tol):
+        if n > 0 and (previous == 0.0 or re_mse < tol):
             converged = True
             break
-        prev_loss = loss
-    return replace(report, alphas=alphas, iterations=trace, converged=converged)
+    return replace(report, alphas=alphas, loss=loss, residuals=residuals,
+                   iterations=trace, converged=converged)
 
 
 def keep_ball(problem: SemilinearProblem,

@@ -258,6 +258,16 @@ def test_criterion_10_three_dimensional_smoke():
            f"(tol 0.1); mean residual strictly decreasing: {decreasing}")
 
 
+def test_criterion_13_three_dimensional_accuracy():
+    r = run_case("peak3d", 1, 2.0, 1000, epsilon=1e-3, radius=0.11, m0=500)
+    err = r["err"] if r["ok"] else None
+    ok = r["ok"] and err <= 5e-2
+    report("criterion-13 three-d-accuracy", ok,
+           f"peak3d at the criterion-10 settings: K={r.get('n_balls')} "
+           f"scales={r.get('scales')} err_l2={err if err is None else format(err, '.3e')} "
+           f"on 50^3 grid (tol 5e-2)")
+
+
 def test_criterion_11_error_vs_basis_count(case1_sweep, case1_m700):
     errs_700 = [case1_m700[s]["err"] for s in SEEDS[:3] if case1_m700[s]["ok"]]
     errs_1000 = [case1_sweep[(s, 2.0)]["err"] for s in SEEDS[:3]

@@ -65,6 +65,28 @@ class TestMeanResidual:
             acc += r * r
         assert got == pytest.approx(acc / len(pts), rel=1e-14)
 
+    def test_is_unweighted(self, rng):
+        # at a fixed alpha the gate reads the raw interior residual, which the
+        # system's right-hand side holds divided by each row's norm
+        b = bas.generate_transferable(12, 2.0, 2, seed=4)
+        alpha = rng.standard_normal(b.size)
+        problem = pde.benchmark("nonlinear2d-case1")
+        part = geo.PartitionState(problem.region)
+        colloc = geo.CollocationSets.initial(
+            geo.generate_interior_grid(problem.region, 12),
+            geo.generate_boundary_points(problem.region, 40))
+        (rows,) = fresh_rows(part, [b], colloc, problem)
+        interior = slice(0, len(rows.forcing))
+        jacobian = rows.matrix[interior] \
+            + problem.nonlinearity_prime(rows.values @ alpha)[:, None] * rows.values
+        norms = np.linalg.norm(jacobian, axis=1)
+        assert norms.min() > 0 and not np.allclose(norms, 1.0)
+        weighted = lsq.assemble(problem, [rows], alphas=[alpha]).rhs[interior]
+        gate = ada.mean_residual(pde.operator_residuals(problem, b, alpha,
+                                                        colloc.interior[0]))
+        assert gate == pytest.approx(np.mean((weighted * norms) ** 2), rel=1e-12)
+        assert gate != pytest.approx(np.mean(weighted ** 2), rel=1e-2)
+
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
             ada.mean_residual(np.empty(0))
@@ -144,8 +166,11 @@ class TestScaleSearch:
         blocks = assemble_local(problem, rows, alpha0)
         gamma_pts = colloc.interface[1]
         value_rows = blocks.row_kind == 2
+        # each divided by its row's norm, over the ball's and subdomain 0's columns
+        norms = np.sqrt(np.sum(cand.values(gamma_pts) ** 2, axis=1)
+                        + np.sum(b0.values(gamma_pts) ** 2, axis=1))
         np.testing.assert_allclose(blocks.rhs[value_rows],
-                                   b0.values(gamma_pts) @ alpha0, atol=1e-14)
+                                   b0.values(gamma_pts) @ alpha0 / norms, atol=1e-14)
 
     def test_nonlinear_candidates_compare_residuals_at_their_coefficients(
             self, monkeypatch):

@@ -92,8 +92,9 @@ class TestAssemble:
         blocks = assemble(part, [b], colloc, problem)
         q = b.laplacians(x)[0, 1]
         assert blocks.row_kind.tolist() == [lsq.ROW_INTERIOR, lsq.ROW_BOUNDARY]
-        np.testing.assert_allclose(blocks.matrix[:1], [[0.0, -q]], atol=1e-15)
-        np.testing.assert_allclose(blocks.rhs[:1], [1.75])
+        # the row -lap and its forcing, both divided by the row's norm |q|
+        np.testing.assert_allclose(blocks.matrix[:1], [[0.0, -q / abs(q)]], atol=1e-15)
+        np.testing.assert_allclose(blocks.rhs[:1], [1.75 / abs(q)])
 
     def test_interface_rows_sign_pattern(self):
         part, bases, _ = one_ball_setup()
@@ -108,19 +109,20 @@ class TestAssemble:
         (ball_block,) = blocks.balls
         assert ball_block.row_kind.tolist() == [lsq.ROW_INTERIOR, lsq.ROW_IFACE_VALUE,
                                                 lsq.ROW_IFACE_NORMAL]
-        # value row: +ball block, -subdomain-0 block in the coupling
+        # value row: +ball block, -subdomain-0 block in the coupling, divided
+        # by the norm of the whole row, both blocks' columns
         vals0 = bases[0].values(gamma_pt)[0]
         vals1 = bases[1].values(gamma_pt)[0]
-        np.testing.assert_allclose(ball_block.matrix[1], vals1, atol=1e-15)
-        np.testing.assert_allclose(ball_block.coupling[0], -vals0, atol=1e-15)
+        norm = np.linalg.norm(np.concatenate([vals1, vals0]))
+        np.testing.assert_allclose(ball_block.matrix[1], vals1 / norm, atol=1e-15)
+        np.testing.assert_allclose(ball_block.coupling[0], -vals0 / norm, atol=1e-15)
         # normal row: likewise with the normal derivatives
         normals = geo.outward_normals(part.ball(1), gamma_pt)
-        np.testing.assert_allclose(ball_block.matrix[2],
-                                   bases[1].normal_derivatives(gamma_pt, normals)[0],
-                                   atol=1e-15)
-        np.testing.assert_allclose(ball_block.coupling[1],
-                                   -bases[0].normal_derivatives(gamma_pt, normals)[0],
-                                   atol=1e-15)
+        d0 = bases[0].normal_derivatives(gamma_pt, normals)[0]
+        d1 = bases[1].normal_derivatives(gamma_pt, normals)[0]
+        norm = np.linalg.norm(np.concatenate([d1, d0]))
+        np.testing.assert_allclose(ball_block.matrix[2], d1 / norm, atol=1e-15)
+        np.testing.assert_allclose(ball_block.coupling[1], -d0 / norm, atol=1e-15)
         assert ball_block.coupling.shape == (2, bases[0].size)
 
     def test_toy_system_matches_normal_equations(self):
@@ -271,10 +273,18 @@ class TestOneAssemblyPath:
         sl = [slice(start, stop) for start, stop in zip(col_starts, col_starts[1:])]
 
         def padded(n, blocks):
+            """The rows of ``blocks``, (subdomain, its columns) pairs, padded
+            with zeros and divided by the documented row norm: the sum of
+            squares over the subdomain's columns, then over subdomain 0's
+            (an interface row's coupling columns)."""
             rows = np.zeros((n, col_starts[-1]))
+            norms = np.zeros(n)
             for k, block in blocks:
                 rows[:, sl[k]] = block
-            return rows
+                norms += np.einsum("ij,ij->i", rows[:, sl[k]], rows[:, sl[k]])
+            norms = np.sqrt(norms)
+            norms[norms == 0.0] = 1.0
+            return rows / norms[:, None]
 
         groups = []   # (kind, padded rows) in the documented row order
         for k in range(part.n_subdomains):
@@ -340,6 +350,70 @@ class TestOneAssemblyPath:
         assert sorted(name for name, _ in calls[made:]) == \
             ["laplacians", "values", "values"]
         assert all(basis is self.bases[0] for _, basis in calls[made:])
+
+
+def row_norms(block):
+    """Each row's 2-norm over the block's columns and, for an interface row,
+    over its coupling columns too."""
+    norms = np.einsum("ij,ij->i", block.matrix, block.matrix)
+    if block.coupling is not None:
+        iface = slice(len(norms) - len(block.coupling), None)
+        norms[iface] += np.einsum("ij,ij->i", block.coupling, block.coupling)
+    return np.sqrt(norms)
+
+
+class TestUnitRows:
+    """Every row of every block, and its right-hand side with it, is scaled
+    to unit 2-norm, an interface row's coupling columns included."""
+
+    def test_coupled_and_local_blocks(self):
+        part, bases, colloc = two_ball_setup()
+        rng = np.random.default_rng(7)
+        alphas = [0.1 * rng.standard_normal(b.size) for b in bases]
+        linear = manufactured_linear(bases[0], np.linspace(-1.0, 1.0, bases[0].size))
+        for problem, at in ((linear, None), (nonzero_nonlinear_problem(), alphas)):
+            full = assemble(part, bases, colloc, problem, alphas=at)
+            alpha_0 = np.zeros(bases[0].size) if at is None else at[0]
+            local = [lsq.assemble_local(problem, rows, alpha_0,
+                                        alphas=None if at is None else at[k:k + 1])
+                     for k, rows in enumerate(
+                         fresh_ball_rows(part, bases, colloc, problem), 1)]
+            assert all(b.coupling is not None for b in full.balls + local)
+            for block in [full] + full.balls + local:
+                np.testing.assert_allclose(row_norms(block), 1.0, rtol=1e-13)
+
+    def test_kept_linear_ball_is_eliminated_from_unit_rows(self, monkeypatch):
+        part, bases, colloc = two_ball_setup()
+        problem = manufactured_linear(bases[0], np.linspace(-1.0, 1.0, bases[0].size))
+        eliminated = []
+        real = lsq._eliminate
+
+        def eliminate(ball):
+            eliminated.append(ball)
+            return real(ball)
+        monkeypatch.setattr(lsq, "_eliminate", eliminate)
+        for rows in fresh_ball_rows(part, bases, colloc, problem):
+            lsq.keep_ball(problem, rows)
+        assert len(eliminated) == 2
+        for block in eliminated:
+            assert block.coupling is not None
+            np.testing.assert_allclose(row_norms(block), 1.0, rtol=1e-13)
+
+    def test_a_row_of_norm_zero_keeps_weight_one(self):
+        # one neuron with bias 0 centred at the interior point: its Laplacian
+        # is zero there, as is the constant's, so the interior row is zero
+        b = bas.BasisSet(weights=np.array([[0.9, -0.3]]), biases=np.array([0.0]),
+                         center=np.array([0.3, 0.1]))
+        problem = pde.SemilinearProblem(region=box2(),
+                                        forcing=lambda p: np.full(len(np.atleast_2d(p)), 1.75),
+                                        boundary=lambda p: np.zeros(len(np.atleast_2d(p))))
+        colloc = geo.CollocationSets.initial(b.center[None], np.array([[1.0, 0.0]]))
+        blocks = assemble(geo.PartitionState(box2()), [b], colloc, problem)
+        assert blocks.matrix[0].tolist() == [0.0, 0.0]
+        assert blocks.rhs[0] == 1.75
+        report = lsq.solve_min_norm(blocks)
+        assert np.all(np.isfinite(report.alphas[0]))
+        assert report.residuals[0]["interior"] == 1.75 ** 2
 
 
 class TestBlockSolve:
@@ -767,18 +841,63 @@ class TestGaussNewton:
         assert len(report.iterations) == 2
         assert report.iterations[1][2] == 0.0
 
-    def test_divergence_raises_with_trace(self):
-        # a fabricated assembler whose residual grows without bound
-        state = {"n": 0}
+    def test_a_step_no_halving_lowers_ends_unconverged(self):
+        # a fabricated assembler whose residual grows at every assembly,
+        # wherever it is linearized
+        at = []
 
-        def assembler(alpha):
-            state["n"] += 1
-            scale = 10.0 ** (3 * state["n"])
+        def assembler(alphas):
+            at.append(alphas)
+            scale = 10.0 ** (3 * len(at))
             return blocks_from([[1.0], [-1.0]], [scale, scale])
 
-        with pytest.raises(lsq.NonConvergenceError) as err:
-            lsq.gauss_newton_core(assembler, is_linear=False, n_max=50, tol=1e-12)
-        assert len(err.value.trace) >= 2
+        report = lsq.gauss_newton_core(assembler, is_linear=False, n_max=50, tol=1e-12)
+        assert not report.converged
+        # the zero coefficients, then t delta for t = 1, 1/2, ..., 2^-MAX_HALVINGS
+        assert at[0] is None and len(at) == 2 + lsq.MAX_HALVINGS
+        delta = at[1][0][0]
+        assert [a[0][0] for a in at[1:]] == \
+            [delta * 0.5 ** h for h in range(1 + lsq.MAX_HALVINGS)]
+        assert report.alphas[0].tolist() == [0.0]
+        # one entry, at the unchanged coefficients, with the full step's rise
+        ((n, loss, rise),) = report.iterations
+        assert (n, loss) == (0, 2e6) and report.loss == loss
+        assert rise == pytest.approx((2e12 - 2e6) / 2e6)
+
+    @staticmethod
+    def quadratic_assembler(residual, at):
+        """A one-coefficient system F = [[1]] whose right-hand side at
+        coefficient a is ``residual(a)``: its full step from a is
+        ``residual(a)``. Records the coefficient of every assembly."""
+        def assembler(alphas):
+            a = 0.0 if alphas is None else float(alphas[0][0])
+            at.append(a)
+            return blocks_from([[1.0]], [residual(a)])
+        return assembler
+
+    def test_a_full_step_that_raises_the_loss_is_halved(self):
+        # T(a) = 2a^2 - 3.5a + 2: |T|^2 is 4 at 0, 9 at the full step's 2 and
+        # 0.25 at the half step's 1
+        at = []
+        assembler = self.quadratic_assembler(lambda a: 2 * a * a - 3.5 * a + 2, at)
+        report = lsq.gauss_newton_core(assembler, is_linear=False, n_max=1, tol=1e-5)
+        assert at == [0.0, 2.0, 1.0]
+        assert report.alphas[0].tolist() == [1.0]
+        assert report.iterations == [(0, 0.25, None)]
+        assert report.loss == 0.25 and report.residuals == [{"interior": 0.25}]
+        assert not report.converged          # n_max used up
+
+    def test_a_rounding_level_rise_ends_converged_at_the_current_coefficients(self):
+        # the full step from 0 to 1 raises |T|^2 by about 2e-8 relative
+        at = []
+        assembler = self.quadratic_assembler(lambda a: 1.0 + 1e-8 * a, at)
+        report = lsq.gauss_newton_core(assembler, is_linear=False, n_max=50, tol=1e-5)
+        assert at == [0.0, 1.0]              # no halving
+        assert report.converged
+        assert report.alphas[0].tolist() == [0.0]
+        ((n, loss, rise),) = report.iterations
+        assert (n, loss) == (0, 1.0) and report.loss == 1.0
+        assert rise == pytest.approx(2e-8, rel=1e-6)
 
     def test_nonlinear_peak_matches_manufactured(self, rng):
         # quadratic operator with forcing manufactured from a known expansion

@@ -35,7 +35,7 @@ def quadratic_toy(forcing=None):
 
 def interior_rows(problem, basis, alpha, points):
     """Interior rows of the one-subdomain system assembled at ``alpha``, its
-    one subdomain's coefficients."""
+    one subdomain's coefficients: each row divided by its 2-norm."""
     region = problem.region
     colloc = geo.CollocationSets.initial(points, generate_boundary_points(region, 8))
     rows = fresh_rows(geo.PartitionState(region), [basis], colloc, problem)
@@ -76,16 +76,22 @@ class TestOperator:
             assert got == pytest.approx(-lap_fd, rel=1e-5, abs=1e-8)
 
 
+def unit(rows):
+    """``rows``, each divided by its 2-norm as ``lsq.assemble`` computes it."""
+    return rows / np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+
+
 class TestLinearizedRow:
     """The interior rows of ``lsq.assemble``: the operator's directional
-    derivative -lap(psi_m) + N'(u) psi_m at the current coefficients."""
+    derivative -lap(psi_m) + N'(u) psi_m at the current coefficients, scaled
+    to unit norm."""
 
     def test_linear_row_is_negative_laplacians(self, small_basis, rng):
         problem = linear_toy()
         pts = np.array([[0.1, -0.4], [0.5, 0.2]])
         alpha = rng.standard_normal(small_basis.size)
         rows = interior_rows(problem, small_basis, alpha, pts)
-        np.testing.assert_array_equal(rows, -small_basis.laplacians(pts))
+        np.testing.assert_array_equal(rows, unit(-small_basis.laplacians(pts)))
 
     def test_quadratic_row(self, small_basis, rng):
         problem = quadratic_toy()
@@ -95,8 +101,8 @@ class TestLinearizedRow:
         vals = small_basis.values(pts)
         u = vals @ alpha
         assert np.all(u != 0.0)
-        np.testing.assert_allclose(rows, -small_basis.laplacians(pts)
-                                   + 2.0 * u[:, None] * vals, atol=1e-15)
+        np.testing.assert_allclose(rows, unit(-small_basis.laplacians(pts)
+                                              + 2.0 * u[:, None] * vals), atol=1e-15)
 
     def test_directional_derivative_oracle(self, small_basis, rng):
         # (L(u + eps psi_m) - L(u))/eps -> row_m as eps -> 0, with L evaluated
@@ -108,13 +114,18 @@ class TestLinearizedRow:
         rows = interior_rows(problem, small_basis, alpha, pts)
         for x, row in zip(pts, rows):
             base = pointwise_operator(problem, small_basis, alpha, x)
+            fd = np.empty(small_basis.size)
             for m in range(small_basis.size):
                 bumped = alpha.copy()
                 bumped[m] += eps
-                fd = (pointwise_operator(problem, small_basis, bumped, x) - base) / eps
-                # forward-difference error of the quadratic term is exactly
-                # eps * psi_m^2 <= eps, plus float cancellation noise
-                assert abs(fd - row[m]) <= eps + 1e-9 * max(1.0, abs(base))
+                fd[m] = (pointwise_operator(problem, small_basis, bumped, x) - base) / eps
+            # forward-difference error of the quadratic term is exactly
+            # eps * psi_m^2 <= eps per entry, plus float cancellation noise:
+            # an error e of the whole row moves its direction by at most
+            # 2 |e| / |fd|, and |e| <= sqrt(size) times the entry bound
+            entry = eps + 1e-9 * max(1.0, abs(base))
+            bound = 2.0 * np.sqrt(small_basis.size) * entry / np.linalg.norm(fd)
+            assert np.max(np.abs(fd / np.linalg.norm(fd) - row)) <= bound
 
 
 class TestBenchmarks:
