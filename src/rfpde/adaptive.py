@@ -23,14 +23,15 @@ workers are started with ``OPENBLAS_NUM_THREADS=1``, and each sets the
 OpenBLAS that numpy loaded to one thread once it has imported the calling
 script's main module, whatever that module set; so every candidate's loss
 is computed at one BLAS thread, and the coupled solves keep the calling
-process's threads. A worker returns only its candidate's loss; the winner's
-rows are evaluated again in the calling process, bit for bit the same,
-since basis evaluation uses no BLAS. Each worker receives the problem by
-``pickle``: a problem that does not pickle (one built from lambdas, say) has
-its candidates solved in the calling process, as they are on a single usable
-core, by the same code. A script that calls ``adaptive_solve`` should do so
-under ``if __name__ == "__main__":``, because every spawned worker imports
-the script's main module. A worker that dies (one that re-ran an unguarded
+process's threads. A worker returns only its candidate's loss and whether
+its solve converged; the winner's rows are evaluated again in the calling
+process, bit for bit the same, since basis evaluation uses no BLAS. Each
+worker receives the problem by ``pickle``: a problem that does not pickle
+(one built from lambdas, say) has its candidates solved in the calling
+process, as they are on a single usable core, by the same code. A script
+that calls ``adaptive_solve`` should do so under
+``if __name__ == "__main__":``, because every spawned worker imports the
+script's main module. A worker that dies (one that re-ran an unguarded
 script, or could not import a problem's functions from an interactive
 ``__main__``) breaks the pool, and the candidates then run in the calling
 process, with a warning. A worker exits on its own when the calling process
@@ -181,6 +182,9 @@ class RefinementRecord:
     converged: Optional[bool] = None
     err_l2: Optional[float] = None
     scale_losses: Optional[list] = None
+    # per scale candidate, as ``scale_losses``: its Gauss-Newton solve's
+    # ``converged``
+    scale_converged: Optional[list] = None
     seconds: Optional[float] = None
     search_seconds: Optional[float] = None   # the scale search's part of seconds
     solve_seconds: Optional[float] = None    # the coupled re-solve's part of seconds
@@ -211,6 +215,7 @@ class ScaleSearchResult:
     scale: int
     basis: basis_mod.BasisSet
     losses: list
+    converged: list                    # per candidate, as ``losses``
     # the winning candidate's, as ``lsq.keep_ball`` makes it
     ball: lsq.SubdomainRows | lsq._Eliminated
 
@@ -257,16 +262,16 @@ def _candidate_rows(problem: SemilinearProblem, raw: basis_mod.BasisSet,
 
 
 def _candidate(problem: SemilinearProblem, rows_of: Callable, alpha0: np.ndarray,
-               n_max: int, tol: float, s: int) -> float:
+               n_max: int, tol: float, s: int) -> tuple[float, bool]:
     """Solve scale candidate ``s``, its rows made by ``rows_of(s)``, and
-    return its loss."""
+    return its loss and whether its Gauss-Newton solve converged."""
     try:
         _, rows = rows_of(s)
         report = lsq.gauss_newton_core(partial(lsq.assemble_local, problem, rows, alpha0),
                                        problem.is_linear, n_max, tol)
     except lsq.AssemblyError as exc:
         raise ScaleSearchError(f"scale candidate s={s} failed: {exc}", scale=s) from exc
-    return report.loss
+    return report.loss, report.converged
 
 
 def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
@@ -279,7 +284,8 @@ def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
     rescaled for every candidate s = 1..``config.scale_max``; each candidate
     solves the local problem with the subdomain-0 expansion frozen at
     ``alpha0``, and the smallest squared residual at its returned
-    coefficients wins (ties to the smaller s). ``mapper`` runs the
+    coefficients wins (ties to the smaller s), whether or not its solve
+    converged; ``converged`` records that per candidate. ``mapper`` runs the
     candidates, like builtin ``map``; ``adaptive_solve`` passes a worker
     pool's. The winner's rows are evaluated again here, by the same
     ``_candidate_rows``, and returned as the finished ball of
@@ -291,10 +297,12 @@ def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
     rows_of = partial(_candidate_rows, problem, raw, ball, basis0, colloc.interior[k],
                       colloc.boundary[k], colloc.interface[k])
     task = partial(_candidate, problem, rows_of, alpha0, config.n_max, config.tol)
-    losses = list(mapper(task, range(1, config.scale_max + 1)))
+    results = list(mapper(task, range(1, config.scale_max + 1)))
+    losses = [loss for loss, _ in results]
     best = 1 + losses.index(min(losses))        # the first of equal losses
     basis, rows = rows_of(best)
     return ScaleSearchResult(scale=best, basis=basis, losses=losses,
+                             converged=[converged for _, converged in results],
                              ball=lsq.keep_ball(problem, rows))
 
 
@@ -309,12 +317,11 @@ def _one_blas_thread():
     """``OPENBLAS_NUM_THREADS=1`` for the processes spawned inside; the
     caller's value is restored on exit.
 
-    ``_one_loaded_blas_thread`` alone would give the workers one thread too,
-    but an OpenBLAS that loads at two threads and is then set to one runs
-    slower: on 2 cores a worker's second round of candidate solves took a
-    median 1.57 s against 1.48 s (8 runs each), and the ``peak2d-4ball``
-    benchmark's ``solve_s`` was slower in 9 of 10 pairs, by a median 0.45 s
-    (about 3%).
+    On Windows this is the workers' only thread limit:
+    ``_one_loaded_blas_thread`` finds no export there. On Linux it adds no
+    measurable speed to what that function does (in 10 alternating pairs
+    of the ``peak2d-4ball`` benchmark on 2 cores, medians 13.72 s with it
+    and 13.51 s without).
     """
     saved = os.environ.get("OPENBLAS_NUM_THREADS")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -335,23 +342,24 @@ _OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
                          "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
-def _init_worker(parent: int):
-    """A worker's initializer: one BLAS thread, and an exit when ``parent``,
-    the process that started the pool, is gone."""
+def _init_worker():
+    """A worker's initializer: one BLAS thread, and an exit when the process
+    that started the pool is gone."""
     _one_loaded_blas_thread()
-    threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
 
 
-def _exit_with_parent(parent: int):
-    """Exit this process within half a second of its parent's no longer
-    being ``parent``.
+def _exit_with_parent():
+    """Exit this process once the process that spawned it has ended.
 
     A pool's shutdown joins its workers, but a calling process killed by a
     signal joins nothing, and its idle workers would wait for tasks forever.
-    Such a worker is re-parented, so its parent pid changes.
+    A spawned process holds a sentinel of its parent, which the join waits
+    on, and which becomes ready when the parent ends, however it ends.
     """
-    while os.getppid() == parent:
-        time.sleep(0.5)
+    import multiprocessing
+
+    multiprocessing.parent_process().join()
     os._exit(1)
 
 
@@ -421,7 +429,7 @@ def _candidate_map(problem: SemilinearProblem, config: AdaptiveConfig):
         return map(fn, items)
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
-                             initializer=_init_worker, initargs=(os.getpid(),)) as pool:
+                             initializer=_init_worker) as pool:
         yield pool_map
 
 
@@ -505,6 +513,7 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
                 converged=report.converged,
                 err_l2=None if diagnostic is None else float(diagnostic(state)),
                 scale_losses=[float(v) for v in search.losses],
+                scale_converged=search.converged,
                 seconds=seconds, search_seconds=search_seconds,
                 solve_seconds=solve_seconds,
                 residuals=report.residuals, block_ranks=report.block_ranks,

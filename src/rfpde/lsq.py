@@ -56,10 +56,12 @@ basis evaluate each row group straight into its slice of it (``out=``), the
 interior Laplacians then negated in place, so the block is the rows of the
 operator's linear part with no copy (``ball_rows``; subdomain 0's in
 ``coupled_rows``). A Gauss-Newton step only re-linearizes them
-(``assemble``, ``assemble_local``), and a linear problem's block is that
-array itself. So a linear problem's subdomain-0 rows are evaluated into an
-array with the stacked problem's spare rows below them, and each nonlinear
-step re-linearizes them into a fresh such array.
+(``assemble``, ``assemble_local``). One rule sizes every block's array: it
+has the shape of its rows' array. A linear problem's block is that array
+itself, and a nonlinear step's a copy of it, re-linearized. Subdomain 0's
+rows are evaluated, for both kinds of problem, into an array with the
+stacked problem's spare rows below them, and ``coupled_rows`` alone counts
+them.
 ``assemble_local``, the single-ball problem of the scale search, builds the
 same block as the ball's block of ``assemble``; its solve leaves the
 subdomain-0 trace, frozen, in the right-hand side.
@@ -122,10 +124,12 @@ class SystemBlocks:
     eliminates every other ball.
 
     ``stacked`` is the one array that holds a block's rows; ``matrix`` is its
-    top ``len(rhs)`` rows. Below them the first subdomain's ``stacked`` has
-    one spare row per ball row, in ball order, into which ``solve_min_norm``
-    writes each ball's projected coupling before it solves the whole array;
-    a block without balls has none.
+    top ``len(rhs)`` rows. It has the shape of the rows' array it was made
+    from (``SubdomainRows.matrix``), so below them the first subdomain's
+    ``stacked`` has the spare rows that ``coupled_rows`` counted: one per
+    ball row, in ball order, into which ``solve_min_norm`` writes each ball's
+    projected coupling before it solves the whole array. A block without
+    balls has none.
     """
 
     stacked: np.ndarray                # (rows + spare rows, cols of the first subdomain)
@@ -174,9 +178,10 @@ class SubdomainRows(NamedTuple):
     basis evaluated at its collocation points, and the problem data there."""
 
     # the rows of the operator's linear part on the subdomain's columns, in
-    # block order; a linear problem's block is this array itself, which for
-    # subdomain 0 of a coupled problem holds one spare row per ball row below
-    # them (``SystemBlocks.stacked``)
+    # block order; for subdomain 0 of a coupled problem, linear or not, one
+    # spare row per ball row below them. Every block of the subdomain has
+    # this shape: a linear one is this array itself, a nonlinear one a copy
+    # (``SystemBlocks.stacked``)
     matrix: np.ndarray
     row_kind: np.ndarray               # int8, ROW_* constants
     forcing: np.ndarray                # f at the interior points
@@ -200,8 +205,8 @@ def _subdomain_rows(problem: SemilinearProblem, basis: BasisSet,
     """One subdomain's rows in block order: interior, boundary, then a ball's
     interface value and normal-derivative rows. The rows are the operator's
     linear part on the subdomain's columns (-Laplacians, values, values,
-    normal derivatives), each group evaluated into its slice of the block,
-    with ``spare`` more rows left below them."""
+    normal derivatives), each group evaluated into its slice of an array
+    with ``spare`` more rows left below them (``coupled_rows`` sizes them)."""
     normals = None if ball is None else outward_normals(ball, interface)
     # (kind, points, evaluation into ``out``) of each row group, in block order
     groups = [(ROW_INTERIOR, interior, basis.laplacians),
@@ -248,20 +253,22 @@ def coupled_rows(problem: SemilinearProblem, basis_0: BasisSet,
     """The rows of every subdomain of the coupled problem: subdomain 0's,
     evaluated at its ``interior`` and ``boundary`` points, then the balls'
     as given, each one's rows (of ``ball_rows``, on the same basis of
-    subdomain 0) or what ``keep_ball`` made of them. A linear problem's
-    block is its rows' array, so its subdomain-0 rows hold one spare row per
-    ball row below them (``SystemBlocks.stacked``)."""
+    subdomain 0) or what ``keep_ball`` made of them. This is the one place
+    that sizes the stacked problem: subdomain 0's rows are evaluated into an
+    array with one spare row per ball row below them, for every problem, and
+    each block of subdomain 0 is that array or a copy of it
+    (``SystemBlocks.stacked``)."""
     if len(interior) == 0:
         raise AssemblyError("empty interior collocation set for subdomain 0")
     if len(boundary) == 0 and not any(ROW_BOUNDARY in ball.row_kind for ball in balls):
         raise AssemblyError("no boundary collocation points at all")
-    spare = sum(len(ball.row_kind) for ball in balls) if problem.is_linear else 0
+    spare = sum(len(ball.row_kind) for ball in balls)
     return [_subdomain_rows(problem, basis_0, interior, boundary, spare=spare),
             *balls]
 
 
 def _block(problem: SemilinearProblem, rows: SubdomainRows,
-           alpha_k: np.ndarray, alpha_0: np.ndarray, spare: int = 0) -> SystemBlocks:
+           alpha_k: np.ndarray, alpha_0: np.ndarray) -> SystemBlocks:
     """One subdomain's block linearized at ``alpha_k``, with subdomain 0 at
     ``alpha_0``: its rows on its own columns and, for a ball, its interface
     rows on subdomain 0's columns as ``coupling``.
@@ -269,16 +276,15 @@ def _block(problem: SemilinearProblem, rows: SubdomainRows,
     Right-hand sides are the residuals at the current coefficients, so on an
     interface they carry subdomain 0's trace at ``alpha_0``.
 
-    The block's ``matrix`` is the top of ``stacked``, which holds ``spare``
-    rows below it: a linear block is the rows' own array, made with its
-    spare rows (``coupled_rows``), and a nonlinear one the array the rows
-    are re-linearized into here.
+    The block's ``stacked`` has the shape of the rows' array, spare rows and
+    all: a linear block is that array itself, and a nonlinear one a copy of
+    it that the rows are re-linearized in.
 
     Every row is then scaled to unit 2-norm, its right-hand side with it
     (``_equilibrate``), so a linear problem's rows are assembled once: their
     array is scaled in place.
     """
-    F = rows.matrix                    # the block's ``stacked``, if linear
+    F = rows.matrix
     n = len(rows.row_kind)
     interior = slice(0, len(rows.forcing))
     boundary = slice(interior.stop, interior.stop + len(rows.data))
@@ -286,8 +292,7 @@ def _block(problem: SemilinearProblem, rows: SubdomainRows,
     T[interior] = rows.forcing - F[interior] @ alpha_k
     if problem.nonlinearity is not None:
         u = rows.values @ alpha_k
-        F = np.empty((n + spare, rows.size))
-        F[:n] = rows.matrix
+        F = rows.matrix.copy()
         F[interior] += problem.nonlinearity_prime(u)[:, None] * rows.values
         T[interior] -= problem.nonlinearity(u)
     T[boundary] = rows.data - F[boundary] @ alpha_k
@@ -365,8 +370,7 @@ def assemble(problem: SemilinearProblem, rows: Sequence,
     """
     alpha_0, *alpha_balls = _coefficients(rows, alphas)
     balls = [_ball_block(problem, r, a, alpha_0) for r, a in zip(rows[1:], alpha_balls)]
-    spare = sum(len(ball.row_kind) for ball in balls)
-    return replace(_block(problem, rows[0], alpha_0, alpha_0, spare=spare), balls=balls)
+    return replace(_block(problem, rows[0], alpha_0, alpha_0), balls=balls)
 
 
 def assemble_local(problem: SemilinearProblem, rows: SubdomainRows,

@@ -76,6 +76,12 @@ def corner_sweep():
             for g in GAMMAS}
 
 
+@pytest.fixture(scope="module")
+def peak3d_run():
+    """peak3d at the criterion-10 settings (criteria 10, 13)."""
+    return run_case("peak3d", 1, 2.0, 1000, epsilon=1e-3, radius=0.11, m0=500)
+
+
 def test_criterion_1_derivative_oracles(rng):
     worst_grad, worst_lap = 0.0, 0.0
     for dim in (2, 3):
@@ -244,8 +250,8 @@ def test_criterion_9_corner_singularity(corner_sweep):
            f"best err_l2={errs[best_g]:.3e} at gamma={best_g} (tol 1e-2)")
 
 
-def test_criterion_10_three_dimensional_smoke():
-    r = run_case("peak3d", 1, 2.0, 1000, epsilon=1e-3, radius=0.11, m0=500)
+def test_criterion_10_three_dimensional_smoke(peak3d_run):
+    r = peak3d_run
     ok = r["ok"] and r["n_balls"] == 1
     decreasing = False
     dist = None
@@ -258,8 +264,8 @@ def test_criterion_10_three_dimensional_smoke():
            f"(tol 0.1); mean residual strictly decreasing: {decreasing}")
 
 
-def test_criterion_13_three_dimensional_accuracy():
-    r = run_case("peak3d", 1, 2.0, 1000, epsilon=1e-3, radius=0.11, m0=500)
+def test_criterion_13_three_dimensional_accuracy(peak3d_run):
+    r = peak3d_run
     err = r["err"] if r["ok"] else None
     ok = r["ok"] and err <= 5e-2
     report("criterion-13 three-d-accuracy", ok,

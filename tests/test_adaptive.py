@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -436,6 +438,27 @@ class TestAdaptiveSolve:
         _, trace = ada.adaptive_solve(pde.benchmark("peak2d-case1"),
                                       ada.AdaptiveConfig(**SMALL), diagnostic=diagnostic)
         assert trace[0].seconds < 1000.0
+
+    def test_records_show_each_scale_candidates_convergence(self, monkeypatch):
+        # at n_max=3 the candidate s=2 of this config runs out of steps
+        reports = []
+        real_core = lsq.gauss_newton_core
+
+        def gauss_newton_core(assembler, *args):
+            report = real_core(assembler, *args)
+            if assembler.func is lsq.assemble_local:
+                reports.append(report)
+            return report
+        monkeypatch.setattr(lsq, "gauss_newton_core", gauss_newton_core)
+        monkeypatch.setattr(ada, "_candidate_map", lambda problem, config: nullcontext(map))
+        _, trace = ada.adaptive_solve(pde.benchmark("nonlinear2d-case1"),
+                                      ada.AdaptiveConfig(**{**SMALL, "n_max": 3}))
+        (record,) = trace
+        assert record.scale_converged == [report.converged for report in reports]
+        assert len(record.scale_converged) == SMALL["scale_max"]
+        assert True in record.scale_converged and False in record.scale_converged
+        assert record.scale_losses == [report.loss for report in reports]
+        assert record.to_dict()["scale_converged"] == record.scale_converged
 
 
 class TestWorkDoneOncePerBall:

@@ -1075,6 +1075,16 @@ class TestStackedSystem:
         assert all(len(blocks.balls) == 1 for blocks, _ in systems)
         self.check(systems, received)
 
+    @pytest.mark.parametrize("problem", [zero_problem(), nonzero_nonlinear_problem()],
+                             ids=["linear", "nonlinear"])
+    def test_subdomain_0s_rows_hold_one_spare_row_per_ball_row(self, problem):
+        part, bases, colloc = two_ball_setup()
+        rows_0, *balls = fresh_rows(part, bases, colloc, problem)
+        n_spare = sum(len(ball.row_kind) for ball in balls)
+        assert rows_0.matrix.shape == (len(rows_0.row_kind) + n_spare, bases[0].size)
+        assert lsq.assemble(problem, [rows_0, *balls]).stacked.shape == \
+            rows_0.matrix.shape
+
     def test_too_few_spare_rows_are_refused(self):
         part, bases, colloc = one_ball_setup()
         blocks = assemble(part, bases, colloc, nonzero_nonlinear_problem())
