@@ -15,6 +15,21 @@ nonlinear problem, the elimination of its block alone (``lsq._Eliminated``)
 for a linear one. Every later coupled solve takes the ball as it is; only
 subdomain 0's rows are evaluated again (reclassification changes them).
 
+A linear candidate's loss is its truncated-SVD least-squares residual
+(gelsd), and most of the search's time. No loss lies below R[n,n]^2 of the
+QR of the candidate's [F | T] (``lsq.residual_bound``), so the search of a
+linear problem bounds every candidate first, solves the one of the smallest
+bound, and then only the candidates whose bound is not above that loss: the
+others cannot win. The pick and every solved loss are those of solving all
+candidates. (A computed loss can lie below its bound by rounding, by up to
+6e-8 relative on the acceptance sweeps, so a ruled-out candidate could only
+tie the pick to within rounding, a tie that rounding decides in a search of
+all candidates too; the closest ruled-out bound there lay 3.5% above the
+pick's loss.) The bound cannot replace the loss: where a 2D ball block is
+rank-deficient it is loose, and as a score it moves the pick, in 15 of the
+28 runs of the peak2d-case1 acceptance sweeps. A nonlinear problem's
+Gauss-Newton solve has no such bound, so all its candidates are solved.
+
 The scale candidates do not depend on each other, and ``adaptive_solve``
 solves them on a pool of worker processes, started with the ``spawn`` method
 by the first scale search and joined before it returns or raises.
@@ -23,13 +38,13 @@ workers are started with ``OPENBLAS_NUM_THREADS=1``, and each sets the
 OpenBLAS that numpy loaded to one thread once it has imported the calling
 script's main module, whatever that module set; so every candidate's loss
 is computed at one BLAS thread, and the coupled solves keep the calling
-process's threads. A worker returns only its candidate's loss and whether
-its solve converged; the winner's rows are evaluated again in the calling
-process, bit for bit the same, since basis evaluation uses no BLAS. Each
-worker receives the problem by ``pickle``: a problem that does not pickle
-(one built from lambdas, say) has its candidates solved in the calling
-process, as they are on a single usable core, by the same code. A script
-that calls ``adaptive_solve`` should do so under
+process's threads. A worker returns only its candidate's bound, or its loss
+and whether its solve converged; the winner's rows are evaluated again in
+the calling process, bit for bit the same, since basis evaluation uses no
+BLAS. Each worker receives the problem by ``pickle``: a problem that does
+not pickle (one built from lambdas, say) has its candidates solved in the
+calling process, as they are on a single usable core, by the same code. A
+script that calls ``adaptive_solve`` should do so under
 ``if __name__ == "__main__":``, because every spawned worker imports the
 script's main module. A worker that dies (one that re-ran an unguarded
 script, or could not import a problem's functions from an interactive
@@ -181,10 +196,15 @@ class RefinementRecord:
     # the re-solve's: False if it used up n_max or no halving lowered a step
     converged: Optional[bool] = None
     err_l2: Optional[float] = None
+    # per scale candidate s = 1..L: its loss, None for a linear candidate
+    # that its bound ruled out unsolved (``ScaleSearchResult``)
     scale_losses: Optional[list] = None
     # per scale candidate, as ``scale_losses``: its Gauss-Newton solve's
-    # ``converged``
+    # ``converged``, None where its loss is
     scale_converged: Optional[list] = None
+    # per scale candidate of a linear problem: the lower bound of its loss
+    # (``lsq.residual_bound``); None for a nonlinear problem
+    scale_bounds: Optional[list] = None
     seconds: Optional[float] = None
     search_seconds: Optional[float] = None   # the scale search's part of seconds
     solve_seconds: Optional[float] = None    # the coupled re-solve's part of seconds
@@ -214,8 +234,11 @@ class SolveState:
 class ScaleSearchResult:
     scale: int
     basis: basis_mod.BasisSet
-    losses: list
+    losses: list                       # per candidate; None where ruled out unsolved
     converged: list                    # per candidate, as ``losses``
+    # per candidate of a linear problem, ``lsq.residual_bound`` of its
+    # block; None for a nonlinear problem
+    bounds: Optional[list]
     # the winning candidate's, as ``lsq.keep_ball`` makes it
     ball: lsq.SubdomainRows | lsq._Eliminated
 
@@ -261,6 +284,18 @@ def _candidate_rows(problem: SemilinearProblem, raw: basis_mod.BasisSet,
                                 interface)
 
 
+def _candidate_bound(problem: SemilinearProblem, rows_of: Callable,
+                     alpha0: np.ndarray, s: int) -> float:
+    """The lower bound of linear scale candidate ``s``'s loss: its block,
+    as ``_candidate`` assembles it, checked and bounded by
+    ``lsq.residual_bound``."""
+    try:
+        _, rows = rows_of(s)
+        return lsq.residual_bound(lsq.assemble_local(problem, rows, alpha0))
+    except lsq.AssemblyError as exc:
+        raise ScaleSearchError(f"scale candidate s={s} failed: {exc}", scale=s) from exc
+
+
 def _candidate(problem: SemilinearProblem, rows_of: Callable, alpha0: np.ndarray,
                n_max: int, tol: float, s: int) -> tuple[float, bool]:
     """Solve scale candidate ``s``, its rows made by ``rows_of(s)``, and
@@ -290,6 +325,14 @@ def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
     pool's. The winner's rows are evaluated again here, by the same
     ``_candidate_rows``, and returned as the finished ball of
     ``lsq.keep_ball``.
+
+    A nonlinear problem solves every candidate, in one map. A linear one
+    first maps every candidate to the lower bound of its loss
+    (``_candidate_bound``), solves the candidate of the smallest bound
+    (ties to the smaller s), then, in one more map, every other candidate
+    whose bound is not above that loss. A candidate left out has a loss
+    above the solved one's, so it cannot win; its loss and ``converged``
+    are None, and every solved loss is the one the full search computes.
     """
     k = ball.index
     raw = basis_mod.generate_transferable(config.m_star, config.gamma, problem.dim,
@@ -297,13 +340,26 @@ def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
     rows_of = partial(_candidate_rows, problem, raw, ball, basis0, colloc.interior[k],
                       colloc.boundary[k], colloc.interface[k])
     task = partial(_candidate, problem, rows_of, alpha0, config.n_max, config.tol)
-    results = list(mapper(task, range(1, config.scale_max + 1)))
+    candidates = range(1, config.scale_max + 1)
+    bounds = None
+    if problem.is_linear:
+        bounds = list(mapper(partial(_candidate_bound, problem, rows_of, alpha0),
+                             candidates))
+        first = 1 + bounds.index(min(bounds))
+        solved = dict(zip([first], mapper(task, [first])))
+        rest = [s for s in candidates
+                if s != first and bounds[s - 1] <= solved[first][0]]
+        solved.update(zip(rest, mapper(task, rest)))
+        results = [solved.get(s, (None, None)) for s in candidates]
+    else:
+        results = list(mapper(task, candidates))
     losses = [loss for loss, _ in results]
-    best = 1 + losses.index(min(losses))        # the first of equal losses
+    # the first of equal losses
+    best = 1 + losses.index(min(loss for loss in losses if loss is not None))
     basis, rows = rows_of(best)
     return ScaleSearchResult(scale=best, basis=basis, losses=losses,
                              converged=[converged for _, converged in results],
-                             ball=lsq.keep_ball(problem, rows))
+                             bounds=bounds, ball=lsq.keep_ball(problem, rows))
 
 
 def _usable_cores() -> int:
@@ -512,8 +568,8 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
                 loss=report.loss, iterations=[list(step) for step in report.iterations],
                 converged=report.converged,
                 err_l2=None if diagnostic is None else float(diagnostic(state)),
-                scale_losses=[float(v) for v in search.losses],
-                scale_converged=search.converged,
+                scale_losses=search.losses, scale_converged=search.converged,
+                scale_bounds=search.bounds,
                 seconds=seconds, search_seconds=search_seconds,
                 solve_seconds=solve_seconds,
                 residuals=report.residuals, block_ranks=report.block_ranks,

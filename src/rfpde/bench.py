@@ -193,7 +193,9 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
     ("solve_s"), of the error on the test grid that each refinement record
     carries, which "solve_s" leaves out ("diagnostic_s"), of the final
     evaluation on the test grid ("evaluate_s") and of the whole run
-    ("total_s"); and
+    ("total_s"); "scale_at_bound" the indices of the refinements whose
+    scale search picked its largest candidate, ``scale_max``, where the
+    best scale may lie beyond the range searched; and
     "peak_rss_mb" the peak resident sizes of the calling process and of its
     largest scale-search worker, read once the artifacts are written
     (``_peak_rss_mb``). A solver failure writes
@@ -249,6 +251,7 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
         "iterations": [list(step) for step in state.report.iterations],
         "converged": state.report.converged,
         "trace": [r.to_dict() for r in trace],
+        "scale_at_bound": [r.index for r in trace if r.scale == cfg.scale_max],
         "timings": timings,
         "peak_rss_mb": _peak_rss_mb(),      # the workers are joined by now
         "artifacts": {

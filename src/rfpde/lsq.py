@@ -461,7 +461,7 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
         start += len(e.rhs)
     m, n = F0.shape
     if n < m < int(1.6 * n):       # gelsd takes a QR first from int(1.6 n) rows on
-        R = np.linalg.qr(np.column_stack([F0, T0]), mode="r")
+        R = _r_factor(F0, T0)
         F0, T0 = R[:, :-1], R[:, -1]
     alpha_0, _, rank, s0 = np.linalg.lstsq(F0, T0, rcond=DEFAULT_SVD_CUTOFF)
     alphas = [alpha_0] + [e.back_substitute(alpha_0) for e in eliminated]
@@ -475,6 +475,30 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
                        block_ranks=[int(rank)] + [len(e.s) for e in eliminated],
                        block_sigmas=[_sigma_range(s0[:rank])]
                        + [_sigma_range(e.s) for e in eliminated])
+
+
+def _r_factor(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The triangular factor R of [``matrix`` | ``rhs``] (Householder QR)."""
+    return np.linalg.qr(np.column_stack([matrix, rhs]), mode="r")
+
+
+def residual_bound(block: SystemBlocks) -> float:
+    """R[n,n]^2 of the QR of a block's [F | T], F its m x n ``matrix``: the
+    least-squares minimum of |F x - T|^2, and 0 when m <= n.
+
+    Q^T [F | T] = [[R_11, r], [0, rho]] gives |F x - T|^2 = |R_11 x - r|^2 +
+    rho^2, so no coefficients, the truncated solution of ``solve_min_norm``
+    among them, have a loss below rho^2; it equals the minimum when F has
+    full column rank (Bjorck, Numerical Methods for Least Squares Problems,
+    1996). It reads the first subdomain's rows alone, so it bounds a system
+    without balls, such as a scale candidate's single-ball system; the
+    block is checked for finite entries as ``solve_min_norm`` checks it.
+    """
+    _check_blocks([block])
+    m, n = block.matrix.shape
+    if m <= n:
+        return 0.0
+    return float(_r_factor(block.matrix, block.rhs)[n, n] ** 2)
 
 
 def _check_blocks(blocks: Sequence[SystemBlocks]) -> None:

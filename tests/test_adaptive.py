@@ -1,4 +1,5 @@
 from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 import pytest
@@ -117,7 +118,80 @@ class TestLocatePeak:
             ada.locate_peak(np.empty(0), np.empty((0, 2)))
 
 
+def first_scale_search(name, **config):
+    """The arguments of the first scale search of ``name`` at ``config``:
+    the K=0 solve, and its ball placed and points reclassified as
+    ``adaptive_solve`` does it."""
+    problem = pde.benchmark(name)
+    cfg = ada.AdaptiveConfig(**config).resolved(problem.dim)
+    part = geo.PartitionState(problem.region)
+    colloc = ada.initial_collocation(problem, cfg)
+    basis0 = ada._base_basis(problem, cfg)
+    state, res, _ = ada._solve_and_gate(problem, part, [basis0], colloc, [], cfg)
+    part = geo.split_subdomain(part, ada.locate_peak(res, colloc.interior[0]),
+                               cfg.radius)
+    colloc = geo.reclassify_collocation(colloc, part,
+                                        ball_resolution=cfg.ball_resolution,
+                                        interface_count=cfg.interface_count)
+    return problem, basis0, state.report.alphas[0], part.ball(1), colloc, cfg
+
+
+#: Linear first scale searches: (benchmark, config, whether the candidate of
+#: the smallest bound loses, whether the ball's block has no more rows than
+#: columns)
+BOUNDED_SEARCHES = {
+    "peak2d-case1": ("peak2d-case1", SMALL, False, False),
+    "corner2d": ("corner2d", dict(SMALL, radius=0.32), False, False),
+    "peak3d": ("peak3d", dict(interior_resolution=12, boundary_count=600,
+                              ball_resolution=10, interface_count=150, scale_max=8,
+                              m0=100, m_star=200, radius=0.3, seed=3), False, False),
+    # a rank-deficient ball block (608 rows on 451 columns), where s=4 has
+    # the smallest bound and s=5 the smallest loss, as s=5 and s=6 do in the
+    # acceptance sweep's peak2d-case1 runs at gamma 3
+    "smallest-bound-loses": ("peak2d-case1", dict(SMALL, m_star=450, gamma=3.0, seed=1),
+                             True, False),
+    # 260 rows on 301 columns: every bound is 0, so s=1 has the smallest
+    "underdetermined": ("peak2d-case1", dict(SMALL, ball_resolution=10), True, True),
+}
+
+
 class TestScaleSearch:
+    @pytest.mark.parametrize("case", BOUNDED_SEARCHES)
+    def test_bounded_search_picks_what_the_full_search_picks(self, case):
+        name, config, first_loses, underdetermined = BOUNDED_SEARCHES[case]
+        problem, basis0, alpha0, ball, colloc, cfg = first_scale_search(name, **config)
+        result = ada.scale_search(problem, basis0, alpha0, ball, colloc, cfg)
+        # every candidate solved as the search solves one, in this process
+        raw = bas.generate_transferable(cfg.m_star, cfg.gamma, problem.dim, cfg.seed,
+                                        stream=ball.index)
+        rows_of = partial(ada._candidate_rows, problem, raw, ball, basis0,
+                          colloc.interior[1], colloc.boundary[1], colloc.interface[1])
+        full = [ada._candidate(problem, rows_of, alpha0, cfg.n_max, cfg.tol, s)
+                for s in range(1, cfg.scale_max + 1)]
+        losses = [loss for loss, _ in full]
+        assert result.scale == 1 + losses.index(min(losses))
+        picked = losses[result.scale - 1]
+        assert len(result.bounds) == len(result.losses) == cfg.scale_max
+        for s, (bound, loss, converged) in enumerate(
+                zip(result.bounds, result.losses, result.converged), start=1):
+            if loss is None:
+                assert converged is None
+                assert bound > picked, s
+            else:
+                assert (loss, converged) == full[s - 1], s      # the same bits
+                # the loss of the truncated solution, evaluated at it, carries
+                # rounding: up to 8e-8 relative below the bound on these blocks
+                assert bound <= loss * (1 + 1e-6), s
+        first = 1 + result.bounds.index(min(result.bounds))
+        assert (first != result.scale) == first_loses
+        m, n = rows_of(1)[1].matrix.shape
+        assert (m <= n) == underdetermined
+        if underdetermined:
+            assert result.bounds == [0.0] * cfg.scale_max
+            assert None not in result.losses
+        else:
+            assert None in result.losses
+
     def make_ball_setup(self):
         region = box2()
         part = geo.split_subdomain(geo.PartitionState(region),

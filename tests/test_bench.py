@@ -267,6 +267,19 @@ class TestRun:
         for key in ("search_seconds", "solve_seconds"):
             assert manifest["trace"][0][key] == record[key]
 
+    def test_picks_at_the_largest_scale_are_flagged(self, case1_run, tmp_path):
+        outdir, manifest = case1_run
+        # at SMALL the loss still falls at the last candidate, s=8
+        assert [r["scale"] for r in manifest["trace"]] == [SMALL["scale_max"]]
+        assert manifest["scale_at_bound"] == [1]
+        written = json.loads((outdir / "manifest.json").read_text())
+        assert written["scale_at_bound"] == [1]
+        # at gamma 4 it turns up after s=7
+        config = ada.AdaptiveConfig(**{**SMALL, "gamma": 4.0})
+        manifest = bench.run("peak2d-case1", config, tmp_path)
+        assert [r["scale"] for r in manifest["trace"]] == [7]
+        assert manifest["scale_at_bound"] == []
+
     def test_unconverged_solves_are_recorded(self, tmp_path):
         # one Gauss-Newton step leaves a nonlinear solve short of its
         # stopping rule; the run still finishes, and says so

@@ -44,12 +44,23 @@ def test_two_runs_give_the_same_digests():
     assert [len(losses) for losses in first["pool"]["scale_losses"]] == \
         [len(losses) for losses in first["scale_losses"]]
     assert rfpde.adaptive._candidate_map is real_map
-    assert first["systems"] > TINY["scale_max"]
+    # the K=0 solve, then per refinement the candidates the scale search
+    # solved (those with a loss) and the coupled re-solve
+    solved = [sum(loss is not None for loss in losses) for losses in first["scale_losses"]]
+    assert first["systems"] == 1 + sum(n + 1 for n in solved)
+    assert len(first["per_system_sha256"]) == first["systems"]
+    # a linear problem: every candidate has a bound, and at least the one of
+    # the smallest bound is solved
+    assert [len(bounds) for bounds in first["scale_bounds"]] == \
+        [TINY["scale_max"]] * len(first["scales"])
+    assert min(solved) >= 1
     # a linear problem: every Gauss-Newton solve is one step, one system
     assert first["gauss_newton_steps"] == [1] * first["systems"]
     assert tool.digest("peak2d-case1", TINY, TEST_RESOLUTION) == first
     other = tool.digest("peak2d-case1", {**TINY, "m0": 99}, TEST_RESOLUTION)
     assert other["systems_sha256"] != first["systems_sha256"]
+    # subdomain 0's basis differs, so does every system
+    assert not set(other["per_system_sha256"]) & set(first["per_system_sha256"])
     assert other["alpha_sha256"] != first["alpha_sha256"]
     # the collocation points depend on the lattices, not on the bases
     assert other["collocation_sha256"] == first["collocation_sha256"]
@@ -70,6 +81,10 @@ def test_gauss_newton_steps_of_a_nonlinear_run():
     refinements = len(out["scales"])
     assert len(out["gauss_newton_steps"]) == 1 + refinements * (TINY["scale_max"] + 1)
     assert sum(out["gauss_newton_steps"]) == out["systems"]
+    assert len(out["per_system_sha256"]) == out["systems"]
+    # Gauss-Newton gives no bound: every candidate is solved
+    assert out["scale_bounds"] == [None] * refinements
+    assert all(None not in losses for losses in out["scale_losses"])
     assert max(out["gauss_newton_steps"]) > 1
 
 

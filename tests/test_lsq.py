@@ -552,6 +552,47 @@ class TestSingleBallSolve:
             assert sol.loss <= ref_loss * (1.0 + 1e-10)
 
 
+class TestResidualBound:
+    """``lsq.residual_bound``: R[n,n]^2 of the QR of a block's [F | T], the
+    least-squares minimum of |F x - T|^2, so no solve's loss lies below it."""
+
+    def test_full_rank_block_gives_the_minimum(self, rng):
+        F = rng.standard_normal((30, 8)) + np.eye(30, 8) * 2.0
+        T = rng.standard_normal(30)
+        x = np.linalg.solve(F.T @ F, F.T @ T)
+        assert lsq.residual_bound(blocks_from(F, T)) == \
+            pytest.approx(float((F @ x - T) @ (F @ x - T)), rel=1e-12)
+        # a scale candidate's single-ball system, through the R path of
+        # ``solve_min_norm`` (168 rows on 121 columns) and not (on 11)
+        for mstar, scale in ((10, 2), (120, 8)):
+            blocks = TestSingleBallSolve().system(mstar, scale)
+            A, T = blocks.matrix, blocks.rhs
+            assert np.linalg.matrix_rank(A) == A.shape[1]
+            x, *_ = np.linalg.lstsq(A, T, rcond=None)
+            assert lsq.residual_bound(blocks) == \
+                pytest.approx(float((A @ x - T) @ (A @ x - T)), rel=1e-9)
+
+    def test_rank_deficient_block_bounds_the_loss(self, rng):
+        left, right = rng.standard_normal((12, 2)), rng.standard_normal((2, 6))
+        systems = [blocks_from(left @ right, rng.standard_normal(12))]
+        systems += [TestSingleBallSolve().system(mstar, doubled=True)
+                    for mstar in (10, 60)]
+        for blocks in systems:
+            assert np.linalg.matrix_rank(blocks.matrix) < blocks.size
+            bound = lsq.residual_bound(blocks)
+            assert 0.0 < bound <= lsq.solve_min_norm(blocks).loss
+
+    def test_no_more_rows_than_columns_gives_zero(self, rng):
+        for rows in (5, 8):
+            blocks = blocks_from(rng.standard_normal((rows, 8)), rng.standard_normal(rows))
+            assert lsq.residual_bound(blocks) == 0.0
+            assert lsq.solve_min_norm(blocks).loss < 1e-20
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(lsq.AssemblyError):
+            lsq.residual_bound(blocks_from([[np.nan], [1.0]], [0.0, 1.0]))
+
+
 def blocks_from(F, T):
     F = np.asarray(F, dtype=float)
     T = np.asarray(T, dtype=float)

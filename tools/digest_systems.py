@@ -11,6 +11,11 @@ wrapped, and prints one JSON object:
   as its elimination (a kept linear ball), the elimination's six arrays,
   ``coupling``, ``rhs``, ``vt``, ``s``, ``ut_rhs`` and ``ut_coupling``, in
   that order (its ``row_kind`` is left out);
+- ``per_system_sha256``: the SHA-256 of each of those systems alone, of the
+  same arrays, in call order, so that a change that solves fewer systems
+  shows that each one it does solve is one its parent solved: each entry is
+  then also in the parent's list (perhaps in another order, as when the
+  scale candidates are solved in another order);
 - ``collocation_sha256``: SHA-256 over every collocation set the solve
   builds, in call order: those returned by ``rfpde.adaptive.initial_collocation``
   and by each ``rfpde.geometry.reclassify_collocation``, each set's interior,
@@ -21,7 +26,10 @@ wrapped, and prints one JSON object:
   workload's test grid (``rfpde.evaluate_on_grid(...).predicted`` at its test
   resolution), so that a change to basis evaluation is checked end to end,
   not only on the systems;
-- the number of systems, the chosen scales and the scale-candidate losses;
+- the number of systems, the chosen scales, the scale-candidate losses
+  (None for a candidate that the scale search ruled out unsolved) and
+  ``scale_bounds``, the lower bounds of a linear problem's candidate losses
+  (None for a nonlinear problem);
 - ``gauss_newton_steps``: the number of steps of every Gauss-Newton solve,
   in call order, so that a change to the stopping rule shows;
 - ``pool``: the coefficient digest and the scale-candidate losses of a
@@ -112,22 +120,22 @@ def digest(problem_name: str, config: dict, test_resolution: int) -> dict:
     real_map = ada._candidate_map
     systems = hashlib.sha256()
     collocation = hashlib.sha256()
-    count = 0
+    each = []
     steps = []
 
     def solve_min_norm(blocks):
-        nonlocal count
-        count += 1
-        for array in (blocks.matrix, blocks.rhs, blocks.row_kind):
-            _update(systems, array)
+        arrays = [blocks.matrix, blocks.rhs, blocks.row_kind]
         for ball in blocks.balls:
             if isinstance(ball, lsq.SystemBlocks):
-                arrays = (ball.matrix, ball.rhs, ball.coupling)
+                arrays += [ball.matrix, ball.rhs, ball.coupling]
             else:       # a kept linear ball's elimination
-                arrays = (ball.coupling, ball.rhs, ball.vt, ball.s, ball.ut_rhs,
-                          ball.ut_coupling)
-            for array in arrays:
-                _update(systems, array)
+                arrays += [ball.coupling, ball.rhs, ball.vt, ball.s, ball.ut_rhs,
+                           ball.ut_coupling]
+        system = hashlib.sha256()
+        for array in arrays:
+            _update(systems, array)
+            _update(system, array)
+        each.append(system.hexdigest())
         return real(blocks)
 
     def digested(make):
@@ -161,12 +169,15 @@ def digest(problem_name: str, config: dict, test_resolution: int) -> dict:
     grid = rfpde.evaluate_on_grid(state, problem, test_resolution)
     pool_state, pool_trace = solve()
     return {"src": str(Path(rfpde.__file__).parent), "problem": problem_name,
-            "systems": count, "systems_sha256": systems.hexdigest(),
+            "systems": len(each), "systems_sha256": systems.hexdigest(),
+            "per_system_sha256": each,
             "collocation_sha256": collocation.hexdigest(),
             "alpha_sha256": _sha256(np.concatenate(state.report.alphas)),
             "predictions_sha256": _sha256(grid.predicted),
             "scales": [record.scale for record in trace],
             "scale_losses": [record.scale_losses for record in trace],
+            # None too from sources whose records carry no bounds
+            "scale_bounds": [getattr(record, "scale_bounds", None) for record in trace],
             "gauss_newton_steps": steps,
             "pool": {"alpha_sha256": _sha256(np.concatenate(pool_state.report.alphas)),
                      "scale_losses": [record.scale_losses for record in pool_trace]}}
