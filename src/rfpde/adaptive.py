@@ -27,8 +27,23 @@ tie the pick to within rounding, a tie that rounding decides in a search of
 all candidates too; the closest ruled-out bound there lay 3.5% above the
 pick's loss.) The bound cannot replace the loss: where a 2D ball block is
 rank-deficient it is loose, and as a score it moves the pick, in 15 of the
-28 runs of the peak2d-case1 acceptance sweeps. A nonlinear problem's
-Gauss-Newton solve has no such bound, so all its candidates are solved.
+28 runs of the peak2d-case1 acceptance sweeps. Where the block has full
+rank, the bound is the loss: so the candidate of the smallest bound is
+kept (``lsq.keep_ball``, the SVD the winner needs anyway) before it is
+solved, unless the diagonal of its bound's R proves the block
+rank-deficient (``lsq.residual_bound``). If that SVD keeps every singular
+value of a block with more rows than columns (``lsq._Eliminated.full_rank``),
+gelsd would truncate nothing, and the candidate's loss is its bound
+(1.9e-14 relative from gelsd's on peak3d's ball, 6.1e-8 at most on the
+acceptance sweeps, where no pick moved): it is not solved, only
+candidates whose bound ties it are. Otherwise it is solved as above, and
+if it wins, its kept ball is the one returned. A candidate proven
+rank-deficient is not kept first, since its SVD is wasted when it loses:
+keeping it anyway made peak2d-case1 acceptance solves at gamma 1 and 3,
+whose proven-deficient first candidate loses, 18-31% slower
+(``BENCH_24.json``). The smallest-bound candidates of ``peak2d-case3``
+(s=6) are proven rank-deficient too. A nonlinear problem's Gauss-Newton
+solve has no such bound, so all its candidates are solved.
 
 The scale candidates do not depend on each other, and ``adaptive_solve``
 solves them on a pool of worker processes, started with the ``spawn`` method
@@ -205,6 +220,9 @@ class RefinementRecord:
     # per scale candidate of a linear problem: the lower bound of its loss
     # (``lsq.residual_bound``); None for a nonlinear problem
     scale_bounds: Optional[list] = None
+    # per scale candidate: whether its loss is its bound, taken unsolved
+    # because its block has full rank (``ScaleSearchResult``)
+    scale_loss_is_bound: Optional[list] = None
     seconds: Optional[float] = None
     search_seconds: Optional[float] = None   # the scale search's part of seconds
     solve_seconds: Optional[float] = None    # the coupled re-solve's part of seconds
@@ -239,6 +257,9 @@ class ScaleSearchResult:
     # per candidate of a linear problem, ``lsq.residual_bound`` of its
     # block; None for a nonlinear problem
     bounds: Optional[list]
+    # per candidate: whether its loss is its bound, taken unsolved because
+    # its block has full rank
+    loss_is_bound: list
     # the winning candidate's, as ``lsq.keep_ball`` makes it
     ball: lsq.SubdomainRows | lsq._Eliminated
 
@@ -285,10 +306,10 @@ def _candidate_rows(problem: SemilinearProblem, raw: basis_mod.BasisSet,
 
 
 def _candidate_bound(problem: SemilinearProblem, rows_of: Callable,
-                     alpha0: np.ndarray, s: int) -> float:
-    """The lower bound of linear scale candidate ``s``'s loss: its block,
-    as ``_candidate`` assembles it, checked and bounded by
-    ``lsq.residual_bound``."""
+                     alpha0: np.ndarray, s: int) -> tuple[float, bool]:
+    """The lower bound of linear scale candidate ``s``'s loss, and whether
+    its block is proven rank-deficient: its block, as ``_candidate``
+    assembles it, checked and bounded by ``lsq.residual_bound``."""
     try:
         _, rows = rows_of(s)
         return lsq.residual_bound(lsq.assemble_local(problem, rows, alpha0))
@@ -307,6 +328,14 @@ def _candidate(problem: SemilinearProblem, rows_of: Callable, alpha0: np.ndarray
     except lsq.AssemblyError as exc:
         raise ScaleSearchError(f"scale candidate s={s} failed: {exc}", scale=s) from exc
     return report.loss, report.converged
+
+
+def _kept_candidate(problem: SemilinearProblem, rows_of: Callable, s: int
+                    ) -> tuple[basis_mod.BasisSet, lsq.SubdomainRows | lsq._Eliminated]:
+    """Scale candidate ``s``'s basis, and its ball as ``lsq.keep_ball`` makes
+    it from its rows, evaluated here by ``rows_of(s)``."""
+    basis, rows = rows_of(s)
+    return basis, lsq.keep_ball(problem, rows)
 
 
 def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
@@ -333,6 +362,14 @@ def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
     whose bound is not above that loss. A candidate left out has a loss
     above the solved one's, so it cannot win; its loss and ``converged``
     are None, and every solved loss is the one the full search computes.
+    Unless its bound proves its block rank-deficient, the candidate of the
+    smallest bound is kept here before it is solved, and returned as kept
+    if it wins. If its block has full rank by the kept SVD
+    (``lsq._Eliminated.full_rank``), its loss is its bound, taken unsolved
+    (``loss_is_bound``). That SVD runs at this process's BLAS
+    threads, not at the workers' one: for a block with a singular value
+    within rounding of the cutoff, whether its loss is its bound or
+    gelsd's can depend on this process's thread count.
     """
     k = ball.index
     raw = basis_mod.generate_transferable(config.m_star, config.gamma, problem.dim,
@@ -341,12 +378,20 @@ def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
                       colloc.boundary[k], colloc.interface[k])
     task = partial(_candidate, problem, rows_of, alpha0, config.n_max, config.tol)
     candidates = range(1, config.scale_max + 1)
-    bounds = None
+    bounds, kept, by_bound = None, None, None
     if problem.is_linear:
-        bounds = list(mapper(partial(_candidate_bound, problem, rows_of, alpha0),
+        scored = list(mapper(partial(_candidate_bound, problem, rows_of, alpha0),
                              candidates))
+        bounds = [bound for bound, _ in scored]
         first = 1 + bounds.index(min(bounds))
-        solved = dict(zip([first], mapper(task, [first])))
+        if not scored[first - 1][1]:        # not proven rank-deficient
+            kept = (first, *_kept_candidate(problem, rows_of, first))
+        if kept is not None and kept[2].full_rank:
+            # gelsd would truncate nothing: the bound is its loss
+            by_bound = first
+            solved = {first: (bounds[first - 1], True)}
+        else:
+            solved = dict(zip([first], mapper(task, [first])))
         rest = [s for s in candidates
                 if s != first and bounds[s - 1] <= solved[first][0]]
         solved.update(zip(rest, mapper(task, rest)))
@@ -356,10 +401,15 @@ def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
     losses = [loss for loss, _ in results]
     # the first of equal losses
     best = 1 + losses.index(min(loss for loss in losses if loss is not None))
-    basis, rows = rows_of(best)
+    if kept is not None and kept[0] == best:
+        _, basis, kept_ball = kept
+    else:
+        basis, kept_ball = _kept_candidate(problem, rows_of, best)
     return ScaleSearchResult(scale=best, basis=basis, losses=losses,
                              converged=[converged for _, converged in results],
-                             bounds=bounds, ball=lsq.keep_ball(problem, rows))
+                             bounds=bounds,
+                             loss_is_bound=[s == by_bound for s in candidates],
+                             ball=kept_ball)
 
 
 def _usable_cores() -> int:
@@ -569,7 +619,7 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
                 converged=report.converged,
                 err_l2=None if diagnostic is None else float(diagnostic(state)),
                 scale_losses=search.losses, scale_converged=search.converged,
-                scale_bounds=search.bounds,
+                scale_bounds=search.bounds, scale_loss_is_bound=search.loss_is_bound,
                 seconds=seconds, search_seconds=search_seconds,
                 solve_seconds=solve_seconds,
                 residuals=report.residuals, block_ranks=report.block_ranks,

@@ -182,6 +182,29 @@ def _write_subdomains_json(path, state: SolveState) -> None:
         json.dump({"n_balls": len(balls), "balls": balls}, fh, indent=2)
 
 
+def _warnings(state: SolveState, trace: list, scale_at_bound: list,
+              scale_max: int) -> list[str]:
+    """What a finished run's "ok" does not say: each refinement of
+    ``scale_at_bound``, whose scale search picked ``scale_max``, each whose
+    scale candidates' or coupled re-solve's Gauss-Newton solve did not
+    converge, and an unconverged final solve that no refinement record
+    holds (the K=0 solve's)."""
+    out = []
+    for r in trace:
+        if r.index in scale_at_bound:
+            out.append(f"refinement {r.index}: the scale search picked its largest "
+                       f"candidate, scale_max={scale_max}")
+        unconverged = [s for s, ok in enumerate(r.scale_converged or [], 1) if ok is False]
+        if unconverged:
+            out.append(f"refinement {r.index}: scale candidates {unconverged} did not "
+                       "converge")
+        if r.converged is False:
+            out.append(f"refinement {r.index}: the coupled re-solve did not converge")
+    if not trace and not state.report.converged:
+        out.append("the final solve did not converge")
+    return out
+
+
 def run(name: str, config: AdaptiveConfig, outdir) -> dict:
     """Execute one benchmark run and write its artifacts to ``outdir``.
 
@@ -195,7 +218,10 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
     evaluation on the test grid ("evaluate_s") and of the whole run
     ("total_s"); "scale_at_bound" the indices of the refinements whose
     scale search picked its largest candidate, ``scale_max``, where the
-    best scale may lie beyond the range searched; and
+    best scale may lie beyond the range searched; "warnings" one line for
+    each such refinement, each refinement whose scale candidates or coupled
+    re-solve did not converge, and a final solve that did not converge
+    (``_warnings``), while "status" stays "ok"; and
     "peak_rss_mb" the peak resident sizes of the calling process and of its
     largest scale-search worker, read once the artifacts are written
     (``_peak_rss_mb``). A solver failure writes
@@ -244,6 +270,7 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
     _write_subdomains_json(outdir / "subdomains.json", state)
     timings["total_s"] = time.perf_counter() - t_start
 
+    scale_at_bound = [r.index for r in trace if r.scale == cfg.scale_max]
     manifest.update({
         "err_l2": grid.err_l2(),
         "n_balls": state.partition.n_balls,
@@ -251,7 +278,8 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
         "iterations": [list(step) for step in state.report.iterations],
         "converged": state.report.converged,
         "trace": [r.to_dict() for r in trace],
-        "scale_at_bound": [r.index for r in trace if r.scale == cfg.scale_max],
+        "scale_at_bound": scale_at_bound,
+        "warnings": _warnings(state, trace, scale_at_bound, cfg.scale_max),
         "timings": timings,
         "peak_rss_mb": _peak_rss_mb(),      # the workers are joined by now
         "artifacts": {

@@ -95,6 +95,7 @@ def _run(label: str, problem: str, config: AdaptiveConfig, out) -> dict | None:
         summary += f" subdomains={n_balls + 1}"
     if err is not None:
         summary += f" err_l2={err:.3e}"
+    summary += f" warnings={len(manifest['warnings'])}"
     print(summary)
     return manifest
 

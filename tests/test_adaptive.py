@@ -172,17 +172,28 @@ class TestScaleSearch:
         assert result.scale == 1 + losses.index(min(losses))
         picked = losses[result.scale - 1]
         assert len(result.bounds) == len(result.losses) == cfg.scale_max
-        for s, (bound, loss, converged) in enumerate(
-                zip(result.bounds, result.losses, result.converged), start=1):
+        assert len(result.loss_is_bound) == cfg.scale_max
+        for s, (bound, loss, converged, by_bound) in enumerate(
+                zip(result.bounds, result.losses, result.converged,
+                    result.loss_is_bound), start=1):
             if loss is None:
-                assert converged is None
+                assert converged is None and not by_bound
                 assert bound > picked, s
+            elif by_bound:
+                # a full-rank block, unsolved: its loss is its bound, the same
+                # bits, and the solved loss differs from it by rounding (3.5e-10
+                # relative at most on these blocks)
+                assert (loss, converged) == (bound, True), s
+                assert abs(loss - full[s - 1][0]) <= 1e-6 * full[s - 1][0], s
             else:
                 assert (loss, converged) == full[s - 1], s      # the same bits
                 # the loss of the truncated solution, evaluated at it, carries
                 # rounding: up to 8e-8 relative below the bound on these blocks
                 assert bound <= loss * (1 + 1e-6), s
         first = 1 + result.bounds.index(min(result.bounds))
+        # only the candidate of the smallest bound may be scored by it
+        assert result.loss_is_bound.count(True) <= 1
+        assert result.loss_is_bound[first - 1] == any(result.loss_is_bound)
         assert (first != result.scale) == first_loses
         m, n = rows_of(1)[1].matrix.shape
         assert (m <= n) == underdetermined
@@ -191,6 +202,48 @@ class TestScaleSearch:
             assert None not in result.losses
         else:
             assert None in result.losses
+
+    def traced_search(self, monkeypatch, name, **config):
+        """The first scale search of ``name``, and in call order the scales
+        ``_candidate`` solved ("solve", s) and the balls ``lsq.keep_ball``
+        made ("keep", ball)."""
+        calls = []
+        real_candidate, real_keep = ada._candidate, lsq.keep_ball
+
+        def candidate(*args):
+            calls.append(("solve", args[-1]))
+            return real_candidate(*args)
+
+        def keep_ball(*args):
+            calls.append(("keep", real_keep(*args)))
+            return calls[-1][1]
+        monkeypatch.setattr(ada, "_candidate", candidate)
+        monkeypatch.setattr(lsq, "keep_ball", keep_ball)
+        problem, basis0, alpha0, ball, colloc, cfg = first_scale_search(name, **config)
+        return ada.scale_search(problem, basis0, alpha0, ball, colloc, cfg), calls
+
+    def test_a_full_rank_first_candidate_is_kept_unsolved(self, monkeypatch):
+        name, config, *_ = BOUNDED_SEARCHES["peak3d"]
+        result, calls = self.traced_search(monkeypatch, name, **config)
+        first = 1 + result.bounds.index(min(result.bounds))
+        assert result.scale == first
+        assert [kind for kind, _ in calls] == ["keep"]
+        kept = calls[0][1]
+        assert result.ball is kept
+        assert kept.full_rank
+        assert result.loss_is_bound == [s == first for s in range(1, len(result.losses) + 1)]
+        assert result.losses[first - 1] == result.bounds[first - 1]
+
+    def test_a_first_candidate_proven_deficient_is_solved_first(self, monkeypatch):
+        # s=4 has the smallest bound, and its block's QR diagonal proves it
+        # rank-deficient, so it is not kept before it is solved; s=5 wins
+        name, config, *_ = BOUNDED_SEARCHES["smallest-bound-loses"]
+        result, calls = self.traced_search(monkeypatch, name, **config)
+        first = 1 + result.bounds.index(min(result.bounds))
+        assert calls[0] == ("solve", first)
+        assert [kind for kind, _ in calls].count("keep") == 1
+        assert result.scale != first and calls[-1][1] is result.ball
+        assert not any(result.loss_is_bound)
 
     def make_ball_setup(self):
         region = box2()

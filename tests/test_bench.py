@@ -266,6 +266,13 @@ class TestRun:
         assert record["search_seconds"] > 0 and record["solve_seconds"] > 0
         for key in ("search_seconds", "solve_seconds"):
             assert manifest["trace"][0][key] == record[key]
+        # per scale candidate, whether its loss is its bound, taken unsolved
+        flags = record["scale_loss_is_bound"]
+        assert len(flags) == SMALL["scale_max"]
+        assert manifest["trace"][0]["scale_loss_is_bound"] == flags
+        for loss, bound, by_bound in zip(record["scale_losses"], record["scale_bounds"],
+                                         flags):
+            assert not by_bound or loss == bound
 
     def test_picks_at_the_largest_scale_are_flagged(self, case1_run, tmp_path):
         outdir, manifest = case1_run
@@ -274,11 +281,16 @@ class TestRun:
         assert manifest["scale_at_bound"] == [1]
         written = json.loads((outdir / "manifest.json").read_text())
         assert written["scale_at_bound"] == [1]
+        # it is the run's one warning, and the status stays "ok"
+        assert written["warnings"] == [
+            "refinement 1: the scale search picked its largest candidate, scale_max=8"]
+        assert written["status"] == "ok"
         # at gamma 4 it turns up after s=7
         config = ada.AdaptiveConfig(**{**SMALL, "gamma": 4.0})
         manifest = bench.run("peak2d-case1", config, tmp_path)
         assert [r["scale"] for r in manifest["trace"]] == [7]
         assert manifest["scale_at_bound"] == []
+        assert manifest["warnings"] == []
 
     def test_unconverged_solves_are_recorded(self, tmp_path):
         # one Gauss-Newton step leaves a nonlinear solve short of its
@@ -292,6 +304,20 @@ class TestRun:
         assert written["trace"][0]["converged"] is False
         record = json.loads((tmp_path / "trace.jsonl").read_text())
         assert record["converged"] is False
+        # both candidates run out of steps too; no solve is at K=0 alone
+        assert record["scale_converged"] == [False, False]
+        assert written["warnings"] == [
+            "refinement 1: the scale search picked its largest candidate, scale_max=2",
+            "refinement 1: scale candidates [1, 2] did not converge",
+            "refinement 1: the coupled re-solve did not converge"]
+        assert written["status"] == "ok"
+
+    def test_an_unconverged_solve_without_refinements_is_a_warning(self, tmp_path):
+        config = ada.AdaptiveConfig(**{**SMALL, "n_max": 1, "max_refinements": 0,
+                                       "epsilon": 1e9})
+        manifest = bench.run("nonlinear2d-case1", config, tmp_path)
+        assert (manifest["n_balls"], manifest["converged"]) == (0, False)
+        assert manifest["warnings"] == ["the final solve did not converge"]
 
     def test_solve_time_leaves_out_the_diagnostic(self, case1_run):
         # the test-grid error of each refinement record is timed apart from
@@ -391,7 +417,10 @@ class TestCli:
         config_path.write_text(json.dumps({"benchmark": "peak2d-case1", **SMALL}))
         code = cli_main(["--config", str(config_path), "--out", str(tmp_path / "out")])
         assert code == 0
-        assert "status=ok" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "status=ok subdomains=2 err_l2=" in out
+        # its one warning: the pick at scale_max
+        assert out.rstrip().endswith(" warnings=1")
         assert (tmp_path / "out" / "solution.csv").exists()
 
     def test_flag_overrides(self, tmp_path):

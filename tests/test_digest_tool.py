@@ -45,15 +45,20 @@ def test_two_runs_give_the_same_digests():
         [len(losses) for losses in first["scale_losses"]]
     assert rfpde.adaptive._candidate_map is real_map
     # the K=0 solve, then per refinement the candidates the scale search
-    # solved (those with a loss) and the coupled re-solve
-    solved = [sum(loss is not None for loss in losses) for losses in first["scale_losses"]]
+    # solved (those with a loss that is not their bound) and the coupled
+    # re-solve
+    solved = [sum(loss is not None and not by_bound
+                  for loss, by_bound in zip(losses, loss_is_bound))
+              for losses, loss_is_bound in zip(first["scale_losses"],
+                                               first["scale_loss_is_bound"])]
     assert first["systems"] == 1 + sum(n + 1 for n in solved)
     assert len(first["per_system_sha256"]) == first["systems"]
-    # a linear problem: every candidate has a bound, and at least the one of
-    # the smallest bound is solved
+    # a linear problem: every candidate has a bound, and the one of the
+    # smallest bound is solved or scored by it
     assert [len(bounds) for bounds in first["scale_bounds"]] == \
         [TINY["scale_max"]] * len(first["scales"])
-    assert min(solved) >= 1
+    for losses, bounds in zip(first["scale_losses"], first["scale_bounds"]):
+        assert losses[bounds.index(min(bounds))] is not None
     # a linear problem: every Gauss-Newton solve is one step, one system
     assert first["gauss_newton_steps"] == [1] * first["systems"]
     assert tool.digest("peak2d-case1", TINY, TEST_RESOLUTION) == first
@@ -84,6 +89,7 @@ def test_gauss_newton_steps_of_a_nonlinear_run():
     assert len(out["per_system_sha256"]) == out["systems"]
     # Gauss-Newton gives no bound: every candidate is solved
     assert out["scale_bounds"] == [None] * refinements
+    assert out["scale_loss_is_bound"] == [[False] * TINY["scale_max"]] * refinements
     assert all(None not in losses for losses in out["scale_losses"])
     assert max(out["gauss_newton_steps"]) > 1
 

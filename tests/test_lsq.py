@@ -554,14 +554,15 @@ class TestSingleBallSolve:
 
 class TestResidualBound:
     """``lsq.residual_bound``: R[n,n]^2 of the QR of a block's [F | T], the
-    least-squares minimum of |F x - T|^2, so no solve's loss lies below it."""
+    least-squares minimum of |F x - T|^2, so no solve's loss lies below it;
+    and whether R's diagonal proves that the solve truncates the block."""
 
     def test_full_rank_block_gives_the_minimum(self, rng):
         F = rng.standard_normal((30, 8)) + np.eye(30, 8) * 2.0
         T = rng.standard_normal(30)
         x = np.linalg.solve(F.T @ F, F.T @ T)
         assert lsq.residual_bound(blocks_from(F, T)) == \
-            pytest.approx(float((F @ x - T) @ (F @ x - T)), rel=1e-12)
+            (pytest.approx(float((F @ x - T) @ (F @ x - T)), rel=1e-12), False)
         # a scale candidate's single-ball system, through the R path of
         # ``solve_min_norm`` (168 rows on 121 columns) and not (on 11)
         for mstar, scale in ((10, 2), (120, 8)):
@@ -569,7 +570,7 @@ class TestResidualBound:
             A, T = blocks.matrix, blocks.rhs
             assert np.linalg.matrix_rank(A) == A.shape[1]
             x, *_ = np.linalg.lstsq(A, T, rcond=None)
-            assert lsq.residual_bound(blocks) == \
+            assert lsq.residual_bound(blocks)[0] == \
                 pytest.approx(float((A @ x - T) @ (A @ x - T)), rel=1e-9)
 
     def test_rank_deficient_block_bounds_the_loss(self, rng):
@@ -579,18 +580,69 @@ class TestResidualBound:
                     for mstar in (10, 60)]
         for blocks in systems:
             assert np.linalg.matrix_rank(blocks.matrix) < blocks.size
-            bound = lsq.residual_bound(blocks)
+            bound, deficient = lsq.residual_bound(blocks)
             assert 0.0 < bound <= lsq.solve_min_norm(blocks).loss
+            assert deficient
 
     def test_no_more_rows_than_columns_gives_zero(self, rng):
         for rows in (5, 8):
             blocks = blocks_from(rng.standard_normal((rows, 8)), rng.standard_normal(rows))
-            assert lsq.residual_bound(blocks) == 0.0
+            # fewer rows than columns: the rank is below n; as many, unproven
+            assert lsq.residual_bound(blocks) == (0.0, rows < 8)
             assert lsq.solve_min_norm(blocks).loss < 1e-20
+
+    def test_a_proven_deficiency_is_one_the_solve_truncates(self, rng):
+        # random blocks of every rank, some near the cutoff, and scale
+        # candidates' blocks with every neuron twice
+        systems = []
+        for rank in range(1, 9):
+            for gap in (0.0, 1e-14, 1e-11, 1e-8):
+                left, right = rng.standard_normal((20, rank)), rng.standard_normal((rank, 8))
+                F = left @ right + gap * rng.standard_normal((20, 8))
+                systems.append(blocks_from(F, rng.standard_normal(20)))
+        systems += [TestSingleBallSolve().system(mstar, doubled=doubled)
+                    for mstar in (10, 60) for doubled in (False, True)]
+        flags = []
+        for blocks in systems:
+            _, deficient = lsq.residual_bound(blocks)
+            s = np.linalg.svd(blocks.matrix, compute_uv=False)
+            if deficient:
+                assert s[-1] <= lsq.DEFAULT_SVD_CUTOFF * s[0]
+                assert lsq.solve_min_norm(blocks).block_ranks[0] < blocks.size
+            flags.append(deficient)
+        assert any(flags) and not all(flags)
+
+    def test_a_truncated_block_need_not_be_proven_deficient(self):
+        # Kahan's triangular matrix: its diagonal ratio is 2e-4, its
+        # singular value ratio 2e-15, so the flag proves nothing and the
+        # solve truncates it all the same
+        n, c = 60, 0.5
+        sine = np.sqrt(1.0 - c * c)
+        K = np.diag(sine ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+        F = np.vstack([K, np.zeros((1, n))])
+        _, deficient = lsq.residual_bound(blocks_from(F, np.ones(n + 1)))
+        s = np.linalg.svd(F, compute_uv=False)
+        assert not deficient and s[-1] <= lsq.DEFAULT_SVD_CUTOFF * s[0]
 
     def test_non_finite_rejected(self):
         with pytest.raises(lsq.AssemblyError):
             lsq.residual_bound(blocks_from([[np.nan], [1.0]], [0.0, 1.0]))
+
+    def test_a_full_rank_elimination_gives_the_bound_as_the_loss(self):
+        # ``_Eliminated.full_rank``: the elimination's SVD kept every
+        # singular value of a block with more rows than columns, so gelsd
+        # keeps every column too and its loss is the bound. 168 rows on 11
+        # and 121 columns, on 21 and 121 with every neuron twice, and on 201
+        for mstar, scale, doubled in ((10, 2, False), (120, 8, False), (10, 2, True),
+                                      (60, 2, True), (200, 2, False)):
+            blocks = TestSingleBallSolve().system(mstar, scale, doubled)
+            full_rank = lsq._eliminate(blocks).full_rank
+            assert full_rank == (not doubled and mstar < 168), mstar
+            solved = lsq.solve_min_norm(blocks)
+            assert (solved.block_ranks == [blocks.size]) == full_rank, mstar
+            if full_rank:
+                assert lsq.residual_bound(blocks) == (pytest.approx(solved.loss, rel=1e-9),
+                                                      False)
 
 
 def blocks_from(F, T):

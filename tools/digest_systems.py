@@ -27,9 +27,11 @@ wrapped, and prints one JSON object:
   resolution), so that a change to basis evaluation is checked end to end,
   not only on the systems;
 - the number of systems, the chosen scales, the scale-candidate losses
-  (None for a candidate that the scale search ruled out unsolved) and
+  (None for a candidate that the scale search ruled out unsolved),
   ``scale_bounds``, the lower bounds of a linear problem's candidate losses
-  (None for a nonlinear problem);
+  (None for a nonlinear problem) and ``scale_loss_is_bound``, per candidate
+  whether its loss is its bound, taken without a solve because its block
+  has full rank (None per refinement from sources that do not record it);
 - ``gauss_newton_steps``: the number of steps of every Gauss-Newton solve,
   in call order, so that a change to the stopping rule shows;
 - ``pool``: the coefficient digest and the scale-candidate losses of a
@@ -176,8 +178,11 @@ def digest(problem_name: str, config: dict, test_resolution: int) -> dict:
             "predictions_sha256": _sha256(grid.predicted),
             "scales": [record.scale for record in trace],
             "scale_losses": [record.scale_losses for record in trace],
-            # None too from sources whose records carry no bounds
+            # None too from sources whose records carry no bounds, and below
+            # from those that do not record which losses are bounds
             "scale_bounds": [getattr(record, "scale_bounds", None) for record in trace],
+            "scale_loss_is_bound": [getattr(record, "scale_loss_is_bound", None)
+                                    for record in trace],
             "gauss_newton_steps": steps,
             "pool": {"alpha_sha256": _sha256(np.concatenate(pool_state.report.alphas)),
                      "scale_losses": [record.scale_losses for record in pool_trace]}}
