@@ -15,35 +15,9 @@ nonlinear problem, the elimination of its block alone (``lsq._Eliminated``)
 for a linear one. Every later coupled solve takes the ball as it is; only
 subdomain 0's rows are evaluated again (reclassification changes them).
 
-A linear candidate's loss is its truncated-SVD least-squares residual
-(gelsd), and most of the search's time. No loss lies below R[n,n]^2 of the
-QR of the candidate's [F | T] (``lsq.residual_bound``), so the search of a
-linear problem bounds every candidate first, solves the one of the smallest
-bound, and then only the candidates whose bound is not above that loss: the
-others cannot win. The pick and every solved loss are those of solving all
-candidates. (A computed loss can lie below its bound by rounding, by up to
-6e-8 relative on the acceptance sweeps, so a ruled-out candidate could only
-tie the pick to within rounding, a tie that rounding decides in a search of
-all candidates too; the closest ruled-out bound there lay 3.5% above the
-pick's loss.) The bound cannot replace the loss: where a 2D ball block is
-rank-deficient it is loose, and as a score it moves the pick, in 15 of the
-28 runs of the peak2d-case1 acceptance sweeps. Where the block has full
-rank, the bound is the loss: so the candidate of the smallest bound is
-kept (``lsq.keep_ball``, the SVD the winner needs anyway) before it is
-solved, unless the diagonal of its bound's R proves the block
-rank-deficient (``lsq.residual_bound``). If that SVD keeps every singular
-value of a block with more rows than columns (``lsq._Eliminated.full_rank``),
-gelsd would truncate nothing, and the candidate's loss is its bound
-(1.9e-14 relative from gelsd's on peak3d's ball, 6.1e-8 at most on the
-acceptance sweeps, where no pick moved): it is not solved, only
-candidates whose bound ties it are. Otherwise it is solved as above, and
-if it wins, its kept ball is the one returned. A candidate proven
-rank-deficient is not kept first, since its SVD is wasted when it loses:
-keeping it anyway made peak2d-case1 acceptance solves at gamma 1 and 3,
-whose proven-deficient first candidate loses, 18-31% slower
-(``BENCH_24.json``). The smallest-bound candidates of ``peak2d-case3``
-(s=6) are proven rank-deficient too. A nonlinear problem's Gauss-Newton
-solve has no such bound, so all its candidates are solved.
+A linear problem's search bounds every candidate before it solves any, and
+solves only the candidates that could win; ``scale_search`` describes how,
+and why.
 
 The scale candidates do not depend on each other, and ``adaptive_solve``
 solves them on a pool of worker processes, started with the ``spawn`` method
@@ -79,7 +53,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -305,28 +279,33 @@ def _candidate_rows(problem: SemilinearProblem, raw: basis_mod.BasisSet,
                                 interface)
 
 
+def _for_candidate(fn: Callable, *args):
+    """``fn(*args)``, whose last argument is a scale candidate s, with an
+    ``lsq.AssemblyError`` raised as a ``ScaleSearchError`` of s: the one
+    failure rule of a candidate's bound, solve and keep."""
+    try:
+        return fn(*args)
+    except lsq.AssemblyError as exc:
+        s = args[-1]
+        raise ScaleSearchError(f"scale candidate s={s} failed: {exc}", scale=s) from exc
+
+
 def _candidate_bound(problem: SemilinearProblem, rows_of: Callable,
                      alpha0: np.ndarray, s: int) -> tuple[float, bool]:
     """The lower bound of linear scale candidate ``s``'s loss, and whether
     its block is proven rank-deficient: its block, as ``_candidate``
     assembles it, checked and bounded by ``lsq.residual_bound``."""
-    try:
-        _, rows = rows_of(s)
-        return lsq.residual_bound(lsq.assemble_local(problem, rows, alpha0))
-    except lsq.AssemblyError as exc:
-        raise ScaleSearchError(f"scale candidate s={s} failed: {exc}", scale=s) from exc
+    _, rows = rows_of(s)
+    return lsq.residual_bound(lsq.assemble_local(problem, rows, alpha0))
 
 
 def _candidate(problem: SemilinearProblem, rows_of: Callable, alpha0: np.ndarray,
                n_max: int, tol: float, s: int) -> tuple[float, bool]:
     """Solve scale candidate ``s``, its rows made by ``rows_of(s)``, and
     return its loss and whether its Gauss-Newton solve converged."""
-    try:
-        _, rows = rows_of(s)
-        report = lsq.gauss_newton_core(partial(lsq.assemble_local, problem, rows, alpha0),
-                                       problem.is_linear, n_max, tol)
-    except lsq.AssemblyError as exc:
-        raise ScaleSearchError(f"scale candidate s={s} failed: {exc}", scale=s) from exc
+    _, rows = rows_of(s)
+    report = lsq.gauss_newton_core(partial(lsq.assemble_local, problem, rows, alpha0),
+                                   problem.is_linear, n_max, tol)
     return report.loss, report.converged
 
 
@@ -350,48 +329,71 @@ def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
     ``alpha0``, and the smallest squared residual at its returned
     coefficients wins (ties to the smaller s), whether or not its solve
     converged; ``converged`` records that per candidate. ``mapper`` runs the
-    candidates, like builtin ``map``; ``adaptive_solve`` passes a worker
-    pool's. The winner's rows are evaluated again here, by the same
+    candidates' bounds and solves, like builtin ``map``; ``adaptive_solve``
+    passes a worker pool's. Every kept ball is made here, by one cached
+    ``_kept_candidate``: the winner's rows are evaluated again, by the same
     ``_candidate_rows``, and returned as the finished ball of
-    ``lsq.keep_ball``.
+    ``lsq.keep_ball``. A candidate whose assembly fails raises a
+    ``ScaleSearchError`` of its s.
 
-    A nonlinear problem solves every candidate, in one map. A linear one
-    first maps every candidate to the lower bound of its loss
-    (``_candidate_bound``), solves the candidate of the smallest bound
-    (ties to the smaller s), then, in one more map, every other candidate
-    whose bound is not above that loss. A candidate left out has a loss
-    above the solved one's, so it cannot win; its loss and ``converged``
-    are None, and every solved loss is the one the full search computes.
-    Unless its bound proves its block rank-deficient, the candidate of the
-    smallest bound is kept here before it is solved, and returned as kept
-    if it wins. If its block has full rank by the kept SVD
-    (``lsq._Eliminated.full_rank``), its loss is its bound, taken unsolved
-    (``loss_is_bound``). That SVD runs at this process's BLAS
-    threads, not at the workers' one: for a block with a singular value
-    within rounding of the cutoff, whether its loss is its bound or
-    gelsd's can depend on this process's thread count.
+    A nonlinear problem solves every candidate, in one map: its
+    Gauss-Newton solve has no bound. A linear candidate's loss is its
+    truncated-SVD least-squares residual (gelsd), most of the search's time,
+    and no loss lies below its bound, R[n,n]^2 of the QR of its [F | T]
+    (``lsq.residual_bound``). So a linear search
+
+    1. maps every candidate to its bound, and calls the candidate of the
+       smallest bound (ties to the smaller s) the first;
+    2. keeps the first, unless its bound proves its block rank-deficient;
+    3. takes the first's bound as its loss if the kept block has full rank
+       (``lsq._Eliminated.full_rank``, ``loss_is_bound``), or else solves
+       it, in one map;
+    4. solves, in one more map, every other candidate whose bound is not
+       above the first's loss.
+
+    A candidate left out has a loss above the first's, so it cannot win;
+    its loss and ``converged`` are None. The pick and every solved loss are
+    those of solving every candidate: a solved loss lies below its bound by
+    rounding at most (6e-8 relative on the acceptance sweeps), so a
+    candidate left out could only tie the pick within rounding, which
+    rounding decides in a full search too.
+
+    Why the bound is not the score, and when it is the loss:
+
+    - Where a 2D ball block is rank-deficient the bound is loose: as a
+      score it moves the pick in 15 of the 28 runs of the peak2d-case1
+      acceptance sweeps (``BENCH_23.json``).
+    - Where the block has full rank the bound is the loss (1.9e-14 relative
+      from gelsd's on peak3d's ball), and step 3 takes it unsolved:
+      ``peak3d-1ball`` then solves none of its 10 candidates, for a
+      ``solve_s`` 16.5% lower (``BENCH_24.json``).
+    - Step 2 does not keep a first candidate proven rank-deficient, because
+      its SVD is wasted when it loses: keeping it anyway made the
+      peak2d-case1 acceptance solves at gamma 1 and 3, where it loses,
+      18-31% slower (``BENCH_24.json``).
+    - The kept SVD runs at this process's BLAS threads, not at the workers'
+      one: for a block with a singular value within rounding of the cutoff,
+      whether its loss is its bound or gelsd's can depend on this process's
+      thread count.
     """
     k = ball.index
     raw = basis_mod.generate_transferable(config.m_star, config.gamma, problem.dim,
                                           config.seed, stream=k)
     rows_of = partial(_candidate_rows, problem, raw, ball, basis0, colloc.interior[k],
                       colloc.boundary[k], colloc.interface[k])
-    task = partial(_candidate, problem, rows_of, alpha0, config.n_max, config.tol)
+    task = partial(_for_candidate, _candidate, problem, rows_of, alpha0, config.n_max,
+                   config.tol)
+    keep = cache(partial(_for_candidate, _kept_candidate, problem, rows_of))
     candidates = range(1, config.scale_max + 1)
-    bounds, kept, by_bound = None, None, None
+    bounds, first, bound_is_loss = None, None, False
     if problem.is_linear:
-        scored = list(mapper(partial(_candidate_bound, problem, rows_of, alpha0),
-                             candidates))
+        scored = list(mapper(partial(_for_candidate, _candidate_bound, problem, rows_of,
+                                     alpha0), candidates))
         bounds = [bound for bound, _ in scored]
         first = 1 + bounds.index(min(bounds))
-        if not scored[first - 1][1]:        # not proven rank-deficient
-            kept = (first, *_kept_candidate(problem, rows_of, first))
-        if kept is not None and kept[2].full_rank:
-            # gelsd would truncate nothing: the bound is its loss
-            by_bound = first
-            solved = {first: (bounds[first - 1], True)}
-        else:
-            solved = dict(zip([first], mapper(task, [first])))
+        bound_is_loss = not scored[first - 1][1] and keep(first)[1].full_rank
+        solved = {first: (bounds[first - 1], True)} if bound_is_loss else \
+            dict(zip([first], mapper(task, [first])))
         rest = [s for s in candidates
                 if s != first and bounds[s - 1] <= solved[first][0]]
         solved.update(zip(rest, mapper(task, rest)))
@@ -401,14 +403,12 @@ def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
     losses = [loss for loss, _ in results]
     # the first of equal losses
     best = 1 + losses.index(min(loss for loss in losses if loss is not None))
-    if kept is not None and kept[0] == best:
-        _, basis, kept_ball = kept
-    else:
-        basis, kept_ball = _kept_candidate(problem, rows_of, best)
+    basis, kept_ball = keep(best)
     return ScaleSearchResult(scale=best, basis=basis, losses=losses,
                              converged=[converged for _, converged in results],
                              bounds=bounds,
-                             loss_is_bound=[s == by_bound for s in candidates],
+                             loss_is_bound=[bound_is_loss and s == first
+                                            for s in candidates],
                              ball=kept_ball)
 
 

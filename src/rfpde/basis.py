@@ -232,10 +232,6 @@ def generate_transferable(m: int, gamma: float, dim: int, seed: int,
     rng = substream(seed, stream)
     directions = rng.standard_normal((m, dim))
     norms = np.linalg.norm(directions, axis=1)
-    while np.any(norms < 1e-300):  # measure-zero resample guard
-        bad = norms < 1e-300
-        directions[bad] = rng.standard_normal((int(bad.sum()), dim))
-        norms = np.linalg.norm(directions, axis=1)
     offsets = rng.uniform(0.0, 1.0, size=m)
     return BasisSet(weights=gamma * directions / norms[:, None],
                     biases=gamma * offsets, center=np.zeros(dim))

@@ -31,7 +31,7 @@ runs on R's first n columns with its last column as the right-hand side: the
 same least-squares problem, with F's singular values, on n + 1 rows. A 2D
 scale candidate's block (1584 x 1001) takes that path, a 3D one (4744 x 1001)
 does not. When a ball block is rank-deficient (at K=1 on peak2d-case1 the
-ball's block has rank 610 of 1001 columns, the coupled system 811 of 1202),
+ball's block has rank 615 of 1001 columns, the coupled system 816 of 1202),
 the result is a least-squares solution but not the minimum-norm one that
 gelsd on the whole zero-padded matrix would give: each ball's coefficients
 have minimum norm given subdomain 0's, not jointly with them.
@@ -282,9 +282,16 @@ def _block(problem: SemilinearProblem, rows: SubdomainRows,
 
     Every row is then scaled to unit 2-norm, its right-hand side with it
     (``_equilibrate``), so a linear problem's rows are assembled once: their
-    array is scaled in place.
+    array is scaled in place, and their row kinds are made read-only to mark
+    it. A second assembly of them raises AssemblyError, since it would scale
+    their scaled array again against the unscaled data.
     """
     F = rows.matrix
+    if problem.nonlinearity is None:
+        if not rows.row_kind.flags.writeable:
+            raise AssemblyError("a linear problem's rows are assembled once: the "
+                                "first assembly scaled them in place")
+        rows.row_kind.flags.writeable = False
     n = len(rows.row_kind)
     interior = slice(0, len(rows.forcing))
     boundary = slice(interior.stop, interior.stop + len(rows.data))
@@ -366,7 +373,8 @@ def assemble(problem: SemilinearProblem, rows: Sequence,
     operator's directional derivative and the right-hand side the current
     residuals (including the cancel-the-jump interface terms). Every row is
     at unit norm; a linear problem's rows are scaled in place, so they are
-    assembled once (``coupled_rows`` and ``ball_rows`` evaluate them anew).
+    assembled once, and a second assembly of them raises AssemblyError
+    (``coupled_rows`` and ``ball_rows`` evaluate them anew).
     """
     alpha_0, *alpha_balls = _coefficients(rows, alphas)
     balls = [_ball_block(problem, r, a, alpha_0) for r, a in zip(rows[1:], alpha_balls)]

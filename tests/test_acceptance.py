@@ -2,8 +2,9 @@
 
 Benchmark-scale runs are cached in module-scoped fixtures and shared across
 criteria, so the whole module costs roughly one seed/shape-parameter sweep
-(~15 minutes). Run `pytest tests/test_acceptance.py -v` for per-criterion
-progress; unit-only runs can skip it with `-m "not acceptance"`.
+(~2.1 minutes on 2 cores; README gives the setup). Run
+`pytest tests/test_acceptance.py -v` for per-criterion progress; unit-only
+runs can skip it with `-m "not acceptance"`.
 """
 
 import numpy as np

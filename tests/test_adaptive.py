@@ -245,6 +245,32 @@ class TestScaleSearch:
         assert result.scale != first and calls[-1][1] is result.ball
         assert not any(result.loss_is_bound)
 
+    @pytest.mark.parametrize("name, config, first_loses", [
+        BOUNDED_SEARCHES["smallest-bound-loses"][:3],
+        # s=8 has the smallest bound and the smallest loss
+        ("peak2d-case1", dict(SMALL, gamma=1.0), False)], ids=["loses", "wins"])
+    def test_a_kept_first_candidate_that_truncates_is_solved(self, monkeypatch, name,
+                                                            config, first_loses):
+        # with no block proven rank-deficient, the first candidate is kept
+        # before it is solved; its SVD truncates, so it is solved all the
+        # same, and kept again only if it loses
+        real_bound = lsq.residual_bound
+        monkeypatch.setattr(lsq, "residual_bound",
+                            lambda block: (real_bound(block)[0], False))
+        result, calls = self.traced_search(monkeypatch, name, **config)
+        first = 1 + result.bounds.index(min(result.bounds))
+        (kind, kept), *rest = calls
+        assert kind == "keep" and not kept.full_rank
+        assert rest[0] == ("solve", first)
+        assert not any(result.loss_is_bound)
+        keeps = [ball for kind, ball in rest if kind == "keep"]
+        assert (result.scale != first) == first_loses
+        if first_loses:
+            assert len(keeps) == 1 and keeps[0] is result.ball
+            assert calls[-1][0] == "keep"
+        else:
+            assert keeps == [] and result.ball is kept
+
     def make_ball_setup(self):
         region = box2()
         part = geo.split_subdomain(geo.PartitionState(region),
@@ -350,6 +376,17 @@ class TestScaleSearch:
             ada.scale_search(problem, constant_basis(), np.zeros(1), part.ball(1),
                              colloc, ada.AdaptiveConfig(m_star=10, seed=5, scale_max=3))
         assert err.value.scale == 1
+
+    def test_a_failed_keep_tagged_with_scale(self, monkeypatch):
+        args = first_scale_search("peak2d-case1", **SMALL)
+        winner = ada.scale_search(*args).scale
+
+        def keep_ball(problem, rows):
+            raise lsq.AssemblyError("no ball")
+        monkeypatch.setattr(lsq, "keep_ball", keep_ball)
+        with pytest.raises(ada.ScaleSearchError, match="no ball") as err:
+            ada.scale_search(*args)
+        assert err.value.scale == winner
 
 
 class TestConfig:

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import all_coefficients, fresh_ball_rows, fresh_rows, fresh_solve
 
+from rfpde import adaptive as ada
 from rfpde import basis as bas
 from rfpde import geometry as geo
 from rfpde import lsq, pde
@@ -414,6 +415,44 @@ class TestUnitRows:
         report = lsq.solve_min_norm(blocks)
         assert np.all(np.isfinite(report.alphas[0]))
         assert report.residuals[0]["interior"] == 1.75 ** 2
+
+
+class TestLinearRowsAssembledOnce:
+    """A linear problem's rows are scaled in place by their first assembly,
+    so a second assembly of them, by any entry point, is refused and leaves
+    the first's system as it was."""
+
+    def test_subdomain_0s_rows(self):
+        # assembled again, these rows gave another system, whose gelsd
+        # solution differed from the first's by up to 373 (largest
+        # coefficient 64)
+        problem = pde.benchmark("peak2d-case1")
+        cfg = ada.AdaptiveConfig(interior_resolution=20, boundary_count=80, m0=40)
+        colloc = ada.initial_collocation(problem, cfg)
+        rows = lsq.coupled_rows(problem, ada._base_basis(problem, cfg),
+                                colloc.interior[0], colloc.boundary[0], [])
+        first = lsq.assemble(problem, rows)
+        system = first.stacked.tobytes(), first.rhs.tobytes()
+        with pytest.raises(lsq.AssemblyError, match="assembled once"):
+            lsq.assemble(problem, rows)
+        assert (first.stacked.tobytes(), first.rhs.tobytes()) == system
+
+    def test_a_balls_rows(self):
+        part, bases, colloc = one_ball_setup()
+        problem = manufactured_linear(bases[0], np.linspace(-1.0, 1.0, bases[0].size))
+        alpha_0 = np.zeros(bases[0].size)
+
+        def coupled(rows):
+            return lsq.assemble(problem, lsq.coupled_rows(
+                problem, bases[0], colloc.interior[0], colloc.boundary[0], [rows]))
+        makers = [lambda rows: lsq.assemble_local(problem, rows, alpha_0),
+                  lambda rows: lsq.keep_ball(problem, rows), coupled]
+        for first in makers:
+            for second in makers:
+                (rows,) = fresh_ball_rows(part, bases, colloc, problem)
+                first(rows)
+                with pytest.raises(lsq.AssemblyError, match="assembled once"):
+                    second(rows)
 
 
 class TestBlockSolve:
