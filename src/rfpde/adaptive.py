@@ -5,15 +5,18 @@ Every solve, at K=0 and after each refinement, is one step,
 and subdomain 0's interior residual is evaluated once at the solution. The
 mean of its squares is the gate, and while it exceeds the threshold the
 driver places a ball at the collocation point with the largest absolute
-entry of that same residual, reclassifies collocation points, picks an
-integer frequency multiplier for the new ball's basis by trying 1..L on a
-local problem with the subdomain-0 trace frozen, and takes the step again.
-Existing balls keep their bases and collocation; only coefficients change.
-So the scale search returns the new ball complete, as ``lsq.keep_ball``
-makes it: the winning candidate's rows (``lsq.SubdomainRows``) for a
-nonlinear problem, the elimination of its block alone (``lsq._Eliminated``)
-for a linear one. Every later coupled solve takes the ball as it is; only
-subdomain 0's rows are evaluated again (reclassification changes them).
+entry of that same residual, builds every subdomain's collocation points
+from the new partition and the K=0 points
+(``geometry.reclassify_collocation``), picks an integer frequency
+multiplier for the new ball's basis by trying 1..L on a local problem with
+the subdomain-0 trace frozen, and takes the step again. An existing ball
+keeps its basis, and its points, which depend on its own geometry alone;
+only coefficients change. So the scale search returns the new ball
+complete, as ``lsq.keep_ball`` makes it: the winning candidate's rows
+(``lsq.SubdomainRows``) for a nonlinear problem, the elimination of its
+block alone (``lsq._Eliminated``) for a linear one. Every later coupled
+solve takes the ball as it is; only subdomain 0's rows are evaluated again
+(each new ball takes points from it).
 
 A linear problem's search bounds every candidate before it solves any, and
 solves only the candidates that could win; ``scale_search`` describes how,
@@ -67,10 +70,6 @@ from .pde import SemilinearProblem, operator_residuals
 class MaxRefinementsError(RuntimeError):
     """Residual gate still failing after the refinement cap."""
 
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace
-
 
 class ScaleSearchError(RuntimeError):
     """An inner solve of the scale search failed; carries the candidate s."""
@@ -81,6 +80,12 @@ class ScaleSearchError(RuntimeError):
 
     def __reduce__(self):       # so that it crosses from a worker process
         return type(self), (str(self), self.scale)
+
+
+#: Solver-side failures. One that escapes ``adaptive_solve`` carries, as its
+#: ``trace`` attribute, the records of the refinements finished before it.
+SOLVER_ERRORS = (MaxRefinementsError, ScaleSearchError, lsq.AssemblyError,
+                 geo.GeometryError)
 
 
 #: Accepted values of each annotation of an ``AdaptiveConfig`` field.
@@ -567,63 +572,71 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
     re-solve and stored in the trace (the benchmark harness passes the
     relative l2 error against the exact solution); its time is not part of a
     record's ``seconds``.
+
+    A failure of ``SOLVER_ERRORS`` carries, as its ``trace`` attribute, the
+    records of the refinements finished before it.
     """
-    cfg = config.resolved(problem.dim)
-    partition = geo.PartitionState(problem.region)
-    colloc = initial_collocation(problem, cfg)
-    bases = [_base_basis(problem, cfg)]
-    kept: list[lsq.SubdomainRows | lsq._Eliminated] = []
     trace: list[RefinementRecord] = []
+    try:
+        cfg = config.resolved(problem.dim)
+        partition = geo.PartitionState(problem.region)
+        colloc = domain = initial_collocation(problem, cfg)
+        bases = [_base_basis(problem, cfg)]
+        kept: list[lsq.SubdomainRows | lsq._Eliminated] = []
 
-    state, res, _ = _solve_and_gate(problem, partition, bases, colloc, kept, cfg)
-    gate = mean_residual(res)
-    with _candidate_map(problem, cfg) as mapper:
-        while gate > cfg.epsilon:
-            if partition.n_balls >= cfg.max_refinements:
-                raise MaxRefinementsError(
-                    f"mean residual {gate:.3e} still above {cfg.epsilon:.3e} after "
-                    f"{cfg.max_refinements} refinements", trace=trace)
-            t0 = time.perf_counter()
-            center = locate_peak(res, colloc.interior[0])
+        state, res, _ = _solve_and_gate(problem, partition, bases, colloc, kept, cfg)
+        gate = mean_residual(res)
+        with _candidate_map(problem, cfg) as mapper:
+            while gate > cfg.epsilon:
+                if partition.n_balls >= cfg.max_refinements:
+                    raise MaxRefinementsError(
+                        f"mean residual {gate:.3e} still above {cfg.epsilon:.3e} after "
+                        f"{cfg.max_refinements} refinements")
+                t0 = time.perf_counter()
+                center = locate_peak(res, colloc.interior[0])
 
-            radius = cfg.radius
-            for attempt in range(4):  # halve up to 3 times on ball overlap
-                try:
-                    partition = geo.split_subdomain(partition, center, radius)
-                    break
-                except geo.RefinementConflictError:
-                    if attempt == 3:
-                        raise
-                    radius *= 0.5
+                radius = cfg.radius
+                for attempt in range(4):  # halve up to 3 times on ball overlap
+                    try:
+                        partition = geo.split_subdomain(partition, center, radius)
+                        break
+                    except geo.RefinementConflictError:
+                        if attempt == 3:
+                            raise
+                        radius *= 0.5
 
-            k = partition.n_balls
-            colloc = geo.reclassify_collocation(colloc, partition,
-                                                ball_resolution=cfg.ball_resolution,
-                                                interface_count=cfg.interface_count)
-            t_search = time.perf_counter()
-            search = scale_search(problem, bases[0], state.report.alphas[0],
-                                  partition.ball(k), colloc, cfg, mapper=mapper)
-            search_seconds = time.perf_counter() - t_search
-            bases.append(search.basis)
-            kept.append(search.ball)
+                k = partition.n_balls
+                colloc = geo.reclassify_collocation(partition, domain.interior[0],
+                                                    domain.boundary[0],
+                                                    ball_resolution=cfg.ball_resolution,
+                                                    interface_count=cfg.interface_count)
+                t_search = time.perf_counter()
+                search = scale_search(problem, bases[0], state.report.alphas[0],
+                                      partition.ball(k), colloc, cfg, mapper=mapper)
+                search_seconds = time.perf_counter() - t_search
+                bases.append(search.basis)
+                kept.append(search.ball)
 
-            state, res, solve_seconds = _solve_and_gate(problem, partition, bases,
-                                                        colloc, kept, cfg)
-            report = state.report
-            new_gate = mean_residual(res)
-            seconds = time.perf_counter() - t0
-            trace.append(RefinementRecord(
-                index=k, center=center.tolist(), radius=radius, scale=search.scale,
-                mean_residual_before=gate, mean_residual_after=new_gate,
-                loss=report.loss, iterations=[list(step) for step in report.iterations],
-                converged=report.converged,
-                err_l2=None if diagnostic is None else float(diagnostic(state)),
-                scale_losses=search.losses, scale_converged=search.converged,
-                scale_bounds=search.bounds, scale_loss_is_bound=search.loss_is_bound,
-                seconds=seconds, search_seconds=search_seconds,
-                solve_seconds=solve_seconds,
-                residuals=report.residuals, block_ranks=report.block_ranks,
-                block_sigmas=report.block_sigmas, alpha_norms=report.alpha_norms))
-            gate = new_gate
-
+                state, res, solve_seconds = _solve_and_gate(problem, partition, bases,
+                                                            colloc, kept, cfg)
+                report = state.report
+                new_gate = mean_residual(res)
+                seconds = time.perf_counter() - t0
+                trace.append(RefinementRecord(
+                    index=k, center=center.tolist(), radius=radius, scale=search.scale,
+                    mean_residual_before=gate, mean_residual_after=new_gate,
+                    loss=report.loss,
+                    iterations=[list(step) for step in report.iterations],
+                    converged=report.converged,
+                    err_l2=None if diagnostic is None else float(diagnostic(state)),
+                    scale_losses=search.losses, scale_converged=search.converged,
+                    scale_bounds=search.bounds, scale_loss_is_bound=search.loss_is_bound,
+                    seconds=seconds, search_seconds=search_seconds,
+                    solve_seconds=solve_seconds,
+                    residuals=report.residuals, block_ranks=report.block_ranks,
+                    block_sigmas=report.block_sigmas, alpha_norms=report.alpha_norms))
+                gate = new_gate
+    except SOLVER_ERRORS as exc:
+        exc.trace = trace
+        raise
     return state, trace

@@ -28,15 +28,9 @@ import numpy as np
 
 from . import adaptive
 from . import geometry as geo
-from .adaptive import (AdaptiveConfig, MaxRefinementsError, ScaleSearchError,
-                       SolveState, adaptive_solve)
+from .adaptive import SOLVER_ERRORS, AdaptiveConfig, SolveState, adaptive_solve
 from .basis import BasisSet, chunk_rows
-from .lsq import AssemblyError
 from .pde import SemilinearProblem, benchmark
-
-#: Solver-side failures a run records in its manifest before re-raising.
-SOLVER_ERRORS = (MaxRefinementsError, ScaleSearchError, AssemblyError,
-                 geo.GeometryError)
 
 #: Bytes per unit of ``ru_maxrss``: kibibytes on Linux, bytes on macOS.
 _MAXRSS_UNIT = 1 if sys.platform == "darwin" else 1024
@@ -214,20 +208,23 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
     stopping rule (false when it used up n_max steps or took a step that no
     halving made lower); "timings" the wall time of the solve
     ("solve_s"), of the error on the test grid that each refinement record
-    carries, which "solve_s" leaves out ("diagnostic_s"), of the final
-    evaluation on the test grid ("evaluate_s") and of the whole run
-    ("total_s"); "scale_at_bound" the indices of the refinements whose
-    scale search picked its largest candidate, ``scale_max``, where the
-    best scale may lie beyond the range searched; "warnings" one line for
+    carries, which "solve_s" leaves out ("diagnostic_s"), of the
+    evaluation of the final state on the test grid ("evaluate_s": the last
+    record's, also counted in "diagnostic_s", when the solve ended with a
+    refinement) and of the whole run ("total_s"); "scale_at_bound" the
+    indices of the refinements whose scale search picked its largest
+    candidate, ``scale_max``, where the best scale may lie beyond the range
+    searched; "warnings" one line for
     each such refinement, each refinement whose scale candidates or coupled
     re-solve did not converge, and a final solve that did not converge
     (``_warnings``), while "status" stays "ok"; and
     "peak_rss_mb" the peak resident sizes of the calling process and of its
     largest scale-search worker, read once the artifacts are written
-    (``_peak_rss_mb``). A solver failure writes
-    manifest.json alone, with status="failed", the error and the history the
-    exception carries, and is re-raised: "trace" holds the refinement
-    records of a MaxRefinementsError (empty for other failures).
+    (``_peak_rss_mb``). A solver failure writes manifest.json alone, with
+    status="failed", the error and, in "trace", the records of the
+    refinements finished before it, which every failure of
+    ``SOLVER_ERRORS`` carries out of ``adaptive_solve``; the error is
+    re-raised.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -239,13 +236,16 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
     manifest = {"benchmark": name, "config": cfg.to_dict(), "status": "ok"}
 
     diagnostic_s = 0.0
+    last = None         # the latest diagnostic's state, test grid and seconds
 
     def diagnostic(state: SolveState) -> float:
-        nonlocal diagnostic_s
+        nonlocal diagnostic_s, last
         t0 = time.perf_counter()
-        err = evaluate_on_grid(state, problem, cfg.test_resolution).err_l2()
-        diagnostic_s += time.perf_counter() - t0
-        return err
+        grid = evaluate_on_grid(state, problem, cfg.test_resolution)
+        seconds = time.perf_counter() - t0
+        diagnostic_s += seconds
+        last = state, grid, seconds
+        return grid.err_l2()
 
     try:
         state, trace = adaptive_solve(
@@ -255,15 +255,17 @@ def run(name: str, config: AdaptiveConfig, outdir) -> dict:
     except SOLVER_ERRORS as exc:
         manifest["status"] = "failed"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
-        records = exc.trace if isinstance(exc, MaxRefinementsError) else None
-        manifest["trace"] = [r.to_dict() for r in records or []]
+        manifest["trace"] = [r.to_dict() for r in exc.trace]
         with open(outdir / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2)
         raise
 
-    t_eval = time.perf_counter()
-    grid = evaluate_on_grid(state, problem, cfg.test_resolution)
-    timings["evaluate_s"] = time.perf_counter() - t_eval
+    if last is not None and last[0] is state:
+        _, grid, timings["evaluate_s"] = last
+    else:
+        t_eval = time.perf_counter()
+        grid = evaluate_on_grid(state, problem, cfg.test_resolution)
+        timings["evaluate_s"] = time.perf_counter() - t_eval
 
     _write_solution_csv(outdir / "solution.csv", grid)
     _write_trace_jsonl(outdir / "trace.jsonl", trace)

@@ -470,42 +470,34 @@ def split_subdomain(partition: PartitionState, center, radius: float) -> Partiti
     return replace(partition, balls=partition.balls + (new,))
 
 
-def reclassify_collocation(sets: CollocationSets, partition: PartitionState,
-                           ball_resolution: int,
+def reclassify_collocation(partition: PartitionState, interior: np.ndarray,
+                           boundary: np.ndarray, ball_resolution: int,
                            interface_count: int) -> CollocationSets:
-    """Collocation bookkeeping after the partition's newest ball is carved out.
+    """The collocation sets of every subdomain of ``partition``, built from
+    the domain-wide ``interior`` and ``boundary`` points alone.
 
-    Boundary points of subdomain 0 inside the closed ball migrate to the
-    ball's boundary set; interior points of subdomain 0 inside the closed
-    ball are dropped; a fresh lattice masked to the open ball-domain becomes
-    the ball's interior set, and a sphere sample masked to the open domain
-    becomes its interface set. ``sets`` must hold every subdomain but the
-    newest ball. ``ball_resolution`` is the ball lattice's points per axis.
+    Each of those points goes to the subdomain that
+    ``PartitionState.classify`` gives it, in its given order: a closed ball
+    takes it, the earliest ball if more than one does, and subdomain 0 the
+    rest. A ball keeps the boundary points it takes, but none of the
+    interior ones: its interior set is its own lattice of ``ball_resolution``
+    points per axis over its bounding box, masked to the open ball-domain,
+    and its interface set a sphere sample of ``interface_count`` points,
+    masked to the open domain. So the sets depend on the partition alone,
+    and any partition's sets, however it was reached, are one call away.
     """
-    k = partition.n_balls
-    if sets.n_subdomains != k:
-        raise GeometryError(f"expected the collocation sets of subdomains 0..{k - 1}, "
-                            f"got {sets.n_subdomains} subdomains; ball {k} is the newest")
-    ball = partition.ball(k)
-
-    x_f0, x_g0 = sets.interior[0], sets.boundary[0]
-    migrate = ball.contains_closed(x_g0)
-    x_gk = x_g0[migrate]
-    x_g0_new = x_g0[~migrate]
-    x_f0_new = x_f0[~ball.contains_closed(x_f0)]
-
     base = partition.base
-    lattice = _tensor_lattice(ball.bounding_box(), ball_resolution)
-    x_fk = lattice[ball.contains_open(lattice) & base.contains(lattice)
-                   & _off_corners(base, lattice)]
-    if len(x_fk) == 0:
-        raise GeometryError(
-            f"ball {k} holds no point of its {ball_resolution}-per-axis lattice "
-            "inside the domain; raise ball_resolution (points per axis)")
-
-    sphere = sample_sphere_uniform(ball.center, ball.radius, interface_count)
-    x_gamma = sphere[base.contains(sphere)]
-
-    return CollocationSets((x_f0_new,) + sets.interior[1:] + (x_fk,),
-                           (x_g0_new,) + sets.boundary[1:] + (x_gk,),
-                           sets.interface + (x_gamma,))
+    owner_f, owner_g = partition.classify(interior), partition.classify(boundary)
+    x_f, x_gamma = [interior[owner_f == 0]], [np.empty((0, partition.dim))]
+    for ball in partition.balls:
+        lattice = _tensor_lattice(ball.bounding_box(), ball_resolution)
+        x_f.append(lattice[ball.contains_open(lattice) & base.contains(lattice)
+                           & _off_corners(base, lattice)])
+        if len(x_f[-1]) == 0:
+            raise GeometryError(
+                f"ball {ball.index} holds no point of its {ball_resolution}-per-axis "
+                "lattice inside the domain; raise ball_resolution (points per axis)")
+        sphere = sample_sphere_uniform(ball.center, ball.radius, interface_count)
+        x_gamma.append(sphere[base.contains(sphere)])
+    x_g = [boundary[owner_g == k] for k in range(partition.n_subdomains)]
+    return CollocationSets(x_f, x_g, x_gamma)

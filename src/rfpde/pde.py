@@ -43,7 +43,6 @@ class SemilinearProblem:
     nonlinearity: Optional[ScalarFn] = None
     nonlinearity_prime: Optional[ScalarFn] = None
     exact: Optional[PointFn] = None
-    name: str = ""
 
     def __post_init__(self):
         if (self.nonlinearity is None) != (self.nonlinearity_prime is None):
@@ -118,7 +117,7 @@ def _twice(u: np.ndarray) -> np.ndarray:
     return 2.0 * u
 
 
-def _peak_problem(name: str, centers, dim: int, nonlinear: bool) -> SemilinearProblem:
+def _peak_problem(centers, dim: int, nonlinear: bool) -> SemilinearProblem:
     # module-level functions bound by ``partial``: the problem pickles, so a
     # worker process can receive it
     centers = np.asarray(centers, dtype=float)
@@ -128,10 +127,10 @@ def _peak_problem(name: str, centers, dim: int, nonlinear: bool) -> SemilinearPr
         return SemilinearProblem(region=region,
                                  forcing=partial(_bump_nonlinear_forcing, centers=centers),
                                  boundary=exact, nonlinearity=_square,
-                                 nonlinearity_prime=_twice, exact=exact, name=name)
+                                 nonlinearity_prime=_twice, exact=exact)
     return SemilinearProblem(region=region,
                              forcing=partial(_bump_neg_laplacian, centers=centers),
-                             boundary=exact, exact=exact, name=name)
+                             boundary=exact, exact=exact)
 
 
 def _corner_exact(points: np.ndarray) -> np.ndarray:
@@ -151,8 +150,7 @@ def _corner_problem() -> SemilinearProblem:
     region = BoxMinusBox(outer=Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
                          removed=Box(np.array([0.0, 0.0]), np.array([1.0, 1.0])))
     return SemilinearProblem(region=region, forcing=_corner_forcing,
-                             boundary=_corner_exact, exact=_corner_exact,
-                             name="corner2d")
+                             boundary=_corner_exact, exact=_corner_exact)
 
 
 BENCHMARKS = (
@@ -167,11 +165,11 @@ def benchmark(name: str) -> SemilinearProblem:
     if name == "corner2d":
         return _corner_problem()
     if name == "peak3d":
-        return _peak_problem(name, [(0.5, 0.5, 0.5)], dim=3, nonlinear=False)
+        return _peak_problem([(0.5, 0.5, 0.5)], dim=3, nonlinear=False)
     for prefix, nonlinear in (("peak2d-", False), ("nonlinear2d-", True)):
         if name.startswith(prefix):
             case = name[len(prefix):]
             if case in _PEAK_CENTERS_2D:
-                return _peak_problem(name, _PEAK_CENTERS_2D[case], dim=2,
+                return _peak_problem(_PEAK_CENTERS_2D[case], dim=2,
                                      nonlinear=nonlinear)
     raise ValueError(f"unknown benchmark {name!r}; choose one of {BENCHMARKS}")

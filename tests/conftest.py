@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from rfpde import AdaptiveConfig, bench, lsq
+from rfpde import geometry as geo
 
 #: One line per acceptance criterion, echoed after the run regardless of
 #: output capture.
@@ -115,6 +116,31 @@ def fresh_solve(partition, bases, colloc, problem, n_max=None, tol=None):
             for rows in fresh_ball_rows(partition, bases, colloc, problem)]
     return lsq.gauss_newton(problem, bases[0], colloc.interior[0], colloc.boundary[0],
                             kept, n_max or defaults.n_max, tol or defaults.tol)
+
+
+def migrate_collocation(sets, partition, ball_resolution, interface_count):
+    """The collocation sets after the partition's newest ball is carved out
+    of ``sets``, which hold those of every other subdomain.
+
+    The incremental migration that built the sets before they were built
+    from the partition alone, kept as a reference: subdomain 0's boundary
+    points in the closed ball move to the ball, its interior points there
+    are dropped, and the ball's lattice and sphere sample are masked as in
+    ``geometry.reclassify_collocation``.
+    """
+    k = partition.n_balls
+    assert sets.n_subdomains == k
+    ball, base = partition.ball(k), partition.base
+    x_f0, x_g0 = sets.interior[0], sets.boundary[0]
+    migrate = ball.contains_closed(x_g0)
+    lattice = geo._tensor_lattice(ball.bounding_box(), ball_resolution)
+    x_fk = lattice[ball.contains_open(lattice) & base.contains(lattice)
+                   & geo._off_corners(base, lattice)]
+    sphere = geo.sample_sphere_uniform(ball.center, ball.radius, interface_count)
+    return geo.CollocationSets(
+        (x_f0[~ball.contains_closed(x_f0)],) + sets.interior[1:] + (x_fk,),
+        (x_g0[~migrate],) + sets.boundary[1:] + (x_g0[migrate],),
+        sets.interface + (sphere[base.contains(sphere)],))
 
 
 def all_coefficients(report):

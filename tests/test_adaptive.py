@@ -125,12 +125,12 @@ def first_scale_search(name, **config):
     problem = pde.benchmark(name)
     cfg = ada.AdaptiveConfig(**config).resolved(problem.dim)
     part = geo.PartitionState(problem.region)
-    colloc = ada.initial_collocation(problem, cfg)
+    domain = ada.initial_collocation(problem, cfg)
     basis0 = ada._base_basis(problem, cfg)
-    state, res, _ = ada._solve_and_gate(problem, part, [basis0], colloc, [], cfg)
-    part = geo.split_subdomain(part, ada.locate_peak(res, colloc.interior[0]),
+    state, res, _ = ada._solve_and_gate(problem, part, [basis0], domain, [], cfg)
+    part = geo.split_subdomain(part, ada.locate_peak(res, domain.interior[0]),
                                cfg.radius)
-    colloc = geo.reclassify_collocation(colloc, part,
+    colloc = geo.reclassify_collocation(part, domain.interior[0], domain.boundary[0],
                                         ball_resolution=cfg.ball_resolution,
                                         interface_count=cfg.interface_count)
     return problem, basis0, state.report.alphas[0], part.ball(1), colloc, cfg
@@ -275,12 +275,10 @@ class TestScaleSearch:
         region = box2()
         part = geo.split_subdomain(geo.PartitionState(region),
                                    np.array([0.4, 0.4]), 0.2)
-        colloc = geo.CollocationSets.initial(
-            geo.generate_interior_grid(region, resolution=15),
-            geo.generate_boundary_points(region, 40))
-        colloc = geo.reclassify_collocation(colloc, part,
-                                            ball_resolution=10,
-                                            interface_count=30)
+        colloc = geo.reclassify_collocation(
+            part, geo.generate_interior_grid(region, resolution=15),
+            geo.generate_boundary_points(region, 40), ball_resolution=10,
+            interface_count=30)
         return part, colloc
 
     def test_degenerate_losses_tie_to_one(self):
@@ -515,12 +513,10 @@ class TestAdaptiveSolve:
         # collocation of ball 1 regenerates identically from the partition
         part1 = geo.PartitionState(problem.region, (ball1,))
         colloc1 = geo.reclassify_collocation(
-            geo.CollocationSets.initial(
-                geo.generate_interior_grid(problem.region,
-                                           resolution=cfg.interior_resolution),
-                geo.generate_boundary_points(problem.region, cfg.boundary_count)),
-            part1, ball_resolution=cfg.ball_resolution,
-            interface_count=cfg.interface_count)
+            part1, geo.generate_interior_grid(problem.region,
+                                              resolution=cfg.interior_resolution),
+            geo.generate_boundary_points(problem.region, cfg.boundary_count),
+            ball_resolution=cfg.ball_resolution, interface_count=cfg.interface_count)
         assert state.colloc.interior[1].tobytes() == colloc1.interior[1].tobytes()
         assert state.colloc.interface[1].tobytes() == colloc1.interface[1].tobytes()
 

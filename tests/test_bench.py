@@ -121,10 +121,9 @@ def one_ball_state():
     b1 = bas.rescale(bas.generate_transferable(25, 2.0, 2, seed=1, stream=1),
                      np.array([0.5, 0.5]), 3)
     colloc = geo.reclassify_collocation(
-        geo.CollocationSets.initial(
-            geo.generate_interior_grid(problem.region, resolution=20),
-            geo.generate_boundary_points(problem.region, 80)),
-        part, ball_resolution=12, interface_count=40)
+        part, geo.generate_interior_grid(problem.region, resolution=20),
+        geo.generate_boundary_points(problem.region, 80), ball_resolution=12,
+        interface_count=40)
     report = fresh_solve(part, [b0, b1], colloc, problem)
     return ada.SolveState(part, [b0, b1], colloc, report), problem
 
@@ -330,20 +329,26 @@ class TestRun:
 
     def test_solve_time_excludes_every_diagnostic(self, tmp_path, monkeypatch):
         # a fake clock that only the test-grid evaluations advance: the
-        # solve's time must hold none of them
+        # solve's time must hold none of them, and the final state's grid is
+        # the last refinement's, evaluated once
         clock = {"t": 0.0}
         monkeypatch.setattr(bench.time, "perf_counter", lambda: clock["t"])
         real = bench.evaluate_on_grid
+        states = []
 
-        def evaluate_on_grid(*args, **kwargs):
+        def evaluate_on_grid(state, *args, **kwargs):
             clock["t"] += 1000.0
-            return real(*args, **kwargs)
+            states.append(state)
+            return real(state, *args, **kwargs)
         monkeypatch.setattr(bench, "evaluate_on_grid", evaluate_on_grid)
         manifest = bench.run("peak2d-case1", ada.AdaptiveConfig(**SMALL), tmp_path)
         timings = manifest["timings"]
         assert timings["diagnostic_s"] == 1000.0 * manifest["n_balls"] > 0
         assert timings["solve_s"] == 0.0
         assert timings["evaluate_s"] == 1000.0
+        assert timings["total_s"] == timings["diagnostic_s"]
+        assert len(states) == len({id(state) for state in states}) == manifest["n_balls"]
+        assert manifest["err_l2"] == manifest["trace"][-1]["err_l2"]
 
     def test_manifest_records_peak_memory(self, case1_run):
         outdir, manifest = case1_run
@@ -387,6 +392,17 @@ class TestRun:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert "MaxRefinementsError" in manifest["error"]
+
+    def test_failed_refinement_keeps_the_finished_ones(self, tmp_path):
+        # corner2d's second residual peak lies next to ball 1, and no halving
+        # of the radius clears it
+        with pytest.raises(geo.RefinementConflictError):
+            bench.run("corner2d", ada.AdaptiveConfig(**SMALL), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"].startswith("RefinementConflictError: new ball at")
+        assert [r["index"] for r in manifest["trace"]] == [1]
+        assert manifest["trace"][0]["err_l2"] > 0
 
     def test_failed_gauss_newton_recorded(self, tmp_path, monkeypatch):
         fail_after_first_ball(monkeypatch)

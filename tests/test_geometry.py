@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import migrate_collocation
+from rfpde import AdaptiveConfig, BENCHMARKS, benchmark
 from rfpde import geometry as geo
+from rfpde.adaptive import initial_collocation
 
 
 def unit_box2():
@@ -236,7 +239,7 @@ def make_case(center, radius, region=None, resolution=50, boundary=400,
     sets = geo.CollocationSets.initial(interior, bpts)
     part = geo.split_subdomain(geo.PartitionState(region), np.asarray(center), radius)
     return part, sets, geo.reclassify_collocation(
-        sets, part, ball_resolution=ball_resolution, interface_count=200)
+        part, interior, bpts, ball_resolution=ball_resolution, interface_count=200)
 
 
 class TestReclassify:
@@ -252,18 +255,6 @@ class TestReclassify:
         # migrated points are exactly the closed-ball boundary points
         ball = part.ball(1)
         assert np.all(ball.contains_closed(after.boundary[1]))
-
-    def test_ball_that_is_not_newest_raises(self):
-        part, before, after = make_case([0.95, 0.2], 0.1)
-        # ball 1 is already reclassified
-        with pytest.raises(geo.GeometryError):
-            geo.reclassify_collocation(after, part, ball_resolution=40,
-                                       interface_count=200)
-        # ball 1 was never reclassified, and ball 2 is the newest
-        two = geo.split_subdomain(part, np.array([-0.5, -0.5]), 0.1)
-        with pytest.raises(geo.GeometryError):
-            geo.reclassify_collocation(before, two, ball_resolution=40,
-                                       interface_count=200)
 
     def test_boundary_conservation(self):
         part, before, after = make_case([0.95, 0.2], 0.1)
@@ -294,14 +285,12 @@ class TestReclassify:
 
     def test_ball_outside_domain_errors(self):
         region = unit_box2()
-        sets = geo.CollocationSets.initial(
-            geo.generate_interior_grid(region, resolution=20),
-            geo.generate_boundary_points(region, 40))
         ball = geo.BallSubdomain(center=np.array([1.5, 0.0]), radius=0.1, index=1)
         part = geo.PartitionState(region, (ball,))
         with pytest.raises(geo.GeometryError):
-            geo.reclassify_collocation(sets, part, ball_resolution=40,
-                                       interface_count=200)
+            geo.reclassify_collocation(part, geo.generate_interior_grid(region, 20),
+                                       geo.generate_boundary_points(region, 40),
+                                       ball_resolution=40, interface_count=200)
 
     def test_partition_completeness(self):
         part, before, after = make_case([0.5102, 0.5102], 0.15)
@@ -314,10 +303,9 @@ class TestReclassify:
         box3 = geo.Box(-np.ones(3), np.ones(3))
         interior = geo.generate_interior_grid(box3, resolution=10)
         bpts = geo.generate_boundary_points(box3, 600)
-        sets = geo.CollocationSets.initial(interior, bpts)
         part = geo.split_subdomain(geo.PartitionState(box3),
                                    np.array([0.5, 0.5, 0.5]), 0.11)
-        after = geo.reclassify_collocation(sets, part, ball_resolution=20,
+        after = geo.reclassify_collocation(part, interior, bpts, ball_resolution=20,
                                            interface_count=600)
         # 20^3 lattice masked to the open ball: inscribed-ball fraction
         assert len(after.interior[1]) == 3544
@@ -328,6 +316,66 @@ class TestReclassify:
         with pytest.raises(geo.GeometryError, match="ball_resolution"):
             make_case([0.5, 0.5], 0.15, resolution=20, boundary=40,
                       ball_resolution=2)
+
+
+#: Per dimension: balls (centre, radius) placed one after another, and a
+#: boundary point near which two balls of radius 0.25 are placed on a
+#: facet along the given axis, their closures 1.5e-10 apart, so that the
+#: boundary point between them lies in both (``TAU_GEO`` = 1e-10).
+ORACLE_BALLS = {
+    # an interior ball (at the L-shape's re-entrant corner there), a ball
+    # clipped at a corner of the outer box, and an interior ball
+    2: ([((0.0, 0.0), 0.15), ((-0.98, -0.98), 0.15), ((-0.5, 0.5), 0.2)],
+        (0.5, -1.0), 0),
+    # an interior ball, and a ball clipped by two faces
+    3: ([((0.5, 0.5, 0.5), 0.11), ((-0.9, 0.95, 0.0), 0.11)],
+        (-1.0, 0.5, -0.5), 1),
+}
+
+
+def same_sets(a, b):
+    """Whether two collocation sets hold the same arrays, bit for bit and in
+    the same order."""
+    pairs = [(a.interior, b.interior), (a.boundary, b.boundary),
+             (a.interface, b.interface)]
+    return all(len(p) == len(q) and all(
+        u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+        for u, v in zip(p, q)) for p, q in pairs)
+
+
+class TestPartitionBuilder:
+    @pytest.mark.parametrize("name", BENCHMARKS)
+    def test_matches_the_incremental_migration(self, name):
+        problem = benchmark(name)
+        cfg = AdaptiveConfig().resolved(problem.dim)
+        domain = initial_collocation(problem, cfg)
+        balls, target, axis = ORACLE_BALLS[problem.dim]
+        points = domain.boundary[0]
+        shared = points[np.argmin(np.linalg.norm(points - target, axis=1))]
+        step = np.eye(problem.dim)[axis] * (0.25 + 0.75e-10)
+        balls = balls + [(shared - step, 0.25), (shared + step, 0.25)]
+
+        part, migrated = geo.PartitionState(problem.region), domain
+        for center, radius in balls:
+            part = geo.split_subdomain(part, np.asarray(center), radius)
+            migrated = migrate_collocation(migrated, part, cfg.ball_resolution,
+                                           cfg.interface_count)
+            built = geo.reclassify_collocation(part, domain.interior[0],
+                                               domain.boundary[0],
+                                               cfg.ball_resolution,
+                                               cfg.interface_count)
+            assert same_sets(built, migrated), part.n_balls
+
+        # some balls are clipped by the boundary, some are not
+        clipped = [len(b) > 0 for b in built.boundary[1:]]
+        assert any(clipped) and not all(clipped)
+        # ball 1 holds the L-shape's re-entrant corner
+        assert np.all(part.ball(1).contains_open(problem.region.corner_guard_points()))
+        # the shared point lies in both closed balls and goes to the earlier
+        first, second = part.balls[-2:]
+        assert first.contains_closed(shared) and second.contains_closed(shared)
+        owners = [k for k, b in enumerate(built.boundary) if (b == shared).all(1).any()]
+        assert owners == [first.index]
 
 
 class TestNormals:

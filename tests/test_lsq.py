@@ -71,7 +71,8 @@ def dense(blocks):
 def one_ball_setup(m0=40, mstar=50, seed=3, center=(0.4, 0.4), radius=0.2):
     region = box2()
     part = geo.split_subdomain(geo.PartitionState(region), np.asarray(center), radius)
-    colloc = geo.reclassify_collocation(standard_colloc(region), part,
+    domain = standard_colloc(region)
+    colloc = geo.reclassify_collocation(part, domain.interior[0], domain.boundary[0],
                                         ball_resolution=12, interface_count=40)
     b0 = bas.generate_transferable(m0, 2.0, 2, seed=seed, stream=0)
     b1 = bas.rescale(bas.generate_transferable(mstar, 2.0, 2, seed=seed, stream=1),
@@ -223,14 +224,14 @@ def two_ball_setup(seed=3, m0=40, mstar=50):
     """Two balls; the second crosses the outer boundary, so it owns boundary rows."""
     region = box2()
     part = geo.PartitionState(region)
-    colloc = standard_colloc(region)
     bases = [bas.generate_transferable(m0, 2.0, 2, seed=seed, stream=0)]
     for k, center in enumerate([np.array([0.4, 0.4]), np.array([0.9, -0.3])], 1):
         part = geo.split_subdomain(part, center, 0.2)
-        colloc = geo.reclassify_collocation(colloc, part, ball_resolution=12,
-                                            interface_count=40)
         bases.append(bas.rescale(
             bas.generate_transferable(mstar, 2.0, 2, seed=seed, stream=k), center, 2))
+    domain = standard_colloc(region)
+    colloc = geo.reclassify_collocation(part, domain.interior[0], domain.boundary[0],
+                                        ball_resolution=12, interface_count=40)
     return part, bases, colloc
 
 
@@ -1231,9 +1232,10 @@ class TestStackedSystem:
         region = box2()
         center = np.array([0.4, 0.4])
         part = geo.split_subdomain(geo.PartitionState(region), center, 0.2)
-        colloc = geo.reclassify_collocation(
-            standard_colloc(region, resolution=60, boundary=400), part,
-            ball_resolution=12, interface_count=40)
+        domain = standard_colloc(region, resolution=60, boundary=400)
+        colloc = geo.reclassify_collocation(part, domain.interior[0],
+                                            domain.boundary[0], ball_resolution=12,
+                                            interface_count=40)
         bases = [bas.generate_transferable(200, 2.0, 2, seed=3, stream=0),
                  bas.rescale(bas.generate_transferable(50, 2.0, 2, seed=3, stream=1),
                              center, 2)]
