@@ -36,29 +36,42 @@ the result is a least-squares solution but not the minimum-norm one that
 gelsd on the whole zero-padded matrix would give: each ball's coefficients
 have minimum norm given subdomain 0's, not jointly with them.
 
-Every row of a block, and its entry of the right-hand side, is scaled to
-unit 2-norm (an interface row's norm covers its subdomain-0 columns too), so
-the scale search, ``keep_ball`` and every coupled solve see one weighted
-system, and the relative SVD truncation acts on rows of one size. A linear
-problem is solved directly, at zero coefficients; a nonlinear one by a
-Gauss-Newton loop from zero coefficients whose step is backtracked: halved
-until the weighted squared residual |T|^2 at the trial coefficients is not
-above the current one. Each trial is the system re-linearized at it, which
-the next step solves, so an accepted full step costs nothing extra. Every
-solve reports, and a nonlinear one stops on the relative change of, one
-loss: |T|^2 at the returned coefficients, the squared residual of the
-problem's equations in unit-row units.
+Every row has one weight, set once, when its rows are evaluated
+(``_subdomain_rows``): the 2-norm of the row's linear part, an interface
+row's over its subdomain-0 columns too, and 1 for a row of norm zero. The
+row and its entry of every right-hand side are divided by it. So a linear
+problem's rows are at unit 2-norm, the scale search, ``keep_ball`` and every
+coupled solve see one weighted system, and the relative SVD truncation acts
+on rows of one size. Unweighted, an interior row weighs scale^2 |w|^2
+against at most 1 for a value row, and the truncation drops what the value
+rows ask for: peak3d at acceptance criterion 10's settings solves to err_l2
+43.3 on unweighted rows, 1.5e-2 on weighted ones. A nonlinear problem's rows
+keep their linear part's weights at every linearization, so all its
+Gauss-Newton steps minimize one fixed weighted residual; a Gauss-Newton
+step is a descent direction only for a fixed weighting (Nocedal and Wright,
+Numerical Optimization, section 10.3).
+
+A linear problem is solved directly, at zero coefficients; a nonlinear one
+by a Gauss-Newton loop from zero coefficients whose step is backtracked:
+halved until the weighted squared residual |T|^2 at the trial coefficients
+is not above the current one. Each trial is the system re-linearized at it,
+which the next step solves, so an accepted full step costs nothing extra.
+Every solve reports, and a nonlinear one stops on the relative change of,
+one loss: |T|^2 at the returned coefficients, the squared residual of the
+problem's equations in row-weight units.
 
 Rows are built in one place, ``_subdomain_rows``, one subdomain at a time in
 one order: interior rows, boundary rows, then a ball's interface value and
 normal-derivative rows. It allocates the subdomain's block once and has the
 basis evaluate each row group straight into its slice of it (``out=``), the
-interior Laplacians then negated in place, so the block is the rows of the
-operator's linear part with no copy (``ball_rows``; subdomain 0's in
-``coupled_rows``). A Gauss-Newton step only re-linearizes them
-(``assemble``, ``assemble_local``). One rule sizes every block's array: it
-has the shape of its rows' array. A linear problem's block is that array
-itself, and a nonlinear step's a copy of it, re-linearized. Subdomain 0's
+interior Laplacians then negated and every row divided by its weight in
+place, so the block is the weighted rows of the operator's linear part with
+no copy (``ball_rows``; subdomain 0's in ``coupled_rows``). Assembly
+(``assemble``, ``assemble_local``, ``keep_ball``) writes into no array of
+them, so they can be assembled any number of times; a Gauss-Newton step
+only re-linearizes them. One rule sizes every block's array: it has the
+shape of its rows' array. A linear problem's block is that array itself,
+and a nonlinear step's a copy of it, re-linearized. Subdomain 0's
 rows are evaluated, for both kinds of problem, into an array with the
 stacked problem's spare rows below them, and ``coupled_rows`` alone counts
 them.
@@ -152,12 +165,12 @@ class SolveReport:
     """Solution coefficients plus diagnostics of the solve."""
 
     alphas: list[np.ndarray]           # coefficients per subdomain
-    # squared residual of the equations at ``alphas``, in unit-row units:
+    # squared residual of the equations at ``alphas``, in row-weight units:
     # of the problem for a Gauss-Newton solve, of the given system for
     # ``solve_min_norm``
     loss: float
     # per block, as ``alphas``: {row kind name: squared residual of the
-    # block's unit rows of that kind}, for the kinds the block has; the
+    # block's weighted rows of that kind}, for the kinds the block has; the
     # entries add up to ``loss``
     residuals: list
     # per block, as ``alphas``: the rank and [largest, smallest] retained
@@ -175,15 +188,18 @@ class SolveReport:
 
 class SubdomainRows(NamedTuple):
     """What a subdomain's block needs that no Gauss-Newton step changes: its
-    basis evaluated at its collocation points, and the problem data there."""
+    basis evaluated at its collocation points, each row divided by its
+    weight, and the problem data there. Nothing writes into them once made
+    (``_subdomain_rows``)."""
 
     # the rows of the operator's linear part on the subdomain's columns, in
-    # block order; for subdomain 0 of a coupled problem, linear or not, one
-    # spare row per ball row below them. Every block of the subdomain has
-    # this shape: a linear one is this array itself, a nonlinear one a copy
-    # (``SystemBlocks.stacked``)
+    # block order, each divided by its entry of ``norms``; for subdomain 0
+    # of a coupled problem, linear or not, one spare row per ball row below
+    # them. Every block of the subdomain has this shape: a linear one is
+    # this array itself, a nonlinear one a copy (``SystemBlocks.stacked``)
     matrix: np.ndarray
     row_kind: np.ndarray               # int8, ROW_* constants
+    norms: np.ndarray                  # each row's weight (module docstring)
     forcing: np.ndarray                # f at the interior points
     data: np.ndarray                   # g at the boundary points
     values: Optional[np.ndarray]       # basis values at the interior points (nonlinear)
@@ -206,7 +222,11 @@ def _subdomain_rows(problem: SemilinearProblem, basis: BasisSet,
     interface value and normal-derivative rows. The rows are the operator's
     linear part on the subdomain's columns (-Laplacians, values, values,
     normal derivatives), each group evaluated into its slice of an array
-    with ``spare`` more rows left below them (``coupled_rows`` sizes them)."""
+    with ``spare`` more rows left below them (``coupled_rows`` sizes them).
+
+    Each row is then divided, in place, by its weight, which the module
+    docstring defines, and the weights are kept as ``norms``.
+    """
     normals = None if ball is None else outward_normals(ball, interface)
     # (kind, points, evaluation into ``out``) of each row group, in block order
     groups = [(ROW_INTERIOR, interior, basis.laplacians),
@@ -225,12 +245,19 @@ def _subdomain_rows(problem: SemilinearProblem, basis: BasisSet,
         start = sl.stop
     interior_rows = matrix[:len(interior)]
     np.negative(interior_rows, out=interior_rows)
+    rows = matrix[:len(row_kind)]
+    norms = np.einsum("ij,ij->i", rows, rows)
     trace = None
     if ball is not None:
         trace = (basis_0.values(interface), basis_0.normal_derivatives(interface, normals))
+        norms[len(norms) - 2 * len(interface):] += np.concatenate(
+            [np.einsum("ij,ij->i", trace_0, trace_0) for trace_0 in trace])
+    np.sqrt(norms, out=norms)
+    norms[norms == 0.0] = 1.0
+    rows /= norms[:, None]
     return SubdomainRows(
-        matrix=matrix, row_kind=row_kind, forcing=problem.forcing(interior),
-        data=problem.boundary(boundary),
+        matrix=matrix, row_kind=row_kind, norms=norms,
+        forcing=problem.forcing(interior), data=problem.boundary(boundary),
         values=None if problem.nonlinearity is None else basis.values(interior),
         trace=trace)
 
@@ -271,73 +298,39 @@ def _block(problem: SemilinearProblem, rows: SubdomainRows,
            alpha_k: np.ndarray, alpha_0: np.ndarray) -> SystemBlocks:
     """One subdomain's block linearized at ``alpha_k``, with subdomain 0 at
     ``alpha_0``: its rows on its own columns and, for a ball, its interface
-    rows on subdomain 0's columns as ``coupling``.
+    rows on subdomain 0's columns as ``coupling``, each row divided by its
+    weight (``SubdomainRows.norms``).
 
-    Right-hand sides are the residuals at the current coefficients, so on an
-    interface they carry subdomain 0's trace at ``alpha_0``.
+    The right-hand side is the residual at the current coefficients in
+    row-weight units: the forcing, the boundary data and, on an interface,
+    subdomain 0's trace at ``alpha_0``, divided by the weights, minus the
+    rows times ``alpha_k``, and on the interior rows of a nonlinear problem
+    minus N(u) divided by the weights.
 
-    The block's ``stacked`` has the shape of the rows' array, spare rows and
-    all: a linear block is that array itself, and a nonlinear one a copy of
-    it that the rows are re-linearized in.
-
-    Every row is then scaled to unit 2-norm, its right-hand side with it
-    (``_equilibrate``), so a linear problem's rows are assembled once: their
-    array is scaled in place, and their row kinds are made read-only to mark
-    it. A second assembly of them raises AssemblyError, since it would scale
-    their scaled array again against the unscaled data.
+    Nothing is written into ``rows``, so they can be assembled any number of
+    times. The block's ``stacked`` has the shape of the rows' array, spare
+    rows and all: a linear block is that array itself, and a nonlinear one a
+    copy of it whose interior rows gain N'(u) psi divided by their weights.
     """
-    F = rows.matrix
-    if problem.nonlinearity is None:
-        if not rows.row_kind.flags.writeable:
-            raise AssemblyError("a linear problem's rows are assembled once: the "
-                                "first assembly scaled them in place")
-        rows.row_kind.flags.writeable = False
     n = len(rows.row_kind)
     interior = slice(0, len(rows.forcing))
-    boundary = slice(interior.stop, interior.stop + len(rows.data))
-    T = np.empty(n)
-    T[interior] = rows.forcing - F[interior] @ alpha_k
+    parts = [rows.forcing, rows.data]
+    if rows.trace is not None:
+        parts += [trace_0 @ alpha_0 for trace_0 in rows.trace]
+    T = np.concatenate(parts) / rows.norms
+    T -= rows.matrix[:n] @ alpha_k
+    F = rows.matrix
     if problem.nonlinearity is not None:
         u = rows.values @ alpha_k
-        F = rows.matrix.copy()
-        F[interior] += problem.nonlinearity_prime(u)[:, None] * rows.values
-        T[interior] -= problem.nonlinearity(u)
-    T[boundary] = rows.data - F[boundary] @ alpha_k
+        weights = rows.norms[interior]
+        T[interior] -= problem.nonlinearity(u) / weights
+        F = F.copy()
+        F[interior] += (problem.nonlinearity_prime(u) / weights)[:, None] * rows.values
     coupling = None
     if rows.trace is not None:
-        start = boundary.stop
-        for trace_0 in rows.trace:
-            sl = slice(start, start + len(trace_0))
-            T[sl] = trace_0 @ alpha_0 - F[sl] @ alpha_k
-            start = sl.stop
-        coupling = np.concatenate([-trace_0 for trace_0 in rows.trace])
-    _equilibrate(F[:n], T, coupling)
+        coupling = np.concatenate(rows.trace)
+        coupling /= -rows.norms[n - len(coupling):, None]
     return SystemBlocks(stacked=F, rhs=T, row_kind=rows.row_kind, coupling=coupling)
-
-
-def _equilibrate(matrix: np.ndarray, rhs: np.ndarray,
-                 coupling: Optional[np.ndarray]) -> None:
-    """Scale each row of a block, and its entry of ``rhs``, to unit 2-norm,
-    in place. A row's squared norm is the sum of its squares over the
-    subdomain's columns (``matrix``), then, for an interface row, over
-    subdomain 0's (``coupling``, the last rows). A row of norm zero keeps
-    weight 1.
-
-    Unscaled, an interior row weighs scale^2 |w|^2 against at most 1 for a
-    value row, and the truncation relative to the largest singular value
-    drops what the value rows ask for: peak3d at acceptance criterion 10's
-    settings solves to err_l2 43.3 on unscaled rows, 1.5e-2 on unit rows.
-    """
-    norms = np.einsum("ij,ij->i", matrix, matrix)
-    if coupling is not None:
-        iface = slice(len(norms) - len(coupling), None)
-        norms[iface] += np.einsum("ij,ij->i", coupling, coupling)
-    np.sqrt(norms, out=norms)
-    norms[norms == 0.0] = 1.0
-    matrix /= norms[:, None]
-    rhs /= norms
-    if coupling is not None:
-        coupling /= norms[iface, None]
 
 
 def _ball_block(problem: SemilinearProblem, ball: SubdomainRows | _Eliminated,
@@ -371,10 +364,8 @@ def assemble(problem: SemilinearProblem, rows: Sequence,
     At zero coefficients and for a linear operator this is exactly the direct
     transcription of the collocated problem; otherwise rows carry the
     operator's directional derivative and the right-hand side the current
-    residuals (including the cancel-the-jump interface terms). Every row is
-    at unit norm; a linear problem's rows are scaled in place, so they are
-    assembled once, and a second assembly of them raises AssemblyError
-    (``coupled_rows`` and ``ball_rows`` evaluate them anew).
+    residuals (including the cancel-the-jump interface terms). Every row
+    carries the weight its rows were evaluated with (``_block``).
     """
     alpha_0, *alpha_balls = _coefficients(rows, alphas)
     balls = [_ball_block(problem, r, a, alpha_0) for r, a in zip(rows[1:], alpha_balls)]
@@ -598,9 +589,11 @@ def gauss_newton_core(assembler: Callable[[Optional[list]], SystemBlocks],
     step.
 
     ``assembler(alphas)`` must return the system linearized at ``alphas``,
-    one coefficient vector per subdomain (zeros when None), its rows at unit
-    norm. A linear problem is the direct solve of the system at zero
-    coefficients: one assembly, one solve, iterations ``[(0, loss, None)]``.
+    one coefficient vector per subdomain (zeros when None), each row
+    divided by one weight whatever ``alphas``, so that every step lowers one
+    weighted |T|^2 (the module docstring). A linear problem is the direct
+    solve of the system at zero coefficients: one assembly, one solve,
+    iterations ``[(0, loss, None)]``.
     A nonlinear step solves F delta = T for the increments and tries
     alphas + t delta for t = 1, 1/2, ..., 2^-MAX_HALVINGS (``_backtrack``);
     each trial's system is assembled, and the first whose |T|^2 is not above

@@ -47,6 +47,7 @@ def run_case(name: str, seed: int, gamma: float, m_star: int, **overrides):
         "residuals": [(r.mean_residual_before, r.mean_residual_after) for r in trace],
         "err": grid.err_l2(),
         "report": state.report,
+        "records": trace,
     }
 
 
@@ -237,6 +238,29 @@ def test_criterion_8_nonlinear_solver(case1_sweep):
            f"Gauss-Newton Re={final_re if final_re is None else format(final_re, '.2e')} "
            f"in {len(rep.iterations) if rep else '?'} iterations (tol 1e-5); "
            f"err ratio nonlinear/linear={ratio:.2f} (tol 3)")
+
+
+def test_criterion_14_nonlinear_solves_converge(monkeypatch):
+    # every coupled solve runs in this process: the K=0 solve, which no
+    # record holds, and each refinement's re-solve
+    coupled = []
+    real = lsq.gauss_newton
+
+    def gauss_newton(*args):
+        solve = real(*args)
+        coupled.append(solve.converged)
+        return solve
+    monkeypatch.setattr(lsq, "gauss_newton", gauss_newton)
+    nl = run_case("nonlinear2d-case1", 1, 2.0, 1000)
+    records = nl["records"] if nl["ok"] else []
+    candidates = [c for r in records for c in r.scale_converged]
+    ok = bool(records) and len(coupled) == len(records) + 1 \
+        and all(c is True for c in coupled + candidates)
+    report("criterion-14 nonlinear-solves-converge", ok,
+           f"criterion 8's nonlinear2d-case1 run: {sum(coupled)}/{len(coupled)} "
+           f"coupled solves (K=0 and each re-solve) and "
+           f"{sum(c is True for c in candidates)}/"
+           f"{len(candidates)} scale candidates converged (all required)")
 
 
 def test_criterion_9_corner_singularity(corner_sweep):

@@ -70,7 +70,8 @@ class TestMeanResidual:
 
     def test_is_unweighted(self, rng):
         # at a fixed alpha the gate reads the raw interior residual, which the
-        # system's right-hand side holds divided by each row's norm
+        # system's right-hand side holds divided by each row's weight, the
+        # norm of the row's linear part -lap(psi)
         b = bas.generate_transferable(12, 2.0, 2, seed=4)
         alpha = rng.standard_normal(b.size)
         problem = pde.benchmark("nonlinear2d-case1")
@@ -80,9 +81,7 @@ class TestMeanResidual:
             geo.generate_boundary_points(problem.region, 40))
         (rows,) = fresh_rows(part, [b], colloc, problem)
         interior = slice(0, len(rows.forcing))
-        jacobian = rows.matrix[interior] \
-            + problem.nonlinearity_prime(rows.values @ alpha)[:, None] * rows.values
-        norms = np.linalg.norm(jacobian, axis=1)
+        norms = np.linalg.norm(b.laplacians(colloc.interior[0]), axis=1)
         assert norms.min() > 0 and not np.allclose(norms, 1.0)
         weighted = lsq.assemble(problem, [rows], alphas=[alpha]).rhs[interior]
         gate = ada.mean_residual(pde.operator_residuals(problem, b, alpha,
@@ -473,6 +472,20 @@ class TestAdaptiveSolve:
         state, trace = ada.adaptive_solve(problem, cfg)
         assert trace == []
         assert state.partition.n_balls == 0
+
+    def test_the_nonlinear_k0_solve_converges(self):
+        # every row keeps one weight at every Gauss-Newton step, so each step
+        # lowers one fixed weighted |T|^2; with rows renormalized at every
+        # linearization this solve stopped unconverged after 4 entries, no
+        # halving of its step lowering the reweighted |T|^2
+        problem = pde.benchmark("nonlinear2d-case1")
+        cfg = ada.AdaptiveConfig(**SMALL)
+        colloc = ada.initial_collocation(problem, cfg)
+        report = lsq.gauss_newton(problem, ada._base_basis(problem, cfg),
+                                  colloc.interior[0], colloc.boundary[0], [],
+                                  cfg.n_max, cfg.tol)
+        assert report.converged
+        assert report.iterations[-1][2] < cfg.tol
 
     def test_single_peak_discovery_small_budget(self):
         problem = pde.benchmark("peak2d-case1")

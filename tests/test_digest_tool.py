@@ -86,6 +86,7 @@ def test_gauss_newton_steps_of_a_nonlinear_run():
     refinements = len(out["scales"])
     assert len(out["gauss_newton_steps"]) == 1 + refinements * (TINY["scale_max"] + 1)
     assert sum(out["gauss_newton_steps"]) == out["systems"]
+    assert len(out["gauss_newton_converged"]) == len(out["gauss_newton_steps"])
     assert len(out["per_system_sha256"]) == out["systems"]
     # Gauss-Newton gives no bound: every candidate is solved
     assert out["scale_bounds"] == [None] * refinements

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -274,11 +275,14 @@ class TestOneAssemblyPath:
         col_starts = np.cumsum([0] + [b.size for b in bases])
         sl = [slice(start, stop) for start, stop in zip(col_starts, col_starts[1:])]
 
-        def padded(n, blocks):
-            """The rows of ``blocks``, (subdomain, its columns) pairs, padded
-            with zeros and divided by the documented row norm: the sum of
-            squares over the subdomain's columns, then over subdomain 0's
-            (an interface row's coupling columns)."""
+        def padded(n, blocks, derivative=None):
+            """The rows of the operator's linear part in ``blocks``,
+            (subdomain, its columns) pairs, padded with zeros and divided by
+            the documented row weight: the square root of the sum of squares
+            over the subdomain's columns, then over subdomain 0's (an
+            interface row's coupling columns). ``derivative``, (subdomain,
+            N'(u), basis values), then adds N'(u) psi divided by that
+            weight on the subdomain's columns."""
             rows = np.zeros((n, col_starts[-1]))
             norms = np.zeros(n)
             for k, block in blocks:
@@ -286,15 +290,19 @@ class TestOneAssemblyPath:
                 norms += np.einsum("ij,ij->i", rows[:, sl[k]], rows[:, sl[k]])
             norms = np.sqrt(norms)
             norms[norms == 0.0] = 1.0
-            return rows / norms[:, None]
+            rows /= norms[:, None]
+            if derivative is not None:
+                k, slope, vals = derivative
+                rows[:, sl[k]] += (slope / norms)[:, None] * vals
+            return rows
 
         groups = []   # (kind, padded rows) in the documented row order
         for k in range(part.n_subdomains):
             pts = colloc.interior[k]
             vals = bases[k].values(pts)
-            rows = -bases[k].laplacians(pts) \
-                + problem.nonlinearity_prime(vals @ self.alphas[k])[:, None] * vals
-            groups.append((lsq.ROW_INTERIOR, padded(len(pts), [(k, rows)])))
+            slope = problem.nonlinearity_prime(vals @ self.alphas[k])
+            groups.append((lsq.ROW_INTERIOR, padded(
+                len(pts), [(k, -bases[k].laplacians(pts))], (k, slope, vals))))
             pts = colloc.boundary[k]
             groups.append((lsq.ROW_BOUNDARY,
                            padded(len(pts), [(k, bases[k].values(pts))])))
@@ -354,19 +362,44 @@ class TestOneAssemblyPath:
         assert all(basis is self.bases[0] for _, basis in calls[made:])
 
 
-def row_norms(block):
-    """Each row's 2-norm over the block's columns and, for an interface row,
-    over its coupling columns too."""
-    norms = np.einsum("ij,ij->i", block.matrix, block.matrix)
-    if block.coupling is not None:
-        iface = slice(len(norms) - len(block.coupling), None)
-        norms[iface] += np.einsum("ij,ij->i", block.coupling, block.coupling)
+def row_norms(matrix, coupling):
+    """Each row's 2-norm over a block's columns, ``matrix``, and, for an
+    interface row (the last ``len(coupling)``), over its ``coupling``
+    columns too."""
+    norms = np.einsum("ij,ij->i", matrix, matrix)
+    if coupling is not None:
+        iface = slice(len(norms) - len(coupling), None)
+        norms[iface] += np.einsum("ij,ij->i", coupling, coupling)
     return np.sqrt(norms)
 
 
+def linearized_rows(part, bases, colloc, problem, alphas, k):
+    """Subdomain k's rows linearized at ``alphas``, unweighted: the
+    operator's directional derivative -lap(psi) + N'(u) psi, the boundary
+    values and a ball's interface rows, and those rows' subdomain-0 columns
+    (None for subdomain 0)."""
+    pts = colloc.interior[k]
+    vals = bases[k].values(pts)
+    interior = -bases[k].laplacians(pts)
+    if problem.nonlinearity is not None:
+        interior += problem.nonlinearity_prime(vals @ alphas[k])[:, None] * vals
+    matrix = [interior, bases[k].values(colloc.boundary[k])]
+    if k == 0:
+        return np.vstack(matrix), None
+    pts = colloc.interface[k]
+    normals = geo.outward_normals(part.ball(k), pts)
+    matrix += [bases[k].values(pts), bases[k].normal_derivatives(pts, normals)]
+    coupling = -np.vstack([bases[0].values(pts),
+                           bases[0].normal_derivatives(pts, normals)])
+    return np.vstack(matrix), coupling
+
+
 class TestUnitRows:
-    """Every row of every block, and its right-hand side with it, is scaled
-    to unit 2-norm, an interface row's coupling columns included."""
+    """Every row of every block, and its right-hand side with it, is divided
+    by one weight, the 2-norm of the row's linear part, an interface row's
+    coupling columns included: a linear problem's rows are at unit 2-norm,
+    and a nonlinear one's keep their linear part's weights at every
+    linearization."""
 
     def test_coupled_and_local_blocks(self):
         part, bases, colloc = two_ball_setup()
@@ -374,15 +407,37 @@ class TestUnitRows:
         alphas = [0.1 * rng.standard_normal(b.size) for b in bases]
         linear = manufactured_linear(bases[0], np.linspace(-1.0, 1.0, bases[0].size))
         for problem, at in ((linear, None), (nonzero_nonlinear_problem(), alphas)):
-            full = assemble(part, bases, colloc, problem, alphas=at)
+            rows = fresh_rows(part, bases, colloc, problem)
+            full = lsq.assemble(problem, rows, alphas=at)
             alpha_0 = np.zeros(bases[0].size) if at is None else at[0]
-            local = [lsq.assemble_local(problem, rows, alpha_0,
+            local = [lsq.assemble_local(problem, ball, alpha_0,
                                         alphas=None if at is None else at[k:k + 1])
-                     for k, rows in enumerate(
-                         fresh_ball_rows(part, bases, colloc, problem), 1)]
+                     for k, ball in enumerate(rows[1:], 1)]
             assert all(b.coupling is not None for b in full.balls + local)
-            for block in [full] + full.balls + local:
-                np.testing.assert_allclose(row_norms(block), 1.0, rtol=1e-13)
+            blocks = [full] + full.balls + local
+            subdomains = [0, 1, 2, 1, 2]
+            if problem.is_linear:
+                for block in blocks:
+                    np.testing.assert_allclose(row_norms(block.matrix, block.coupling),
+                                               1.0, rtol=1e-13)
+                continue
+            for block, k in zip(blocks, subdomains):
+                matrix, coupling = linearized_rows(part, bases, colloc, problem,
+                                                   alphas, k)
+                size = row_norms(matrix, coupling)
+                weights = rows[k].norms[:, None]
+                # times the stored weights, each row is the linearized row, to
+                # 1e-13 of that row's 2-norm
+                np.testing.assert_allclose(
+                    (block.matrix * weights - matrix) / size[:, None], 0.0, atol=1e-13)
+                if coupling is not None:
+                    iface = slice(len(size) - len(coupling), None)
+                    error = block.coupling * weights[iface] - coupling
+                    np.testing.assert_allclose(error / size[iface, None], 0.0, atol=1e-13)
+            # the interior rows are not at unit norm: their weight is their
+            # linear part's norm
+            interior = slice(0, len(rows[0].forcing))
+            assert not np.allclose(row_norms(full.matrix[interior], None), 1.0)
 
     def test_kept_linear_ball_is_eliminated_from_unit_rows(self, monkeypatch):
         part, bases, colloc = two_ball_setup()
@@ -399,7 +454,8 @@ class TestUnitRows:
         assert len(eliminated) == 2
         for block in eliminated:
             assert block.coupling is not None
-            np.testing.assert_allclose(row_norms(block), 1.0, rtol=1e-13)
+            np.testing.assert_allclose(row_norms(block.matrix, block.coupling), 1.0,
+                                       rtol=1e-13)
 
     def test_a_row_of_norm_zero_keeps_weight_one(self):
         # one neuron with bias 0 centred at the interior point: its Laplacian
@@ -418,42 +474,62 @@ class TestUnitRows:
         assert report.residuals[0]["interior"] == 1.75 ** 2
 
 
-class TestLinearRowsAssembledOnce:
-    """A linear problem's rows are scaled in place by their first assembly,
-    so a second assembly of them, by any entry point, is refused and leaves
-    the first's system as it was."""
+def system_bytes(system):
+    """The bytes of every array of an assembled system, a kept ball's
+    elimination or a ``SubdomainRows``: a block's rows (not its spare rows),
+    right-hand side, row kinds and coupling, and its balls' in turn."""
+    if isinstance(system, lsq.SystemBlocks):
+        arrays = [system.matrix, system.rhs, system.row_kind, system.coupling]
+        return [a.tobytes() for a in arrays if a is not None] + \
+            [b for ball in system.balls for b in system_bytes(ball)]
+    if isinstance(system, lsq.SubdomainRows):
+        system = system._replace(matrix=system.matrix[:len(system.row_kind)])
+    arrays = [a for a in system if a is not None]
+    return [b.tobytes() for a in arrays for b in (a if isinstance(a, tuple) else (a,))]
+
+
+class TestRowsAssembledAgain:
+    """Assembly writes into no array of its rows, so rows assembled again, by
+    any entry point, give what their first assembly gave and are left as
+    they were made."""
 
     def test_subdomain_0s_rows(self):
-        # assembled again, these rows gave another system, whose gelsd
-        # solution differed from the first's by up to 373 (largest
-        # coefficient 64)
+        # when the first assembly scaled the rows in place, a second one gave
+        # another system, whose gelsd solution differed from the first's by up
+        # to 373 (largest coefficient 64)
         problem = pde.benchmark("peak2d-case1")
         cfg = ada.AdaptiveConfig(interior_resolution=20, boundary_count=80, m0=40)
         colloc = ada.initial_collocation(problem, cfg)
         rows = lsq.coupled_rows(problem, ada._base_basis(problem, cfg),
                                 colloc.interior[0], colloc.boundary[0], [])
+        made = system_bytes(rows[0])
         first = lsq.assemble(problem, rows)
-        system = first.stacked.tobytes(), first.rhs.tobytes()
-        with pytest.raises(lsq.AssemblyError, match="assembled once"):
-            lsq.assemble(problem, rows)
-        assert (first.stacked.tobytes(), first.rhs.tobytes()) == system
+        system = system_bytes(first)
+        alphas = lsq.solve_min_norm(first).alphas[0].tobytes()
+        second = lsq.assemble(problem, rows)
+        assert system_bytes(second) == system
+        assert lsq.solve_min_norm(second).alphas[0].tobytes() == alphas
+        assert system_bytes(rows[0]) == made
 
     def test_a_balls_rows(self):
         part, bases, colloc = one_ball_setup()
         problem = manufactured_linear(bases[0], np.linspace(-1.0, 1.0, bases[0].size))
-        alpha_0 = np.zeros(bases[0].size)
+        alpha_0 = np.linspace(-0.5, 0.5, bases[0].size)
 
         def coupled(rows):
             return lsq.assemble(problem, lsq.coupled_rows(
                 problem, bases[0], colloc.interior[0], colloc.boundary[0], [rows]))
-        makers = [lambda rows: lsq.assemble_local(problem, rows, alpha_0),
-                  lambda rows: lsq.keep_ball(problem, rows), coupled]
-        for first in makers:
-            for second in makers:
+        makers = {"assemble_local": partial(lsq.assemble_local, problem, alpha_0=alpha_0),
+                  "keep_ball": partial(lsq.keep_ball, problem), "coupled": coupled}
+        made = system_bytes(fresh_ball_rows(part, bases, colloc, problem)[0])
+        once = {name: system_bytes(make(fresh_ball_rows(part, bases, colloc, problem)[0]))
+                for name, make in makers.items()}
+        for first in makers.values():
+            for name, second in makers.items():
                 (rows,) = fresh_ball_rows(part, bases, colloc, problem)
                 first(rows)
-                with pytest.raises(lsq.AssemblyError, match="assembled once"):
-                    second(rows)
+                assert system_bytes(second(rows)) == once[name], name
+                assert system_bytes(rows) == made
 
 
 class TestBlockSolve:

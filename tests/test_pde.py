@@ -35,7 +35,8 @@ def quadratic_toy(forcing=None):
 
 def interior_rows(problem, basis, alpha, points):
     """Interior rows of the one-subdomain system assembled at ``alpha``, its
-    one subdomain's coefficients: each row divided by its 2-norm."""
+    one subdomain's coefficients: each row divided by its weight, the 2-norm
+    of its linear part -lap(psi)."""
     region = problem.region
     colloc = geo.CollocationSets.initial(points, generate_boundary_points(region, 8))
     rows = fresh_rows(geo.PartitionState(region), [basis], colloc, problem)
@@ -76,22 +77,25 @@ class TestOperator:
             assert got == pytest.approx(-lap_fd, rel=1e-5, abs=1e-8)
 
 
-def unit(rows):
-    """``rows``, each divided by its 2-norm as ``lsq.assemble`` computes it."""
-    return rows / np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+def weight(linear):
+    """Each row's weight: the 2-norm of its linear part ``linear``, as
+    ``lsq`` computes it."""
+    return np.sqrt(np.einsum("ij,ij->i", linear, linear))
 
 
 class TestLinearizedRow:
     """The interior rows of ``lsq.assemble``: the operator's directional
-    derivative -lap(psi_m) + N'(u) psi_m at the current coefficients, scaled
-    to unit norm."""
+    derivative -lap(psi_m) + N'(u) psi_m at the current coefficients,
+    divided by the 2-norm of its linear part, -lap(psi_m), whatever the
+    coefficients."""
 
     def test_linear_row_is_negative_laplacians(self, small_basis, rng):
         problem = linear_toy()
         pts = np.array([[0.1, -0.4], [0.5, 0.2]])
         alpha = rng.standard_normal(small_basis.size)
         rows = interior_rows(problem, small_basis, alpha, pts)
-        np.testing.assert_array_equal(rows, unit(-small_basis.laplacians(pts)))
+        linear = -small_basis.laplacians(pts)
+        np.testing.assert_array_equal(rows, linear / weight(linear)[:, None])
 
     def test_quadratic_row(self, small_basis, rng):
         problem = quadratic_toy()
@@ -101,8 +105,9 @@ class TestLinearizedRow:
         vals = small_basis.values(pts)
         u = vals @ alpha
         assert np.all(u != 0.0)
-        np.testing.assert_allclose(rows, unit(-small_basis.laplacians(pts)
-                                              + 2.0 * u[:, None] * vals), atol=1e-15)
+        linear = -small_basis.laplacians(pts)
+        np.testing.assert_allclose(rows, (linear + 2.0 * u[:, None] * vals)
+                                   / weight(linear)[:, None], atol=1e-15)
 
     def test_directional_derivative_oracle(self, small_basis, rng):
         # (L(u + eps psi_m) - L(u))/eps -> row_m as eps -> 0, with L evaluated
@@ -120,12 +125,12 @@ class TestLinearizedRow:
                 bumped[m] += eps
                 fd[m] = (pointwise_operator(problem, small_basis, bumped, x) - base) / eps
             # forward-difference error of the quadratic term is exactly
-            # eps * psi_m^2 <= eps per entry, plus float cancellation noise:
-            # an error e of the whole row moves its direction by at most
-            # 2 |e| / |fd|, and |e| <= sqrt(size) times the entry bound
+            # eps * psi_m^2 <= eps per entry, plus float cancellation noise;
+            # the row is the derivative divided by the weight |lap(psi)|, and
+            # so is that error
             entry = eps + 1e-9 * max(1.0, abs(base))
-            bound = 2.0 * np.sqrt(small_basis.size) * entry / np.linalg.norm(fd)
-            assert np.max(np.abs(fd / np.linalg.norm(fd) - row)) <= bound
+            w = weight(small_basis.laplacians(x[None]))[0]
+            assert np.max(np.abs(fd / w - row)) <= entry / w
 
 
 class TestBenchmarks:

@@ -33,7 +33,9 @@ wrapped, and prints one JSON object:
   whether its loss is its bound, taken without a solve because its block
   has full rank (None per refinement from sources that do not record it);
 - ``gauss_newton_steps``: the number of steps of every Gauss-Newton solve,
-  in call order, so that a change to the stopping rule shows;
+  in call order, so that a change to the stopping rule shows, and
+  ``gauss_newton_converged``: whether each of those solves converged, in
+  the same order;
 - ``pool``: the coefficient digest and the scale-candidate losses of a
   second, default run, whose scale candidates are solved on worker processes;
 - ``benchmarks_collocation_sha256``: for every name in ``rfpde.BENCHMARKS``,
@@ -124,6 +126,7 @@ def digest(problem_name: str, config: dict, test_resolution: int) -> dict:
     collocation = hashlib.sha256()
     each = []
     steps = []
+    converged = []
 
     def solve_min_norm(blocks):
         arrays = [blocks.matrix, blocks.rhs, blocks.row_kind]
@@ -150,6 +153,7 @@ def digest(problem_name: str, config: dict, test_resolution: int) -> dict:
     def gauss_newton_core(*args, **kwargs):
         report = real_core(*args, **kwargs)
         steps.append(len(report.iterations))
+        converged.append(report.converged)
         return report
 
     problem = rfpde.benchmark(problem_name)
@@ -184,6 +188,7 @@ def digest(problem_name: str, config: dict, test_resolution: int) -> dict:
             "scale_loss_is_bound": [getattr(record, "scale_loss_is_bound", None)
                                     for record in trace],
             "gauss_newton_steps": steps,
+            "gauss_newton_converged": converged,
             "pool": {"alpha_sha256": _sha256(np.concatenate(pool_state.report.alphas)),
                      "scale_losses": [record.scale_losses for record in pool_trace]}}
 
