@@ -14,9 +14,10 @@ keeps its basis, and its points, which depend on its own geometry alone;
 only coefficients change. So the scale search returns the new ball
 complete, as ``lsq.keep_ball`` makes it: the winning candidate's rows
 (``lsq.SubdomainRows``) for a nonlinear problem, the elimination of its
-block alone (``lsq._Eliminated``) for a linear one. Every later coupled
-solve takes the ball as it is; only subdomain 0's rows are evaluated again
-(each new ball takes points from it).
+block alone (``lsq._KeptBall``) for a linear one. Every later coupled solve
+takes the ball as it is; only subdomain 0's rows are evaluated again (each
+new ball takes points from it), and a kept linear ball's rows, by the same
+``lsq.ball_rows`` call, for the solve's residual table alone.
 
 A linear problem's search bounds every candidate before it solves any, and
 solves only the candidates that could win; ``scale_search`` describes how,
@@ -373,13 +374,13 @@ def scale_search(problem: SemilinearProblem, basis0: basis_mod.BasisSet,
       ``peak3d-1ball`` then solves none of its 10 candidates, for a
       ``solve_s`` 16.5% lower (``BENCH_24.json``).
     - Step 2 does not keep a first candidate proven rank-deficient, because
-      its SVD is wasted when it loses: keeping it anyway made the
+      its elimination is wasted when it loses: keeping it anyway made the
       peak2d-case1 acceptance solves at gamma 1 and 3, where it loses,
       18-31% slower (``BENCH_24.json``).
-    - The kept SVD runs at this process's BLAS threads, not at the workers'
-      one: for a block with a singular value within rounding of the cutoff,
-      whether its loss is its bound or gelsd's can depend on this process's
-      thread count.
+    - The kept elimination's SVD runs at this process's BLAS threads, not
+      at the workers' one: for a block with a singular value within
+      rounding of the cutoff, whether its loss is its bound or gelsd's can
+      depend on this process's thread count.
     """
     k = ball.index
     raw = basis_mod.generate_transferable(config.m_star, config.gamma, problem.dim,

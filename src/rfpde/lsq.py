@@ -11,21 +11,34 @@ rows on its own columns, and one block per ball holding the ball's rows on
 its own columns (exactly the single-ball system of the scale search) and its
 interface rows on subdomain 0's columns.
 
-``solve_min_norm`` eliminates each ball with the truncated SVD U S V^T of its
-block, dropping singular values below DEFAULT_SVD_CUTOFF times the block's
-largest; projects the ball's coupling and right-hand side onto the orthogonal
-complement of the retained U; solves the stacked projected subdomain-0
-problem with gelsd at the same relative cutoff; and back-substitutes each
-ball's coefficients (Bjorck, Numerical Methods for Least Squares Problems,
-1996, section 6.3). Every system, with balls or without, is solved as one
-array by one path: ``SystemBlocks.stacked``, the array that holds subdomain
-0's block. It has one spare row per ball row below subdomain 0's rows (none
-without balls); the solve writes each ball's projected coupling into them
-and hands the whole array to gelsd, so subdomain 0's rows are never copied
-to stack them, and a system without balls is that gelsd call alone. The
-gelsd call chooses its path by the shape of its m x n matrix F: when n < m <
-int(1.6 n), below gelsd's own threshold for taking a QR first (MNTHR =
-int(1.6 min(m, n)); R-bidiagonalization: T. F. Chan, ACM TOMS 8(1), 1982),
+``solve_min_norm`` eliminates each ball's block A (m x n), with coupling C
+on its interface rows and right-hand side T, through the QR of [A | C | T]
+(Bjorck, Numerical Methods for Least Squares Problems, 1996, section 6.3).
+C is zero off the interface rows, so the QR is taken in two stages: the R
+factor of [A | T] over the rows with no coupling (interior, boundary), then
+that of this R, zero in C's columns, stacked over the interface rows
+[A | C | T]. Of the final R = [[R11, R1c | r1], [0, R22]], R11 (n x n, or
+fewer rows) gives the truncated SVD U_r S V^T, dropping singular values
+below DEFAULT_SVD_CUTOFF times the largest: A = (Q1 U_r) S V^T, so S and V
+are A's, and A's m x n left singular vectors U = Q1 U_r are never formed
+(R-bidiagonalization: T. F. Chan, ACM TOMS 8(1), 1982). The ball's coupling
+and right-hand side projected onto the orthogonal complement of U,
+(I - U U^T)[C | T], are orthogonally equivalent to
+[(I - U_r U_r^T)[R1c | r1] ; R22], taken in R's coordinates, never as
+B - A X (which loses the projection to cancellation at |X| ~ 2e6). The ball
+enters the stacked subdomain-0 problem as the R factor of these, n0 + 1
+rows for subdomain 0's n0 columns (202 rows of a 2D ball's 1584, 502 of a
+3D ball's 4744), padded with zero rows when there are fewer. The stacked
+problem is solved with gelsd at the same relative cutoff, and each ball's
+coefficients are back-substituted: x_k = V S^-1 U_r^T (r1 - R1c x_0).
+Every system, with balls or without, is solved as one array by one path:
+``SystemBlocks.stacked``, the array that holds subdomain 0's block. It has
+n0 + 1 spare rows per ball below subdomain 0's rows (none without balls);
+the solve writes each ball's reduced coupling into them and hands the whole
+array to gelsd, so subdomain 0's rows are never copied to stack them, and a
+system without balls is that gelsd call alone. The gelsd call chooses its
+path by the shape of its m x n matrix F: when n < m < int(1.6 n), below
+gelsd's own threshold for taking a QR first (MNTHR = int(1.6 min(m, n))),
 the system is first reduced to the triangular factor R of [F | T], and gelsd
 runs on R's first n columns with its last column as the right-hand side: the
 same least-squares problem, with F's singular values, on n + 1 rows. A 2D
@@ -89,12 +102,16 @@ block for finite entries, eliminates it and keeps the elimination alone; the
 rows are released once factored. Every coupled solve, ``gauss_newton``,
 evaluates subdomain 0's rows; ``assemble`` builds a nonlinear ball's block
 from its kept rows and passes a linear ball's elimination on as it is, and
-``solve_min_norm`` eliminates every other ball. The residual of every ball's
-rows is read from its elimination: (I - U U^T) C x_0 - (I - U U^T) T, the
-elimination's ``coupling @ alpha_0 - rhs``, is the same vector as
-A x_k + C x_0 - T, because x_k = V S^-1 U^T (T - C x_0) gives
-A x_k = U U^T (T - C x_0) (the dropped singular directions of A are
-orthogonal to x_k).
+``solve_min_norm`` eliminates every other ball.
+
+The residual table (``SolveReport.residuals``) is read from each block's own
+rows at the solution, A x_k + C x_0 - T for a ball, per row kind: a ball's
+n0 + 1 reduced rows hold its residual as one total only. A ball eliminated
+in the solve has its rows at hand. A kept linear ball's rows are evaluated
+again, once per coupled solve, by the ``ball_rows`` call that made them
+(``_BallRows.again``), bit for bit, since basis evaluation uses no BLAS.
+At one BLAS thread that takes 0.02 s per ball in 2D and 0.09 s in 3D,
+against 0.7 s and 1.2 s for the ball's elimination, which still runs once.
 """
 
 from __future__ import annotations
@@ -133,23 +150,23 @@ class SystemBlocks:
     single-ball system of that ball. A ball's block also holds ``coupling``,
     its interface rows (its last ``len(coupling)`` rows) on subdomain 0's
     columns; a solve uses it only in a coupled system. A kept linear ball is
-    in ``balls`` as its ``_Eliminated``, made by its scale search; the solve
-    eliminates every other ball.
+    in ``balls`` as its elimination (``_KeptBall``), made by its scale
+    search; the solve eliminates every other ball.
 
     ``stacked`` is the one array that holds a block's rows; ``matrix`` is its
     top ``len(rhs)`` rows. It has the shape of the rows' array it was made
     from (``SubdomainRows.matrix``), so below them the first subdomain's
-    ``stacked`` has the spare rows that ``coupled_rows`` counted: one per
-    ball row, in ball order, into which ``solve_min_norm`` writes each ball's
-    projected coupling before it solves the whole array. A block without
-    balls has none.
+    ``stacked`` has the spare rows that ``coupled_rows`` counted: n0 + 1 per
+    ball for its n0 columns, in ball order, into which ``solve_min_norm``
+    writes each ball's reduced coupling (``_Eliminated.coupling``) before it
+    solves the whole array. A block without balls has none.
     """
 
     stacked: np.ndarray                # (rows + spare rows, cols of the first subdomain)
     rhs: np.ndarray                    # (rows,)
     row_kind: np.ndarray               # int8, ROW_* constants
     coupling: Optional[np.ndarray] = None
-    balls: list[SystemBlocks | _Eliminated] = field(default_factory=list)
+    balls: list[SystemBlocks | _KeptBall] = field(default_factory=list)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -194,9 +211,10 @@ class SubdomainRows(NamedTuple):
 
     # the rows of the operator's linear part on the subdomain's columns, in
     # block order, each divided by its entry of ``norms``; for subdomain 0
-    # of a coupled problem, linear or not, one spare row per ball row below
-    # them. Every block of the subdomain has this shape: a linear one is
-    # this array itself, a nonlinear one a copy (``SystemBlocks.stacked``)
+    # of a coupled problem, linear or not, n0 + 1 spare rows per ball below
+    # them, n0 its column count. Every block of the subdomain has this
+    # shape: a linear one is this array itself, a nonlinear one a copy
+    # (``SystemBlocks.stacked``)
     matrix: np.ndarray
     row_kind: np.ndarray               # int8, ROW_* constants
     norms: np.ndarray                  # each row's weight (module docstring)
@@ -210,6 +228,15 @@ class SubdomainRows(NamedTuple):
     @property
     def size(self) -> int:
         return self.matrix.shape[1]
+
+
+class _BallRows(SubdomainRows):
+    """A ball's rows as ``ball_rows`` returns them, with ``again``: the
+    ``ball_rows`` call that made them, which evaluates them afresh, bit for
+    bit, since basis evaluation uses no BLAS. It is an attribute, not a
+    field, so the fields stay the rows' arrays."""
+
+    again: Callable[[], _BallRows]
 
 
 def _subdomain_rows(problem: SemilinearProblem, basis: BasisSet,
@@ -264,32 +291,37 @@ def _subdomain_rows(problem: SemilinearProblem, basis: BasisSet,
 
 def ball_rows(problem: SemilinearProblem, ball: BallSubdomain, basis_k: BasisSet,
               basis_0: BasisSet, interior: np.ndarray, boundary: np.ndarray,
-              interface: np.ndarray) -> SubdomainRows:
-    """The rows of one ball, for its single-ball system."""
+              interface: np.ndarray) -> _BallRows:
+    """The rows of one ball, for its single-ball system, with the call that
+    evaluates them again (``_BallRows``)."""
     if len(interior) == 0:
         raise AssemblyError(f"empty interior collocation set for ball {ball.index}")
     if len(interface) == 0:
         raise AssemblyError(f"empty interface collocation set for ball {ball.index}")
-    return _subdomain_rows(problem, basis_k, interior, boundary, ball, interface,
-                           basis_0)
+    rows = _BallRows(*_subdomain_rows(problem, basis_k, interior, boundary, ball,
+                                      interface, basis_0))
+    rows.again = partial(ball_rows, problem, ball, basis_k, basis_0, interior, boundary,
+                         interface)
+    return rows
 
 
 def coupled_rows(problem: SemilinearProblem, basis_0: BasisSet,
                  interior: np.ndarray, boundary: np.ndarray,
-                 balls: Sequence[SubdomainRows | _Eliminated]) -> list:
+                 balls: Sequence[_BallRows | _KeptBall]) -> list:
     """The rows of every subdomain of the coupled problem: subdomain 0's,
     evaluated at its ``interior`` and ``boundary`` points, then the balls'
     as given, each one's rows (of ``ball_rows``, on the same basis of
     subdomain 0) or what ``keep_ball`` made of them. This is the one place
     that sizes the stacked problem: subdomain 0's rows are evaluated into an
-    array with one spare row per ball row below them, for every problem, and
-    each block of subdomain 0 is that array or a copy of it
-    (``SystemBlocks.stacked``)."""
+    array with n0 + 1 spare rows per ball below them, n0 = ``basis_0.size``,
+    the rows of each ball's elimination whether kept or made by the solve,
+    for every problem; each block of subdomain 0 is that array or a copy of
+    it (``SystemBlocks.stacked``)."""
     if len(interior) == 0:
         raise AssemblyError("empty interior collocation set for subdomain 0")
     if len(boundary) == 0 and not any(ROW_BOUNDARY in ball.row_kind for ball in balls):
         raise AssemblyError("no boundary collocation points at all")
-    spare = sum(len(ball.row_kind) for ball in balls)
+    spare = len(balls) * (basis_0.size + 1)
     return [_subdomain_rows(problem, basis_0, interior, boundary, spare=spare),
             *balls]
 
@@ -333,11 +365,11 @@ def _block(problem: SemilinearProblem, rows: SubdomainRows,
     return SystemBlocks(stacked=F, rhs=T, row_kind=rows.row_kind, coupling=coupling)
 
 
-def _ball_block(problem: SemilinearProblem, ball: SubdomainRows | _Eliminated,
-                alpha_k: np.ndarray, alpha_0: np.ndarray) -> SystemBlocks | _Eliminated:
+def _ball_block(problem: SemilinearProblem, ball: _BallRows | _KeptBall,
+                alpha_k: np.ndarray, alpha_0: np.ndarray) -> SystemBlocks | _KeptBall:
     """A ball's block: its rows linearized by ``_block``, or a kept linear
     ball's elimination itself, which holds at zero coefficients only."""
-    if isinstance(ball, _Eliminated):
+    if isinstance(ball, _KeptBall):
         if np.any(alpha_k) or np.any(alpha_0):
             raise AssemblyError("a kept linear ball is eliminated at zero "
                                 "coefficients only")
@@ -387,22 +419,30 @@ def assemble_local(problem: SemilinearProblem, rows: SubdomainRows,
 
 
 class _Eliminated(NamedTuple):
-    """A ball block after elimination: its rows projected onto the orthogonal
-    complement of the retained left singular vectors U, and what the
-    back-substitution x_k = V S^-1 U^T (T - C x_0) needs, with the rows'
-    kinds for the residual table."""
+    """A ball block after elimination (``_eliminate``): what the stacked
+    subdomain-0 problem and the back-substitution x_k = V S^-1 U_r^T
+    (r1 - R1c x_0) need, in the notation of the module docstring, and the
+    block's row count per row kind. No array has the block's m rows: every
+    one has at most max(n, n0 + 1)."""
 
-    coupling: np.ndarray               # (I - U U^T) C, on all the block's rows
-    rhs: np.ndarray                    # (I - U U^T) T
+    # the R factor of the projected [C | T], [(I - U_r U_r^T)[R1c | r1] ; R22]:
+    # its first n0 columns and its last, on n0 + 1 rows
+    coupling: np.ndarray
+    rhs: np.ndarray
     vt: np.ndarray                     # retained rows of V^T
     s: np.ndarray                      # retained singular values
-    ut_rhs: np.ndarray                 # U^T T
-    ut_coupling: np.ndarray            # U^T C
-    row_kind: np.ndarray               # int8, ROW_* constants, in block order
+    ut_rhs: np.ndarray                 # U_r^T r1 = U^T T
+    ut_coupling: np.ndarray            # U_r^T R1c = U^T C
+    row_counts: np.ndarray             # the block's rows of each ROW_* kind
 
     @property
     def size(self) -> int:
         return self.vt.shape[1]
+
+    @property
+    def row_kind(self) -> np.ndarray:
+        """The block's row kinds, in block order (``_subdomain_rows``)."""
+        return np.repeat(np.arange(len(ROW_KIND_NAMES), dtype=np.int8), self.row_counts)
 
     @property
     def full_rank(self) -> bool:
@@ -413,50 +453,80 @@ class _Eliminated(NamedTuple):
         is this SVD's, made at the BLAS threads of the process that
         eliminated the block; gelsd's own SVD may decide otherwise for a
         singular value within rounding of the cutoff."""
-        return len(self.s) == self.size < len(self.row_kind)
+        return len(self.s) == self.size < int(self.row_counts.sum())
 
     def back_substitute(self, alpha_0: np.ndarray) -> np.ndarray:
         return self.vt.T @ ((self.ut_rhs - self.ut_coupling @ alpha_0) / self.s)
 
 
-def _eliminate(ball: SystemBlocks) -> _Eliminated:
-    """Eliminate a ball's block by its truncated SVD (gesdd).
+class _KeptBall(_Eliminated):
+    """A kept linear ball (``keep_ball``): its block's elimination, and
+    ``problem`` and ``again`` (``_BallRows.again``), which make the block
+    again for the residual table. They are attributes, not fields, so the
+    fields stay the elimination's arrays."""
 
-    The SVD stays, workspace and all, because the projection needs an
-    orthonormal U: a QR first took the same time and peak memory to within
-    a few MB, and one gelsd solve for [T | C] projected as B - A X loses the
-    projection to cancellation at |X| ~ 2e6 (err_l2 and Gauss-Newton steps
-    move; see CHANGES.md).
-    """
-    u, s, vt = np.linalg.svd(ball.matrix, full_matrices=False)
+    problem: SemilinearProblem
+    again: Callable[[], _BallRows]
+
+    def block(self) -> SystemBlocks:
+        """The ball's block at zero coefficients, of its rows evaluated
+        afresh."""
+        return _zero_block(self.problem, self.again())
+
+
+def _eliminate(ball: SystemBlocks) -> _Eliminated:
+    """Eliminate a ball's block through the QR of [A | C | T] and the
+    truncated SVD of its n x n factor R11, as the module docstring sets
+    out: no SVD runs on the block itself, and no array of its m rows is
+    made; the largest is the first QR's input, over the rows with no
+    coupling."""
+    A, C, T = ball.matrix, ball.coupling, ball.rhs
+    (m, n), n0 = A.shape, C.shape[1]
+    top = m - len(C)                    # the rows with no coupling
+    R = _r_factor(A[:top], T[:top])
+    # [A | C | T] of that R, zero in C's columns, over the interface rows
+    stage = np.zeros((len(R) + len(C), n + n0 + 1))
+    stage[:len(R), :n] = R[:, :n]
+    stage[:len(R), -1] = R[:, -1]
+    stage[len(R):, :n] = A[top:]
+    stage[len(R):, n:-1] = C
+    stage[len(R):, -1] = T[top:]
+    del R
+    R = np.linalg.qr(stage, mode="r")
+    del stage
+    k = min(len(R), n)                  # R11's rows
+    u, s, vt = np.linalg.svd(R[:k, :n], full_matrices=False)
     r = int(np.count_nonzero(s > DEFAULT_SVD_CUTOFF * s[0]))
-    u, s, vt = u[:, :r], s[:r], vt[:r]
-    iface = slice(len(ball.rhs) - len(ball.coupling), None)
-    ut_coupling = u[iface].T @ ball.coupling      # C is zero off the interface
-    coupling = -(u @ ut_coupling)
-    coupling[iface] += ball.coupling
-    ut_rhs = u.T @ ball.rhs
-    return _Eliminated(coupling=coupling, rhs=ball.rhs - u @ ut_rhs, vt=vt, s=s,
-                       ut_rhs=ut_rhs, ut_coupling=ut_coupling, row_kind=ball.row_kind)
+    u, s = u[:, :r], s[:r]
+    ut = u.T @ R[:k, n:]
+    projected = np.concatenate([R[:k, n:] - u @ ut, R[k:, n:]])
+    reduced = np.zeros((n0 + 1, n0 + 1))
+    reduced[:min(len(projected), n0 + 1)] = np.linalg.qr(projected, mode="r")
+    return _Eliminated(coupling=reduced[:, :n0], rhs=reduced[:, n0],
+                       # the retained rows alone, not the whole V^T
+                       vt=vt[:r].copy(), s=s, ut_rhs=ut[:, n0], ut_coupling=ut[:, :n0],
+                       row_counts=np.bincount(ball.row_kind,
+                                              minlength=len(ROW_KIND_NAMES)))
 
 
 def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
     """Least-squares solution by block elimination, truncated SVD per block.
 
-    Each ball block is eliminated with its truncated SVD (a kept linear ball
-    is its elimination already), the stacked projected subdomain-0 problem is
-    solved by gelsd (``np.linalg.lstsq``), and the balls' coefficients are
+    Each ball block is eliminated (``_eliminate``; a kept linear ball is its
+    elimination already), the stacked reduced subdomain-0 problem is solved
+    by gelsd (``np.linalg.lstsq``), and the balls' coefficients are
     back-substituted; singular values below DEFAULT_SVD_CUTOFF times the
-    largest of their block (of the projected problem for subdomain 0) are
-    discarded. The projected couplings are written into the spare rows of
-    ``stacked``, so the stacked problem is that array, with no copy of
-    subdomain 0's rows; too few spare rows raise AssemblyError. Without
-    balls ``stacked`` has no spare row and this is gelsd on ``matrix``, the
-    minimum-norm solution. A gelsd problem with n < m < int(1.6 n) is
-    reduced to the R factor of [F | T] first. The report carries each
-    block's rank, retained singular-value range and squared residual per row
-    kind; a ball's residual is read from its elimination (see the module
-    docstring).
+    largest of their block (of the stacked problem for subdomain 0) are
+    discarded. The reduced couplings, n0 + 1 rows per ball, are written into
+    the spare rows of ``stacked``, so the stacked problem is that array,
+    with no copy of subdomain 0's rows; a spare row count that does not
+    match raises AssemblyError. Without balls ``stacked`` has no spare row
+    and this is gelsd on ``matrix``, the minimum-norm solution. A gelsd
+    problem with n < m < int(1.6 n) is reduced to the R factor of [F | T]
+    first. The report carries each block's rank, retained singular-value
+    range and squared residual per row kind, read from the block's own rows
+    at the solution, a kept linear ball's evaluated again (module
+    docstring); ``loss`` is their sum.
     """
     _check_blocks([b for b in [blocks] + blocks.balls if isinstance(b, SystemBlocks)])
     eliminated = [_eliminate(ball) if isinstance(ball, SystemBlocks) else ball
@@ -464,7 +534,7 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
     F0 = blocks.stacked
     T0 = np.concatenate([blocks.rhs] + [e.rhs for e in eliminated])
     if len(F0) != len(T0):
-        raise AssemblyError("subdomain 0's array needs one spare row per ball row")
+        raise AssemblyError("subdomain 0's array needs n0 + 1 spare rows per ball")
     start = len(blocks.rhs)
     for e in eliminated:
         F0[start:start + len(e.rhs)] = e.coupling
@@ -476,15 +546,25 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
     alpha_0, _, rank, s0 = np.linalg.lstsq(F0, T0, rcond=DEFAULT_SVD_CUTOFF)
     alphas = [alpha_0] + [e.back_substitute(alpha_0) for e in eliminated]
 
-    residuals = [blocks.matrix @ alpha_0 - blocks.rhs]
-    residuals += [e.coupling @ alpha_0 - e.rhs for e in eliminated]
-    loss = float(sum(res @ res for res in residuals))
+    residuals = [(blocks.row_kind, blocks.matrix @ alpha_0 - blocks.rhs)]
+    residuals += [_ball_residual(ball, alpha_k, alpha_0)
+                  for ball, alpha_k in zip(blocks.balls, alphas[1:])]
+    loss = float(sum(res @ res for _, res in residuals))
     return SolveReport(alphas=alphas, loss=loss,
-                       residuals=[_residuals_by_kind(b.row_kind, res)
-                                  for b, res in zip([blocks] + eliminated, residuals)],
+                       residuals=[_residuals_by_kind(*kinds_res) for kinds_res in residuals],
                        block_ranks=[int(rank)] + [len(e.s) for e in eliminated],
                        block_sigmas=[_sigma_range(s0[:rank])]
                        + [_sigma_range(e.s) for e in eliminated])
+
+
+def _ball_residual(ball: SystemBlocks | _KeptBall, alpha_k: np.ndarray,
+                   alpha_0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A ball's row kinds and its rows' residual A x_k + C x_0 - T, of its
+    block in the solve or, for a kept ball, of its block made again."""
+    block = ball if isinstance(ball, SystemBlocks) else ball.block()
+    res = block.matrix @ alpha_k - block.rhs
+    res[len(res) - len(block.coupling):] += block.coupling @ alpha_0
+    return block.row_kind, res
 
 
 def _r_factor(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -639,26 +719,34 @@ def gauss_newton_core(assembler: Callable[[Optional[list]], SystemBlocks],
                    iterations=trace, converged=converged)
 
 
+def _zero_block(problem: SemilinearProblem, rows: SubdomainRows) -> SystemBlocks:
+    """A ball's block at zero coefficients, where a linear ball's block
+    depends on its rows alone."""
+    return _block(problem, rows, np.zeros(rows.size), np.zeros(rows.trace[0].shape[1]))
+
+
 def keep_ball(problem: SemilinearProblem,
-              rows: SubdomainRows) -> SubdomainRows | _Eliminated:
+              rows: _BallRows) -> _BallRows | _KeptBall:
     """A ball as its scale search made it, complete and never changed, from
     its rows (of ``ball_rows``): a nonlinear ball's rows themselves, which
     every Gauss-Newton step re-linearizes; a linear ball's block at zero
     coefficients, checked for finite entries and eliminated here, once, so
     that every coupled solve takes the elimination instead of factoring the
-    block again, and the rows are released."""
+    block again, and the rows are released. A kept linear ball holds no
+    array of the block's m rows: the coupled solve evaluates its rows again
+    for the residual table alone (``_KeptBall.block``)."""
     if not problem.is_linear:
         return rows
-    block = _block(problem, rows, np.zeros(rows.size), np.zeros(rows.trace[0].shape[1]))
+    block = _zero_block(problem, rows)
     _check_blocks([block])
-    eliminated = _eliminate(block)
-    # the retained rows of V^T alone, not the whole V^T they are a view of
-    return eliminated._replace(vt=eliminated.vt.copy())
+    kept = _KeptBall(*_eliminate(block))
+    kept.problem, kept.again = problem, rows.again
+    return kept
 
 
 def gauss_newton(problem: SemilinearProblem, basis_0: BasisSet,
                  interior: np.ndarray, boundary: np.ndarray,
-                 kept: Sequence[SubdomainRows | _Eliminated], n_max: int,
+                 kept: Sequence[_BallRows | _KeptBall], n_max: int,
                  tol: float) -> SolveReport:
     """Solve the coupled problem over all subdomains (direct when linear).
 

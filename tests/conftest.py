@@ -143,6 +143,57 @@ def migrate_collocation(sets, partition, ball_resolution, interface_count):
         sets.interface + (sphere[base.contains(sphere)],))
 
 
+def svd_eliminate(ball):
+    """A ball block's elimination by the truncated SVD U S V^T of the block
+    itself, as ``lsq._eliminate`` took it before it went through the QR of
+    [A | C | T], kept as a reference: the coupling C and right-hand side T
+    projected onto the orthogonal complement of the retained U, on all the
+    block's rows, then V^T, S, U^T T and U^T C."""
+    u, s, vt = np.linalg.svd(ball.matrix, full_matrices=False)
+    r = int(np.count_nonzero(s > lsq.DEFAULT_SVD_CUTOFF * s[0]))
+    u, s, vt = u[:, :r], s[:r], vt[:r]
+    iface = slice(len(ball.rhs) - len(ball.coupling), None)
+    ut_coupling = u[iface].T @ ball.coupling      # C is zero off the interface
+    coupling = -(u @ ut_coupling)
+    coupling[iface] += ball.coupling
+    ut_rhs = u.T @ ball.rhs
+    return coupling, ball.rhs - u @ ut_rhs, vt, s, ut_rhs, ut_coupling
+
+
+def svd_solve(blocks):
+    """``lsq.solve_min_norm`` of a coupled system whose balls are blocks, with
+    every ball eliminated by ``svd_eliminate``: each ball's projected rows
+    stacked below subdomain 0's and solved by gelsd, and the residual table
+    read from the projected rows, which hold every row's residual
+    A x_k + C x_0 - T. Returns the alphas, the loss, the residual table and
+    the block ranks."""
+    eliminated = [svd_eliminate(ball) for ball in blocks.balls]
+    F0 = np.concatenate([blocks.matrix] + [e[0] for e in eliminated])
+    T0 = np.concatenate([blocks.rhs] + [e[1] for e in eliminated])
+    alpha_0, _, rank, _ = np.linalg.lstsq(F0, T0, rcond=lsq.DEFAULT_SVD_CUTOFF)
+    alphas = [alpha_0] + [vt.T @ ((ut_rhs - ut_coupling @ alpha_0) / s)
+                          for _, _, vt, s, ut_rhs, ut_coupling in eliminated]
+    residuals = [blocks.matrix @ alpha_0 - blocks.rhs]
+    residuals += [coupling @ alpha_0 - rhs for coupling, rhs, *_ in eliminated]
+    return (alphas, float(sum(res @ res for res in residuals)),
+            [lsq._residuals_by_kind(b.row_kind, res)
+             for b, res in zip([blocks] + blocks.balls, residuals)],
+            [int(rank)] + [len(e[3]) for e in eliminated])
+
+
+def assert_solves_as_svd_solve(report, blocks):
+    """``report``, a solve of the coupled system ``blocks`` (its balls
+    blocks), has the ranks of ``svd_solve``'s, its loss within 1e-5 and
+    every residual-table entry within 1e-4, relative."""
+    _, loss, table, ranks = svd_solve(blocks)
+    assert report.block_ranks == ranks
+    assert report.loss == pytest.approx(loss, rel=1e-5)
+    assert [sorted(got) for got in report.residuals] == [sorted(want) for want in table]
+    for got, want in zip(report.residuals, table):
+        for name, value in want.items():
+            assert got[name] == pytest.approx(value, rel=1e-4), name
+
+
 def all_coefficients(report):
     """Every subdomain's coefficients of ``report``, concatenated in
     subdomain order."""

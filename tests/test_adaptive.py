@@ -4,7 +4,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import all_coefficients, fresh_rows, fresh_solve, pointwise_operator
+from conftest import (all_coefficients, assert_solves_as_svd_solve, fresh_rows, fresh_solve,
+                      pointwise_operator)
 
 from rfpde import adaptive as ada
 from rfpde import basis as bas
@@ -636,7 +637,8 @@ class TestAdaptiveSolve:
 
 class TestWorkDoneOncePerBall:
     """A ball's rows come from its scale search, and a linear problem
-    eliminates each ball once, in its scale search."""
+    eliminates each ball once, in its scale search; its coupled solves
+    evaluate its rows again for the residual table alone."""
 
     def test_linear_problem_does_each_balls_work_once(self, monkeypatch):
         eliminated, evaluated = [], []
@@ -656,8 +658,10 @@ class TestWorkDoneOncePerBall:
         state, _ = ada.adaptive_solve(problem, ada.AdaptiveConfig(**SMALL))
         assert state.partition.n_balls == 2
         assert len(eliminated) == 2
+        # ball k's rows: once by its keep, then once by each coupled solve
+        # from K=k on, for its residual table alone
         for k in (1, 2):
-            assert sum(basis is state.bases[k] for basis in evaluated) == 1
+            assert sum(basis is state.bases[k] for basis in evaluated) == 1 + (3 - k)
 
     def test_reuse_gives_the_solution_of_freshly_evaluated_rows(self):
         problem = pde.benchmark("peak2d-case2")
@@ -748,6 +752,28 @@ class TestWorkDoneOncePerBall:
         assert isinstance(result.ball, lsq.SubdomainRows)
         assert result.ball.matrix.tobytes() == rows[1].matrix.tobytes()
         assert result.ball.values.tobytes() == rows[1].values.tobytes()
+
+
+class TestEliminationThroughQR:
+    """A ball eliminated through the QR of [A | C | T] solves as it did by
+    the SVD of its block (``conftest.svd_solve``)."""
+
+    # at SMALL the ball's block has full rank (301 of 301 columns), at
+    # gamma 1 it is rank-deficient (283 of 301)
+    @pytest.mark.parametrize("gamma, deficient", [(SMALL["gamma"], False), (1.0, True)],
+                             ids=["full-rank", "rank-deficient"])
+    def test_peak2d_case1(self, gamma, deficient):
+        problem = pde.benchmark("peak2d-case1")
+        state, _ = ada.adaptive_solve(problem, ada.AdaptiveConfig(**{**SMALL,
+                                                                     "gamma": gamma}))
+        blocks = lsq.assemble(problem, fresh_rows(state.partition, state.bases,
+                                                  state.colloc, problem))
+        assert blocks.balls
+        assert any(rank < ball.size for rank, ball in
+                   zip(state.report.block_ranks[1:], blocks.balls)) == deficient
+        # the kept balls' solve, and that of the balls eliminated in the solve
+        assert_solves_as_svd_solve(state.report, blocks)
+        assert_solves_as_svd_solve(lsq.solve_min_norm(blocks), blocks)
 
 
 class TestRadiusHalvingOnConflict:

@@ -33,7 +33,7 @@ def load_tool():
 def test_two_runs_give_the_same_digests():
     tool = load_tool()
     real = rfpde.lsq.solve_min_norm, rfpde.lsq.gauss_newton_core
-    real_map = rfpde.adaptive._candidate_map
+    real_map, real_search = rfpde.adaptive._candidate_map, rfpde.adaptive.scale_search
     real_sets = rfpde.adaptive.initial_collocation, rfpde.geometry.reclassify_collocation
     first = tool.digest("peak2d-case1", TINY, TEST_RESOLUTION)
     assert (rfpde.lsq.solve_min_norm, rfpde.lsq.gauss_newton_core) == real
@@ -44,6 +44,12 @@ def test_two_runs_give_the_same_digests():
     assert [len(losses) for losses in first["pool"]["scale_losses"]] == \
         [len(losses) for losses in first["scale_losses"]]
     assert rfpde.adaptive._candidate_map is real_map
+    assert rfpde.adaptive.scale_search is real_search
+    # one kept ball per refinement, each elimination no larger than the
+    # square triangular factor of its block's [A | C | T]
+    n, n0 = TINY["m_star"] + 1, TINY["m0"] + 1
+    assert len(first["kept_ball_bytes"]) == len(first["scales"])
+    assert all(0 < b <= 8 * (n + n0 + 1) ** 2 for b in first["kept_ball_bytes"])
     # the K=0 solve, then per refinement the candidates the scale search
     # solved (those with a loss that is not their bound) and the coupled
     # re-solve
@@ -93,6 +99,8 @@ def test_gauss_newton_steps_of_a_nonlinear_run():
     assert out["scale_loss_is_bound"] == [[False] * TINY["scale_max"]] * refinements
     assert all(None not in losses for losses in out["scale_losses"])
     assert max(out["gauss_newton_steps"]) > 1
+    # a nonlinear ball is kept as its rows
+    assert len(out["kept_ball_bytes"]) == refinements
 
 
 def test_every_benchmark_collocation_is_digested():

@@ -5,7 +5,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import all_coefficients, fresh_ball_rows, fresh_rows, fresh_solve
+from conftest import (all_coefficients, assert_solves_as_svd_solve, fresh_ball_rows,
+                      fresh_rows, fresh_solve, svd_eliminate)
 
 from rfpde import adaptive as ada
 from rfpde import basis as bas
@@ -1201,6 +1202,14 @@ class TestKeptLinearBall:
                 with pytest.raises(lsq.AssemblyError, match="zero coefficients"):
                     lsq.assemble(self.problem, rows, alphas=alphas)
 
+    def test_holds_no_array_of_the_blocks_row_count(self):
+        n0 = self.bases[0].size
+        for rows in self.rows:
+            ball = lsq.keep_ball(self.problem, rows)
+            assert len(rows.row_kind) > max(ball.size, n0 + 1)
+            assert all(len(a) <= max(ball.size, n0 + 1) for a in ball)
+            assert ball.coupling.shape == (n0 + 1, n0) and ball.rhs.shape == (n0 + 1,)
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_rows_are_refused_when_kept(self):
         rows = self.rows[0]
@@ -1209,11 +1218,88 @@ class TestKeptLinearBall:
             lsq.keep_ball(self.problem, rows)
 
 
+def one_ball_setup_3d(m0=60, mstar=150, scale=3):
+    """peak3d with one ball at its peak, on small collocation sets."""
+    problem = pde.benchmark("peak3d")
+    center = np.array([0.5, 0.5, 0.5])
+    part = geo.split_subdomain(geo.PartitionState(problem.region), center, 0.25)
+    domain = ada.initial_collocation(problem, ada.AdaptiveConfig(interior_resolution=10,
+                                                                 boundary_count=384))
+    colloc = geo.reclassify_collocation(part, domain.interior[0], domain.boundary[0],
+                                        ball_resolution=10, interface_count=150)
+    bases = [bas.generate_transferable(m0, 2.0, 3, seed=3, stream=0),
+             bas.rescale(bas.generate_transferable(mstar, 2.0, 3, seed=3, stream=1),
+                         center, scale)]
+    return problem, part, bases, colloc
+
+
+class TestEliminationThroughQR:
+    """``lsq._eliminate`` takes the QR of a ball's [A | C | T] and the SVD of
+    its triangular factor alone, and solves as the SVD of the block did
+    (``conftest.svd_solve``)."""
+
+    def test_no_svd_runs_on_the_block(self, monkeypatch):
+        problem, part, bases, colloc = one_ball_setup_3d()
+        (rows,) = fresh_ball_rows(part, bases, colloc, problem)
+        factored = []
+        real_svd = np.linalg.svd
+
+        def svd(a, *args, **kwargs):
+            factored.append(a.shape)
+            return real_svd(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        lsq.keep_ball(problem, rows)
+        n = rows.size
+        assert len(rows.row_kind) > n
+        assert factored == [(n, n)]
+
+    def test_a_3d_ball(self):
+        problem, part, bases, colloc = one_ball_setup_3d()
+        blocks = assemble(part, bases, colloc, problem)
+        (ball,) = blocks.balls
+        assert len(ball.rhs) > ball.size + bases[0].size + 1
+        # the reduced rows are an R factor of the projected ones of the SVD,
+        # so their Gram matrices agree
+        eliminated = lsq._eliminate(ball)
+        reduced = np.column_stack([eliminated.coupling, eliminated.rhs])
+        projected = np.column_stack(svd_eliminate(ball)[:2])
+        np.testing.assert_allclose(reduced.T @ reduced, projected.T @ projected, rtol=0,
+                                   atol=1e-10 * np.linalg.norm(projected) ** 2)
+        kept = [lsq.keep_ball(problem, rows)
+                for rows in fresh_ball_rows(part, bases, colloc, problem)]
+        assert_solves_as_svd_solve(solve_with(part, bases, colloc, problem, kept), blocks)
+        assert_solves_as_svd_solve(lsq.solve_min_norm(blocks), blocks)
+
+    def test_an_underdetermined_ball_block(self):
+        # 168 ball rows on 201 columns, fewer than subdomain 0's 201 + 1:
+        # the reduced rows are padded with zero rows
+        part, bases, colloc = two_ball_setup(m0=200, mstar=200)
+        problem = manufactured_linear(bases[0], np.linspace(-1.0, 1.0, bases[0].size))
+        blocks = assemble(part, bases, colloc, problem)
+        ball = blocks.balls[0]
+        assert len(ball.rhs) <= ball.size and len(ball.rhs) < bases[0].size + 1
+        eliminated = lsq._eliminate(ball)
+        assert eliminated.coupling.shape == (bases[0].size + 1, bases[0].size)
+        assert not np.any(eliminated.coupling[len(ball.rhs):])
+        assert not eliminated.full_rank
+        kept = [lsq.keep_ball(problem, rows)
+                for rows in fresh_ball_rows(part, bases, colloc, problem)]
+        report = solve_with(part, bases, colloc, problem, kept)
+        assert all(np.all(np.isfinite(alpha)) for alpha in report.alphas)
+        assert report.block_ranks[1] <= len(ball.rhs)
+        F, T = dense(blocks)
+        ref, _, _, _ = np.linalg.lstsq(F, T, rcond=lsq.DEFAULT_SVD_CUTOFF)
+        res = F @ all_coefficients(report) - T
+        assert report.loss == pytest.approx(res @ res, rel=1e-10)
+        assert report.loss <= (F @ ref - T) @ (F @ ref - T) * (1.0 + 1e-8)
+
+
 def concatenated_solve(blocks):
     """``lsq.solve_min_norm`` of a coupled system on plain gelsd, with the
-    balls' projected couplings stacked below subdomain 0's rows by
+    balls' reduced couplings stacked below subdomain 0's rows by
     ``np.concatenate``, into a second copy of them: the reference for the
-    solve of the one stacked array. Returns alpha, loss and residuals."""
+    solve of the one stacked array. Returns alpha, loss and residuals, the
+    residuals of each block's own rows, a kept ball's made again."""
     eliminated = [lsq._eliminate(ball) if isinstance(ball, lsq.SystemBlocks) else ball
                   for ball in blocks.balls]
     F0 = np.concatenate([blocks.matrix] + [e.coupling for e in eliminated])
@@ -1221,18 +1307,23 @@ def concatenated_solve(blocks):
     m, n = F0.shape
     assert m >= int(1.6 * n)        # no R factor first
     alpha_0, _, _, _ = np.linalg.lstsq(F0, T0, rcond=lsq.DEFAULT_SVD_CUTOFF)
-    alpha = np.concatenate([alpha_0] + [e.back_substitute(alpha_0) for e in eliminated])
-    residuals = [blocks.matrix @ alpha_0 - blocks.rhs]
-    residuals += [e.coupling @ alpha_0 - e.rhs for e in eliminated]
-    return (alpha, float(sum(res @ res for res in residuals)),
-            [lsq._residuals_by_kind(b.row_kind, res)
-             for b, res in zip([blocks] + eliminated, residuals)])
+    alpha_balls = [e.back_substitute(alpha_0) for e in eliminated]
+    residuals = [(blocks.row_kind, blocks.matrix @ alpha_0 - blocks.rhs)]
+    for ball, alpha_k in zip(blocks.balls, alpha_balls):
+        block = ball if isinstance(ball, lsq.SystemBlocks) else ball.block()
+        res = block.matrix @ alpha_k - block.rhs
+        res[len(res) - len(block.coupling):] += block.coupling @ alpha_0
+        residuals.append((block.row_kind, res))
+    return (np.concatenate([alpha_0] + alpha_balls),
+            float(sum(res @ res for _, res in residuals)),
+            [lsq._residuals_by_kind(kinds, res) for kinds, res in residuals])
 
 
 class TestStackedSystem:
-    """A coupled solve writes each ball's projected coupling into the spare
-    rows below subdomain 0's, in the array that holds subdomain 0's block,
-    and gelsd takes that array: subdomain 0's rows are never copied."""
+    """A coupled solve writes each ball's reduced coupling, n0 + 1 rows for
+    subdomain 0's n0 columns, into the spare rows below subdomain 0's, in
+    the array that holds subdomain 0's block, and gelsd takes that array:
+    subdomain 0's rows are never copied."""
 
     def solve(self, monkeypatch, part, bases, colloc, problem):
         """Every system the coupled solve of ``problem`` passes to
@@ -1258,8 +1349,9 @@ class TestStackedSystem:
 
     def check(self, systems, received):
         for (blocks, report), a in zip(systems, received):
-            n_rows = len(blocks.rhs) + sum(len(ball.rhs) for ball in blocks.balls)
-            assert a.shape == (n_rows, blocks.matrix.shape[1])
+            n0 = blocks.matrix.shape[1]
+            n_rows = len(blocks.rhs) + len(blocks.balls) * (n0 + 1)
+            assert a.shape == (n_rows, n0)
             assert a is blocks.stacked
             assert np.shares_memory(a, blocks.matrix)
             alpha, loss, residuals = concatenated_solve(blocks)
@@ -1286,12 +1378,21 @@ class TestStackedSystem:
 
     @pytest.mark.parametrize("problem", [zero_problem(), nonzero_nonlinear_problem()],
                              ids=["linear", "nonlinear"])
-    def test_subdomain_0s_rows_hold_one_spare_row_per_ball_row(self, problem):
+    def test_subdomain_0_holds_n0_plus_1_spare_rows_per_ball(self, problem):
         part, bases, colloc = two_ball_setup()
         rows_0, *balls = fresh_rows(part, bases, colloc, problem)
-        n_spare = sum(len(ball.row_kind) for ball in balls)
-        assert rows_0.matrix.shape == (len(rows_0.row_kind) + n_spare, bases[0].size)
-        assert lsq.assemble(problem, [rows_0, *balls]).stacked.shape == \
+        n0 = bases[0].size
+        # a ball's rows outnumber its reduced rows
+        assert all(len(ball.row_kind) > n0 + 1 for ball in balls)
+        assert rows_0.matrix.shape == (len(rows_0.row_kind) + 2 * (n0 + 1), n0)
+        blocks = lsq.assemble(problem, [rows_0, *balls])
+        assert blocks.stacked.shape == rows_0.matrix.shape
+        # kept balls take as many spare rows as the rows they were kept from
+        kept = [lsq.keep_ball(problem, ball) for ball in balls]
+        if problem.is_linear:
+            assert [len(ball.rhs) for ball in kept] == [n0 + 1, n0 + 1]
+        assert lsq.coupled_rows(problem, bases[0], colloc.interior[0],
+                                colloc.boundary[0], kept)[0].matrix.shape == \
             rows_0.matrix.shape
 
     def test_too_few_spare_rows_are_refused(self):

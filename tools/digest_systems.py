@@ -2,15 +2,17 @@
 
 Runs one workload of ``perfbench/workloads.py`` (its problem and solver
 configuration) through ``rfpde.adaptive_solve`` with ``rfpde.lsq.solve_min_norm``,
-``rfpde.lsq.gauss_newton_core`` and the two builders of collocation sets
-wrapped, and prints one JSON object:
+``rfpde.lsq.gauss_newton_core``, ``rfpde.adaptive.scale_search`` and the two
+builders of collocation sets wrapped, and prints one JSON object:
 
 - ``systems_sha256``: SHA-256 over every system passed to the solve, in call
   order: its ``matrix``, ``rhs`` and ``row_kind``, and each ball block's
   ``matrix``, ``rhs`` and ``coupling``, or, for a ball that reaches the solve
   as its elimination (a kept linear ball), the elimination's six arrays,
   ``coupling``, ``rhs``, ``vt``, ``s``, ``ut_rhs`` and ``ut_coupling``, in
-  that order (its ``row_kind`` is left out);
+  that order, each with its dtype and shape (the reduced ``coupling`` and
+  ``rhs`` have n0 + 1 rows for subdomain 0's n0 columns; its row counts per
+  kind are left out);
 - ``per_system_sha256``: the SHA-256 of each of those systems alone, of the
   same arrays, in call order, so that a change that solves fewer systems
   shows that each one it does solve is one its parent solved: each entry is
@@ -32,6 +34,8 @@ wrapped, and prints one JSON object:
   (None for a nonlinear problem) and ``scale_loss_is_bound``, per candidate
   whether its loss is its bound, taken without a solve because its block
   has full rank (None per refinement from sources that do not record it);
+- ``kept_ball_bytes``: the total ``nbytes`` of the arrays each scale search
+  kept, in ball order: a linear ball's elimination, a nonlinear ball's rows;
 - ``gauss_newton_steps``: the number of steps of every Gauss-Newton solve,
   in call order, so that a change to the stopping rule shows, and
   ``gauss_newton_converged``: whether each of those solves converged, in
@@ -98,6 +102,12 @@ def _update_sets(digest, sets) -> None:
             _update(digest, array)
 
 
+def _nbytes(ball) -> int:
+    """The bytes of a kept ball's arrays, those of a tuple field included."""
+    arrays = [a for field in ball for a in (field if isinstance(field, tuple) else (field,))]
+    return sum(a.nbytes for a in arrays if a is not None)
+
+
 def benchmarks_collocation() -> dict:
     """The digest of every benchmark's initial collocation set, by name."""
     import rfpde
@@ -121,12 +131,13 @@ def digest(problem_name: str, config: dict, test_resolution: int) -> dict:
     ada, geo, lsq = rfpde.adaptive, rfpde.geometry, rfpde.lsq
     real, real_core = lsq.solve_min_norm, lsq.gauss_newton_core
     real_initial, real_reclassify = ada.initial_collocation, geo.reclassify_collocation
-    real_map = ada._candidate_map
+    real_map, real_search = ada._candidate_map, ada.scale_search
     systems = hashlib.sha256()
     collocation = hashlib.sha256()
     each = []
     steps = []
     converged = []
+    kept = []
 
     def solve_min_norm(blocks):
         arrays = [blocks.matrix, blocks.rhs, blocks.row_kind]
@@ -156,6 +167,11 @@ def digest(problem_name: str, config: dict, test_resolution: int) -> dict:
         converged.append(report.converged)
         return report
 
+    def scale_search(*args, **kwargs):
+        result = real_search(*args, **kwargs)
+        kept.append(_nbytes(result.ball))
+        return result
+
     problem = rfpde.benchmark(problem_name)
 
     def solve():
@@ -165,13 +181,14 @@ def digest(problem_name: str, config: dict, test_resolution: int) -> dict:
     ada.initial_collocation = digested(real_initial)
     geo.reclassify_collocation = digested(real_reclassify)
     ada._candidate_map = lambda problem, config: nullcontext(map)
+    ada.scale_search = scale_search
     try:
         state, trace = solve()
     finally:
         lsq.solve_min_norm, lsq.gauss_newton_core = real, real_core
         ada.initial_collocation = real_initial
         geo.reclassify_collocation = real_reclassify
-        ada._candidate_map = real_map
+        ada._candidate_map, ada.scale_search = real_map, real_search
     grid = rfpde.evaluate_on_grid(state, problem, test_resolution)
     pool_state, pool_trace = solve()
     return {"src": str(Path(rfpde.__file__).parent), "problem": problem_name,
@@ -187,6 +204,7 @@ def digest(problem_name: str, config: dict, test_resolution: int) -> dict:
             "scale_bounds": [getattr(record, "scale_bounds", None) for record in trace],
             "scale_loss_is_bound": [getattr(record, "scale_loss_is_bound", None)
                                     for record in trace],
+            "kept_ball_bytes": kept,
             "gauss_newton_steps": steps,
             "gauss_newton_converged": converged,
             "pool": {"alpha_sha256": _sha256(np.concatenate(pool_state.report.alphas)),
