@@ -26,18 +26,18 @@ and why.
 The scale candidates do not depend on each other, and ``adaptive_solve``
 solves them on a pool of worker processes, started with the ``spawn`` method
 by the first scale search and joined before it returns or raises.
-There are as many workers as usable cores, at most ``scale_max``. The
-workers are started with ``OPENBLAS_NUM_THREADS=1``, and each sets the
-OpenBLAS that numpy loaded to one thread once it has imported the calling
-script's main module, whatever that module set; so every candidate's loss
-is computed at one BLAS thread, and the coupled solves keep the calling
-process's threads. A worker returns only its candidate's bound, or its loss
-and whether its solve converged; the winner's rows are evaluated again in
-the calling process, bit for bit the same, since basis evaluation uses no
-BLAS. Each worker receives the problem by ``pickle``: a problem that does
-not pickle (one built from lambdas, say) has its candidates solved in the
-calling process, as they are on a single usable core, by the same code. A
-script that calls ``adaptive_solve`` should do so under
+There are as many workers as usable cores, at most ``scale_max``. Each
+worker sets the OpenBLAS that numpy loaded to one thread once it has
+imported the calling script's main module, whatever thread count it started
+with or that module set; so every candidate's loss is computed at one BLAS
+thread, and the coupled solves keep the calling process's threads. A
+worker returns only its candidate's bound, or its loss and whether its
+solve converged; the winner's rows are evaluated again in the calling
+process, bit for bit the same, since basis evaluation uses no BLAS. Each
+worker receives the problem by ``pickle``: a problem that does not pickle
+(one built from lambdas, say) has its candidates solved in the calling
+process, as they are on a single usable core, by the same code. A script
+that calls ``adaptive_solve`` should do so under
 ``if __name__ == "__main__":``, because every spawned worker imports the
 script's main module. A worker that dies (one that re-ran an unguarded
 script, or could not import a problem's functions from an interactive
@@ -424,28 +424,6 @@ def _usable_cores() -> int:
     return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
 
 
-@contextmanager
-def _one_blas_thread():
-    """``OPENBLAS_NUM_THREADS=1`` for the processes spawned inside; the
-    caller's value is restored on exit.
-
-    On Windows this is the workers' only thread limit:
-    ``_one_loaded_blas_thread`` finds no export there. On Linux it adds no
-    measurable speed to what that function does (in 10 alternating pairs
-    of the ``peak2d-4ball`` benchmark on 2 cores, medians 13.72 s with it
-    and 13.51 s without).
-    """
-    saved = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        yield
-    finally:
-        if saved is None:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-        else:
-            os.environ["OPENBLAS_NUM_THREADS"] = saved
-
-
 #: The exports that set an OpenBLAS's thread count: of the OpenBLAS in numpy
 #: >= 2 wheels (64- and 32-bit integers), in numpy 1.x wheels, and of
 #: distribution and conda builds
@@ -479,11 +457,11 @@ def _one_loaded_blas_thread():
     """Set the OpenBLAS that numpy loaded to one thread.
 
     It runs after the worker has imported the calling script's main module,
-    which may have set ``OPENBLAS_NUM_THREADS`` over the worker's 1. The
-    export is looked up through numpy's linear-algebra extension, whose
-    dependencies ``dlsym`` searches (Windows' ``GetProcAddress`` does not);
-    a BLAS that exports none of these names (MKL, Accelerate) is left as it
-    is.
+    so it overrides both the thread count the worker started with and any
+    that module set. The export is looked up through numpy's linear-algebra
+    extension, whose dependencies ``dlsym`` searches (Windows'
+    ``GetProcAddress`` does not); a BLAS that exports none of these names
+    (MKL, Accelerate) is left as it is.
     """
     import ctypes
 
@@ -530,9 +508,7 @@ def _candidate_map(problem: SemilinearProblem, config: AdaptiveConfig):
         items = list(items)
         if not broken:
             try:
-                with _one_blas_thread():    # a worker starts when a task is submitted
-                    results = pool.map(fn, items)
-                return list(results)
+                return list(pool.map(fn, items))
             except BrokenProcessPool as exc:
                 broken = True
                 warnings.warn(f"a scale-search worker died ({exc}); the candidates "

@@ -8,6 +8,7 @@ does the whole solve. No worker may outlive the solve, however it ends.
 """
 
 import concurrent.futures.process
+import ctypes
 import json
 import math
 import multiprocessing
@@ -146,6 +147,17 @@ def test_threads_set_by_the_main_module_stay_one_in_the_workers(
             in_process_at_one_thread[name]["scale_losses"], name
 
 
+def test_numpys_openblas_exports_a_thread_setter():
+    # the workers' one thread rests on this export alone; it is looked up,
+    # never called, so this process keeps its threads
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy is built on {blas}, not OpenBLAS")
+    from numpy.linalg import _umath_linalg
+    loaded = ctypes.CDLL(_umath_linalg.__file__)
+    assert any(hasattr(loaded, name) for name in ada._OPENBLAS_SET_THREADS)
+
+
 def test_no_worker_outlives_a_solve():
     problem = pde.benchmark("peak2d-case1")
     state, trace = ada.adaptive_solve(problem, ada.AdaptiveConfig(**SMALL))
@@ -265,6 +277,24 @@ def test_candidate_map_falls_back_to_builtin_map(monkeypatch):
     monkeypatch.setattr(ada.os, "sched_getaffinity", lambda pid: {0})
     with ada._candidate_map(pde.benchmark("peak2d-case1"), config) as mapper:
         assert mapper is map
+
+
+def test_a_map_leaves_the_callers_environment_alone(monkeypatch):
+    # the pool path on any machine, with no worker spawned
+    seen = []
+
+    def recorder(self, fn, *iterables, **kwargs):
+        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return map(fn, *iterables)
+    monkeypatch.setattr(ada, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(concurrent.futures.process.ProcessPoolExecutor, "map", recorder)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    with ada._candidate_map(pde.benchmark("peak2d-case1"),
+                            ada.AdaptiveConfig(**SMALL)) as mapper:
+        assert mapper is not map
+        assert list(mapper(abs, [-1, 2])) == [1, 2]
+    assert seen == ["3"]
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
 
 def test_usable_cores_without_sched_getaffinity(monkeypatch):
