@@ -14,10 +14,12 @@ keeps its basis, and its points, which depend on its own geometry alone;
 only coefficients change. So the scale search returns the new ball
 complete, as ``lsq.keep_ball`` makes it: the winning candidate's rows
 (``lsq.SubdomainRows``) for a nonlinear problem, the elimination of its
-block alone (``lsq._KeptBall``) for a linear one. Every later coupled solve
-takes the ball as it is; only subdomain 0's rows are evaluated again (each
-new ball takes points from it), and a kept linear ball's rows, by the same
-``lsq.ball_rows`` call, for the solve's residual table alone.
+block alone (``lsq._Eliminated``) for a linear one. Every later coupled
+solve takes the ball as it is; only subdomain 0's rows are evaluated again
+(each new ball takes points from it). Each refinement record's residual
+table is evaluated from the solution, in the gate's units, for every
+subdomain and row kind (``_residual_table``); the solve's ``loss`` stays in
+row-weight units.
 
 A linear problem's search bounds every candidate before it solves any, and
 solves only the candidates that could win; ``scale_search`` describes how,
@@ -206,10 +208,12 @@ class RefinementRecord:
     seconds: Optional[float] = None
     search_seconds: Optional[float] = None   # the scale search's part of seconds
     solve_seconds: Optional[float] = None    # the coupled re-solve's part of seconds
-    # per subdomain of the coupled re-solve: the squared residual of its rows
-    # of each row kind, its block's rank and [largest, smallest] retained
-    # singular value, and the norm of its coefficients
+    # per subdomain of the coupled re-solve: {row kind name: mean of the
+    # squares of its residual at its points of that kind}, in the gate's
+    # units, not ``loss``'s row-weight units (``_residual_table``)
     residuals: Optional[list] = None
+    # per subdomain of the coupled re-solve: its block's rank and [largest,
+    # smallest] retained singular value, and the norm of its coefficients
     block_ranks: Optional[list] = None
     block_sigmas: Optional[list] = None
     alpha_norms: Optional[list] = None
@@ -245,7 +249,9 @@ class ScaleSearchResult:
 
 
 def mean_residual(res: np.ndarray) -> float:
-    """Mean of the squared interior residuals ``res`` (of ``_solve_and_gate``)."""
+    """Mean of the squared residuals ``res``: the gate's measure of subdomain
+    0's interior residual (of ``_solve_and_gate``), and of every entry of the
+    residual table (``_residual_table``)."""
     if len(res) == 0:
         raise ValueError("empty interior point set")
     return float(np.mean(res * res))
@@ -272,6 +278,33 @@ def _solve_and_gate(problem: SemilinearProblem, partition: geo.PartitionState,
     seconds = time.perf_counter() - t0
     res = operator_residuals(problem, bases[0], report.alphas[0], colloc.interior[0])
     return SolveState(partition, list(bases), colloc, report), res, seconds
+
+
+def _residual_table(problem: SemilinearProblem, state: SolveState,
+                    res: np.ndarray) -> list[dict]:
+    """Per subdomain of ``state``: {row kind name: ``mean_residual`` of its
+    residual at its points of that kind}, for the kinds it has points of,
+    evaluated from the solution with no row weights. The kinds are
+    ``lsq.ROW_KIND_NAMES``: the strong-form residual at its interior points
+    (subdomain 0's is ``res``, the gate's), u - g at its boundary points, and
+    at a ball's interface points u_k - u_0 and its normal derivative's jump,
+    outward from the ball."""
+    interior, boundary, value, normal = lsq.ROW_KIND_NAMES
+    bases, alphas, colloc = state.bases, state.report.alphas, state.colloc
+    table = []
+    for k, (basis, alpha) in enumerate(zip(bases, alphas)):
+        parts = {interior: res if k == 0 else
+                 operator_residuals(problem, basis, alpha, colloc.interior[k])}
+        x_g, x_i = colloc.boundary[k], colloc.interface[k]
+        if len(x_g):
+            parts[boundary] = basis.values(x_g) @ alpha - problem.boundary(x_g)
+        if k:
+            normals = geo.outward_normals(state.partition.ball(k), x_i)
+            parts[value] = basis.values(x_i) @ alpha - bases[0].values(x_i) @ alphas[0]
+            parts[normal] = (basis.normal_derivatives(x_i, normals) @ alpha
+                             - bases[0].normal_derivatives(x_i, normals) @ alphas[0])
+        table.append({name: mean_residual(part) for name, part in parts.items()})
+    return table
 
 
 def _candidate_rows(problem: SemilinearProblem, raw: basis_mod.BasisSet,
@@ -598,6 +631,7 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
                                                             colloc, kept, cfg)
                 report = state.report
                 new_gate = mean_residual(res)
+                residuals = _residual_table(problem, state, res)
                 seconds = time.perf_counter() - t0
                 trace.append(RefinementRecord(
                     index=k, center=center.tolist(), radius=radius, scale=search.scale,
@@ -609,9 +643,9 @@ def adaptive_solve(problem: SemilinearProblem, config: AdaptiveConfig,
                     scale_losses=search.losses, scale_converged=search.converged,
                     scale_bounds=search.bounds, scale_loss_is_bound=search.loss_is_bound,
                     seconds=seconds, search_seconds=search_seconds,
-                    solve_seconds=solve_seconds,
-                    residuals=report.residuals, block_ranks=report.block_ranks,
-                    block_sigmas=report.block_sigmas, alpha_norms=report.alpha_norms))
+                    solve_seconds=solve_seconds, residuals=residuals,
+                    block_ranks=report.block_ranks, block_sigmas=report.block_sigmas,
+                    alpha_norms=report.alpha_norms))
                 gate = new_gate
     except SOLVER_ERRORS as exc:
         exc.trace = trace

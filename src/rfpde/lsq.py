@@ -104,14 +104,15 @@ evaluates subdomain 0's rows; ``assemble`` builds a nonlinear ball's block
 from its kept rows and passes a linear ball's elimination on as it is, and
 ``solve_min_norm`` eliminates every other ball.
 
-The residual table (``SolveReport.residuals``) is read from each block's own
-rows at the solution, A x_k + C x_0 - T for a ball, per row kind: a ball's
-n0 + 1 reduced rows hold its residual as one total only. A ball eliminated
-in the solve has its rows at hand. A kept linear ball's rows are evaluated
-again, once per coupled solve, by the ``ball_rows`` call that made them
-(``_BallRows.again``), bit for bit, since basis evaluation uses no BLAS.
-At one BLAS thread that takes 0.02 s per ball in 2D and 0.09 s in 3D,
-against 0.7 s and 1.2 s for the ball's elimination, which still runs once.
+A solve returns coefficients, one loss, and each block's rank and retained
+singular values; no table of residuals by subdomain or row kind, which
+``adaptive`` evaluates from the solution, in the gate's units. A linear
+solve's loss is |F0 x0 - T0|^2 on the stacked array, before any R
+reduction: subdomain 0's rows, then each ball's n0 + 1 reduced rows. A
+ball's x_k lies in the span of the retained V, so A x_k = U U^T (T - C x0),
+and its rows' residual A x_k + C x0 - T is -(I - U U^T)(T - C x0), whose
+norm its reduced rows carry. So the stacked residual is the whole loss, up
+to rounding, and no coupled solve evaluates a ball's rows.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ class SystemBlocks:
     single-ball system of that ball. A ball's block also holds ``coupling``,
     its interface rows (its last ``len(coupling)`` rows) on subdomain 0's
     columns; a solve uses it only in a coupled system. A kept linear ball is
-    in ``balls`` as its elimination (``_KeptBall``), made by its scale
+    in ``balls`` as its elimination (``_Eliminated``), made by its scale
     search; the solve eliminates every other ball.
 
     ``stacked`` is the one array that holds a block's rows; ``matrix`` is its
@@ -166,7 +167,7 @@ class SystemBlocks:
     rhs: np.ndarray                    # (rows,)
     row_kind: np.ndarray               # int8, ROW_* constants
     coupling: Optional[np.ndarray] = None
-    balls: list[SystemBlocks | _KeptBall] = field(default_factory=list)
+    balls: list[SystemBlocks | _Eliminated] = field(default_factory=list)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -179,17 +180,16 @@ class SystemBlocks:
 
 @dataclass
 class SolveReport:
-    """Solution coefficients plus diagnostics of the solve."""
+    """Solution coefficients plus diagnostics of the solve: one loss, in
+    row-weight units, and no residual per subdomain or row kind, which
+    ``adaptive`` evaluates from the solution in the gate's units (module
+    docstring)."""
 
     alphas: list[np.ndarray]           # coefficients per subdomain
     # squared residual of the equations at ``alphas``, in row-weight units:
-    # of the problem for a Gauss-Newton solve, of the given system for
-    # ``solve_min_norm``
+    # of the problem for a Gauss-Newton solve, of the given system, on its
+    # stacked rows, for ``solve_min_norm``
     loss: float
-    # per block, as ``alphas``: {row kind name: squared residual of the
-    # block's weighted rows of that kind}, for the kinds the block has; the
-    # entries add up to ``loss``
-    residuals: list
     # per block, as ``alphas``: the rank and [largest, smallest] retained
     # singular value of its factorization (subdomain 0's of a coupled system:
     # of its projected problem)
@@ -228,15 +228,6 @@ class SubdomainRows(NamedTuple):
     @property
     def size(self) -> int:
         return self.matrix.shape[1]
-
-
-class _BallRows(SubdomainRows):
-    """A ball's rows as ``ball_rows`` returns them, with ``again``: the
-    ``ball_rows`` call that made them, which evaluates them afresh, bit for
-    bit, since basis evaluation uses no BLAS. It is an attribute, not a
-    field, so the fields stay the rows' arrays."""
-
-    again: Callable[[], _BallRows]
 
 
 def _subdomain_rows(problem: SemilinearProblem, basis: BasisSet,
@@ -291,23 +282,18 @@ def _subdomain_rows(problem: SemilinearProblem, basis: BasisSet,
 
 def ball_rows(problem: SemilinearProblem, ball: BallSubdomain, basis_k: BasisSet,
               basis_0: BasisSet, interior: np.ndarray, boundary: np.ndarray,
-              interface: np.ndarray) -> _BallRows:
-    """The rows of one ball, for its single-ball system, with the call that
-    evaluates them again (``_BallRows``)."""
+              interface: np.ndarray) -> SubdomainRows:
+    """The rows of one ball, for its single-ball system."""
     if len(interior) == 0:
         raise AssemblyError(f"empty interior collocation set for ball {ball.index}")
     if len(interface) == 0:
         raise AssemblyError(f"empty interface collocation set for ball {ball.index}")
-    rows = _BallRows(*_subdomain_rows(problem, basis_k, interior, boundary, ball,
-                                      interface, basis_0))
-    rows.again = partial(ball_rows, problem, ball, basis_k, basis_0, interior, boundary,
-                         interface)
-    return rows
+    return _subdomain_rows(problem, basis_k, interior, boundary, ball, interface, basis_0)
 
 
 def coupled_rows(problem: SemilinearProblem, basis_0: BasisSet,
                  interior: np.ndarray, boundary: np.ndarray,
-                 balls: Sequence[_BallRows | _KeptBall]) -> list:
+                 balls: Sequence[SubdomainRows | _Eliminated]) -> list:
     """The rows of every subdomain of the coupled problem: subdomain 0's,
     evaluated at its ``interior`` and ``boundary`` points, then the balls'
     as given, each one's rows (of ``ball_rows``, on the same basis of
@@ -365,11 +351,11 @@ def _block(problem: SemilinearProblem, rows: SubdomainRows,
     return SystemBlocks(stacked=F, rhs=T, row_kind=rows.row_kind, coupling=coupling)
 
 
-def _ball_block(problem: SemilinearProblem, ball: _BallRows | _KeptBall,
-                alpha_k: np.ndarray, alpha_0: np.ndarray) -> SystemBlocks | _KeptBall:
+def _ball_block(problem: SemilinearProblem, ball: SubdomainRows | _Eliminated,
+                alpha_k: np.ndarray, alpha_0: np.ndarray) -> SystemBlocks | _Eliminated:
     """A ball's block: its rows linearized by ``_block``, or a kept linear
     ball's elimination itself, which holds at zero coefficients only."""
-    if isinstance(ball, _KeptBall):
+    if isinstance(ball, _Eliminated):
         if np.any(alpha_k) or np.any(alpha_0):
             raise AssemblyError("a kept linear ball is eliminated at zero "
                                 "coefficients only")
@@ -459,21 +445,6 @@ class _Eliminated(NamedTuple):
         return self.vt.T @ ((self.ut_rhs - self.ut_coupling @ alpha_0) / self.s)
 
 
-class _KeptBall(_Eliminated):
-    """A kept linear ball (``keep_ball``): its block's elimination, and
-    ``problem`` and ``again`` (``_BallRows.again``), which make the block
-    again for the residual table. They are attributes, not fields, so the
-    fields stay the elimination's arrays."""
-
-    problem: SemilinearProblem
-    again: Callable[[], _BallRows]
-
-    def block(self) -> SystemBlocks:
-        """The ball's block at zero coefficients, of its rows evaluated
-        afresh."""
-        return _zero_block(self.problem, self.again())
-
-
 def _eliminate(ball: SystemBlocks) -> _Eliminated:
     """Eliminate a ball's block through the QR of [A | C | T] and the
     truncated SVD of its n x n factor R11, as the module docstring sets
@@ -523,10 +494,10 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
     match raises AssemblyError. Without balls ``stacked`` has no spare row
     and this is gelsd on ``matrix``, the minimum-norm solution. A gelsd
     problem with n < m < int(1.6 n) is reduced to the R factor of [F | T]
-    first. The report carries each block's rank, retained singular-value
-    range and squared residual per row kind, read from the block's own rows
-    at the solution, a kept linear ball's evaluated again (module
-    docstring); ``loss`` is their sum.
+    first. The report carries each block's rank and retained singular-value
+    range, and ``loss``, |F0 x0 - T0|^2 of the stacked array before any R
+    reduction: subdomain 0's rows and each ball's reduced rows, which carry
+    the ball's residual (module docstring), so no ball's rows are read.
     """
     _check_blocks([b for b in [blocks] + blocks.balls if isinstance(b, SystemBlocks)])
     eliminated = [_eliminate(ball) if isinstance(ball, SystemBlocks) else ball
@@ -539,32 +510,18 @@ def solve_min_norm(blocks: SystemBlocks) -> SolveReport:
     for e in eliminated:
         F0[start:start + len(e.rhs)] = e.coupling
         start += len(e.rhs)
+    F, T = F0, T0
     m, n = F0.shape
     if n < m < int(1.6 * n):       # gelsd takes a QR first from int(1.6 n) rows on
         R = _r_factor(F0, T0)
-        F0, T0 = R[:, :-1], R[:, -1]
-    alpha_0, _, rank, s0 = np.linalg.lstsq(F0, T0, rcond=DEFAULT_SVD_CUTOFF)
-    alphas = [alpha_0] + [e.back_substitute(alpha_0) for e in eliminated]
-
-    residuals = [(blocks.row_kind, blocks.matrix @ alpha_0 - blocks.rhs)]
-    residuals += [_ball_residual(ball, alpha_k, alpha_0)
-                  for ball, alpha_k in zip(blocks.balls, alphas[1:])]
-    loss = float(sum(res @ res for _, res in residuals))
-    return SolveReport(alphas=alphas, loss=loss,
-                       residuals=[_residuals_by_kind(*kinds_res) for kinds_res in residuals],
+        F, T = R[:, :-1], R[:, -1]
+    alpha_0, _, rank, s0 = np.linalg.lstsq(F, T, rcond=DEFAULT_SVD_CUTOFF)
+    res = F0 @ alpha_0 - T0
+    return SolveReport(alphas=[alpha_0] + [e.back_substitute(alpha_0) for e in eliminated],
+                       loss=float(res @ res),
                        block_ranks=[int(rank)] + [len(e.s) for e in eliminated],
                        block_sigmas=[_sigma_range(s0[:rank])]
                        + [_sigma_range(e.s) for e in eliminated])
-
-
-def _ball_residual(ball: SystemBlocks | _KeptBall, alpha_k: np.ndarray,
-                   alpha_0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A ball's row kinds and its rows' residual A x_k + C x_0 - T, of its
-    block in the solve or, for a kept ball, of its block made again."""
-    block = ball if isinstance(ball, SystemBlocks) else ball.block()
-    res = block.matrix @ alpha_k - block.rhs
-    res[len(res) - len(block.coupling):] += block.coupling @ alpha_0
-    return block.row_kind, res
 
 
 def _r_factor(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -613,12 +570,6 @@ def _check_blocks(blocks: Sequence[SystemBlocks]) -> None:
         raise AssemblyError("non-finite entries in the assembled system")
 
 
-def _residuals_by_kind(row_kind: np.ndarray, res: np.ndarray) -> dict:
-    """{row kind name: sum of ``res``^2 over its rows}, for the kinds present."""
-    parts = ((name, res[row_kind == kind]) for kind, name in enumerate(ROW_KIND_NAMES))
-    return {name: float(part @ part) for name, part in parts if len(part)}
-
-
 def _sigma_range(s: np.ndarray) -> list[float]:
     """[largest, smallest] of the retained singular values ``s``."""
     return [float(s[0]), float(s[-1])] if len(s) else [0.0, 0.0]
@@ -628,13 +579,10 @@ def _sigma_range(s: np.ndarray) -> list[float]:
 MAX_HALVINGS = 20
 
 
-def _weighted_residual(blocks: SystemBlocks) -> tuple[float, list]:
-    """|T|^2 of a system of nonlinear blocks, and its residual table: the
-    squared residual, per block and row kind, of its rows at the
+def _weighted_residual(blocks: SystemBlocks) -> float:
+    """|T|^2 of a system of nonlinear blocks: its squared residual at the
     coefficients it was linearized at."""
-    all_blocks = [blocks] + blocks.balls
-    return (float(sum(b.rhs @ b.rhs for b in all_blocks)),
-            [_residuals_by_kind(b.row_kind, b.rhs) for b in all_blocks])
+    return float(sum(b.rhs @ b.rhs for b in [blocks] + blocks.balls))
 
 
 def _backtrack(assembler: Callable[[Optional[list]], SystemBlocks],
@@ -652,7 +600,7 @@ def _backtrack(assembler: Callable[[Optional[list]], SystemBlocks],
     for halving in range(MAX_HALVINGS + 1):
         trial = [a + 0.5 ** halving * d for a, d in zip(alphas, step)]
         blocks = assembler(trial)
-        trial_loss, _ = _weighted_residual(blocks)
+        trial_loss = _weighted_residual(blocks)
         if trial_loss <= loss:
             return trial, blocks, rise
         del blocks
@@ -685,17 +633,16 @@ def gauss_newton_core(assembler: Callable[[Optional[list]], SystemBlocks],
     holding their |T|^2 and the relative rise at the full step: converged
     when a full step raises |T|^2 by less than ``tol`` relative, which is
     rounding, and converged=False when no halving lowers it. Exhausting
-    ``n_max`` also returns converged=False. The report's ``loss`` and
-    ``residuals`` are |T|^2 and its table per block and row kind at the
-    returned coefficients, the weighted residual that the solve minimises;
-    its ranks and singular values are the last solve's.
+    ``n_max`` also returns converged=False. The report's ``loss`` is |T|^2
+    at the returned coefficients, the weighted residual that the solve
+    minimises; its ranks and singular values are the last solve's.
     """
     blocks = assembler(None)
     if is_linear:
         report = solve_min_norm(blocks)
         return replace(report, iterations=[(0, report.loss, None)])
     alphas = [np.zeros(b.size) for b in [blocks] + blocks.balls]
-    loss, residuals = _weighted_residual(blocks)
+    loss = _weighted_residual(blocks)
     trace = []
     converged = False
     for n in range(n_max):
@@ -708,45 +655,37 @@ def gauss_newton_core(assembler: Callable[[Optional[list]], SystemBlocks],
             break
         alphas = trial
         previous = loss
-        loss, residuals = _weighted_residual(blocks)
+        loss = _weighted_residual(blocks)
         re_mse = None if n == 0 else (
             0.0 if previous == 0.0 else abs(loss - previous) / previous)
         trace.append((n, loss, re_mse))
         if n > 0 and (previous == 0.0 or re_mse < tol):
             converged = True
             break
-    return replace(report, alphas=alphas, loss=loss, residuals=residuals,
-                   iterations=trace, converged=converged)
-
-
-def _zero_block(problem: SemilinearProblem, rows: SubdomainRows) -> SystemBlocks:
-    """A ball's block at zero coefficients, where a linear ball's block
-    depends on its rows alone."""
-    return _block(problem, rows, np.zeros(rows.size), np.zeros(rows.trace[0].shape[1]))
+    return replace(report, alphas=alphas, loss=loss, iterations=trace,
+                   converged=converged)
 
 
 def keep_ball(problem: SemilinearProblem,
-              rows: _BallRows) -> _BallRows | _KeptBall:
+              rows: SubdomainRows) -> SubdomainRows | _Eliminated:
     """A ball as its scale search made it, complete and never changed, from
     its rows (of ``ball_rows``): a nonlinear ball's rows themselves, which
     every Gauss-Newton step re-linearizes; a linear ball's block at zero
-    coefficients, checked for finite entries and eliminated here, once, so
-    that every coupled solve takes the elimination instead of factoring the
-    block again, and the rows are released. A kept linear ball holds no
-    array of the block's m rows: the coupled solve evaluates its rows again
-    for the residual table alone (``_KeptBall.block``)."""
+    coefficients, where it depends on its rows alone, checked for finite
+    entries and eliminated here, once, so that every coupled solve takes the
+    elimination instead of factoring the block again, and the rows are
+    released. A kept linear ball holds no array of the block's m rows, and
+    no coupled solve evaluates them again."""
     if not problem.is_linear:
         return rows
-    block = _zero_block(problem, rows)
+    block = _block(problem, rows, np.zeros(rows.size), np.zeros(rows.trace[0].shape[1]))
     _check_blocks([block])
-    kept = _KeptBall(*_eliminate(block))
-    kept.problem, kept.again = problem, rows.again
-    return kept
+    return _eliminate(block)
 
 
 def gauss_newton(problem: SemilinearProblem, basis_0: BasisSet,
                  interior: np.ndarray, boundary: np.ndarray,
-                 kept: Sequence[_BallRows | _KeptBall], n_max: int,
+                 kept: Sequence[SubdomainRows | _Eliminated], n_max: int,
                  tol: float) -> SolveReport:
     """Solve the coupled problem over all subdomains (direct when linear).
 

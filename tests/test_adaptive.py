@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (all_coefficients, assert_solves_as_svd_solve, fresh_rows, fresh_solve,
                       pointwise_operator)
+from test_lsq import two_ball_setup
 
 from rfpde import adaptive as ada
 from rfpde import basis as bas
@@ -545,23 +546,27 @@ class TestAdaptiveSolve:
         assert trace[0].mean_residual_after == trace[1].mean_residual_before
 
     def test_one_residual_evaluation_per_coupled_solve(self, monkeypatch):
-        # the gate and the next ball's center read one residual of each solve
-        calls = {"residuals": 0, "solves": 0}
+        # the gate and the next ball's center read one residual of subdomain
+        # 0 per solve; a record's residual table evaluates each ball's once
+        evaluated, solves = [], []
         real_residuals, real_solve = ada.operator_residuals, lsq.gauss_newton
 
-        def operator_residuals(*args):
-            calls["residuals"] += 1
-            return real_residuals(*args)
+        def operator_residuals(problem, basis, *args):
+            evaluated.append(basis)
+            return real_residuals(problem, basis, *args)
 
         def gauss_newton(*args):
-            calls["solves"] += 1
+            solves.append(args)
             return real_solve(*args)
         monkeypatch.setattr(ada, "operator_residuals", operator_residuals)
         monkeypatch.setattr(lsq, "gauss_newton", gauss_newton)
-        _, trace = ada.adaptive_solve(pde.benchmark("peak2d-case1"),
-                                      ada.AdaptiveConfig(**SMALL))
+        state, trace = ada.adaptive_solve(pde.benchmark("peak2d-case1"),
+                                          ada.AdaptiveConfig(**SMALL))
         assert len(trace) == 1
-        assert calls == {"residuals": len(trace) + 1, "solves": len(trace) + 1}
+        assert len(solves) == len(trace) + 1
+        assert sum(basis is state.bases[0] for basis in evaluated) == len(trace) + 1
+        others = [basis for basis in evaluated if basis is not state.bases[0]]
+        assert len(others) == 1 and others[0] is state.bases[1]
 
     def test_max_refinements_errors(self):
         problem = pde.benchmark("peak2d-case1")
@@ -637,13 +642,15 @@ class TestAdaptiveSolve:
 
 class TestWorkDoneOncePerBall:
     """A ball's rows come from its scale search, and a linear problem
-    eliminates each ball once, in its scale search; its coupled solves
-    evaluate its rows again for the residual table alone."""
+    eliminates each ball once, in its scale search; no coupled solve
+    evaluates its rows again. Each refinement record's residual table
+    evaluates every ball's solution at its points."""
 
     def test_linear_problem_does_each_balls_work_once(self, monkeypatch):
-        eliminated, evaluated = [], []
+        eliminated, evaluated, rows_made = [], [], []
         real_eliminate = lsq._eliminate
         real_laplacians = bas.BasisSet.laplacians
+        real_rows = lsq._subdomain_rows
 
         def eliminate(ball):
             eliminated.append(ball)
@@ -652,15 +659,22 @@ class TestWorkDoneOncePerBall:
         def laplacians(self, points, **kwargs):
             evaluated.append(self)
             return real_laplacians(self, points, **kwargs)
+
+        def subdomain_rows(problem, basis, *args, **kwargs):
+            rows_made.append(basis)
+            return real_rows(problem, basis, *args, **kwargs)
         monkeypatch.setattr(lsq, "_eliminate", eliminate)
         monkeypatch.setattr(bas.BasisSet, "laplacians", laplacians)
+        monkeypatch.setattr(lsq, "_subdomain_rows", subdomain_rows)
         problem = pde.benchmark("peak2d-case2")
-        state, _ = ada.adaptive_solve(problem, ada.AdaptiveConfig(**SMALL))
-        assert state.partition.n_balls == 2
+        state, trace = ada.adaptive_solve(problem, ada.AdaptiveConfig(**SMALL))
+        assert state.partition.n_balls == len(trace) == 2
         assert len(eliminated) == 2
-        # ball k's rows: once by its keep, then once by each coupled solve
-        # from K=k on, for its residual table alone
         for k in (1, 2):
+            # ball k's rows are made once, by its keep, in this process
+            assert sum(basis is state.bases[k] for basis in rows_made) == 1
+            # its Laplacians: once by those rows, then once by the residual
+            # table of each record from K=k on
             assert sum(basis is state.bases[k] for basis in evaluated) == 1 + (3 - k)
 
     def test_reuse_gives_the_solution_of_freshly_evaluated_rows(self):
@@ -674,27 +688,22 @@ class TestWorkDoneOncePerBall:
         assert state.report.loss == fresh.loss
 
     def test_kept_balls_residuals_are_those_of_freshly_evaluated_rows(self):
+        # the loss, read from each kept ball's reduced rows, is the squared
+        # residual of every subdomain's rows evaluated afresh at the solution
         problem = pde.benchmark("peak2d-case2")
         state, _ = ada.adaptive_solve(problem, ada.AdaptiveConfig(**SMALL))
         report = state.report
         fresh = lsq.assemble(problem, fresh_rows(state.partition, state.bases,
                                                  state.colloc, problem))
         x0 = report.alphas[0]
-
-        def table(row_kind, res):
-            return {lsq.ROW_KIND_NAMES[k]: float(res[row_kind == k] @ res[row_kind == k])
-                    for k in np.unique(row_kind)}
-        assert report.residuals[0] == table(fresh.row_kind, fresh.matrix @ x0 - fresh.rhs)
+        residuals = [fresh.matrix @ x0 - fresh.rhs]
         assert len(fresh.balls) == state.partition.n_balls == 2
-        for ball, x, reported in zip(fresh.balls, report.alphas[1:],
-                                     report.residuals[1:]):
+        for ball, x in zip(fresh.balls, report.alphas[1:]):
             res = ball.matrix @ x - ball.rhs
             res[len(res) - len(ball.coupling):] += ball.coupling @ x0
-            expected = table(ball.row_kind, res)
-            assert sorted(reported) == sorted(expected)
-            total = sum(expected.values())
-            for name, value in expected.items():
-                assert abs(reported[name] - value) <= 1e-4 * total, name
+            residuals.append(res)
+        assert report.loss == pytest.approx(sum(res @ res for res in residuals),
+                                            rel=1e-10, abs=0)
 
     def test_records_carry_conditioning_and_the_gauss_newton_history(self):
         problem = pde.benchmark("nonlinear2d-case1")
@@ -705,8 +714,6 @@ class TestWorkDoneOncePerBall:
                               alphas=report.alphas)
         assert report.loss == float(sum(b.rhs @ b.rhs
                                         for b in [blocks] + blocks.balls))
-        assert sum(v for r in report.residuals for v in r.values()) == \
-            pytest.approx(report.loss, rel=1e-12)
         record = trace[-1]
         assert record.loss == report.loss
         assert record.iterations == [list(step) for step in report.iterations]
@@ -715,8 +722,9 @@ class TestWorkDoneOncePerBall:
         assert len(record.block_sigmas) == state.partition.n_subdomains
         assert all(hi >= lo > 0 for hi, lo in record.block_sigmas)
         assert record.alpha_norms == [float(np.linalg.norm(a)) for a in report.alphas]
-        assert record.residuals == report.residuals
+        # the residual table is in the gate's units, not the loss's
         assert len(record.residuals) == state.partition.n_subdomains
+        assert record.residuals[0]["interior"] == record.mean_residual_after
         assert 0 < record.search_seconds + record.solve_seconds <= record.seconds
         assert record.search_seconds > 0 and record.solve_seconds > 0
 
@@ -752,6 +760,75 @@ class TestWorkDoneOncePerBall:
         assert isinstance(result.ball, lsq.SubdomainRows)
         assert result.ball.matrix.tobytes() == rows[1].matrix.tobytes()
         assert result.ball.values.tobytes() == rows[1].values.tobytes()
+
+
+def direct_table(problem, state):
+    """Every subdomain's mean squared residual per row kind, evaluated from
+    ``state`` point set by point set: the strong form at its interior
+    points, u - g at its boundary points, and at a ball's interface points
+    the jumps of u and of its normal derivative, outward from the ball."""
+    bases, alphas, colloc = state.bases, state.report.alphas, state.colloc
+
+    def u(k, x):
+        return bases[k].values(x) @ alphas[k]
+
+    def du(k, x, normals):
+        return bases[k].normal_derivatives(x, normals) @ alphas[k]
+
+    tables = []
+    for k in range(state.partition.n_subdomains):
+        parts = {"interior": pde.operator_residuals(problem, bases[k], alphas[k],
+                                                    colloc.interior[k])}
+        x_g = colloc.boundary[k]
+        if len(x_g):
+            parts["boundary"] = u(k, x_g) - problem.boundary(x_g)
+        if k:
+            x = colloc.interface[k]
+            normals = geo.outward_normals(state.partition.ball(k), x)
+            parts["interface-value"] = u(k, x) - u(0, x)
+            parts["interface-normal"] = du(k, x, normals) - du(0, x, normals)
+        tables.append({name: float(np.mean(part ** 2)) for name, part in parts.items()})
+    return tables
+
+
+def assert_tables_agree(got, want):
+    assert [sorted(table) for table in got] == [sorted(table) for table in want]
+    for table, expected in zip(got, want):
+        for name, value in expected.items():
+            assert table[name] == pytest.approx(value, rel=1e-12, abs=0), name
+
+
+class TestResidualTable:
+    """Each refinement record's residual table is evaluated from the
+    solution, in the gate's units: subdomain 0's interior entry is the gate
+    itself, and every other entry a mean squared residual at its points."""
+
+    def test_a_ball_that_owns_boundary_points(self):
+        # two_ball_setup's second ball crosses the boundary of [-1, 1]^2
+        part, bases, colloc = two_ball_setup()
+        problem = pde.benchmark("peak2d-case1")
+        report = fresh_solve(part, bases, colloc, problem)
+        state = ada.SolveState(part, bases, colloc, report)
+        res = pde.operator_residuals(problem, bases[0], report.alphas[0],
+                                     colloc.interior[0])
+        table = ada._residual_table(problem, state, res)
+        assert table[0]["interior"] == ada.mean_residual(res)
+        assert "boundary" not in table[1] and "boundary" in table[2]
+        assert_tables_agree(table, direct_table(problem, state))
+
+    def test_every_record_of_a_nonlinear_run(self):
+        states = []
+
+        def diagnostic(state):
+            states.append(state)
+            return 0.0
+        problem = pde.benchmark("nonlinear2d-case1")
+        _, trace = ada.adaptive_solve(problem, ada.AdaptiveConfig(**SMALL),
+                                      diagnostic=diagnostic)
+        assert len(trace) == len(states) >= 1
+        for record, state in zip(trace, states):
+            assert record.residuals[0]["interior"] == record.mean_residual_after
+            assert_tables_agree(record.residuals, direct_table(problem, state))
 
 
 class TestEliminationThroughQR:

@@ -192,8 +192,7 @@ PREDICT_FIXED_STATE = textwrap.dedent("""
                                  np.array(center), 6))
     rng = np.random.default_rng(7)
     alphas = [1e6 * rng.standard_normal(b.size) for b in bases]
-    report = lsq.SolveReport(alphas=alphas, loss=0.0, residuals=[], block_ranks=[],
-                             block_sigmas=[])
+    report = lsq.SolveReport(alphas=alphas, loss=0.0, block_ranks=[], block_sigmas=[])
     state = ada.SolveState(part, bases, None, report)
     points = geo.generate_interior_grid(problem.region, resolution=256)
     predicted, _ = bench.predict(state, points)
@@ -239,14 +238,13 @@ class TestRun:
         assert len(records) == manifest["n_balls"]
         assert records[0]["index"] == 1
         assert records[0]["err_l2"] is not None
-        # per subdomain, one squared residual per row kind, summing to the
-        # coupled loss
+        # per subdomain, one mean squared residual per row kind, in the
+        # gate's units: subdomain 0's interior entry is the gate's
         residuals = records[0]["residuals"]
         assert [sorted(r) for r in residuals] == [
             ["boundary", "interior"],
             ["interface-normal", "interface-value", "interior"]]
-        assert sum(v for r in residuals for v in r.values()) == \
-            pytest.approx(records[0]["loss"], rel=1e-12)
+        assert residuals[0]["interior"] == records[0]["mean_residual_after"]
         assert manifest["trace"][0]["residuals"] == residuals
         # conditioning per subdomain, and the Gauss-Newton steps [n, loss,
         # re_mse]: one, the direct solve, for a linear problem
